@@ -67,6 +67,12 @@ func (tm *TM) gcLocked() int {
 	freed := 0
 	var freedBytes int64
 	for _, v := range vars {
+		if v.latest.Load().next.Load() == nil {
+			// One version: nothing to free, so leave the lock word — and the
+			// line every traversal of v loads — untouched. An install racing
+			// this check is the next pass's business.
+			continue
+		}
 		if !v.owner.CompareAndSwap(nil, gcOwner) {
 			continue // busy committer; skip
 		}
@@ -117,6 +123,9 @@ func (tm *TM) trimLocked(depth int) int {
 	freed := 0
 	var freedBytes int64
 	for _, v := range vars {
+		if v.latest.Load().next.Load() == nil {
+			continue // one version; see gcLocked
+		}
 		if !v.owner.CompareAndSwap(nil, gcOwner) {
 			continue // busy committer; skip
 		}

@@ -285,7 +285,7 @@ func (tm *TM) commitRound(pend []*txn) []*txn {
 func (tm *TM) scanMember(m *txn, cross bool) stm.AbortReason {
 	budget := tm.opts.LockSpinBudget
 	for _, v := range m.readSet {
-		m.semiVisibleRead(v, tm.clock.Load(int(v.shard)))
+		m.semiVisibleRead(v, m.natOrder)
 		if !v.waitUnlockedBatch(m, budget) {
 			return stm.ReasonLockTimeout
 		}

@@ -136,7 +136,7 @@ func TestOpacityInflightSnapshotConsistency(t *testing.T) {
 					if a+b != pairSum {
 						violations++
 					}
-					mu.Unlock() //twm:impure see above
+					mu.Unlock()       //twm:impure see above
 					tx.Write(junk, i) // stay an update transaction
 					return nil
 				})

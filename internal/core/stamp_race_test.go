@@ -165,7 +165,7 @@ func TestPromotionPublishesRaise(t *testing.T) {
 	if got := tx.stampMax(x); got != 13 {
 		t.Fatalf("promoted raise stampMax = %d, want 13", got)
 	}
-	if got := x.readStamp.Load(); got != 7 {
+	if got := x.stamp.Load(); got != 7 {
 		t.Fatalf("inline stamp changed after promotion: %d, want 7", got)
 	}
 }

@@ -143,6 +143,8 @@ type TM struct {
 	// stampSeq deals out sticky home shards for sharded read stamps, one per
 	// descriptor lifetime — the same scheme as ActiveSet slots.
 	stampSeq atomic.Uint32
+	// stampChunks holds partially dealt stamp chunks, one per P (newStamp).
+	stampChunks sync.Pool
 
 	varsMu  sync.Mutex
 	vars    []*twvar
@@ -194,8 +196,8 @@ func New(opts Options) *TM {
 	if opts.GroupCommit {
 		tm.combiner = mvutil.NewCombiner(opts.GroupMaxBatch, opts.GroupHooks)
 	}
-	// Every shard's clock starts at 1 so the zero readStamp of a never-read
-	// variable can never satisfy the readStamp >= start target check in any
+	// Every shard's clock starts at 1 so the zero read stamp of a never-read
+	// variable can never satisfy the stamp >= start target check in any
 	// domain (initial versions keep natOrder = twOrder = 0 and are visible to
 	// every snapshot).
 	tm.sharded = tm.clock.Init(opts.ClockShards, 1) > 1
@@ -297,7 +299,7 @@ func (tm *TM) Start(txi stm.Tx) uint64 { return txi.(*txn).start }
 
 // PromoteStamp forces v's semi-visible read stamp onto the sharded
 // representation (tests and instrumentation; promotion otherwise happens
-// adaptively when raisers contend on the inline stamp). Safe concurrently
+// adaptively when raisers contend on the stamp word). Safe concurrently
 // with readers and committers — it performs exactly the publication step of
 // the adaptive path, minus the raise.
 func (tm *TM) PromoteStamp(v stm.Var) {
@@ -306,7 +308,7 @@ func (tm *TM) PromoteStamp(v stm.Var) {
 		return
 	}
 	s := new(mvutil.ShardedStamp)
-	s.Seed(tv.readStamp.Load())
+	s.Seed(tv.stamp.Load())
 	tv.stamps.CompareAndSwap(nil, s)
 }
 
@@ -326,29 +328,63 @@ type version struct {
 // timeWarped reports whether the version was produced by a time-warp commit.
 func (v *version) timeWarped() bool { return v.natOrder != v.twOrder }
 
-// twvar is the concrete transactional variable (Table 1's Var struct).
+// twvar is the concrete transactional variable (Table 1's Var struct). The
+// fields a read traverses — lock word, chain head and the embedded initial
+// version — lead the struct and are stored to only by a committer installing
+// a version; the semi-visible read stamp every reader raises lives off the
+// variable, in a stamp chunk (DESIGN.md §12.4).
 type twvar struct {
-	id uint64
-	// shard is the clock domain the variable belongs to (always 0 when
-	// unsharded). Its versions' natOrder/twOrder, its read stamps and the
-	// snapshot component it is read against all live on this shard's number
-	// line; numbers from different shards are never compared.
-	shard     uint32
-	owner     atomic.Pointer[txn] // commit lock; nil means unlocked
-	latest    atomic.Pointer[version]
-	readStamp atomic.Uint64 // semi-visible read stamp (uncontended fast path)
+	owner  atomic.Pointer[txn] // commit lock; nil means unlocked
+	latest atomic.Pointer[version]
+	// root is the initial version, embedded so a read of a never-overwritten
+	// variable follows no pointer out of the variable. GC unlinks it like any
+	// other version; its bytes then simply wait for the variable to die.
+	root version
+	// stamp is the semi-visible read stamp (uncontended fast path): a slot in
+	// one of the TM's stamp chunks, so raising it never invalidates the line
+	// another transaction's traversal of this variable loads.
+	stamp *atomic.Uint64
 
-	// stamps, once non-nil, extends readStamp with a sharded CAS-max register
+	// stamps, once non-nil, extends stamp with a sharded CAS-max register
 	// (DESIGN.md §12). It is promoted lazily, the first time raisers actually
-	// collide on readStamp: a ShardedStamp is ~2 KiB, far too heavy for the
-	// many cold variables an application allocates, while the inline stamp is
+	// collide on stamp: a ShardedStamp is ~2 KiB, far too heavy for the many
+	// cold variables an application allocates, while the single stamp word is
 	// a scalability cliff on the few read-hot ones. After promotion readers
-	// raise only their home shard and committers fold readStamp into the
-	// shard maximum, so a raise that landed inline before (or while) the
+	// raise only their home shard and committers fold stamp into the shard
+	// maximum, so a raise that landed in the word before (or while) the
 	// promotion published is never lost.
 	stamps atomic.Pointer[mvutil.ShardedStamp]
 
 	hist *historyLog // non-nil only when history recording is enabled
+	id   uint64
+	// shard is the clock domain the variable belongs to (always 0 when
+	// unsharded). Its versions' natOrder/twOrder, its read stamps and the
+	// snapshot component it is read against all live on this shard's number
+	// line; numbers from different shards are never compared.
+	shard uint32
+}
+
+// stampChunk is 4 KiB of read-stamp slots dealt out in order to the variables
+// one P creates: back-to-back creations by one goroutine get adjacent slots,
+// concurrent creators get different chunks and hence different lines.
+type stampChunk struct {
+	slots [511]atomic.Uint64
+	next  int // slots dealt; touched only by the chunk's current holder
+}
+
+// newStamp deals the next free stamp slot of this P's chunk. A chunk the
+// pool drops (GC, race-mode sampling) merely strands its undealt slots; the
+// dealt ones keep it alive through their interior pointers.
+func (tm *TM) newStamp() *atomic.Uint64 {
+	c, _ := tm.stampChunks.Get().(*stampChunk)
+	if c == nil {
+		c = new(stampChunk)
+	}
+	s := &c.slots[c.next]
+	if c.next++; c.next < len(c.slots) {
+		tm.stampChunks.Put(c)
+	}
+	return s
 }
 
 // VarID implements stm.IDedVar (commit-lock ordering).
@@ -356,9 +392,9 @@ func (v *twvar) VarID() uint64 { return v.id }
 
 // NewVar implements stm.TM.
 func (tm *TM) NewVar(initial stm.Value) stm.Var {
-	v := &twvar{}
-	root := &version{value: initial}
-	v.latest.Store(root)
+	v := &twvar{stamp: tm.newStamp()}
+	v.root.value = initial
+	v.latest.Store(&v.root)
 	if tm.opts.EagerStampSharding {
 		v.stamps.Store(new(mvutil.ShardedStamp))
 	}
@@ -451,7 +487,7 @@ func (v *twvar) waitUnlockedBatch(self *txn, budget int) bool {
 	}
 }
 
-// promoteAfterRetries is the inline-CAS failure count at which a raise
+// promoteAfterRetries is the stamp-word CAS failure count at which a raise
 // promotes the variable's stamp to a sharded register. One failed CAS is
 // ordinary bad luck; a second failure within the same raise means at least
 // two other raisers hit this stamp concurrently — the read-hot case the
@@ -460,8 +496,8 @@ const promoteAfterRetries = 2
 
 // semiVisibleRead advances v's read stamp to at least ts via a CAS maximum
 // (paper's SEMIVISIBLEREAD): readers are visible in aggregate, without
-// tracking individual reader identities. The stamp is adaptive: the inline
-// readStamp serves uncontended variables with a single CAS, and sustained
+// tracking individual reader identities. The stamp is adaptive: the single
+// stamp word serves uncontended variables with one CAS, and sustained
 // CAS contention promotes the variable to a sharded register in which this
 // descriptor raises only its sticky home shard (DESIGN.md §12). Failed CAS
 // attempts are counted into the stamp-contention stats either way.
@@ -472,8 +508,8 @@ func (tx *txn) semiVisibleRead(v *twvar, ts uint64) {
 	}
 	var retries uint64
 	for {
-		last := v.readStamp.Load()
-		if last >= ts || v.readStamp.CompareAndSwap(last, ts) {
+		last := v.stamp.Load()
+		if last >= ts || v.stamp.CompareAndSwap(last, ts) {
 			tx.stats.RecordStampRetries(retries)
 			return
 		}
@@ -496,7 +532,7 @@ func (tx *txn) semiVisibleRead(v *twvar, ts uint64) {
 // raise is redone in the winner's register.
 func (tx *txn) promoteStamp(v *twvar, ts uint64) {
 	s := new(mvutil.ShardedStamp)
-	s.Seed(v.readStamp.Load())
+	s.Seed(v.stamp.Load())
 	s.Raise(tx.stampShard, ts)
 	if !v.stamps.CompareAndSwap(nil, s) {
 		tx.stats.RecordStampRetries(v.stamps.Load().Raise(tx.stampShard, ts))
@@ -504,12 +540,12 @@ func (tx *txn) promoteStamp(v *twvar, ts uint64) {
 }
 
 // stampMax observes v's semi-visible read stamp from the committer side: the
-// inline stamp folded with the shard maximum when a register has been
-// promoted. The inline stamp stays valid forever after promotion (raisers
+// stamp word folded with the shard maximum when a register has been
+// promoted. The stamp word stays valid forever after promotion (raisers
 // that lost the promotion race may have landed there), so both sources are
 // always combined.
 func (tx *txn) stampMax(v *twvar) uint64 {
-	m := v.readStamp.Load()
+	m := v.stamp.Load()
 	if s := v.stamps.Load(); s != nil {
 		tx.stats.RecordStampScan()
 		if sm := s.Max(); sm > m {
@@ -867,8 +903,11 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 
 	// HANDLEREAD: make the reads visible, then detect anti-dependencies
 	// originating at tx (versions of read variables committed after start).
+	// The stamp is our own draw, not a fresh clock sample: under the strict
+	// target check that is the paper's pre-increment condition exactly, and
+	// it keeps the scan off the clock line (DESIGN.md §7 item 1).
 	for _, v := range tx.readSet {
-		tx.semiVisibleRead(v, tm.clock.Load(int(v.shard)))
+		tx.semiVisibleRead(v, tx.natOrder)
 		if !v.waitUnlocked(tx, budget) {
 			return tm.failCommit(tx, stm.ReasonLockTimeout)
 		}
@@ -1061,7 +1100,7 @@ func (tm *TM) commitCross(tx *txn) bool {
 	tx.natOrder, tx.twOrder = wv, wv
 
 	for _, v := range tx.readSet {
-		tx.semiVisibleRead(v, tm.clock.Load(int(v.shard)))
+		tx.semiVisibleRead(v, tx.natOrder)
 		if !v.waitUnlocked(tx, budget) {
 			return tm.failCommit(tx, stm.ReasonLockTimeout)
 		}

@@ -202,6 +202,21 @@ func TestAllocsAVSTMRegistry(t *testing.T) {
 	}
 }
 
+// TestAllocsTWMNewVar pins variable creation at one allocation, amortised:
+// the twvar itself. The initial version is embedded in it and the read stamp
+// is a slot of a shared 511-slot chunk (DESIGN.md §12.4), so the former second
+// allocation (the root version node) is gone and the chunk and the registry
+// slice's growth vanish in the average.
+func TestAllocsTWMNewVar(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	tm := engines.MustNew("twm")
+	if got := testing.AllocsPerRun(2000, func() { _ = tm.NewVar(0) }); got > 1 {
+		t.Errorf("NewVar: %.1f allocs/op, budget 1 (the variable itself)", got)
+	}
+}
+
 // TestAllocsTWMShardedStampRead verifies the read path stays allocation-free
 // after a variable's read stamp has been promoted to the sharded register:
 // readers raise a home shard of the existing register, which must never

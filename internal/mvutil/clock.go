@@ -60,13 +60,13 @@ type clockCell struct {
 // exclusion; plain single-shard fetch-adds may still land mid-read, but by the
 // argument above they cannot make the cut inconsistent.
 type ClockDomain struct {
-	k    int
-	mask uint64
-	_    [40]byte // keep cell 0 off the header's cache line
+	k     int
+	mask  uint64
+	_     [40]byte // keep cell 0 off the header's cache line
 	cells [MaxClockShards]clockCell
-	xseq atomic.Uint64 // fence seqlock: odd while a cross-shard draw is in flight
-	_    [120]byte
-	xmu  sync.Mutex
+	xseq  atomic.Uint64 // fence seqlock: odd while a cross-shard draw is in flight
+	_     [120]byte
+	xmu   sync.Mutex
 }
 
 // Init sizes the domain to k shards (rounded up to a power of two, clamped to

@@ -125,14 +125,14 @@ func TestUserErrors(t *testing.T) {
 		path, body string
 		want       int
 	}{
-		{"/v1/transfer", `{"from":"a","to":"b","amount":99}`, http.StatusConflict},     // insufficient
-		{"/v1/transfer", `{"from":"ghost","to":"b","amount":1}`, http.StatusNotFound},  // unknown account
-		{"/v1/transfer", `{"from":"a","to":"a","amount":1}`, http.StatusBadRequest},    // self-transfer
-		{"/v1/transfer", `{"from":"a","to":"b","amount":-5}`, http.StatusBadRequest},   // negative
-		{"/v1/transfer", `{"from":`, http.StatusBadRequest},                            // malformed JSON
-		{"/v1/accounts", `{"id":"a","balance":1}`, http.StatusConflict},                // duplicate create
-		{"/v1/release", `{"account":"a","amount":1}`, http.StatusConflict},             // nothing held
-		{"/v1/capture", `{"account":"a","amount":1}`, http.StatusConflict},             // nothing held
+		{"/v1/transfer", `{"from":"a","to":"b","amount":99}`, http.StatusConflict},    // insufficient
+		{"/v1/transfer", `{"from":"ghost","to":"b","amount":1}`, http.StatusNotFound}, // unknown account
+		{"/v1/transfer", `{"from":"a","to":"a","amount":1}`, http.StatusBadRequest},   // self-transfer
+		{"/v1/transfer", `{"from":"a","to":"b","amount":-5}`, http.StatusBadRequest},  // negative
+		{"/v1/transfer", `{"from":`, http.StatusBadRequest},                           // malformed JSON
+		{"/v1/accounts", `{"id":"a","balance":1}`, http.StatusConflict},               // duplicate create
+		{"/v1/release", `{"account":"a","amount":1}`, http.StatusConflict},            // nothing held
+		{"/v1/capture", `{"account":"a","amount":1}`, http.StatusConflict},            // nothing held
 	}
 	for _, c := range cases {
 		if rr := post(h, c.path, c.body); rr.Code != c.want {

@@ -32,7 +32,7 @@ func TestShardedDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s1.Handler()
-	mustPost(t, h, "/v1/deposit", `{"account":"0","amount":100}`)    // single-shard
+	mustPost(t, h, "/v1/deposit", `{"account":"0","amount":100}`)        // single-shard
 	mustPost(t, h, "/v1/transfer", `{"from":"1","to":"2","amount":250}`) // cross-shard
 	mustPost(t, h, "/v1/reserve", `{"account":"3","amount":50}`)
 	mustPost(t, h, "/v1/accounts", `{"id":"extra","balance":500}`)

@@ -174,7 +174,7 @@ func TestServerChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	var audit struct {
-		Accounts               int
+		Accounts                int
 		TotalBalance, TotalHeld int64
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&audit); err != nil {
