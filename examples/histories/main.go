@@ -1,8 +1,8 @@
 // Histories replays the example executions from the paper — the Fig. 1
-// linked-list history of §1.1 and the four abstract histories of Fig. 2 —
-// against the real TWM engine, printing the decision it takes for each
-// (commit in the present, time-warp commit in the past, or abort) together
-// with the two commit orders N and TW.
+// linked-list history of §1.1 and the four abstract histories of Fig. 2
+// (internal/histories) — against the real TWM engine, printing the decision
+// it takes for each transaction (commit in the present, time-warp commit in
+// the past, or abort) together with the two commit orders N and TW.
 //
 // Run with:
 //
@@ -13,143 +13,31 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/stm"
+	"repro/internal/histories"
 )
 
 func main() {
-	fig1()
-	fig2a()
-	fig2b()
-	fig2cd()
+	for _, h := range histories.Paper() {
+		fmt.Printf("%s — %s:\n", h.Name, h.Title)
+		for _, o := range histories.Replay(core.New(core.Options{}), h) {
+			fmt.Println("  " + describe(o))
+		}
+		fmt.Printf("  %s\n\n", h.Note)
+	}
 }
 
-func describe(tm *core.TM, name string, tx stm.Tx, committed bool) {
-	if !committed {
-		fmt.Printf("  %s: ABORTED\n", name)
-		return
-	}
-	nat, tw := tm.CommitOrders(tx)
+func describe(o histories.Outcome) string {
 	switch {
-	case nat == 0:
-		fmt.Printf("  %s: committed (read-only)\n", name)
-	case tw < nat:
-		fmt.Printf("  %s: TIME-WARP commit, serialized at TW=%d (natural order N=%d)\n", name, tw, nat)
-	default:
-		fmt.Printf("  %s: committed in the present (N=TW=%d)\n", name, nat)
+	case o.Op == histories.OpRead && o.Early != "":
+		return fmt.Sprintf("%s reading %s: EARLY ABORT (%s)", o.Tx, o.Var, o.Early)
+	case o.Op == histories.OpRead:
+		return fmt.Sprintf("%s reads %s = %v", o.Tx, o.Var, o.Value)
+	case !o.OK:
+		return fmt.Sprintf("%s: ABORTED (%v)", o.Tx, o.Reason)
+	case o.Nat == 0:
+		return fmt.Sprintf("%s: committed (read-only)", o.Tx)
+	case o.TW < o.Nat:
+		return fmt.Sprintf("%s: TIME-WARP commit, serialized at TW=%d (natural order N=%d)", o.Tx, o.TW, o.Nat)
 	}
-}
-
-// fig1 is the sorted linked-list history of §1.1: T1 (read-only lookup), T2
-// inserts B near the head, T3 removes E near the tail. Classic validation
-// aborts T3; TWM serializes it before T2.
-func fig1() {
-	fmt.Println("Fig. 1 — linked list [A D E]; T2 inserts B, T3 removes E:")
-	tm := core.New(core.Options{})
-	aNext := tm.NewVar("D")
-	dNext := tm.NewVar("E")
-
-	t1 := tm.Begin(true) // contains(D)?
-	_ = t1.Read(aNext)
-	ok1 := tm.Commit(t1)
-	describe(tm, "T1 (lookup D)", t1, ok1)
-
-	t3 := tm.Begin(false) // remove E: reads A.next, writes D.next
-	_ = t3.Read(aNext)
-	_ = t3.Read(dNext)
-	t3.Write(dNext, "nil")
-
-	t2 := tm.Begin(false) // insert B: reads+writes A.next
-	_ = t2.Read(aNext)
-	t2.Write(aNext, "B")
-	ok2 := tm.Commit(t2)
-	describe(tm, "T2 (insert B)", t2, ok2)
-
-	ok3 := tm.Commit(t3)
-	describe(tm, "T3 (remove E)", t3, ok3)
-	fmt.Println("  equivalent serial history: T1 -> T3 -> T2")
-	fmt.Println()
-}
-
-// fig2a: B misses the writes of two concurrent committers A1 and A2 and
-// time-warp commits before both (Rule 1: TW(B) = N(A1)).
-func fig2a() {
-	fmt.Println("Fig. 2(a) — B reads y,z and writes x; A1 overwrites y, A2 overwrites z:")
-	tm := core.New(core.Options{})
-	x, y, z := tm.NewVar(0), tm.NewVar(0), tm.NewVar(0)
-
-	b := tm.Begin(false)
-	_ = b.Read(y)
-	_ = b.Read(z)
-	b.Write(x, 1)
-
-	a1 := tm.Begin(false)
-	a1.Write(y, 1)
-	describe(tm, "A1 (write y)", a1, tm.Commit(a1))
-	a2 := tm.Begin(false)
-	a2.Write(z, 1)
-	describe(tm, "A2 (write z)", a2, tm.Commit(a2))
-	describe(tm, "B  (read y,z; write x)", b, tm.Commit(b))
-	fmt.Println()
-}
-
-// fig2b: the triad. The read-only C makes its read of x semi-visible, so the
-// pivot B (which also missed A's write) fails Rule 2 and aborts.
-func fig2b() {
-	fmt.Println("Fig. 2(b) — triad: C (read-only) reads x; B writes x and missed A's write to y:")
-	tm := core.New(core.Options{})
-	x, y, z := tm.NewVar(0), tm.NewVar(0), tm.NewVar(0)
-
-	b := tm.Begin(false)
-	_ = b.Read(y)
-	b.Write(x, 1)
-
-	a := tm.Begin(false)
-	a.Write(y, 1)
-	describe(tm, "A (write y)", a, tm.Commit(a))
-
-	c := tm.Begin(true)
-	_ = c.Read(x)
-	_ = c.Read(z)
-	describe(tm, "C (read-only, reads x)", c, tm.Commit(c))
-
-	describe(tm, "B (pivot)", b, tm.Commit(b))
-	fmt.Println("  B raised both source and target flags -> Rule 2 abort")
-	fmt.Println()
-}
-
-// fig2cd: visibility of a time-warped version. A read-only transaction whose
-// snapshot covers TW(B) observes B's write (Fig. 2(c)); an update transaction
-// in the same position must not, and early-aborts when it would skip the
-// time-warped version (the situation Fig. 2(d) guards against).
-func fig2cd() {
-	fmt.Println("Fig. 2(c)/(d) — observing a time-warp committed version:")
-	tm := core.New(core.Options{})
-	x, y := tm.NewVar(0), tm.NewVar(0)
-
-	b := tm.Begin(false)
-	_ = b.Read(y)
-	b.Write(x, 7)
-
-	a := tm.Begin(false)
-	a.Write(y, 1)
-	describe(tm, "A (write y)", a, tm.Commit(a))
-
-	ro := tm.Begin(true)  // snapshot after N(A)
-	up := tm.Begin(false) // update transaction, same snapshot
-	describe(tm, "B (write x)", b, tm.Commit(b))
-
-	fmt.Printf("  read-only snapshot sees x = %v (includes the time-warped version)\n", ro.Read(x))
-	_ = tm.Commit(ro)
-
-	func() {
-		defer func() {
-			if recover() != nil {
-				fmt.Println("  update transaction reading x: EARLY ABORT (Rule 2, skipped a time-warped version)")
-				tm.Abort(up)
-			}
-		}()
-		_ = up.Read(x)
-		fmt.Println("  update transaction unexpectedly read x")
-	}()
-	fmt.Println()
+	return fmt.Sprintf("%s: committed in the present (N=TW=%d)", o.Tx, o.Nat)
 }

@@ -136,7 +136,7 @@ func runDurabilityCell(engine, policy string, threads int, d time.Duration, dc D
 			return cell, err
 		}
 		defer w.Close()
-		if tm, err = engines.NewDurable(engine, w); err != nil {
+		if tm, err = engines.New(engine, engines.WithLogger(w)); err != nil {
 			return cell, err
 		}
 	}

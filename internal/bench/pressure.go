@@ -124,7 +124,7 @@ func runPressureCell(engine string, threads int, d time.Duration, pc PressureCon
 		SoftVersions: pc.SoftVersions,
 		HardVersions: pc.HardVersions,
 	})
-	tm, err := engines.NewBudgeted(engine, b, pc.MaxVersionDepth)
+	tm, err := engines.New(engine, engines.WithBudget(b, pc.MaxVersionDepth))
 	if err != nil {
 		return Result{}, pressureDetail{}, err
 	}

@@ -216,7 +216,7 @@ func ShardClockFigure(w io.Writer, cfg FigureConfig, sc ShardClockConfig) (*Shar
 				return nil, err
 			}
 			sh, err := medianRun(func() (Result, error) {
-				shTM := engines.MustNewSharded("twm", sc.Partitions, shardClockSharder(sc.VarsPerPartition))
+				shTM := engines.MustNew("twm", engines.WithClockShards(sc.Partitions, shardClockSharder(sc.VarsPerPartition)))
 				return RunMicroOn(shTM, sharded, m, t, cfg.Duration, cfg.Seed)
 			})
 			runtime.GOMAXPROCS(prev)

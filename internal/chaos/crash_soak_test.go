@@ -53,7 +53,7 @@ func runCrashSoak(t *testing.T, engine string, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := engines.MustNewDurable(engine, w)
+	tm := engines.MustNew(engine, engines.WithLogger(w))
 
 	vars := make([]*stm.TVar[int64], nVars)
 	ids := make([]uint64, nVars)

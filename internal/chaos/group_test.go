@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dsg"
 	"repro/internal/jvstm"
+	"repro/internal/mvutil"
 	"repro/internal/stm"
 )
 
@@ -25,7 +26,7 @@ func TestGroupCommitChaosSoak(t *testing.T) {
 	}
 	engines := map[string]func(hooks *chaos.GroupInjector) stm.TM{
 		"twm-gc": func(g *chaos.GroupInjector) stm.TM {
-			return core.New(core.Options{GroupCommit: true, GroupHooks: g.Hooks()})
+			return core.New(core.Options{Options: mvutil.Options{GroupCommit: true, GroupHooks: g.Hooks()}})
 		},
 		"jvstm-gc": func(g *chaos.GroupInjector) stm.TM {
 			return jvstm.New(jvstm.Options{GroupCommit: true, GroupHooks: g.Hooks()})

@@ -57,7 +57,7 @@ func TestPressureSoakStabilizeDegradeRecover(t *testing.T) {
 	}
 	cases := []engineCase{
 		{"twm", func(b *mvutil.VersionBudget) stm.TM {
-			return core.New(core.Options{GCEveryNCommits: -1, Budget: b, MaxVersionDepth: depth})
+			return core.New(core.Options{Options: mvutil.Options{GCEveryNCommits: -1, Budget: b, MaxVersionDepth: depth}})
 		}},
 		{"jvstm", func(b *mvutil.VersionBudget) stm.TM {
 			return jvstm.New(jvstm.Options{GCEveryNCommits: -1, Budget: b, MaxVersionDepth: depth})

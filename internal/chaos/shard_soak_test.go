@@ -35,7 +35,7 @@ func TestCrossShardChaosSoak(t *testing.T) {
 	for _, name := range engines.ShardedSet() {
 		for _, mix := range mixes {
 			t.Run(fmt.Sprintf("%s/%s", name, mix.label), func(t *testing.T) {
-				inner := engines.MustNewSharded(name, mix.k, nil)
+				inner := engines.MustNew(name, engines.WithClockShards(mix.k, nil))
 				tm := chaos.New(inner, chaos.Options{
 					Seed:           chaosSeed(t, 0x5AA3D),
 					AbortProb:      0.05,
@@ -69,7 +69,7 @@ func TestCrossShardConservationSoak(t *testing.T) {
 		perW    = 150
 		initial = 1000
 	)
-	inner := engines.MustNewSharded("twm", k, nil)
+	inner := engines.MustNew("twm", engines.WithClockShards(k, nil))
 	tm := chaos.New(inner, chaos.Options{
 		Seed:           chaosSeed(t, 0xFACADE),
 		AbortProb:      0.03,
@@ -101,8 +101,8 @@ func TestCrossShardConservationSoak(t *testing.T) {
 				err := stm.Atomically(tm, false, func(tx stm.Tx) error {
 					a := tx.Read(vars[from]).(int)
 					b := tx.Read(vars[to]).(int)
-					tx.Write(vars[from], a-1)
-					tx.Write(vars[to], b+1)
+					tx.Write(vars[from], a-1) //twm:allow abortshape deliberate read-then-write transfer probe
+					tx.Write(vars[to], b+1)   //twm:allow abortshape deliberate read-then-write transfer probe
 					return nil
 				})
 				if err != nil {

@@ -13,7 +13,7 @@ import (
 // number of commits.
 func TestBudgetSoftGCEager(t *testing.T) {
 	b := mvutil.NewVersionBudget(mvutil.BudgetConfig{SoftVersions: 8, HardVersions: 10_000})
-	tm := New(Options{GCEveryNCommits: -1, Budget: b})
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1, Budget: b}})
 	v := stm.NewTVar(tm, 0)
 	for i := 0; i < 50; i++ {
 		if err := stm.Atomically(tm, false, func(tx stm.Tx) error {
@@ -44,7 +44,7 @@ func TestBudgetSoftGCEager(t *testing.T) {
 // fresh read-only transaction (current snapshot) is served fine.
 func TestBudgetHardTrim(t *testing.T) {
 	b := mvutil.NewVersionBudget(mvutil.BudgetConfig{SoftVersions: 4, HardVersions: 8})
-	tm := New(Options{GCEveryNCommits: -1, Budget: b, MaxVersionDepth: 2})
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1, Budget: b, MaxVersionDepth: 2}})
 	v := stm.NewTVar(tm, 0)
 
 	ro := tm.Begin(true) // pin the initial snapshot; GC cannot advance past it
@@ -102,7 +102,7 @@ func TestBudgetHardTrim(t *testing.T) {
 // ReasonMemoryPressure — and releasing the pin restores full service.
 func TestBudgetHardReject(t *testing.T) {
 	b := mvutil.NewVersionBudget(mvutil.BudgetConfig{SoftVersions: 4, HardVersions: 8})
-	tm := New(Options{GCEveryNCommits: -1, Budget: b, MaxVersionDepth: 4})
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1, Budget: b, MaxVersionDepth: 4}})
 	vars := make([]*stm.TVar[int], 4)
 	for i := range vars {
 		vars[i] = stm.NewTVar(tm, 0)
@@ -153,7 +153,7 @@ func TestBudgetHardReject(t *testing.T) {
 // variable) — installs and releases balance.
 func TestBudgetAccountingBalances(t *testing.T) {
 	b := mvutil.NewVersionBudget(mvutil.BudgetConfig{SoftVersions: 1 << 20, HardVersions: 1 << 21})
-	tm := New(Options{GCEveryNCommits: -1, Budget: b})
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1, Budget: b}})
 	vars := make([]*stm.TVar[int], 8)
 	for i := range vars {
 		vars[i] = stm.NewTVar(tm, 0)

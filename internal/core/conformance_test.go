@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dsg"
+	"repro/internal/mvutil"
 	"repro/internal/stm"
 	"repro/internal/stm/stmtest"
 )
@@ -35,7 +36,7 @@ func TestSerializabilityDSGReadHeavy(t *testing.T) {
 func TestSerializabilityDSGWithGC(t *testing.T) {
 	// GC must not perturb serializability bookkeeping (history records are
 	// retained even when version bodies are trimmed).
-	dsg.CheckRandom(t, core.New(core.Options{GCEveryNCommits: 64}), dsg.RunOptions{Seed: 11})
+	dsg.CheckRandom(t, core.New(core.Options{Options: mvutil.Options{GCEveryNCommits: 64}}), dsg.RunOptions{Seed: 11})
 }
 
 // shardedFactory promotes every stamp at creation, so the whole battery runs

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mvutil"
 	"repro/internal/stm"
 )
 
@@ -12,7 +13,7 @@ import (
 // application-level consistency and that the version lists were actually
 // trimmed.
 func TestGCUnderLoad(t *testing.T) {
-	tm := New(Options{GCEveryNCommits: 16})
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: 16}})
 	const nv = 8
 	const pairSum = 800
 	vars := make([]stm.Var, nv)
@@ -99,7 +100,7 @@ func TestGCUnderLoad(t *testing.T) {
 // TestGCConcurrentPassesDoNotInterfere runs many concurrent GC passes
 // against a mutating workload (regression for the serialized-bound fix).
 func TestGCConcurrentPassesDoNotInterfere(t *testing.T) {
-	tm := New(Options{GCEveryNCommits: 8})
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: 8}})
 	x := tm.NewVar(0)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/stm/stmtest"
 )
 
-func gcFactory() stm.TM { return core.New(core.Options{GroupCommit: true}) }
+func gcFactory() stm.TM { return core.New(core.Options{Options: mvutil.Options{GroupCommit: true}}) }
 
 func TestGroupCommitConformance(t *testing.T) {
 	stmtest.Run(t, gcFactory, stmtest.Options{RONeverAborts: true})
@@ -21,7 +21,7 @@ func TestGroupCommitConformance(t *testing.T) {
 // whole battery.
 func TestGroupCommitConformanceSmallBatches(t *testing.T) {
 	stmtest.Run(t, func() stm.TM {
-		return core.New(core.Options{GroupCommit: true, GroupMaxBatch: 2})
+		return core.New(core.Options{Options: mvutil.Options{GroupCommit: true, GroupMaxBatch: 2}})
 	}, stmtest.Options{RONeverAborts: true})
 }
 
@@ -36,19 +36,19 @@ func TestGroupCommitSerializabilityDSGHighContention(t *testing.T) {
 }
 
 func TestGroupCommitSerializabilityDSGSmallBatches(t *testing.T) {
-	dsg.CheckRandom(t, core.New(core.Options{GroupCommit: true, GroupMaxBatch: 2}),
+	dsg.CheckRandom(t, core.New(core.Options{Options: mvutil.Options{GroupCommit: true, GroupMaxBatch: 2}}),
 		dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 100, Seed: 9})
 }
 
 func TestGroupCommitSerializabilityDSGWithGC(t *testing.T) {
-	dsg.CheckRandom(t, core.New(core.Options{GroupCommit: true, GCEveryNCommits: 64}),
+	dsg.CheckRandom(t, core.New(core.Options{Options: mvutil.Options{GroupCommit: true, GCEveryNCommits: 64}}),
 		dsg.RunOptions{Seed: 11})
 }
 
 func TestGroupCommitRejectsIncompatibleModes(t *testing.T) {
 	for _, opts := range []core.Options{
-		{GroupCommit: true, Opacity: true},
-		{GroupCommit: true, DisableTimeWarp: true},
+		{Options: mvutil.Options{GroupCommit: true}, Opacity: true},
+		{Options: mvutil.Options{GroupCommit: true}, DisableTimeWarp: true},
 	} {
 		func() {
 			defer func() {
@@ -65,7 +65,7 @@ func TestGroupCommitRejectsIncompatibleModes(t *testing.T) {
 // §13's headline invariant: the batched path advances the shared clock exactly
 // once per installed batch, no matter how many commits the batch carries.
 func TestGroupCommitOneTickPerBatch(t *testing.T) {
-	tm := core.New(core.Options{GroupCommit: true})
+	tm := core.New(core.Options{Options: mvutil.Options{GroupCommit: true}})
 	const goroutines, txPerG, vars = 8, 200, 64
 	tvs := make([]*stm.TVar[int], vars)
 	for i := range tvs {
@@ -131,11 +131,11 @@ func TestGroupCommitOneTickPerBatch(t *testing.T) {
 func TestGroupCommitSpillRound(t *testing.T) {
 	block := make(chan struct{})
 	release := sync.OnceFunc(func() { close(block) })
-	tm := core.New(core.Options{GroupCommit: true, GroupHooks: &mvutil.BatchHooks{
+	tm := core.New(core.Options{Options: mvutil.Options{GroupCommit: true, GroupHooks: &mvutil.BatchHooks{
 		// Stall the first leader until both committers have published, so the
 		// drain is guaranteed to see both overlapping write sets in one batch.
 		LeaderStall: func() { <-block },
-	}})
+	}}})
 	x := stm.NewTVar(tm, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {

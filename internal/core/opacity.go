@@ -38,9 +38,9 @@ func (tx *txn) readOpaque(tv *twvar) stm.Value {
 		return val // read-after-write
 	}
 	tx.readSet = append(tx.readSet, tv)
-	tx.semiVisibleRead(tv, tx.tm.clock.Load(0)) // opacity excludes sharding
-	if !tv.waitUnlocked(tx, tx.tm.opts.LockSpinBudget) {
-		tx.stats.RecordAbort(stm.ReasonLockTimeout)
+	tx.semiVisibleRead(tv, tx.tm.Clk.Load(0)) // opacity excludes sharding
+	if !tv.owner.WaitUnlocked(&tx.Desc, tx.tm.Opts.LockSpinBudget) {
+		tx.Stats.RecordAbort(stm.ReasonLockTimeout)
 		stm.Retry(stm.ReasonLockTimeout)
 	}
 	ver := tv.latest.Load()
@@ -50,7 +50,7 @@ func (tx *txn) readOpaque(tv *twvar) stm.Value {
 			// A hard-pressure trim reclaimed the version this snapshot needs
 			// (trim only cuts a chain suffix, so a walk that terminates
 			// normally saw everything it would have pre-trim).
-			tx.stats.RecordAbort(stm.ReasonMemoryPressure)
+			tx.Stats.RecordAbort(stm.ReasonMemoryPressure)
 			stm.Retry(stm.ReasonMemoryPressure)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dsg"
+	"repro/internal/mvutil"
 	"repro/internal/stm"
 	"repro/internal/stm/stmtest"
 )
@@ -38,7 +39,7 @@ func TestOpacitySerializabilityTrueParallelism(t *testing.T) {
 // the time-warp committed version (instead of early-aborting as baseline TWM
 // does, see TestFig2dUpdateReaderEarlyAbort).
 func TestOpacityUpdateReaderSeesTimeWarp(t *testing.T) {
-	tm := core.New(core.Options{Opacity: true, GCEveryNCommits: -1})
+	tm := core.New(core.Options{Options: mvutil.Options{GCEveryNCommits: -1}, Opacity: true})
 	x := tm.NewVar(0)
 	y := tm.NewVar(0)
 	z := tm.NewVar(0)
@@ -74,7 +75,7 @@ func TestOpacityUpdateReaderSeesTimeWarp(t *testing.T) {
 // missed a committed write time-warps to the missed version's serialization
 // point.
 func TestOpacityMissedWarpSerializesBefore(t *testing.T) {
-	tm := core.New(core.Options{Opacity: true, GCEveryNCommits: -1})
+	tm := core.New(core.Options{Options: mvutil.Options{GCEveryNCommits: -1}, Opacity: true})
 	x := tm.NewVar(0)
 	y := tm.NewVar(0)
 

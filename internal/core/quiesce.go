@@ -16,13 +16,13 @@ func (tm *TM) Quiesce() {
 	// At ClockShards>1 a registered start is the min over the transaction's
 	// snapshot vector, so the fence must be the min over the shard cells: any
 	// transaction active at the call has registered at or below it.
-	fence := tm.clock.Load(0)
-	for s := 1; s < tm.clock.Shards(); s++ {
-		if c := tm.clock.Load(s); c < fence {
+	fence := tm.Clk.Load(0)
+	for s := 1; s < tm.Clk.Shards(); s++ {
+		if c := tm.Clk.Load(s); c < fence {
 			fence = c
 		}
 	}
-	for tm.active.MinStart(fence+1) <= fence {
+	for tm.Active.MinStart(fence+1) <= fence {
 		runtime.Gosched()
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dsg"
+	"repro/internal/mvutil"
 	"repro/internal/stm"
 	"repro/internal/stm/stmtest"
 )
@@ -17,14 +18,14 @@ import (
 // recovery.
 
 func clockShardFactory(k int) func() stm.TM {
-	return func() stm.TM { return core.New(core.Options{ClockShards: k}) }
+	return func() stm.TM { return core.New(core.Options{Options: mvutil.Options{ClockShards: k}}) }
 }
 
 func TestClockShardRounding(t *testing.T) {
 	for _, c := range []struct{ in, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {65, 64}, {1 << 20, 64},
 	} {
-		tm := core.New(core.Options{ClockShards: c.in})
+		tm := core.New(core.Options{Options: mvutil.Options{ClockShards: c.in}})
 		if got := tm.ClockShards(); got != c.want {
 			t.Errorf("ClockShards(%d) = %d, want %d", c.in, got, c.want)
 		}
@@ -37,7 +38,7 @@ func TestClockShardOpacityPanics(t *testing.T) {
 			t.Fatalf("Opacity + ClockShards > 1 must panic")
 		}
 	}()
-	core.New(core.Options{Opacity: true, ClockShards: 2})
+	core.New(core.Options{Options: mvutil.Options{ClockShards: 2}, Opacity: true})
 }
 
 func TestConformanceClockShards(t *testing.T) {
@@ -76,16 +77,16 @@ func TestSerializabilityDSGClockShardsReadHeavy(t *testing.T) {
 func TestSerializabilityDSGClockShardsAblation(t *testing.T) {
 	// Sharding composes with the no-time-warp ablation: every commit
 	// validates classically, single- and cross-shard alike.
-	dsg.CheckRandom(t, core.New(core.Options{ClockShards: 4, DisableTimeWarp: true}),
+	dsg.CheckRandom(t, core.New(core.Options{Options: mvutil.Options{ClockShards: 4}, DisableTimeWarp: true}),
 		dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 120, Seed: 23})
 }
 
 func TestSerializabilityDSGClockShardsGroupCommit(t *testing.T) {
 	// Sharded group commit: per-shard batch advances plus fence draws for
-	// cross-footprint members (groupcommit.go's assignShardOrders).
+	// cross-footprint members (the pipeline's draw stage, mvutil.Chassis).
 	for _, k := range []int{2, 4} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			dsg.CheckRandom(t, core.New(core.Options{ClockShards: k, GroupCommit: true}),
+			dsg.CheckRandom(t, core.New(core.Options{Options: mvutil.Options{ClockShards: k, GroupCommit: true}}),
 				dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 120, Seed: uint64(200 + k)})
 		})
 	}
@@ -93,7 +94,7 @@ func TestSerializabilityDSGClockShardsGroupCommit(t *testing.T) {
 
 func TestConformanceClockShardsGroupCommit(t *testing.T) {
 	stmtest.Run(t, func() stm.TM {
-		return core.New(core.Options{ClockShards: 4, GroupCommit: true})
+		return core.New(core.Options{Options: mvutil.Options{ClockShards: 4, GroupCommit: true}})
 	}, stmtest.Options{RONeverAborts: true})
 }
 
@@ -101,7 +102,7 @@ func TestConformanceClockShardsGroupCommit(t *testing.T) {
 // update through a K=4 engine and checks the new counters and the cross
 // commit's orders (natOrder == twOrder == a fence-drawn write version).
 func TestShardCommitAccounting(t *testing.T) {
-	tm := core.New(core.Options{ClockShards: 4})
+	tm := core.New(core.Options{Options: mvutil.Options{ClockShards: 4}})
 	// Default sharder is round-robin on the id: var ids 1..4 land on shards
 	// 0..3.
 	a := tm.NewVar(0) // shard 0
@@ -143,10 +144,7 @@ func TestShardCommitAccounting(t *testing.T) {
 // TestShardCustomSharder pins every variable to shard 3: all footprints are
 // single-shard, so the cross path must never trigger.
 func TestShardCustomSharder(t *testing.T) {
-	tm := core.New(core.Options{
-		ClockShards: 4,
-		Sharder:     func(id uint64, shards int) int { return 3 },
-	})
+	tm := core.New(core.Options{Options: mvutil.Options{ClockShards: 4, Sharder: func(id uint64, shards int) int { return 3 }}})
 	a, b := tm.NewVar(0), tm.NewVar(0)
 	if tm.VarShard(a) != 3 || tm.VarShard(b) != 3 {
 		t.Fatalf("sharder not honored: shards %d, %d", tm.VarShard(a), tm.VarShard(b))
@@ -166,10 +164,7 @@ func TestShardCustomSharder(t *testing.T) {
 // variables pinned to one shard of a K=4 engine: time-warp must still fire
 // inside a clock domain (tw < nat for the warped committer).
 func TestShardTimeWarpWithinShard(t *testing.T) {
-	tm := core.New(core.Options{
-		ClockShards: 4,
-		Sharder:     func(id uint64, shards int) int { return 1 },
-	})
+	tm := core.New(core.Options{Options: mvutil.Options{ClockShards: 4, Sharder: func(id uint64, shards int) int { return 1 }}})
 	aNext := tm.NewVar("D")
 	dNext := tm.NewVar("E")
 
@@ -204,7 +199,7 @@ func TestShardTimeWarpWithinShard(t *testing.T) {
 // the history that warps in TestShardTimeWarpWithinShard must abort when the
 // two variables live on different shards.
 func TestShardCrossStaleReadAborts(t *testing.T) {
-	tm := core.New(core.Options{ClockShards: 4})
+	tm := core.New(core.Options{Options: mvutil.Options{ClockShards: 4}})
 	aNext := tm.NewVar("D") // shard 0
 	dNext := tm.NewVar("E") // shard 1
 
@@ -239,7 +234,7 @@ func TestSeedClockShardMonotone(t *testing.T) {
 		perW    = 300
 		seedTo  = 5000
 	)
-	tm := core.New(core.Options{ClockShards: k})
+	tm := core.New(core.Options{Options: mvutil.Options{ClockShards: k}})
 	vars := make([]stm.Var, k)
 	for i := range vars {
 		vars[i] = tm.NewVar(0) // round-robin: vars[i] on shard i
@@ -293,7 +288,7 @@ func TestSeedClockShardMonotone(t *testing.T) {
 // TestShardQuiesceAndGC exercises Quiesce and a GC pass on a sharded engine
 // with committed versions spread across domains.
 func TestShardQuiesceAndGC(t *testing.T) {
-	tm := core.New(core.Options{ClockShards: 4, GCEveryNCommits: -1})
+	tm := core.New(core.Options{Options: mvutil.Options{ClockShards: 4, GCEveryNCommits: -1}})
 	vars := make([]stm.Var, 8)
 	for i := range vars {
 		vars[i] = tm.NewVar(0)

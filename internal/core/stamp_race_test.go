@@ -210,7 +210,7 @@ func TestPreDoomedCommitLeavesClockAlone(t *testing.T) {
 // TestPreDoomedClassicValidation checks the DisableTimeWarp ablation's
 // pre-draw doom: a stale read set aborts before the clock is touched.
 func TestPreDoomedClassicValidation(t *testing.T) {
-	tm := New(Options{DisableTimeWarp: true, GCEveryNCommits: -1})
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1}, DisableTimeWarp: true})
 	x := tm.NewVar(0)
 	y := tm.NewVar(0)
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mvutil"
 	"repro/internal/stm"
 )
 
@@ -21,7 +22,7 @@ func expectRetry(t *testing.T, fn func()) {
 	t.Fatalf("unreachable")
 }
 
-func newTM() *TM { return New(Options{GCEveryNCommits: -1}) }
+func newTM() *TM { return New(Options{Options: mvutil.Options{GCEveryNCommits: -1}}) }
 
 func TestSequentialReadWrite(t *testing.T) {
 	tm := newTM()
@@ -105,7 +106,7 @@ func TestFig1LinkedList(t *testing.T) {
 // TestFig1ClassicValidationAborts verifies the ablation: with time-warp
 // disabled the same history aborts, as in TL2-style classic validation.
 func TestFig1ClassicValidationAborts(t *testing.T) {
-	tm := New(Options{DisableTimeWarp: true, GCEveryNCommits: -1})
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1}, DisableTimeWarp: true})
 	aNext := tm.NewVar("D")
 	dNext := tm.NewVar("E")
 
@@ -301,7 +302,7 @@ func TestWriteSkewRejected(t *testing.T) {
 // the same variable; the later natural committer's version is elided and the
 // surviving state is the earlier committer's (inverse-N serialization).
 func TestTimeWarpClash(t *testing.T) {
-	tm := New(Options{GCEveryNCommits: -1})
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1}})
 	tm.EnableHistory()
 	y := tm.NewVar(0)
 	k := tm.NewVar("init")
@@ -467,7 +468,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestGCTrimsVersions(t *testing.T) {
-	tm := New(Options{GCEveryNCommits: -1})
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1}})
 	x := tm.NewVar(0)
 	for i := 0; i < 100; i++ {
 		tx := tm.Begin(false)
@@ -493,7 +494,7 @@ func TestGCTrimsVersions(t *testing.T) {
 }
 
 func TestGCPreservesActiveSnapshot(t *testing.T) {
-	tm := New(Options{GCEveryNCommits: -1})
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1}})
 	x := tm.NewVar("old")
 
 	ro := tm.Begin(true) // snapshot before any update
@@ -519,7 +520,7 @@ func TestGCPreservesActiveSnapshot(t *testing.T) {
 func TestVersionListInvariant(t *testing.T) {
 	// After a randomized batch of concurrent commits, every version list must
 	// be strictly descending in twOrder, with twOrder <= natOrder everywhere.
-	tm := New(Options{GCEveryNCommits: -1})
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1}})
 	const nv = 6
 	vars := make([]stm.Var, nv)
 	for i := range vars {
@@ -600,7 +601,7 @@ func TestNameAndFlags(t *testing.T) {
 }
 
 func TestHistoryOrdering(t *testing.T) {
-	tm := New(Options{GCEveryNCommits: -1})
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1}})
 	tm.EnableHistory()
 	x := tm.NewVar(0)
 	for i := 1; i <= 4; i++ {

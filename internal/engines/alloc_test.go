@@ -151,7 +151,7 @@ func TestAllocsWatchdogSample(t *testing.T) {
 	b := mvutil.NewVersionBudget(mvutil.BudgetConfig{SoftVersions: 1 << 16, HardVersions: 1 << 17})
 	var targets []health.Target
 	for _, name := range engines.MultiVersionSet() {
-		tm := engines.MustNewBudgeted(name, b, 0)
+		tm := engines.MustNew(name, engines.WithBudget(b, 0))
 		v := tm.NewVar(0)
 		_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
 			tx.Write(v, 1)

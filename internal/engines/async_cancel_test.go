@@ -73,7 +73,7 @@ func TestAsyncCancelWhileGroupCommitting(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			stmtest.CheckGoroutines(t)
 			budget := mvutil.NewVersionBudget(mvutil.BudgetConfig{SoftVersions: 1, HardVersions: 2})
-			tm, err := engines.NewBudgeted(name, budget, 0)
+			tm, err := engines.New(name, engines.WithBudget(budget, 0))
 			if err != nil {
 				t.Fatal(err)
 			}

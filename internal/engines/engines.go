@@ -6,7 +6,7 @@ package engines
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/avstm"
 	"repro/internal/core"
@@ -17,21 +17,20 @@ import (
 	"repro/internal/tl2"
 )
 
-// Factory constructs a fresh engine instance.
-type Factory func() stm.TM
-
-// factories maps engine names to constructors. Order of PaperSet matches the
-// paper's figures (JVSTM, TL2, NOrec, AVSTM, TWM).
-var factories = map[string]Factory{
-	"twm":        func() stm.TM { return core.New(core.Options{}) },
-	"twm-notw":   func() stm.TM { return core.New(core.Options{DisableTimeWarp: true}) },
-	"twm-opaque": func() stm.TM { return core.New(core.Options{Opacity: true}) },
-	"twm-gc":     func() stm.TM { return core.New(core.Options{GroupCommit: true}) },
-	"jvstm":      func() stm.TM { return jvstm.New(jvstm.Options{}) },
-	"jvstm-gc":   func() stm.TM { return jvstm.New(jvstm.Options{GroupCommit: true}) },
-	"tl2":        func() stm.TM { return tl2.New(tl2.Options{}) },
-	"norec":      func() stm.TM { return norec.New() },
-	"avstm":      func() stm.TM { return avstm.New() },
+// factories maps engine names to constructors over the options the
+// multi-version engines share; the single-version engines take none (Option
+// rejects every option for them). Order of PaperSet matches the paper's
+// figures (JVSTM, TL2, NOrec, AVSTM, TWM).
+var factories = map[string]func(o mvutil.Options) stm.TM{
+	"twm":        func(o mvutil.Options) stm.TM { return core.New(core.Options{Options: o}) },
+	"twm-notw":   func(o mvutil.Options) stm.TM { return core.New(core.Options{Options: o, DisableTimeWarp: true}) },
+	"twm-opaque": func(o mvutil.Options) stm.TM { return core.New(core.Options{Options: o, Opacity: true}) },
+	"twm-gc":     func(o mvutil.Options) stm.TM { o.GroupCommit = true; return core.New(core.Options{Options: o}) },
+	"jvstm":      func(o mvutil.Options) stm.TM { return jvstm.New(o) },
+	"jvstm-gc":   func(o mvutil.Options) stm.TM { o.GroupCommit = true; return jvstm.New(o) },
+	"tl2":        func(mvutil.Options) stm.TM { return tl2.New(tl2.Options{}) },
+	"norec":      func(mvutil.Options) stm.TM { return norec.New() },
+	"avstm":      func(mvutil.Options) stm.TM { return avstm.New() },
 }
 
 // PaperSet is the engine lineup of the paper's figures, in their legend order.
@@ -46,26 +45,8 @@ func Names() []string {
 	for n := range factories {
 		out = append(out, n)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
-}
-
-// New constructs a fresh instance of the named engine.
-func New(name string) (stm.TM, error) {
-	f, ok := factories[name]
-	if !ok {
-		return nil, fmt.Errorf("engines: unknown engine %q (have %v)", name, Names())
-	}
-	return f(), nil
-}
-
-// MustNew is New for static names in tests and benchmarks.
-func MustNew(name string) stm.TM {
-	tm, err := New(name)
-	if err != nil {
-		panic(err)
-	}
-	return tm
 }
 
 // MultiVersionSet lists the engines that maintain version chains (and hence
@@ -78,121 +59,91 @@ func MultiVersionSet() []string {
 // (DESIGN.md §13), paired with their serial-commit counterparts for A/B runs.
 func GroupCommitSet() []string { return []string{"twm-gc", "jvstm-gc"} }
 
-// NewBudgeted constructs one of the multi-versioned engines with a version
-// budget and trim depth attached (the resource-exhaustion configuration; see
-// DESIGN.md §11). Only the engines in MultiVersionSet support a budget; any
-// other name is an error. A zero maxDepth selects the engine's default trim
-// depth, and one budget may be shared across several engines to cap their
-// combined version memory.
-func NewBudgeted(name string, budget *mvutil.VersionBudget, maxDepth int) (stm.TM, error) {
-	switch name {
-	case "twm":
-		return core.New(core.Options{Budget: budget, MaxVersionDepth: maxDepth}), nil
-	case "twm-notw":
-		return core.New(core.Options{DisableTimeWarp: true, Budget: budget, MaxVersionDepth: maxDepth}), nil
-	case "twm-opaque":
-		return core.New(core.Options{Opacity: true, Budget: budget, MaxVersionDepth: maxDepth}), nil
-	case "twm-gc":
-		return core.New(core.Options{GroupCommit: true, Budget: budget, MaxVersionDepth: maxDepth}), nil
-	case "jvstm":
-		return jvstm.New(jvstm.Options{Budget: budget, MaxVersionDepth: maxDepth}), nil
-	case "jvstm-gc":
-		return jvstm.New(jvstm.Options{GroupCommit: true, Budget: budget, MaxVersionDepth: maxDepth}), nil
-	}
-	return nil, fmt.Errorf("engines: engine %q does not support a version budget (have %v)", name, MultiVersionSet())
-}
-
-// MustNewBudgeted is NewBudgeted for static names in tests and benchmarks.
-func MustNewBudgeted(name string, budget *mvutil.VersionBudget, maxDepth int) stm.TM {
-	tm, err := NewBudgeted(name, budget, maxDepth)
-	if err != nil {
-		panic(err)
-	}
-	return tm
-}
-
 // DurableSet lists the engines that accept a commit logger (DESIGN.md §16):
 // the multi-versioned engines, serial and group-commit alike.
 func DurableSet() []string { return []string{"jvstm", "jvstm-gc", "twm", "twm-gc"} }
-
-// NewDurable constructs one of the WAL-capable engines with a commit logger
-// attached: every update commit appends its write set before any version
-// becomes visible and waits out the logger's durability policy before
-// acknowledging (the stm.CommitLogger protocol). Attaching the logger at
-// construction is safe even while recovery is still replaying — NewVar never
-// logs, so re-creating variables with recovered values writes nothing.
-func NewDurable(name string, logger stm.CommitLogger) (stm.TM, error) {
-	switch name {
-	case "twm":
-		return core.New(core.Options{Logger: logger}), nil
-	case "twm-gc":
-		return core.New(core.Options{GroupCommit: true, Logger: logger}), nil
-	case "jvstm":
-		return jvstm.New(jvstm.Options{Logger: logger}), nil
-	case "jvstm-gc":
-		return jvstm.New(jvstm.Options{GroupCommit: true, Logger: logger}), nil
-	}
-	return nil, fmt.Errorf("engines: engine %q does not support a commit logger (have %v)", name, DurableSet())
-}
-
-// MustNewDurable is NewDurable for static names in tests and benchmarks.
-func MustNewDurable(name string, logger stm.CommitLogger) stm.TM {
-	tm, err := NewDurable(name, logger)
-	if err != nil {
-		panic(err)
-	}
-	return tm
-}
 
 // ShardedSet lists the engines that support a partitioned clock domain
 // (DESIGN.md §17). Opacity mode homogenizes reads against the single global
 // number line and is excluded.
 func ShardedSet() []string { return []string{"jvstm", "jvstm-gc", "twm", "twm-gc", "twm-notw"} }
 
-// NewSharded constructs one of the clock-shardable engines with shards clock
-// domains (rounded to a power of two, capped at mvutil.MaxClockShards) and an
-// optional variable-to-shard assignment function (nil selects round-robin on
-// the variable id). shards <= 1 is the unsharded engine, byte-identical in
-// behavior to New(name).
-func NewSharded(name string, shards int, sharder func(id uint64, shards int) int) (stm.TM, error) {
-	switch name {
-	case "twm":
-		return core.New(core.Options{ClockShards: shards, Sharder: sharder}), nil
-	case "twm-notw":
-		return core.New(core.Options{DisableTimeWarp: true, ClockShards: shards, Sharder: sharder}), nil
-	case "twm-gc":
-		return core.New(core.Options{GroupCommit: true, ClockShards: shards, Sharder: sharder}), nil
-	case "jvstm":
-		return jvstm.New(jvstm.Options{ClockShards: shards, Sharder: sharder}), nil
-	case "jvstm-gc":
-		return jvstm.New(jvstm.Options{GroupCommit: true, ClockShards: shards, Sharder: sharder}), nil
+// Option configures one capability of the engine under construction; New
+// rejects it for an engine outside the capability's set.
+type Option func(name string, o *mvutil.Options) error
+
+// supports gates an option on a capability set.
+func supports(name string, set []string, what string) error {
+	if slices.Contains(set, name) {
+		return nil
 	}
-	return nil, fmt.Errorf("engines: engine %q does not support clock shards (have %v)", name, ShardedSet())
+	return fmt.Errorf("engines: engine %q does not support %s (have %v)", name, what, set)
 }
 
-// MustNewSharded is NewSharded for static names in tests and benchmarks.
-func MustNewSharded(name string, shards int, sharder func(id uint64, shards int) int) stm.TM {
-	tm, err := NewSharded(name, shards, sharder)
+// WithBudget attaches a version budget and trim depth (the resource-
+// exhaustion configuration; see DESIGN.md §11). Only the engines in
+// MultiVersionSet support one. A zero maxDepth selects the engine's default
+// trim depth, and one budget may be shared across several engines to cap
+// their combined version memory.
+func WithBudget(budget *mvutil.VersionBudget, maxDepth int) Option {
+	return func(name string, o *mvutil.Options) error {
+		o.Budget, o.MaxVersionDepth = budget, maxDepth
+		return supports(name, MultiVersionSet(), "a version budget")
+	}
+}
+
+// WithLogger attaches a commit logger (DurableSet engines): every update
+// commit appends its write set before any version becomes visible and waits
+// out the logger's durability policy before acknowledging (the
+// stm.CommitLogger protocol). Attaching the logger at construction is safe
+// even while recovery is still replaying — NewVar never logs, so re-creating
+// variables with recovered values writes nothing. Combined with
+// WithClockShards, commit records carry the writer's shard list so recovery
+// can fast-forward every shard clock independently
+// (wal.Recovered.ShardSerials).
+func WithLogger(logger stm.CommitLogger) Option {
+	return func(name string, o *mvutil.Options) error {
+		o.Logger = logger
+		return supports(name, DurableSet(), "a commit logger")
+	}
+}
+
+// WithClockShards partitions the engine's clock into shards domains (rounded
+// to a power of two, capped at mvutil.MaxClockShards) with an optional
+// variable-to-shard assignment function (nil selects round-robin on the
+// variable id); ShardedSet engines only. shards <= 1 is the unsharded engine
+// and is accepted by every engine.
+func WithClockShards(shards int, sharder func(id uint64, shards int) int) Option {
+	return func(name string, o *mvutil.Options) error {
+		if shards <= 1 {
+			return nil
+		}
+		o.ClockShards, o.Sharder = shards, sharder
+		return supports(name, ShardedSet(), "clock shards")
+	}
+}
+
+// New constructs a fresh instance of the named engine with the given options
+// applied.
+func New(name string, opts ...Option) (stm.TM, error) {
+	f, ok := factories[name]
+	if !ok {
+		return nil, fmt.Errorf("engines: unknown engine %q (have %v)", name, Names())
+	}
+	var o mvutil.Options
+	for _, opt := range opts {
+		if err := opt(name, &o); err != nil {
+			return nil, err
+		}
+	}
+	return f(o), nil
+}
+
+// MustNew is New for static names in tests and benchmarks.
+func MustNew(name string, opts ...Option) stm.TM {
+	tm, err := New(name, opts...)
 	if err != nil {
 		panic(err)
 	}
 	return tm
-}
-
-// NewDurableSharded combines NewDurable and NewSharded: a WAL-capable engine
-// with both a commit logger and a partitioned clock domain. Commit records
-// carry the writer's shard list so recovery can fast-forward every shard
-// clock independently (wal.Recovered.ShardSerials).
-func NewDurableSharded(name string, logger stm.CommitLogger, shards int, sharder func(id uint64, shards int) int) (stm.TM, error) {
-	switch name {
-	case "twm":
-		return core.New(core.Options{Logger: logger, ClockShards: shards, Sharder: sharder}), nil
-	case "twm-gc":
-		return core.New(core.Options{GroupCommit: true, Logger: logger, ClockShards: shards, Sharder: sharder}), nil
-	case "jvstm":
-		return jvstm.New(jvstm.Options{Logger: logger, ClockShards: shards, Sharder: sharder}), nil
-	case "jvstm-gc":
-		return jvstm.New(jvstm.Options{GroupCommit: true, Logger: logger, ClockShards: shards, Sharder: sharder}), nil
-	}
-	return nil, fmt.Errorf("engines: engine %q does not support a sharded commit log (have %v)", name, DurableSet())
 }

@@ -1,0 +1,151 @@
+package engines_test
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/engines"
+	"repro/internal/histories"
+	"repro/internal/stm"
+)
+
+// transcript replays h on a fresh engine and renders every outcome.
+func transcript(tm stm.TM, h histories.History) []string {
+	var out []string
+	for _, o := range histories.Replay(tm, h) {
+		out = append(out, o.String())
+	}
+	return out
+}
+
+// TestPaperHistoriesDifferential replays the paper's Fig. 1 / Fig. 2
+// histories step by step through every configuration of the one commit
+// pipeline and requires identical transcripts — commit/abort verdicts, abort
+// reasons, read values and (nat, tw) commit orders: serial, group commit (a
+// batch of one), and K=2 clock shards with every variable on shard 1 (a
+// single-shard footprint on a number line that, like the scalar clock,
+// starts at 1). TWM's transcripts are pinned, so the comparison cannot pass
+// by every variant being wrong the same way.
+func TestPaperHistoriesDifferential(t *testing.T) {
+	shard1 := engines.WithClockShards(2, func(uint64, int) int { return 1 })
+	twmWant := map[string][]string{
+		"Fig. 1": {
+			"T1 read A.next = D", "T1 commit: ok nat=0 tw=0",
+			"T3 read A.next = D", "T3 read D.next = E",
+			"T2 read A.next = D", "T2 commit: ok nat=2 tw=2",
+			"T3 commit: ok nat=3 tw=2",
+		},
+		"Fig. 2(a)": {
+			"B read y = 0", "B read z = 0",
+			"A1 commit: ok nat=2 tw=2", "A2 commit: ok nat=3 tw=3",
+			"B commit: ok nat=4 tw=2",
+		},
+		"Fig. 2(b)": {
+			"B read y = 0", "A commit: ok nat=2 tw=2",
+			"C read x = 0", "C read z = 0", "C commit: ok nat=0 tw=0",
+			"B commit: aborted (triad)",
+		},
+		"Fig. 2(c)/(d)": {
+			"B read y = 0", "A commit: ok nat=2 tw=2",
+			"B commit: ok nat=3 tw=2",
+			"RO read x = 7", "RO commit: ok nat=0 tw=0",
+			"UP read x: early abort (timewarp-skip)",
+		},
+	}
+	for _, h := range histories.Paper() {
+		t.Run(h.Name, func(t *testing.T) {
+			for _, fam := range []struct {
+				base     string
+				variants []func() stm.TM
+			}{
+				{"twm", []func() stm.TM{
+					func() stm.TM { return engines.MustNew("twm-gc") },
+					func() stm.TM { return engines.MustNew("twm", shard1) },
+					func() stm.TM { return engines.MustNew("twm-gc", shard1) },
+				}},
+				{"jvstm", []func() stm.TM{
+					func() stm.TM { return engines.MustNew("jvstm-gc") },
+					func() stm.TM { return engines.MustNew("jvstm", shard1) },
+				}},
+			} {
+				want := transcript(engines.MustNew(fam.base), h)
+				if fam.base == "twm" && !reflect.DeepEqual(want, twmWant[h.Name]) {
+					t.Errorf("twm:\n got %q\nwant %q", want, twmWant[h.Name])
+				}
+				for i, mk := range fam.variants {
+					tm := mk()
+					if got := transcript(tm, h); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s variant %d (%s) diverges from %s:\n got %q\nwant %q", fam.base, i, tm.Name(), fam.base, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestProfilerAttributionAgrees runs one conflict-free schedule — three
+// update commits, one of them doomed before it locks, and a read-only one —
+// through both multi-version engines on every pipeline configuration. The
+// pipeline stamps the Fig. 4(c) phases at its stage boundaries, so every
+// configuration must count the same events: one AddTx per update commit that
+// entered the pipeline (the doomed one included, the read-only one not) and
+// time charged to the same set of phases.
+func TestProfilerAttributionAgrees(t *testing.T) {
+	cross := engines.WithClockShards(2, nil) // round-robin: x and y on different shards
+	type shape struct {
+		txs                                int64
+		read, readSet, writeSet, commitPhs bool
+	}
+	var first *shape
+	for _, mk := range []func() stm.TM{
+		func() stm.TM { return engines.MustNew("twm") },
+		func() stm.TM { return engines.MustNew("jvstm") },
+		func() stm.TM { return engines.MustNew("twm-gc") },
+		func() stm.TM { return engines.MustNew("jvstm-gc") },
+		func() stm.TM { return engines.MustNew("twm", cross) },
+		func() stm.TM { return engines.MustNew("jvstm", cross) },
+	} {
+		tm := mk()
+		var prof stm.Profiler
+		tm.(stm.Profilable).SetProfiler(&prof)
+		x, y := tm.NewVar(0), tm.NewVar(0)
+
+		// Doomed before locking on both engines: it read x and y, then a
+		// writer that also reads x (so TWM sees a stamped target) replaced x.
+		doomed := tm.Begin(false)
+		doomed.Read(x)
+		doomed.Read(y)
+		doomed.Write(x, 1)
+		doomed.Write(y, 1)
+		w := tm.Begin(false)
+		w.Read(x)
+		w.Write(x, 2)
+		if !tm.Commit(w) {
+			t.Fatalf("%s: writer aborted", tm.Name())
+		}
+		if tm.Commit(doomed) {
+			t.Fatalf("%s: doomed commit succeeded", tm.Name())
+		}
+		for i := 0; i < 2; i++ {
+			u := tm.Begin(false)
+			u.Write(y, u.Read(y).(int)+1)
+			if !tm.Commit(u) {
+				t.Fatalf("%s: conflict-free commit %d aborted", tm.Name(), i)
+			}
+		}
+		ro := tm.Begin(true)
+		ro.Read(x)
+		tm.Commit(ro)
+
+		b := prof.Snapshot()
+		got := shape{b.Txs, b.ReadUS > 0, b.ReadSetValUS > 0, b.WriteSetValUS > 0, b.CommitUS > 0}
+		if got.txs != 4 {
+			t.Errorf("%s: profiler counted %d transactions, want 4 (writer, doomed, two updates)", tm.Name(), got.txs)
+		}
+		if first == nil {
+			first = &got
+		} else if got != *first {
+			t.Errorf("%s: phase attribution %+v differs from twm's %+v", tm.Name(), got, *first)
+		}
+	}
+}

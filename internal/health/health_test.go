@@ -28,7 +28,7 @@ func (c *collect) last() (Alert, bool) {
 func TestTargetOf(t *testing.T) {
 	b := mvutil.NewVersionBudget(mvutil.BudgetConfig{HardVersions: 100})
 	for _, tm := range []stm.TM{
-		core.New(core.Options{Budget: b}),
+		core.New(core.Options{Options: mvutil.Options{Budget: b}}),
 		jvstm.New(jvstm.Options{Budget: b}),
 	} {
 		tgt := TargetOf(tm)
@@ -247,7 +247,7 @@ func TestWatchdogBudget(t *testing.T) {
 }
 
 func TestSnapshotJSON(t *testing.T) {
-	tm := core.New(core.Options{Budget: mvutil.NewVersionBudget(mvutil.BudgetConfig{HardVersions: 64})})
+	tm := core.New(core.Options{Options: mvutil.Options{Budget: mvutil.NewVersionBudget(mvutil.BudgetConfig{HardVersions: 64})}})
 	v := stm.NewTVar(tm, 0)
 	if err := stm.Atomically(tm, false, func(tx stm.Tx) error {
 		v.Set(tx, 1)

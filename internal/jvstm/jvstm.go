@@ -6,14 +6,13 @@
 //
 // The original JVSTM uses a lock-free commit; as with the TWM prototype, that
 // concern is orthogonal to what the paper measures here (version maintenance
-// cost and the classic validation rule), so commit uses per-variable locks
-// acquired in id order, mirroring internal/core for a like-for-like
-// comparison.
+// cost and the classic validation rule), so commit runs through the same
+// lock-based pipeline as internal/core (mvutil.Chassis) for a like-for-like
+// comparison: the two engines differ only in their version chains and in the
+// predicate they validate with.
 package jvstm
 
 import (
-	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -22,73 +21,18 @@ import (
 	"repro/internal/stm"
 )
 
-// Options tunes a JVSTM instance. The zero value uses defaults.
-type Options struct {
-	// GCEveryNCommits triggers version garbage collection each time this
-	// many update transactions commit; 0 selects the default, negative
-	// disables automatic GC.
-	GCEveryNCommits int
-	// LockSpinBudget bounds spinning on a peer's commit lock.
-	LockSpinBudget int
-	// Budget, when non-nil, caps the engine's version memory exactly as in
-	// internal/core (see mvutil.VersionBudget and DESIGN.md §11): soft
-	// pressure triggers eager GC, hard pressure trims chains to
-	// MaxVersionDepth and, as a last resort, fails commits with
-	// stm.ReasonMemoryPressure. Nil leaves version memory unbounded.
-	Budget *mvutil.VersionBudget
-	// MaxVersionDepth is the per-variable chain depth the hard-pressure trim
-	// cuts to. 0 selects the default; only consulted when Budget is set.
-	MaxVersionDepth int
-	// GroupCommit routes every update commit through a flat-combining
-	// leader/follower stage exactly as in internal/core (DESIGN.md §13), with
-	// the classic validation rule applied per batch member: intra-batch
-	// read-write conflicts abort where TWM warps — the paper's contrast,
-	// preserved under batching. The engine's name becomes "jvstm-gc".
-	GroupCommit bool
-	// GroupMaxBatch caps the members installed per combiner batch; 0 selects
-	// mvutil.DefaultMaxBatch. Only consulted when GroupCommit is set.
-	GroupMaxBatch int
-	// GroupHooks injects the combiner's fault points (internal/chaos).
-	GroupHooks *mvutil.BatchHooks
-	// Logger, when non-nil, receives every update commit's write set under
-	// the two-phase stm.CommitLogger protocol, exactly as in internal/core:
-	// Append runs with the write locks held, before any version is visible;
-	// Durable runs after install, before the commit is acknowledged. JVSTM
-	// never time-warps, so records carry Tie == Serial (== the write version).
-	Logger stm.CommitLogger
-	// ClockShards partitions the variable space into that many clock domains,
-	// exactly as in internal/core (rounded up to a power of two, capped at
-	// mvutil.MaxClockShards; 0 and 1 keep the single global clock): a
-	// transaction whose footprint stays inside one shard draws its write
-	// version from that shard's clock alone, and a cross-shard footprint draws
-	// through the fence and validates every read per shard (DESIGN.md §17).
-	ClockShards int
-	// Sharder overrides the variable→shard assignment (default: round-robin
-	// on the variable id). Consulted once, at NewVar, with the effective shard
-	// count; must be pure and total.
-	Sharder func(id uint64, shards int) int
-}
-
-const (
-	defaultGCEvery   = 4096
-	defaultSpinLimit = 2048
-	defaultTrimDepth = 8
-)
+// Options tunes a JVSTM instance: exactly the settings shared by the
+// multi-version engines. The zero value uses defaults; with GroupCommit the
+// engine's name becomes "jvstm-gc". JVSTM never time-warps, so its commit
+// records carry Tie == Serial (== the write version).
+type Options = mvutil.Options
 
 // TM is a JVSTM instance.
 type TM struct {
-	opts Options
-	// clock defines the commit order. At ClockShards=1 it degenerates to the
-	// single shared clock (cell 0) on its own cache line; at K>1 each shard's
-	// cell is an independent number line (DESIGN.md §17).
-	clock   mvutil.ClockDomain
-	sharded bool // ClockShards > 1
-	stats   stm.Stats
-	prof    atomic.Pointer[stm.Profiler]
-
-	active  *mvutil.ActiveSet
-	gcCount atomic.Uint64
-	gcMu    sync.Mutex
+	// Chassis is the machinery shared with internal/core: clock domain,
+	// active set, GC schedule, budget, logger and the commit pipeline.
+	mvutil.Chassis
+	stats stm.Stats
 
 	// txns pools transaction descriptors across attempts; see Recycle.
 	txns sync.Pool
@@ -96,50 +40,23 @@ type TM struct {
 	varsMu  sync.Mutex
 	vars    []*jvar
 	history atomic.Bool
-
-	// combiner is the flat-combining commit stage; nil unless
-	// Options.GroupCommit. The scratch slices and claim map are leader state,
-	// guarded by the combiner's leader lock. shardSeq deals out sticky
-	// publication stripes, one per descriptor lifetime.
-	combiner      *mvutil.Combiner
-	shardSeq      atomic.Uint32
-	batchPend     []*txn
-	batchAdmitted []*txn
-	batchShard    []*txn // sharded processing order (assignShardOrders)
-	batchClaimed  map[*jvar]struct{}
-	// batchLogged/batchRecs are the leader's durability scratch (Logger
-	// only): members whose unlocks are deferred until the batch record is
-	// appended, and the one record per clock advance handed to the logger.
-	batchLogged []*txn
-	batchRecs   []stm.CommitRecord
 }
 
 // New returns a JVSTM instance.
 func New(opts Options) *TM {
-	if opts.GCEveryNCommits == 0 {
-		opts.GCEveryNCommits = defaultGCEvery
-	}
-	if opts.LockSpinBudget == 0 {
-		opts.LockSpinBudget = defaultSpinLimit
-	}
-	if opts.MaxVersionDepth <= 0 {
-		opts.MaxVersionDepth = defaultTrimDepth
-	}
-	tm := &TM{opts: opts}
-	if opts.GroupCommit {
-		tm.combiner = mvutil.NewCombiner(opts.GroupMaxBatch, opts.GroupHooks)
-	}
-	tm.sharded = tm.clock.Init(opts.ClockShards, 1) > 1
-	tm.active = mvutil.NewActiveSet()
+	tm := &TM{}
+	tm.Init(opts, tm.sweep)
 	tm.txns.New = func() any {
-		return &txn{tm: tm, stats: tm.stats.Shard(), shard: int(tm.shardSeq.Add(1))}
+		tx := &txn{tm: tm}
+		tm.InitDesc(&tx.Desc, tx, tm.stats.Shard())
+		return tx
 	}
 	return tm
 }
 
 // Name implements stm.TM.
 func (tm *TM) Name() string {
-	if tm.opts.GroupCommit {
+	if tm.Opts.GroupCommit {
 		return "jvstm-gc"
 	}
 	return "jvstm"
@@ -151,56 +68,8 @@ func (tm *TM) MultiVersion() bool { return true }
 // Stats implements stm.TM.
 func (tm *TM) Stats() *stm.Stats { return &tm.stats }
 
-// SetProfiler implements stm.Profilable.
-func (tm *TM) SetProfiler(p *stm.Profiler) { tm.prof.Store(p) }
-
-// Clock exposes a monotone commit-clock progress measure: the single clock
-// value at ClockShards=1 and the sum of the shard cells otherwise (health
-// watchdog, tests).
-func (tm *TM) Clock() uint64 { return tm.clock.Sum() }
-
-// ClockShards reports the effective clock-shard count (1 when unsharded).
-func (tm *TM) ClockShards() int { return tm.clock.Shards() }
-
-// ClockVec appends the current per-shard clock vector to dst (one consistent
-// cut). Checkpoints use it to stamp snapshots with per-shard serials.
-func (tm *TM) ClockVec(dst []uint64) []uint64 { return tm.clock.Snapshot(dst) }
-
 // VarShard reports the clock shard v was assigned to (tests, checkpoints).
 func (tm *TM) VarShard(v stm.Var) int { return int(v.(*jvar).shard) }
-
-// ActiveSet exposes the active-transaction registry (health watchdog).
-func (tm *TM) ActiveSet() *mvutil.ActiveSet { return tm.active }
-
-// Budget exposes the configured version budget; nil when unbounded.
-func (tm *TM) Budget() *mvutil.VersionBudget { return tm.opts.Budget }
-
-// CommitLogger exposes the configured durability logger; nil when the engine
-// runs without a write-ahead log (health watchdog, server wiring).
-func (tm *TM) CommitLogger() stm.CommitLogger { return tm.opts.Logger }
-
-// SeedClock raises every shard's commit clock to at least v. Recovery-only:
-// call it once, after replaying a WAL and before the first transaction, so
-// post-recovery commits draw write versions strictly above every recovered
-// serial. Recovered values themselves are installed as initial versions
-// (version 0) via NewVar. Raising every shard to the global maximum is always
-// sound and stays correct when the shard count or sharder changed across the
-// restart.
-func (tm *TM) SeedClock(v uint64) {
-	for s := 0; s < tm.clock.Shards(); s++ {
-		tm.clock.Raise(s, v)
-	}
-}
-
-// SeedClockShard advances one shard's clock to at least v (per-shard recovery
-// fast-forward from the WAL's per-shard max-Serial fold). Callers that cannot
-// prove the variable→shard assignment is unchanged since the log was written
-// must follow with SeedClock of the global maximum.
-func (tm *TM) SeedClockShard(s int, v uint64) {
-	if s >= 0 && s < tm.clock.Shards() {
-		tm.clock.Raise(s, v)
-	}
-}
 
 // jversion is one committed value (a JVSTM "body").
 type jversion struct {
@@ -216,7 +85,7 @@ type jvar struct {
 	// unsharded); its versions' numbers and the snapshot component it is read
 	// against live on this shard's line.
 	shard uint32
-	owner atomic.Pointer[txn]
+	owner mvutil.Lock // commit lock
 	head  atomic.Pointer[jversion]
 
 	histMu sync.Mutex
@@ -230,7 +99,7 @@ func (v *jvar) VarID() uint64 { return v.id }
 func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	v := &jvar{}
 	v.head.Store(&jversion{value: initial})
-	if b := tm.opts.Budget; b != nil {
+	if b := tm.Opts.Budget; b != nil {
 		// The initial version is charged too: GC may free it once newer
 		// versions exist, and releases must balance installs.
 		b.Install(1, mvutil.ApproxVersionBytes(initial))
@@ -239,113 +108,30 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	v.id = uint64(len(tm.vars)) + 1
 	tm.vars = append(tm.vars, v)
 	tm.varsMu.Unlock()
-	if tm.sharded {
-		v.shard = uint32(tm.shardOf(v.id))
-	}
+	v.shard = tm.ShardOf(v.id)
 	return v
-}
-
-// shardOf maps a variable id to its clock shard through the configured
-// sharder (default: round-robin), clamped into range.
-func (tm *TM) shardOf(id uint64) int {
-	k := tm.clock.Shards()
-	if f := tm.opts.Sharder; f != nil {
-		s := f(id, k) % k
-		if s < 0 {
-			s += k
-		}
-		return s
-	}
-	return tm.clock.ShardOf(id)
 }
 
 // txn is a JVSTM transaction. Descriptors are pooled (see Recycle); the
 // slices keep their backing arrays across reuse.
 type txn struct {
+	// Desc is the header shared with internal/core: counters, active-set
+	// slot, snapshot vector, footprint masks and the commit pipeline's
+	// per-member state. It is also the identity that owns commit locks.
+	mvutil.Desc
 	tm       *TM
-	stats    *stm.StatShard // striped counters; assigned once per descriptor
 	readOnly bool
-	start    uint64 // at ClockShards>1 the min over vec (GC registration)
-
-	// vec is the per-shard snapshot vector, one consistent cut sampled at
-	// Begin (sharded mode only; nil otherwise); every read of a variable in
-	// shard s is judged against vec[s]. smask/wmask accumulate the footprint
-	// shards of reads+writes and writes; a multi-bit smask routes Commit onto
-	// the cross-shard draw.
-	vec   []uint64
-	smask uint64
-	wmask uint64
+	start    uint64 // at ClockShards>1 the min over Vec (GC registration)
 
 	readSet  []*jvar
 	writeSet stm.WriteSet[*jvar]
-	locked   []*jvar
-	slot     mvutil.Slot
-
-	lastReason stm.AbortReason // why the last Commit returned false
-
-	// shard is this descriptor's sticky combiner publication stripe. req and
-	// inBatch serve the group-commit stage exactly as in internal/core: req is
-	// the embedded combiner request, and inBatch — written only by the leader,
-	// under the combiner's leader lock, always false by the time the request
-	// resolves — marks membership in the batch being installed. wv is the
-	// member's batch-assigned write version (leader state, same lock).
-	shard   int
-	req     mvutil.CommitReq
-	inBatch bool
-	wv      uint64
-
-	// logRecs/logWrites/logShards are scratch for the commit-logger hand-off;
-	// the logger must not retain them past Append (stm.CommitLogger contract).
-	logRecs   []stm.CommitRecord
-	logWrites []stm.LoggedWrite
-	logShards []uint32
-}
-
-// logRecord builds this transaction's commit record over the scratch slices.
-// JVSTM serializes in natural (write-version) order, so Tie == Serial == wv.
-// At ClockShards>1 the record carries the write-footprint shard vector for
-// recovery's per-shard max-Serial fold; unsharded records stay byte-identical
-// on disk.
-func (tx *txn) logRecord(wv uint64) stm.CommitRecord {
-	ents := tx.writeSet.Entries()
-	w := tx.logWrites[:0]
-	for i := range ents {
-		w = append(w, stm.LoggedWrite{VarID: ents[i].Key.id, Value: ents[i].Val})
-	}
-	tx.logWrites = w
-	rec := stm.CommitRecord{Serial: wv, Tie: wv, Writes: w}
-	if tx.tm.sharded {
-		tx.logShards = tx.logShards[:0]
-		for m := tx.wmask; m != 0; m &= m - 1 {
-			tx.logShards = append(tx.logShards, uint32(bits.TrailingZeros64(m)))
-		}
-		rec.Shards = tx.logShards
-	}
-	return rec
-}
-
-// homeShard is the clock shard a single-shard-footprint transaction commits
-// against (0 in unsharded mode, where the mask may be unset).
-func (tx *txn) homeShard() int {
-	if tx.smask != 0 {
-		return bits.TrailingZeros64(tx.smask)
-	}
-	return 0
 }
 
 // snap is the snapshot component a read of v is judged against: the shard's
 // vector component at ClockShards>1, the scalar start otherwise.
 func (tx *txn) snap(v *jvar) uint64 {
-	if tx.vec != nil {
-		return tx.vec[v.shard]
-	}
-	return tx.start
-}
-
-// snapShard is snap by shard index (the commit shortcut's home-shard check).
-func (tx *txn) snapShard(s int) uint64 {
-	if tx.vec != nil {
-		return tx.vec[s]
+	if tx.Vec != nil {
+		return tx.Vec[v.shard]
 	}
 	return tx.start
 }
@@ -353,48 +139,12 @@ func (tx *txn) snapShard(s int) uint64 {
 // ReadOnly implements stm.Tx.
 func (tx *txn) ReadOnly() bool { return tx.readOnly }
 
-// LastAbortReason implements stm.AbortReasoner: the reason of the most recent
-// commit-time abort (read-path aborts travel in the retry signal).
-func (tx *txn) LastAbortReason() stm.AbortReason { return tx.lastReason }
-
-// failCommit records a commit-time abort with its reason, releases held locks
-// and reports failure.
-func (tx *txn) failCommit(reason stm.AbortReason) bool {
-	tx.releaseLocks()
-	tx.stats.RecordAbort(reason)
-	tx.lastReason = reason
-	return false
-}
-
-// Begin implements stm.TM.
+// Begin implements stm.TM; see mvutil.Chassis.Snapshot.
 func (tm *TM) Begin(readOnly bool) stm.Tx {
 	tx := tm.txns.Get().(*txn)
 	tx.readOnly = readOnly
-	tx.stats.RecordStart()
-	if tm.sharded {
-		// One consistent per-shard vector cut (mvutil.ClockDomain.Snapshot).
-		// Register the whole vector so the GC folds per-shard bounds from the
-		// live components (gcLocked); the scalar min backs quiesce-style
-		// consumers. Registering only the min would couple every shard's GC
-		// bound to the slowest shard's clock.
-		tx.vec = tm.clock.Snapshot(tx.vec)
-		min := tx.vec[0]
-		for _, c := range tx.vec[1:] {
-			if c < min {
-				min = c
-			}
-		}
-		tm.active.RegisterVec(&tx.slot, tx.vec, min)
-		tx.start = min
-		return tx
-	}
-	// One clock sample serves both the active-set registration and the
-	// snapshot: the GC bound is registered before the snapshot is used and
-	// equals it, so the collector can never trim a version this transaction
-	// may read.
-	c0 := tm.clock.Load(0)
-	tm.active.Register(&tx.slot, c0)
-	tx.start = c0
+	tx.Stats.RecordStart()
+	tx.start = tm.Snapshot(&tx.Desc)
 	return tx
 }
 
@@ -406,12 +156,10 @@ func (tm *TM) Recycle(txi stm.Tx) {
 	if !ok {
 		return
 	}
+	tx.Reset()
 	tx.readSet = stm.ResetVarSlice(tx.readSet)
 	tx.writeSet.Reset()
-	tx.locked = stm.ResetVarSlice(tx.locked)
 	tx.start = 0
-	tx.smask, tx.wmask = 0, 0 // vec keeps its backing array; Begin refills it
-	tx.lastReason = stm.ReasonNone
 	tm.txns.Put(tx)
 }
 
@@ -426,7 +174,7 @@ func (tm *TM) Recycle(txi stm.Tx) {
 // closes that window; readers hold no locks, so the wait always terminates.
 func (tx *txn) Read(v stm.Var) stm.Value {
 	tv := v.(*jvar)
-	prof := tx.tm.prof.Load()
+	prof := tx.tm.Prof.Load()
 	var t0 int64
 	if prof != nil {
 		t0 = prof.Now()
@@ -439,11 +187,9 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 			return val
 		}
 		tx.readSet = append(tx.readSet, tv)
-		tx.smask |= 1 << tv.shard
+		tx.Smask |= 1 << tv.shard
 	}
-	for tv.owner.Load() != nil {
-		runtime.Gosched()
-	}
+	tv.owner.WaitUnlocked(nil, -1)
 	snap := tx.snap(tv)
 	ver := tv.head.Load()
 	for ver.ver > snap {
@@ -454,7 +200,7 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 			// normally saw everything it would have pre-trim). Restart with a
 			// fresh snapshot, which the trim depth always serves — the one
 			// documented case where a read-only transaction aborts.
-			tx.stats.RecordAbort(stm.ReasonMemoryPressure)
+			tx.Stats.RecordAbort(stm.ReasonMemoryPressure)
 			stm.Retry(stm.ReasonMemoryPressure)
 		}
 	}
@@ -470,360 +216,155 @@ func (tx *txn) Write(v stm.Var, val stm.Value) {
 		panic("jvstm: Write on a read-only transaction")
 	}
 	tv := v.(*jvar)
-	tx.smask |= 1 << tv.shard
-	tx.wmask |= 1 << tv.shard
+	tx.Smask |= 1 << tv.shard
+	tx.Wmask |= 1 << tv.shard
 	tx.writeSet.Put(tv, val)
 }
 
-// Abort implements stm.TM.
+// Abort implements stm.TM. No commit lock outlives CommitUpdate, so there is
+// none to release here.
 func (tm *TM) Abort(txi stm.Tx) {
-	tx := txi.(*txn)
-	tx.releaseLocks()
-	tm.active.Unregister(&tx.slot)
+	tm.Active.Unregister(&txi.(*txn).Slot)
 }
 
-func (tx *txn) releaseLocks() {
-	for _, v := range tx.locked {
-		v.owner.CompareAndSwap(tx, nil)
-	}
-	tx.locked = tx.locked[:0]
-}
-
-// Commit implements stm.TM: lock write set, classic validation of the read
-// set ("commit in the present"), publish versions at the new clock value.
+// Commit implements stm.TM: lock the write set, classic validation of the
+// read set ("commit in the present"), publish versions at the drawn clock
+// value — the stages are the shared pipeline's (mvutil.Chassis.CommitUpdate).
 func (tm *TM) Commit(txi stm.Tx) bool {
 	tx := txi.(*txn)
-	defer tm.active.Unregister(&tx.slot)
+	defer tm.Active.Unregister(&tx.Slot)
 	if tx.readOnly || tx.writeSet.Len() == 0 {
-		tx.stats.RecordCommit(tx.readOnly)
+		tx.Stats.RecordCommit(tx.readOnly)
 		return true
 	}
+	return tm.CommitUpdate(&tx.Desc)
+}
 
-	if tm.combiner != nil {
-		// Group commit: publish the write set to the flat-combining stage and
-		// let a leader — possibly this goroutine — perform the whole protocol
-		// batched (groupcommit.go).
-		return tm.commitGrouped(tx)
-	}
-
-	// Version-memory backpressure: before taking any commit lock, make sure
-	// the budget can absorb this transaction's installs (see admitInstall).
-	if tm.opts.Budget != nil && !tm.admitInstall() {
-		return tx.failCommit(stm.ReasonMemoryPressure)
-	}
-
-	prof := tm.prof.Load()
-	var t0 int64
-	if prof != nil {
-		t0 = prof.Now()
-		defer prof.AddTx()
-	}
-
-	// Clock-pressure relief ("pass on abort", DESIGN.md §12): a commit whose
-	// read set is already stale is certain to fail the authoritative
-	// validation below — a head version number never decreases — so abort it
-	// here, before any lock is taken and before the clock is bumped. Failed
-	// commits that bump the clock age every concurrent snapshot for nothing;
-	// passing on the bump also makes the wv == start+1 validation shortcut
-	// below fire far more often. This check takes no lock waits: a head
-	// mid-publication is left to the authoritative pass.
-	for _, v := range tx.readSet {
-		if v.head.Load().ver > tx.snap(v) {
-			return tx.failCommit(stm.ReasonReadConflict)
-		}
-	}
-
-	// Lookups are over: sort the write entries in place by id (deadlock
-	// avoidance) without sort.Slice's closure allocations.
+// Writes implements mvutil.Member. Lookups are over: the entries are sorted
+// in place by id without sort.Slice's closure allocations.
+func (tx *txn) Writes(dst []mvutil.WriteRef) []mvutil.WriteRef {
 	ents := tx.writeSet.Entries()
 	stm.SortEntriesByID(ents)
 	for i := range ents {
-		if !tx.lockVar(ents[i].Key) {
-			return tx.failCommit(stm.ReasonWriteConflict)
+		v := ents[i].Key
+		dst = append(dst, mvutil.WriteRef{Lock: &v.owner, LoggedWrite: stm.LoggedWrite{VarID: v.id, Value: ents[i].Val}})
+	}
+	return dst
+}
+
+// PreDoomed implements mvutil.Member: a commit whose read set is already
+// stale is certain to fail Validate — a head version number never decreases —
+// so it fails before any lock is taken and before the clock is ticked, which
+// also makes Validate's wv == snap+1 shortcut fire far more often. The check
+// takes no lock waits: a head mid-publication is left to Validate.
+func (tx *txn) PreDoomed() stm.AbortReason {
+	for _, v := range tx.readSet {
+		if v.head.Load().ver > tx.snap(v) {
+			return stm.ReasonReadConflict
 		}
 	}
-	if prof != nil {
-		now := prof.Now()
-		prof.AddCommit(now - t0)
-		t0 = now
-	}
+	return stm.ReasonNone
+}
 
-	// Draw the write version before validating (as TL2 does): every
-	// committer with a smaller version number already held all its write
-	// locks when it drew its number, so the lock wait below guarantees the
-	// validation observes its versions. Drawing the number after validation
-	// would let a reader outrun a writer it missed and still serialize after
-	// it. A single-shard footprint draws from its shard's clock alone
-	// (identical to the unsharded path at ClockShards=1); a cross-shard
-	// footprint draws through the fence — one more than the maximum over
-	// every touched shard's cell, every touched cell raised to wv under the
-	// fence seqlock, so Begin's vector cuts never observe half of it.
-	cross := tm.sharded && tx.smask&(tx.smask-1) != 0
-	var wv uint64
-	home := tx.homeShard()
-	if cross {
-		var casRetries int
-		wv, casRetries = tm.clock.AdvanceCross(tx.smask)
-		tx.stats.RecordShardCASRetries(casRetries)
-	} else {
-		wv = tm.clock.Add(home, 1)
+// Validate implements mvutil.Member: JVSTM's predicate over the multi-version
+// conflict order is the classic rule — abort if any read variable has a
+// version newer than the snapshot. A committer holding a lock on a read
+// variable is waited out (bounded) so a stable head is validated.
+//
+// The wv == snap+1 shortcut (TL2's rv+1 rule): our draw directly followed the
+// clock value we began at, so every other committer drew either at or below
+// the snapshot — its publications are inside it, and the read barrier already
+// waited those out — or above wv, in which case it serializes after us and
+// cannot have produced a version our reads missed. Nothing remains to
+// validate. With a single-shard footprint the argument runs on the home
+// shard's number line against its snapshot component (in a batch it can only
+// fire for a shard run's first member, whose draw is the ordinary case); a
+// cross-shard draw advanced several lines and validates every read.
+func (tx *txn) Validate(cross bool) stm.AbortReason {
+	tx.Serial = tx.Draw
+	snap := tx.start
+	if tx.Vec != nil {
+		snap = tx.Vec[tx.Home()]
 	}
-
-	// Classic validation: abort if any read variable has a version newer
-	// than our snapshot. A concurrent committer that holds a lock on a read
-	// variable is waited out (bounded) so we validate a stable head.
-	//
-	// The wv == start+1 shortcut (TL2's rv+1 rule): our increment directly
-	// followed the clock value we began at, so every other committer drew
-	// either at or below start — its publications are inside our snapshot,
-	// and the read barrier already waited those out — or above wv, in which
-	// case it serializes after us and cannot have produced a version our
-	// reads missed. Nothing remains to validate. With a single-shard
-	// footprint the same argument runs on the home shard's number line
-	// against its snapshot component; a cross-shard draw has no shortcut
-	// (several lines advanced) and validates every read per shard.
-	if cross || wv != tx.snapShard(home)+1 {
-		for _, v := range tx.readSet {
-			if !tx.waitUnlocked(v) {
-				return tx.failCommit(stm.ReasonLockTimeout)
-			}
-			if v.head.Load().ver > tx.snap(v) {
-				if prof != nil {
-					prof.AddReadSetVal(prof.Now() - t0)
-				}
-				return tx.failCommit(stm.ReasonReadConflict)
-			}
+	if !cross && tx.Draw == snap+1 {
+		return stm.ReasonNone
+	}
+	budget := tx.tm.Opts.LockSpinBudget
+	for _, v := range tx.readSet {
+		if !v.owner.WaitUnlocked(&tx.Desc, budget) {
+			return stm.ReasonLockTimeout
+		}
+		if v.head.Load().ver > tx.snap(v) {
+			return stm.ReasonReadConflict
 		}
 	}
-	if prof != nil {
-		now := prof.Now()
-		prof.AddReadSetVal(now - t0)
-		t0 = now
-	}
+	return stm.ReasonNone
+}
 
-	// Durability: the commit is decided — append the write set before any
-	// version becomes visible (the locks are still held, and readers wait
-	// them out), so the log's append order respects the reads-from order. A
-	// refused append fails the commit with nothing installed.
-	var lsn stm.LSN
-	if l := tm.opts.Logger; l != nil {
-		tx.logRecs = append(tx.logRecs[:0], tx.logRecord(wv))
-		var err error
-		if lsn, err = l.Append(tx.logRecs); err != nil {
-			return tx.failCommit(stm.ReasonDurability)
-		}
-	}
-
+// Install implements mvutil.Member: push the new versions at the heads.
+func (tx *txn) Install(charge *mvutil.BatchCharge) {
+	tm := tx.tm
+	ents := tx.writeSet.Entries()
 	for i := range ents {
 		v, val := ents[i].Key, ents[i].Val
-		nv := &jversion{value: val, ver: wv}
+		nv := &jversion{value: val, ver: tx.Draw}
 		nv.next.Store(v.head.Load())
 		v.head.Store(nv)
-		if b := tm.opts.Budget; b != nil {
-			b.Install(1, mvutil.ApproxVersionBytes(val))
+		if tm.Opts.Budget != nil {
+			charge.Add(1, mvutil.ApproxVersionBytes(val))
 		}
 		if tm.history.Load() {
 			v.histMu.Lock()
-			v.hist = append(v.hist, stm.VersionRecord{Value: val, Serial: wv})
+			v.hist = append(v.hist, stm.VersionRecord{Value: val, Serial: tx.Draw})
 			v.histMu.Unlock()
 		}
-		v.owner.CompareAndSwap(tx, nil)
-	}
-	tx.locked = tx.locked[:0]
-	if prof != nil {
-		prof.AddCommit(prof.Now() - t0)
-	}
-	tx.stats.RecordCommit(false)
-	if tm.sharded {
-		tx.stats.RecordShardCommit(cross)
-	}
-	tm.maybeGC()
-	if l := tm.opts.Logger; l != nil {
-		// Wait out the fsync policy before acknowledging. A Durable failure
-		// cannot demote the commit (its versions are visible); the latched
-		// writer fails the next Append and the health watchdog surfaces it.
-		l.Durable(lsn) //nolint:errcheck
-	}
-	return true
-}
-
-func (tx *txn) lockVar(v *jvar) bool {
-	for spins := 0; ; spins++ {
-		if v.owner.CompareAndSwap(nil, tx) {
-			tx.locked = append(tx.locked, v)
-			return true
-		}
-		if spins >= tx.tm.opts.LockSpinBudget {
-			return false
-		}
-		runtime.Gosched()
 	}
 }
 
-func (tx *txn) waitUnlocked(v *jvar) bool {
-	for spins := 0; ; spins++ {
-		o := v.owner.Load()
-		if o == nil || o == tx {
-			return true
-		}
-		if spins >= tx.tm.opts.LockSpinBudget {
-			return false
-		}
-		runtime.Gosched()
-	}
-}
-
-// gcOwner is the sentinel lock holder used by the garbage collector.
-var gcOwner = new(txn)
-
-func (tm *TM) maybeGC() {
-	every := tm.opts.GCEveryNCommits
-	if every < 0 {
-		return
-	}
-	if tm.gcCount.Add(1)%uint64(every) != 0 {
-		return
-	}
-	tm.GC()
-}
-
-// GC trims version tails below the oldest active snapshot, exactly as in
-// internal/core but with the single (natural) time line. Passes are
-// serialized so each pass's bound is at least its predecessor's (an older
-// bound walking a fresher-truncated list would run off the tail).
-func (tm *TM) GC() int {
-	tm.gcMu.Lock()
-	defer tm.gcMu.Unlock()
-	return tm.gcLocked()
-}
-
-// gcLocked is the collection pass body; the caller holds gcMu. At
-// ClockShards>1 the bound is computed per shard from the registered snapshot
-// vectors (RegisterVec + MinStarts), capped by each shard's own clock —
-// exact per domain, so one lagging shard clock cannot freeze collection on
-// the others (see core/gc.go for the failure shape that motivates this).
-func (tm *TM) gcLocked() int {
-	var bounds [mvutil.MaxClockShards]uint64
-	k := tm.clock.Shards()
-	for s := 0; s < k; s++ {
-		bounds[s] = tm.clock.Load(s)
-	}
-	tm.active.MinStarts(bounds[:k])
+// sweep is the chain pass behind mvutil.Chassis, exactly as in internal/core
+// but with the single (natural) time line; gcMu is held. With depth == 0 it
+// frees, per variable, everything older than the newest version visible at
+// its shard's bound; with depth > 0 it cuts every chain to at most depth
+// versions regardless of the bounds, so it may free versions an in-flight
+// transaction still needs — those restart with stm.ReasonMemoryPressure when
+// their read walk reaches the shortened end (DESIGN.md §11).
+func (tm *TM) sweep(bounds []uint64, depth int) (freed int, bytes int64) {
 	tm.varsMu.Lock()
-	vars := tm.vars
+	vars := tm.vars // snapshot; vars are append-only
 	tm.varsMu.Unlock()
 
-	freed := 0
-	var freedBytes int64
 	for _, v := range vars {
-		if !v.owner.CompareAndSwap(nil, gcOwner) {
-			continue
+		if !v.owner.TryLockGC() {
+			continue // busy committer; the next pass will get it
 		}
-		bound := bounds[v.shard]
 		ver := v.head.Load()
-		for ver.ver > bound {
-			next := ver.next.Load()
-			if next == nil {
-				// A trim pass already cut below the version visible at bound.
-				break
+		if depth > 0 {
+			for i := 1; i < depth && ver.next.Load() != nil; i++ {
+				ver = ver.next.Load()
 			}
-			ver = next
+		} else {
+			for ver.ver > bounds[v.shard] {
+				next := ver.next.Load()
+				if next == nil {
+					break // a trim already cut below the version visible at bound
+				}
+				ver = next
+			}
 		}
 		for tail := ver.next.Load(); tail != nil; tail = tail.next.Load() {
 			freed++
-			freedBytes += mvutil.ApproxVersionBytes(tail.value)
+			bytes += mvutil.ApproxVersionBytes(tail.value)
 		}
 		ver.next.Store(nil)
-		v.owner.CompareAndSwap(gcOwner, nil)
+		v.owner.UnlockGC()
 	}
-	if b := tm.opts.Budget; b != nil && freed > 0 {
-		b.Release(int64(freed), freedBytes)
-	}
-	return freed
-}
-
-// trimLocked cuts every variable's chain to at most depth versions, newest
-// first; the caller holds gcMu. It ignores the active-snapshot bound, so it
-// may free versions an in-flight transaction still needs — those restart with
-// stm.ReasonMemoryPressure when their read walk reaches the shortened end
-// (the hard-pressure degradation; see DESIGN.md §11).
-func (tm *TM) trimLocked(depth int) int {
-	if depth < 1 {
-		depth = 1
-	}
-	tm.varsMu.Lock()
-	vars := tm.vars
-	tm.varsMu.Unlock()
-
-	freed := 0
-	var freedBytes int64
-	for _, v := range vars {
-		if !v.owner.CompareAndSwap(nil, gcOwner) {
-			continue
-		}
-		ver := v.head.Load()
-		for i := 1; i < depth; i++ {
-			next := ver.next.Load()
-			if next == nil {
-				break
-			}
-			ver = next
-		}
-		for tail := ver.next.Load(); tail != nil; tail = tail.next.Load() {
-			freed++
-			freedBytes += mvutil.ApproxVersionBytes(tail.value)
-		}
-		ver.next.Store(nil)
-		v.owner.CompareAndSwap(gcOwner, nil)
-	}
-	if b := tm.opts.Budget; b != nil && freed > 0 {
-		b.Release(int64(freed), freedBytes)
-	}
-	return freed
-}
-
-// admitInstall enforces the version budget before a commit may install new
-// versions, mirroring internal/core: soft pressure triggers an eager
-// non-blocking GC pass, hard pressure runs a blocking pass, then trims every
-// chain to MaxVersionDepth, and when even trimming leaves the budget above
-// its hard limit the install is refused. It runs before any commit lock is
-// taken and reports whether the commit may proceed.
-func (tm *TM) admitInstall() bool {
-	b := tm.opts.Budget
-	switch b.Level() {
-	case mvutil.PressureNone:
-		return true
-	case mvutil.PressureSoft:
-		if tm.gcMu.TryLock() {
-			tm.gcLocked()
-			tm.gcMu.Unlock()
-			b.NoteSoftGC()
-		}
-		return true
-	}
-	tm.gcMu.Lock()
-	if b.Level() == mvutil.PressureHard {
-		tm.gcLocked()
-		b.NoteSoftGC()
-	}
-	if b.Level() == mvutil.PressureHard {
-		tm.trimLocked(tm.opts.MaxVersionDepth)
-		b.NoteTrim()
-	}
-	level := b.Level()
-	tm.gcMu.Unlock()
-	if level == mvutil.PressureHard {
-		b.NoteReject()
-		return false
-	}
-	return true
+	return freed, bytes
 }
 
 // VersionCount returns the live version count of v (tests).
 func (tm *TM) VersionCount(v stm.Var) int {
-	tv := v.(*jvar)
 	n := 0
-	for ver := tv.head.Load(); ver != nil; ver = ver.next.Load() {
+	for ver := v.(*jvar).head.Load(); ver != nil; ver = ver.next.Load() {
 		n++
 	}
 	return n

@@ -1,6 +1,8 @@
-// Package mvutil provides small utilities shared by the multi-versioned
-// engines (TWM in internal/core and JVSTM in internal/jvstm): an active
-// transaction registry used to bound version garbage collection.
+// Package mvutil is what the multi-versioned engines (TWM in internal/core
+// and JVSTM in internal/jvstm) share: the Chassis they embed — clock domain,
+// active-transaction registry, GC schedule, version budget, durability seam —
+// and the one commit pipeline both run (pipeline.go), parameterised by each
+// engine's validation rule.
 package mvutil
 
 import (

@@ -13,8 +13,8 @@ import (
 // CommitReq to a striped Treiber stack and spin on a per-request done flag;
 // whichever committer wins the leader lock drains every stripe and commits
 // the whole batch on the followers' behalf, handing each result back through
-// its request. The combiner itself is engine-agnostic — it owns publication,
-// leader election, batching and handoff; the engine's callback owns locking,
+// its request. The combiner owns publication, leader election, batching and
+// handoff; the commit callback — the pipeline's Chassis.lead — owns locking,
 // validation and version installation.
 
 const (
@@ -35,9 +35,8 @@ const (
 	submitNap = 20 * time.Microsecond
 )
 
-// CommitReq is one published commit request. The engine embeds a CommitReq in
-// its pooled transaction descriptor and points Tx back at the descriptor, so
-// publication allocates nothing. A request is owned by its submitter until
+// CommitReq is one published commit request. Desc embeds a CommitReq and
+// points Tx back at itself, so publication allocates nothing. A request is owned by its submitter until
 // the publish CAS, by the leader from drain until Finish, and by the
 // submitter again after Done reports true — Finish/Done carry the
 // release/acquire pair that makes the leader's writes to the descriptor
@@ -101,8 +100,8 @@ type Combiner struct {
 	stripes [combinerStripes]combinerStripe
 
 	// mu elects the leader. The commit callback always runs under it, so the
-	// engine may keep per-batch scratch state on its TM without further
-	// locking; scratch is the combiner's own drain buffer under the same rule.
+	// Chassis keeps its per-batch scratch without further locking; scratch is
+	// the combiner's own drain buffer under the same rule.
 	mu      sync.Mutex
 	scratch []*CommitReq
 }

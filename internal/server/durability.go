@@ -77,12 +77,7 @@ func openDurable(cfg *Config) (stm.TM, *wal.Writer, *wal.Recovered, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var tm stm.TM
-	if cfg.ClockShards > 1 {
-		tm, err = engines.NewDurableSharded(cfg.Engine, w, cfg.ClockShards, accountSharder)
-	} else {
-		tm, err = engines.NewDurable(cfg.Engine, w)
-	}
+	tm, err := engines.New(cfg.Engine, engines.WithLogger(w), engines.WithClockShards(cfg.ClockShards, accountSharder))
 	if err != nil {
 		w.Close()
 		return nil, nil, nil, err

@@ -171,12 +171,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if tm == nil {
 		var err error
-		if cfg.ClockShards > 1 {
-			tm, err = engines.NewSharded(cfg.Engine, cfg.ClockShards, accountSharder)
-		} else {
-			tm, err = engines.New(cfg.Engine)
-		}
-		if err != nil {
+		if tm, err = engines.New(cfg.Engine, engines.WithClockShards(cfg.ClockShards, accountSharder)); err != nil {
 			return nil, err
 		}
 	}

@@ -52,12 +52,12 @@ const (
 	// the retries-by-reason histogram; no engine ever produces it and no
 	// attempt ran.
 	ReasonOverload
-	// ReasonDurability: the engine's CommitLogger refused the write-ahead
-	// append, so the commit failed before installing any version — an
+	// ReasonDurability: the engine's CommitLogger has latched a failure, so
+	// the commit failed at the door, before installing any version — an
 	// acknowledged commit must never be less durable than the fsync policy
-	// promises. The logger latches its first failure, so these aborts persist
-	// until the operator replaces the log (the health watchdog's WAL-stall
-	// condition surfaces the state).
+	// promises. The latch is permanent, so these aborts persist until the
+	// operator replaces the log (the health watchdog's WAL-stall condition
+	// surfaces the state).
 	ReasonDurability
 
 	numAbortReasons

@@ -52,8 +52,13 @@ type CommitRecord struct {
 //     write is visible before its record is appended, append order respects
 //     the reads-from order of the history: a crash can only lose a
 //     dependency-closed suffix, so any recovered prefix is serializable.
-//     An Append error aborts the commit (stm.ReasonDurability) — nothing was
-//     installed, so the engine's memory state is untouched.
+//     The round's versions are already installed (later members of a batch
+//     validate against earlier members' versions) but still locked, hence
+//     invisible. An Append error therefore leaves the round standing in
+//     memory, unlogged; the engine latches and fails every later commit
+//     before installing anything (stm.ReasonDurability), so nothing is ever
+//     logged after the hole. Callers that promise zero loss gate their
+//     acknowledgements on the logger's own latched error.
 //   - Durable is called after the versions are installed and unlocked, with
 //     the LSN Append returned. It blocks until that record is durable under
 //     the logger's fsync policy (per-commit: an fsync covering the LSN has

@@ -38,12 +38,13 @@ func (p *Profiler) AddRead(ns int64) { p.readNS.Add(ns) }
 // validation, plus NOrec-style in-flight revalidation).
 func (p *Profiler) AddReadSetVal(ns int64) { p.readSetValNS.Add(ns) }
 
-// AddWriteSetVal charges the write-set validation phase (only TWM and AVSTM
-// have one, matching the paper's description).
+// AddWriteSetVal charges the write-set phase: AVSTM's write-set validation,
+// and for the engines on the shared commit pipeline (TWM, JVSTM) everything up
+// to and including write-lock acquisition (mvutil.Chassis, DESIGN.md §7).
 func (p *Profiler) AddWriteSetVal(ns int64) { p.writeSetValNS.Add(ns) }
 
 // AddCommit charges the remainder of the commit procedure (write-back, version
-// installation, lock handoff).
+// installation, log append, lock handoff).
 func (p *Profiler) AddCommit(ns int64) { p.commitNS.Add(ns) }
 
 // AddTx notes one finished transaction (committed or aborted attempt), the

@@ -22,7 +22,7 @@ func TestLoggedEngineDSG(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tm := engines.MustNewDurable(name, w)
+			tm := engines.MustNew(name, engines.WithLogger(w))
 			dsg.CheckRandom(t, tm, dsg.RunOptions{Goroutines: 4, TxPerG: 80})
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
@@ -56,7 +56,7 @@ func TestEngineRecoveryMatchesLiveState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tm := engines.MustNewDurable(name, w)
+			tm := engines.MustNew(name, engines.WithLogger(w))
 
 			vars := make([]*stm.TVar[int64], nVars)
 			ids := make([]uint64, nVars)

@@ -183,7 +183,7 @@ func TestDurableShardedEngine(t *testing.T) {
 			dir := t.TempDir()
 			w := openT(t, dir, wal.SyncPerCommit)
 
-			tm, err := engines.NewDurableSharded(name, w, 4, nil)
+			tm, err := engines.New(name, engines.WithLogger(w), engines.WithClockShards(4, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +221,7 @@ func TestDurableShardedEngine(t *testing.T) {
 			}
 			w2 := openT(t, dir, wal.SyncPerCommit)
 			defer w2.Close()
-			tm2, err := engines.NewDurableSharded(name, w2, 4, nil)
+			tm2, err := engines.New(name, engines.WithLogger(w2), engines.WithClockShards(4, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
