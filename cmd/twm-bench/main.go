@@ -330,6 +330,7 @@ func summary(cfg bench.FigureConfig, scale string, emit emitFunc) error {
 	sum.Table2(os.Stdout)
 	sum.ReasonHistogram(os.Stdout)
 	sum.ShardCommitSplit(os.Stdout)
+	sum.StampElision(os.Stdout)
 	return nil
 }
 

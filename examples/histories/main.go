@@ -1,5 +1,6 @@
 // Histories replays the example executions from the paper — the Fig. 1
 // linked-list history of §1.1 and the four abstract histories of Fig. 2
+// and the two read-only histories of the stamp-elision rule
 // (internal/histories) — against the real TWM engine, printing the decision
 // it takes for each transaction (commit in the present, time-warp commit in
 // the past, or abort) together with the two commit orders N and TW.
@@ -17,7 +18,7 @@ import (
 )
 
 func main() {
-	for _, h := range histories.Paper() {
+	for _, h := range append(histories.Paper(), histories.ReadOnlyElision()...) {
 		fmt.Printf("%s — %s:\n", h.Name, h.Title)
 		for _, o := range histories.Replay(core.New(core.Options{}), h) {
 			fmt.Println("  " + describe(o))
@@ -30,6 +31,8 @@ func describe(o histories.Outcome) string {
 	switch {
 	case o.Op == histories.OpRead && o.Early != "":
 		return fmt.Sprintf("%s reading %s: EARLY ABORT (%s)", o.Tx, o.Var, o.Early)
+	case o.Op == histories.OpRead && o.Stamped:
+		return fmt.Sprintf("%s reads %s = %v, raising its read stamp", o.Tx, o.Var, o.Value)
 	case o.Op == histories.OpRead:
 		return fmt.Sprintf("%s reads %s = %v", o.Tx, o.Var, o.Value)
 	case !o.OK:

@@ -242,6 +242,41 @@ func (s *Summary) ShardCommitSplit(w io.Writer) {
 	tbl.Fprint(w)
 }
 
+// StampElision prints, per engine, how many read-only commits ran quiet (read
+// stamps elided, DESIGN.md §12.5) and how many versions the collector
+// re-rooted, aggregated over every cell. Only TWM records either, so the
+// table appears only when one of its engines contributed.
+func (s *Summary) StampElision(w io.Writer) {
+	ro := map[string]uint64{}
+	quiet := map[string]uint64{}
+	rerooted := map[string]uint64{}
+	any := false
+	for _, c := range s.Cells {
+		ro[c.Engine] += c.Stats.ROCommits
+		quiet[c.Engine] += c.Stats.QuietROCommits
+		rerooted[c.Engine] += c.Stats.ReRootedVersions
+		if c.Stats.QuietROCommits > 0 || c.Stats.ReRootedVersions > 0 {
+			any = true
+		}
+	}
+	if !any {
+		return
+	}
+	tbl := NewTable("Stamp elision (aggregated over cells)",
+		"engine", "ro-commits", "quiet", "quiet share", "re-rooted")
+	for _, e := range s.engines() {
+		if quiet[e] == 0 && rerooted[e] == 0 {
+			continue
+		}
+		share := "-"
+		if ro[e] > 0 {
+			share = fmt.Sprintf("%.1f%%", 100*float64(quiet[e])/float64(ro[e]))
+		}
+		tbl.AddRow(e, fmt.Sprintf("%d", ro[e]), fmt.Sprintf("%d", quiet[e]), share, fmt.Sprintf("%d", rerooted[e]))
+	}
+	tbl.Fprint(w)
+}
+
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0

@@ -28,16 +28,43 @@ import (
 // and a walk that reaches the shortened end aborts with
 // stm.ReasonMemoryPressure instead of guessing. Variables whose commit lock
 // is busy are skipped (the next pass will get them).
+//
+// Re-rooting: a bounded pass also moves a sole surviving heap version back
+// into the variable's embedded root, so a variable that was overwritten and
+// has since gone cold costs its readers one line again. The root's bytes may
+// only be rewritten when no transaction can still be standing on the version
+// they used to hold. A transaction reaches a version by walking down from
+// latest, and the root left the chain in an earlier pass; so once every
+// transaction that began before that pass ended has finished, none can. The
+// pass that unlinks a root marks it (rootFree), every pass ends by sampling
+// the clocks (sweptAt), and a later pass re-roots only on a shard whose bound
+// — the oldest registered start, or the clock when none is — exceeds that
+// sample: every transaction registered now began after it, and one that is
+// not registered yet has not read anything (Chassis.Snapshot).
 func (tm *TM) sweep(bounds []uint64, depth int) (freed int, bytes int64) {
 	tm.varsMu.Lock()
 	vars := tm.vars // snapshot; vars are append-only
 	tm.varsMu.Unlock()
 
+	var rerooted uint64
 	for _, v := range vars {
-		if v.latest.Load().next.Load() == nil {
-			// One version: nothing to free, so leave the lock word — and the
-			// line every traversal of v loads — untouched. An install racing
-			// this check is the next pass's business.
+		if head := v.latest.Load(); head.next.Load() == nil {
+			// One version: nothing to free, so unless it is to be re-rooted
+			// leave the lock word — and the line every traversal of v loads —
+			// untouched. An install racing this check is the next pass's
+			// business.
+			if head == &v.root || !v.rootFree || depth > 0 || bounds[v.shard] <= tm.sweptAt[v.shard] {
+				continue
+			}
+			if v.owner.TryLockGC() {
+				if head = v.latest.Load(); head.next.Load() == nil {
+					v.root.value, v.root.natOrder, v.root.twOrder = head.value, head.natOrder, head.twOrder
+					v.latest.Store(&v.root)
+					v.rootFree = false
+					rerooted++
+				}
+				v.owner.UnlockGC()
+			}
 			continue
 		}
 		if !v.owner.TryLockGC() {
@@ -64,10 +91,17 @@ func (tm *TM) sweep(bounds []uint64, depth int) (freed int, bytes int64) {
 		for tail := ver.next.Load(); tail != nil; tail = tail.next.Load() {
 			freed++
 			bytes += mvutil.ApproxVersionBytes(tail.value)
+			if tail == &v.root {
+				v.rootFree = true
+			}
 		}
 		ver.next.Store(nil)
 		v.owner.UnlockGC()
 	}
+	for s := range tm.sweptAt {
+		tm.sweptAt[s] = tm.Clk.Load(s)
+	}
+	tm.stats.RecordReRoots(rerooted)
 	return freed, bytes
 }
 

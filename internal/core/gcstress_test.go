@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/mvutil"
 	"repro/internal/stm"
@@ -124,4 +127,70 @@ func TestGCConcurrentPassesDoNotInterfere(t *testing.T) {
 		t.Fatalf("counter = %v, want %d", got, 4*300)
 	}
 	tm.Commit(ro)
+}
+
+// TestGCReRootChurnWithWalkers overwrites a working set group by group with a
+// collector pass every fourth commit, so that at each pass most groups have
+// gone cold — one heap version, root unlinked — and are due for re-rooting,
+// while read-only walkers traverse everything. A group is always written in
+// one transaction, so every walk must find each group uniform; under -race the
+// plain stores into a reused root must be ordered after every read of what it
+// held before (the epoch rule in sweep).
+func TestGCReRootChurnWithWalkers(t *testing.T) {
+	const groups, perGroup = 16, 8
+	rounds := 4000
+	if testing.Short() {
+		rounds = 800
+	}
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: 4}})
+	vars := make([]stm.Var, groups*perGroup)
+	for i := range vars {
+		vars[i] = tm.NewVar(0)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				err := stm.Atomically(tm, true, func(tx stm.Tx) error {
+					for g := 0; g < groups; g++ {
+						first := tx.Read(vars[g*perGroup]).(int)
+						for i := 1; i < perGroup; i++ {
+							if got := tx.Read(vars[g*perGroup+i]).(int); got != first {
+								return fmt.Errorf("walker saw round %d and round %d within group %d", first, got, g)
+							}
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+					stop.Store(true)
+				}
+			}
+		}()
+	}
+	// A pass re-roots only when no walk that began before the previous pass
+	// ended is still in flight; on a loaded machine that can take a while, so
+	// the churn goes on until it has happened (within reason).
+	rerooted := func() uint64 { return tm.Stats().Snapshot().ReRootedVersions }
+	deadline := time.Now().Add(20 * time.Second)
+	for r := 1; !stop.Load() && (r <= rounds || rerooted() == 0 && time.Now().Before(deadline)); r++ {
+		g := r % groups
+		_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
+			for _, v := range vars[g*perGroup : (g+1)*perGroup] {
+				tx.Write(v, r)
+			}
+			return nil
+		})
+	}
+	stop.Store(true)
+	wg.Wait()
+	sn := tm.Stats().Snapshot()
+	if sn.ReRootedVersions == 0 {
+		t.Error("no version was ever re-rooted: the churn did not exercise the path")
+	}
+	t.Logf("%d versions re-rooted, %d of %d walks quiet", sn.ReRootedVersions, sn.QuietROCommits, sn.ROCommits)
 }

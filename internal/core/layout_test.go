@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,11 +12,15 @@ import (
 )
 
 // TestVarLayout pins the coherence properties of the per-variable metadata
-// (DESIGN.md §12.4): everything a traversal loads — lock word, chain head,
-// embedded initial version — sits in the variable's first 64 bytes, the
-// variable stays in the 96-byte size class, and the read stamp every reader
-// raises is a slot of a shared chunk, outside the variable's own allocation,
-// adjacent to the stamps of the variables created around it.
+// (DESIGN.md §12.4): everything a read barrier loads from the variable unless
+// it stamps — lock word, chain head, embedded version, and the clock shard the
+// update barrier folds into its footprint and the sharded barriers index the
+// snapshot with — sits in the variable's first 64 bytes, next to the
+// collector's root mark; a stamping barrier loads the stamp pointer (and the
+// promoted register's) from the bytes after them. The variable stays in the
+// 96-byte size class, and the read stamp is a slot of a shared chunk, outside
+// the variable's own allocation, adjacent to the stamps of the variables
+// created around it.
 func TestVarLayout(t *testing.T) {
 	var z twvar
 	if s := unsafe.Sizeof(z); s > 96 {
@@ -27,8 +32,24 @@ func TestVarLayout(t *testing.T) {
 	if off := unsafe.Offsetof(z.latest); off >= unsafe.Offsetof(z.root) {
 		t.Errorf("latest at offset %d, want before root (%d)", off, unsafe.Offsetof(z.root))
 	}
-	if end := unsafe.Offsetof(z.root) + unsafe.Sizeof(z.root); end > 64 {
-		t.Errorf("owner/latest/root end at byte %d, want within the first 64", end)
+	for _, f := range []struct {
+		name     string
+		off, len uintptr
+	}{
+		{"owner", unsafe.Offsetof(z.owner), unsafe.Sizeof(z.owner)},
+		{"latest", unsafe.Offsetof(z.latest), unsafe.Sizeof(z.latest)},
+		{"root", unsafe.Offsetof(z.root), unsafe.Sizeof(z.root)},
+		{"shard", unsafe.Offsetof(z.shard), unsafe.Sizeof(z.shard)},
+		{"rootFree", unsafe.Offsetof(z.rootFree), unsafe.Sizeof(z.rootFree)},
+	} {
+		if end := f.off + f.len; end > 64 {
+			t.Errorf("%s ends at byte %d, want within the first 64", f.name, end)
+		}
+	}
+	for name, off := range map[string]uintptr{"stamp": unsafe.Offsetof(z.stamp), "stamps": unsafe.Offsetof(z.stamps)} {
+		if off < 64 {
+			t.Errorf("%s at offset %d: the stamping barrier's fields belong after the leading block", name, off)
+		}
 	}
 
 	// One P, so every NewVar below draws from the same per-P chunk.
@@ -132,4 +153,87 @@ func BenchmarkTraverseBesideStamper(b *testing.B) {
 		}
 		run(b, true)
 	})
+}
+
+// BenchmarkReadOnlyWalk measures the read-only barrier on a cold working set:
+// 64 K variables linked in shuffled order (each holds the next, so the loads
+// are dependent and no prefetcher helps), walked end to end by one read-only
+// transaction per iteration. The chain is walked in three states — rooted
+// (never overwritten: the version is inside the variable), collected (every
+// variable overwritten once and one collector pass run: the sole version is a
+// heap object, the state sweep's re-rooting exists to leave) and rerooted (one
+// more pass, past the epoch: back inside the variable) — each quiet and with
+// an older update transaction parked in flight, which makes the walker stamp
+// every read; the clock ticks between walks, as it does under load, so every
+// stamp is behind it again. Reports ns/read.
+func BenchmarkReadOnlyWalk(b *testing.B) {
+	const n = 1 << 16
+	build := func(passes int) (*TM, stm.Var, stm.Var) {
+		tm := newTM()
+		vars := make([]stm.Var, n)
+		for i := range vars {
+			vars[i] = tm.NewVar(nil)
+		}
+		walk := rand.New(rand.NewSource(1)).Perm(n) // the walk visits vars[walk[0]], vars[walk[1]], ...
+		next := func(j int) stm.Var {
+			if j+1 < n {
+				return vars[walk[j+1]]
+			}
+			return nil
+		}
+		tick := tm.NewVar(0)
+		if passes == 0 {
+			for j := range walk {
+				vars[walk[j]].(*twvar).root.value = next(j) // not shared yet
+			}
+			return tm, vars[walk[0]], tick
+		}
+		for at := 0; at < n; at += 64 {
+			_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
+				for j := at; j < at+64; j++ {
+					tx.Write(vars[walk[j]], next(j))
+				}
+				return nil
+			})
+		}
+		for p := 0; p < passes; p++ {
+			_ = stm.Atomically(tm, false, func(tx stm.Tx) error { tx.Write(tick, p); return nil })
+			tm.GC()
+		}
+		return tm, vars[walk[0]], tick
+	}
+	for _, state := range []struct {
+		name   string
+		passes int
+	}{{"rooted", 0}, {"collected", 1}, {"rerooted", 2}} {
+		for _, parked := range []bool{false, true} {
+			name := state.name + "/quiet"
+			if parked {
+				name = state.name + "/older-updater"
+			}
+			b.Run(name, func(b *testing.B) {
+				tm, head, tick := build(state.passes)
+				if parked {
+					old := tm.Begin(false)
+					defer tm.Abort(old)
+				}
+				tm.Stats().Reset()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = stm.Atomically(tm, false, func(tx stm.Tx) error { tx.Write(tick, i); return nil })
+					_ = stm.Atomically(tm, true, func(tx stm.Tx) error {
+						for cur := head; cur != nil; {
+							cur, _ = tx.Read(cur).(stm.Var)
+						}
+						return nil
+					})
+				}
+				b.StopTimer()
+				if sn := tm.Stats().Snapshot(); (sn.QuietROCommits == 0) != parked {
+					b.Fatalf("%d of %d walks quiet, parked=%v", sn.QuietROCommits, sn.ROCommits, parked)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/read")
+			})
+		}
+	}
 }

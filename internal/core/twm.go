@@ -73,7 +73,7 @@ type TM struct {
 	// arrays and active-set slot) across attempts; see Recycle.
 	txns sync.Pool
 	// stampSeq deals out sticky home shards for sharded read stamps, one per
-	// descriptor lifetime — the same scheme as ActiveSet slots.
+	// descriptor lifetime — the same scheme as Stats stripes.
 	stampSeq atomic.Uint32
 	// stampChunks holds partially dealt stamp chunks, one per P (newStamp).
 	stampChunks sync.Pool
@@ -81,6 +81,9 @@ type TM struct {
 	varsMu  sync.Mutex
 	vars    []*twvar
 	history atomic.Bool
+	// sweptAt is each shard's clock as the last collector pass ended (sweep's
+	// re-root rule); guarded by the chassis's GC mutex.
+	sweptAt []uint64
 }
 
 // New returns a TWM instance with the given options.
@@ -102,6 +105,7 @@ func New(opts Options) *TM {
 	}
 	tm := &TM{notw: opts.DisableTimeWarp, opaque: opts.Opacity, eagerStamps: opts.EagerStampSharding}
 	tm.Init(opts.Options, tm.sweep)
+	tm.sweptAt = make([]uint64, tm.ClockShards())
 	tm.txns.New = func() any {
 		tx := &txn{tm: tm, stampShard: int(tm.stampSeq.Add(1)) & (mvutil.StampShards - 1)}
 		tm.InitDesc(&tx.Desc, tx, tm.stats.Shard())
@@ -163,6 +167,13 @@ func (tm *TM) PromoteStamp(v stm.Var) {
 // StampSharded reports whether v's read stamp has been promoted (tests).
 func (tm *TM) StampSharded(v stm.Var) bool { return v.(*twvar).stamps.Load() != nil }
 
+// ReadStamp reports v's semi-visible read stamp as a committer would observe
+// it (tests and instrumentation: a read that left it unchanged did not stamp).
+func (tm *TM) ReadStamp(v stm.Var) uint64 {
+	m, _ := v.(*twvar).readStamp()
+	return m
+}
+
 // version is one committed value of a variable. Versions form a singly linked
 // list from newest to oldest in descending twOrder; natOrder breaks no ties in
 // the list because time-warp clashes are elided (paper lines 31-32).
@@ -176,23 +187,32 @@ type version struct {
 // timeWarped reports whether the version was produced by a time-warp commit.
 func (v *version) timeWarped() bool { return v.natOrder != v.twOrder }
 
-// twvar is the concrete transactional variable (Table 1's Var struct). The
-// fields a read traverses — lock word, chain head and the embedded initial
-// version — lead the struct and are stored to only by a committer installing
-// a version; the semi-visible read stamp every reader raises lives off the
-// variable, in a stamp chunk (DESIGN.md §12.4).
+// twvar is the concrete transactional variable (Table 1's Var struct). What a
+// read barrier loads unless it stamps — lock word, chain head, the embedded
+// version and the clock shard — leads the struct and is stored to only by a
+// committer installing a version or the collector re-rooting one; the
+// semi-visible read stamp lives off the variable, in a stamp chunk
+// (DESIGN.md §12.4).
 type twvar struct {
 	owner  mvutil.Lock // commit lock
 	latest atomic.Pointer[version]
-	// root is the initial version, embedded so a read of a never-overwritten
-	// variable follows no pointer out of the variable. GC unlinks it like any
-	// other version; its bytes then simply wait for the variable to die.
+	// root is a version embedded in the variable — the initial one, and after
+	// that whichever sole surviving version the collector copies back (sweep)
+	// — so a read of a variable with one version follows no pointer out of it.
 	root version
+	// shard is the clock domain the variable belongs to (always 0 when
+	// unsharded). Its versions' natOrder/twOrder, its read stamps and the
+	// snapshot component it is read against all live on this shard's number
+	// line; numbers from different shards are never compared.
+	shard uint32
+	// rootFree marks root as unlinked from the chain and so reusable once the
+	// transactions that may still stand on it are gone. Only sweep touches it.
+	rootFree bool
+
 	// stamp is the semi-visible read stamp (uncontended fast path): a slot in
 	// one of the TM's stamp chunks, so raising it never invalidates the line
 	// another transaction's traversal of this variable loads.
 	stamp *atomic.Uint64
-
 	// stamps, once non-nil, extends stamp with a sharded CAS-max register
 	// (DESIGN.md §12). It is promoted lazily, the first time raisers actually
 	// collide on stamp: a ShardedStamp is ~2 KiB, far too heavy for the many
@@ -205,11 +225,6 @@ type twvar struct {
 
 	hist *historyLog // non-nil only when history recording is enabled
 	id   uint64
-	// shard is the clock domain the variable belongs to (always 0 when
-	// unsharded). Its versions' natOrder/twOrder, its read stamps and the
-	// snapshot component it is read against all live on this shard's number
-	// line; numbers from different shards are never compared.
-	shard uint32
 }
 
 // stampChunk is 4 KiB of read-stamp slots dealt out in order to the variables
@@ -314,18 +329,25 @@ func (tx *txn) promoteStamp(v *twvar, ts uint64) {
 	}
 }
 
-// stampMax observes v's semi-visible read stamp from the committer side: the
-// stamp word folded with the shard maximum when a register has been
-// promoted. The stamp word stays valid forever after promotion (raisers
+// readStamp observes v's semi-visible read stamp from the committer side: the
+// stamp word folded with the shard maximum when a register has been promoted
+// (scanned). The stamp word stays valid forever after promotion (raisers
 // that lost the promotion race may have landed there), so both sources are
 // always combined.
+func (v *twvar) readStamp() (m uint64, scanned bool) {
+	m = v.stamp.Load()
+	s := v.stamps.Load()
+	if s != nil {
+		m = max(m, s.Max())
+	}
+	return m, s != nil
+}
+
+// stampMax is readStamp with the scan counted into the stamp-contention stats.
 func (tx *txn) stampMax(v *twvar) uint64 {
-	m := v.stamp.Load()
-	if s := v.stamps.Load(); s != nil {
+	m, scanned := v.readStamp()
+	if scanned {
 		tx.Stats.RecordStampScan()
-		if sm := s.Max(); sm > m {
-			m = sm
-		}
 	}
 	return m
 }
@@ -339,7 +361,11 @@ type txn struct {
 	mvutil.Desc
 	tm       *TM
 	readOnly bool
-	start    uint64 // S(tx); at ClockShards>1 the min over Vec (GC registration)
+	// quiet marks a read-only transaction that found no older update
+	// transaction in flight at Begin and therefore reads without stamping
+	// (DESIGN.md §12.5).
+	quiet bool
+	start uint64 // S(tx); at ClockShards>1 the min over Vec (GC registration)
 
 	readSet  []*twvar
 	writeSet stm.WriteSet[*twvar] // insertion-ordered; Writes sorts by id
@@ -361,11 +387,20 @@ func (tx *txn) ReadOnly() bool { return tx.readOnly }
 
 // Begin implements stm.TM. The returned transaction observes the snapshot
 // defined by the logical clock at this instant (S(tx)); see Chassis.Snapshot.
+//
+// A read-only transaction then scans the active set once: its read stamps
+// exist to make an update transaction that would time-warp into its snapshot
+// see itself as a triad's pivot, and only one that began below the snapshot
+// can warp into it — with none in flight that has yet to look at the stamps
+// (Validate), the reads need no stamp (DESIGN.md §12.5). The opacity
+// extension keeps the paper's barrier: its argument (opacity.go) is stated
+// for stamped reads and is not redone.
 func (tm *TM) Begin(readOnly bool) stm.Tx {
 	tx := tm.txns.Get().(*txn)
 	tx.readOnly = readOnly
 	tx.Stats.RecordStart()
-	tx.start = tm.Snapshot(&tx.Desc)
+	tx.start = tm.Snapshot(&tx.Desc, !readOnly)
+	tx.quiet = readOnly && !tm.opaque && tm.Quiet(&tx.Desc, tx.start)
 	return tx
 }
 
@@ -418,8 +453,9 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 	return out
 }
 
-// readRO is the read-only visibility rule: semi-visible read, then the newest
-// version with twOrder <= start (time-warp committed versions included).
+// readRO is the read-only visibility rule: semi-visible read (elided when the
+// transaction is quiet), then the newest version with twOrder <= start
+// (time-warp committed versions included).
 //
 // Without a budget the walk always terminates: GC never frees the newest
 // version visible at the oldest active snapshot. A hard-pressure trim may
@@ -431,8 +467,13 @@ func (tx *txn) readRO(tv *twvar) stm.Value {
 	// The semi-visible read must precede the lock wait so that a concurrent
 	// committer either observes the raised stamp (and raises its target
 	// flag) or has already published its versions before we traverse. The
-	// stamp is raised in the variable's own clock domain.
-	tx.semiVisibleRead(tv, tx.tm.Clk.Load(int(tv.shard)))
+	// stamp is raised in the variable's own clock domain. A quiet transaction
+	// keeps only the wait: the committers it can meet serialize after its
+	// snapshot wherever they warp to, unless they drew at or below it — and
+	// those hold the lock until their versions are in.
+	if !tx.quiet {
+		tx.semiVisibleRead(tv, tx.tm.Clk.Load(int(tv.shard)))
+	}
 	tv.owner.WaitUnlocked(nil, -1)
 	snap := tx.snap(tv)
 	ver := tv.latest.Load()
@@ -515,6 +556,9 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 		// rule. Writing nothing, it cannot be the target of an
 		// anti-dependency, so no triad can pivot on it.
 		tx.Stats.RecordCommit(tx.readOnly)
+		if tx.quiet {
+			tx.Stats.RecordQuietRO()
+		}
 		return true
 	}
 	return tm.CommitUpdate(&tx.Desc)
@@ -622,6 +666,10 @@ func (tx *txn) Validate(cross bool) stm.AbortReason {
 			}
 		}
 	}
+	// From here on no read stamp can change this commit's fate, and every
+	// variable it writes stays locked until its versions are in: a read-only
+	// transaction that begins now needs no stamps on its account (Begin).
+	tm.Active.Settle(&tx.Slot)
 
 	// HANDLEREAD: make the reads visible, then detect anti-dependencies
 	// originating at tx (versions of read variables committed after start).

@@ -83,6 +83,49 @@ func TestPaperHistoriesDifferential(t *testing.T) {
 	}
 }
 
+// TestReadOnlyElisionHistories replays the two read-only histories of the
+// stamp-elision rule on the serial and the group-commit pipeline and pins
+// what makes them differ: with an older update transaction in flight the
+// read-only transaction stamps and the pivot aborts; without one it leaves
+// the stamps alone, the pivot time-warps, and what it read is the state before
+// both writers.
+func TestReadOnlyElisionHistories(t *testing.T) {
+	want := map[string][]string{
+		"read-only after the pivot": {
+			"B read y = 0", "A commit: ok nat=2 tw=2",
+			"C read x = 0", "C read y = 1", "C commit: ok nat=0 tw=0",
+			"B commit: aborted (triad)",
+		},
+		"read-only before the pivot": {
+			"B read y = 0", "C read x = 0", "A commit: ok nat=2 tw=2",
+			"C read y = 0",
+			"B commit: ok nat=3 tw=2", "C commit: ok nat=0 tw=0",
+		},
+	}
+	for _, h := range histories.ReadOnlyElision() {
+		quiet := h.Name == "read-only before the pivot"
+		for _, name := range []string{"twm", "twm-gc"} {
+			tm := engines.MustNew(name)
+			var got []string
+			for _, o := range histories.Replay(tm, h) {
+				got = append(got, o.String())
+				if o.Tx != "C" || o.Op != histories.OpRead {
+					continue
+				}
+				if o.Stamped == quiet {
+					t.Errorf("%s on %s: C's read of %s stamped=%v", h.Name, name, o.Var, o.Stamped)
+				}
+			}
+			if !reflect.DeepEqual(got, want[h.Name]) {
+				t.Errorf("%s on %s:\n got %q\nwant %q", h.Name, name, got, want[h.Name])
+			}
+			if sn := tm.Stats().Snapshot(); sn.ROCommits != 1 || (sn.QuietROCommits == 1) != quiet {
+				t.Errorf("%s on %s: %d read-only commits, %d quiet", h.Name, name, sn.ROCommits, sn.QuietROCommits)
+			}
+		}
+	}
+}
+
 // TestProfilerAttributionAgrees runs one conflict-free schedule — three
 // update commits, one of them doomed before it locks, and a read-only one —
 // through both multi-version engines on every pipeline configuration. The

@@ -201,14 +201,14 @@ func TestWatchdogCommitsPerTick(t *testing.T) {
 
 func TestWatchdogStuckSnapshot(t *testing.T) {
 	var stats stm.Stats
-	active := mvutil.NewActiveSet()
+	active := mvutil.NewActiveSet(1)
 	var clock atomic.Uint64
 	clock.Store(1)
 	w := New(Config{RaiseAfter: 2, StuckClockLag: 100, OnAlert: nil},
 		Target{Name: "t", Stats: &stats, Clock: clock.Load, Active: active})
 
 	var pinned mvutil.Slot
-	active.Register(&pinned, 1)
+	active.Register(&pinned, 1, false)
 	clock.Store(500) // snapshot now lags by 499 >= 100
 	w.Step()
 	w.Step()

@@ -45,6 +45,9 @@ type Outcome struct {
 	Step
 	// Value is what a Read returned (nil when it early-aborted).
 	Value stm.Value
+	// Stamped reports that a Read raised the variable's semi-visible read
+	// stamp, on engines that expose it (ReadStamp).
+	Stamped bool
 	// Early is the reason a Read early-aborted for, "" when it returned
 	// normally; the replay aborts the transaction and skips its remaining
 	// steps.
@@ -85,6 +88,7 @@ func Replay(tm stm.TM, h History) []Outcome {
 	orders, _ := tm.(interface {
 		CommitOrders(stm.Tx) (nat, tw uint64)
 	})
+	stamps, _ := tm.(interface{ ReadStamp(stm.Var) uint64 })
 	txs := make(map[string]stm.Tx)
 	var out []Outcome
 	for _, s := range h.Steps {
@@ -105,6 +109,10 @@ func Replay(tm stm.TM, h History) []Outcome {
 			// Engines count an early abort under its reason at the abort
 			// site, before raising the (opaque) retry signal.
 			before := tm.Stats().Snapshot().ByReason
+			var stamp uint64
+			if stamps != nil {
+				stamp = stamps.ReadStamp(vars[s.Var])
+			}
 			func() {
 				defer func() {
 					if recover() == nil {
@@ -121,6 +129,7 @@ func Replay(tm stm.TM, h History) []Outcome {
 				}()
 				o.Value = tx.Read(vars[s.Var])
 			}()
+			o.Stamped = stamps != nil && stamps.ReadStamp(vars[s.Var]) != stamp
 		case OpCommit:
 			o.OK = tm.Commit(tx)
 			if ar, ok := tx.(stm.AbortReasoner); ok && !o.OK {
@@ -141,15 +150,57 @@ func read(tx, v string) Step           { return Step{Tx: tx, Op: OpRead, Var: v}
 func commit(tx string) Step            { return Step{Tx: tx, Op: OpCommit} }
 func write(tx, v string, val any) Step { return Step{Tx: tx, Op: OpWrite, Var: v, Val: val} }
 
+func zeros(n int) []stm.Value {
+	out := make([]stm.Value, n)
+	for i := range out {
+		out[i] = 0
+	}
+	return out
+}
+
+// ReadOnlyElision returns the Fig. 2(b) triad with its read-only transaction
+// on either side of the pivot's begin: the two cases of the stamp-elision rule
+// (DESIGN.md §12.5). A read-only transaction stamps its reads only when an
+// update transaction that began below its snapshot is still in flight.
+func ReadOnlyElision() []History {
+	return []History{{
+		// C begins after the pivot B began and after A's commit ticked the
+		// clock: B could still time-warp into C's snapshot, so C's reads are
+		// semi-visible and B fails Rule 2 exactly as in the paper.
+		Name:  "read-only after the pivot",
+		Title: "triad: C (read-only) begins after B began and A committed",
+		Vars:  []string{"x", "y"},
+		Init:  zeros(2),
+		Steps: []Step{
+			begin("B"), read("B", "y"), write("B", "x", 1),
+			begin("A"), write("A", "y", 1), commit("A"),
+			beginRO("C"), read("C", "x"), read("C", "y"), commit("C"),
+			commit("B"),
+		},
+		Note: "C is not quiet: its read of x raises the stamp and the pivot aborts (triad)",
+	}, {
+		// C begins first. No update transaction is older, so none can warp to
+		// or below C's snapshot: C reads without stamping, B is free to warp
+		// before A, and C — which saw neither — serializes before both.
+		Name:  "read-only before the pivot",
+		Title: "the same transactions; C (read-only) begins before B",
+		Vars:  []string{"x", "y"},
+		Init:  zeros(2),
+		Steps: []Step{
+			beginRO("C"),
+			begin("B"), read("B", "y"), write("B", "x", 1),
+			read("C", "x"),
+			begin("A"), write("A", "y", 1), commit("A"),
+			read("C", "y"),
+			commit("B"),
+			commit("C"),
+		},
+		Note: "C is quiet: the stamp of x stays put, B time-warps before A, serial order C -> B -> A",
+	}}
+}
+
 // Paper returns the scripted histories of Figs. 1 and 2.
 func Paper() []History {
-	zeros := func(n int) []stm.Value {
-		out := make([]stm.Value, n)
-		for i := range out {
-			out[i] = 0
-		}
-		return out
-	}
 	return []History{{
 		// T1 (read-only lookup), T2 inserts B near the head, T3 removes E
 		// near the tail. Classic validation aborts T3; TWM serializes it

@@ -144,7 +144,7 @@ func (tm *TM) Begin(readOnly bool) stm.Tx {
 	tx := tm.txns.Get().(*txn)
 	tx.readOnly = readOnly
 	tx.Stats.RecordStart()
-	tx.start = tm.Snapshot(&tx.Desc)
+	tx.start = tm.Snapshot(&tx.Desc, !readOnly)
 	return tx
 }
 

@@ -139,3 +139,42 @@ func TestDoomedCommitPassesOnClock(t *testing.T) {
 		t.Fatalf("doomed commit bumped the clock: %d -> %d", before, after)
 	}
 }
+
+// TestSnapshotPublishedBeforeSample is internal/core's test of the same name
+// on this engine: a read-only transaction parked between its first clock
+// sample and its registration, while commits and a collector pass go by, must
+// come out with a snapshot the trimmed chain still serves.
+func TestSnapshotPublishedBeforeSample(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		tm := jvstm.New(jvstm.Options{GCEveryNCommits: -1, ClockShards: k})
+		x := tm.NewVar(0)
+		bump := func() {
+			tx := tm.Begin(false)
+			tx.Write(x, tx.Read(x).(int)+1)
+			if !tm.Commit(tx) {
+				t.Fatalf("uncontended commit aborted")
+			}
+		}
+		bump()
+		tm.SnapshotStall = func() {
+			tm.SnapshotStall = nil
+			bump()
+			bump()
+			if freed := tm.GC(); freed == 0 {
+				t.Errorf("K=%d: the pass inside the window freed nothing", k)
+			}
+		}
+		ro := tm.Begin(true)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("K=%d: read-only read restarted (%v): the pass trimmed the version its snapshot needs", k, r)
+				}
+			}()
+			if got := ro.Read(x); got != 3 {
+				t.Errorf("K=%d: read %v, want 3", k, got)
+			}
+		}()
+		tm.Commit(ro)
+	}
+}

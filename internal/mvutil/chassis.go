@@ -1,6 +1,7 @@
 package mvutil
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -71,6 +72,10 @@ type Chassis struct {
 	Sharded bool // ClockShards > 1
 	Active  *ActiveSet
 	Prof    atomic.Pointer[stm.Profiler]
+	// SnapshotStall, when non-nil, runs inside Snapshot between the first clock
+	// sample and its publication: the fault point of the tests that park a
+	// beginning transaction there while commits and collector passes go by.
+	SnapshotStall func()
 
 	gcCount atomic.Uint64
 	gcMu    sync.Mutex
@@ -119,7 +124,7 @@ func (c *Chassis) Init(opts Options, sweep func(bounds []uint64, depth int) (int
 	// a "stamp > snapshot" check in any domain (initial versions carry order
 	// 0 and are visible to every snapshot).
 	c.Sharded = c.Clk.Init(opts.ClockShards, 1) > 1
-	c.Active = NewActiveSet()
+	c.Active = NewActiveSet(c.Clk.Shards())
 }
 
 // SetProfiler implements stm.Profilable.
@@ -193,30 +198,58 @@ func (c *Chassis) ShardOf(id uint64) uint32 {
 // scalar clock, or at ClockShards>1 one consistent per-shard vector cut into
 // d.Vec (see ClockDomain.Snapshot for why the fence seqlock makes the cut
 // consistent). It returns S(tx): the clock sample, or the minimum over the
-// vector.
+// vector. update marks an update transaction's registration.
 //
-// Registration precedes (and equals) the sample, so the garbage collector can
-// never trim a version this transaction may read. Sharded transactions
-// register the whole vector: the GC folds per-shard bounds from it, so shard
-// s's bound tracks the oldest *component s* among active snapshots instead of
-// the oldest min-component — one lagging shard clock must not freeze
-// collection everywhere else. The scalar min backs the quiesce fence and the
-// health watchdog.
-func (c *Chassis) Snapshot(d *Desc) uint64 {
+// The registration is published before the sample the transaction runs at
+// (publish-before-sample): a first sample is published, the clock is sampled
+// again, and the second sample — the snapshot — is published if it differs.
+// What is published is thus at or below the snapshot at every instant, and a
+// scan that does not see the registration at all read the cell before the
+// publication, hence before the second sample. So a collector pass either
+// folds a bound at or below this snapshot or computed all its bounds before
+// the snapshot was taken, and can never trim a version this transaction may
+// read; and the read-only scan of Quiet either sees an update transaction or
+// knows it samples later (DESIGN.md §12.5).
+//
+// Sharded transactions register the whole vector: the GC folds per-shard
+// bounds from it, so shard s's bound tracks the oldest *component s* among
+// active snapshots instead of the oldest min-component — one lagging shard
+// clock must not freeze collection everywhere else. The scalar min backs the
+// quiesce fence and the health watchdog.
+func (c *Chassis) Snapshot(d *Desc, update bool) uint64 {
 	if !c.Sharded {
-		c0 := c.Clk.Load(0)
-		c.Active.Register(&d.Slot, c0)
-		return c0
+		pub := c.Clk.Load(0)
+		if c.SnapshotStall != nil {
+			c.SnapshotStall()
+		}
+		c.Active.Register(&d.Slot, pub, update)
+		start := c.Clk.Load(0)
+		if start != pub {
+			c.Active.Register(&d.Slot, start, update)
+		}
+		return start
 	}
 	d.Vec = c.Clk.Snapshot(d.Vec)
-	min := d.Vec[0]
-	for _, v := range d.Vec[1:] {
-		if v < min {
-			min = v
-		}
+	if c.SnapshotStall != nil {
+		c.SnapshotStall()
 	}
-	c.Active.RegisterVec(&d.Slot, d.Vec, min)
+	c.Active.RegisterVec(&d.Slot, d.Vec, slices.Min(d.Vec), update)
+	d.Vec = c.Clk.Snapshot(d.Vec)
+	min := slices.Min(d.Vec)
+	c.Active.RegisterVec(&d.Slot, d.Vec, min, update) // stores what moved, if anything
 	return min
+}
+
+// Quiet reports whether no update transaction that began below d's snapshot
+// (start, as Snapshot just returned it) has yet to check read stamps
+// (ActiveSet.Settle) — component-wise at ClockShards>1. TWM's read-only
+// transactions elide their read stamps on it; the scan must follow the
+// snapshot sample (sample-before-scan).
+func (c *Chassis) Quiet(d *Desc, start uint64) bool {
+	if c.Sharded {
+		return !c.Active.OlderUpdateVec(d.Vec)
+	}
+	return !c.Active.OlderUpdate(start)
 }
 
 // GC trims version lists down to the oldest version any active or future

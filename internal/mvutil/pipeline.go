@@ -492,11 +492,18 @@ func (d *Desc) unlock() {
 	d.inBatch = false
 }
 
-// resolve finishes one member: locks released, outcome recorded. Everything
-// the submitter may observe is written before Finish — it can recycle the
-// descriptor the moment the request reports done.
+// resolve finishes one member: locks released, registration ended, outcome
+// recorded. Everything the submitter may observe is written before Finish — it
+// can recycle the descriptor the moment the request reports done.
+//
+// The active-set registration ends here rather than when the engine's Commit
+// returns because the round's GC tick comes after: a committer still
+// registered during its own collector pass would hold that pass's bound at its
+// start, and make every read-only transaction that begins meanwhile stamp
+// (Quiet) on account of a transaction that is already over.
 func (c *Chassis) resolve(d *Desc, reason stm.AbortReason, prof *stm.Profiler) {
 	d.unlock()
+	c.Active.Unregister(&d.Slot)
 	if reason == stm.ReasonNone {
 		d.Stats.RecordCommit(false)
 		if c.Sharded {

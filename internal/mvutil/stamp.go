@@ -10,7 +10,7 @@ import "sync/atomic"
 //
 // A ShardedStamp splits the register into StampShards cache-line-padded
 // slots. A raiser CAS-maxes only its home shard (a sticky, per-descriptor
-// assignment, the same scheme as ActiveSet slots and Stats stripes), so
+// assignment, the same scheme as Stats stripes), so
 // concurrent raisers on different shards never touch the same line. An
 // observer takes the maximum over all shards; since each shard is
 // individually monotone, the maximum is monotone and equals the aggregate

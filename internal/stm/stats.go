@@ -70,7 +70,14 @@ type StatShard struct {
 	crossShard      atomic.Uint64
 	shardCASRetries atomic.Uint64
 
-	_ [128 - (14+batchHistBuckets+int(numAbortReasons))*8%128]byte
+	// Stamp-elision counters (DESIGN.md §12.5): quietRO counts the read-only
+	// commits that ran without stamping (roCommits minus it ran the stamping
+	// barrier), reRoots the sole surviving versions the collector moved back
+	// into their variable.
+	quietRO atomic.Uint64
+	reRoots atomic.Uint64
+
+	_ [128 - (16+batchHistBuckets+int(numAbortReasons))*8%128]byte
 }
 
 // batchHistBuckets is the batch-size histogram width: bucket i covers sizes
@@ -101,6 +108,10 @@ func (s *StatShard) RecordAbort(reason AbortReason) {
 	s.aborts.Add(1)
 	s.byReason[reason].Add(1)
 }
+
+// RecordQuietRO notes that a read-only commit (recorded separately through
+// RecordCommit) ran with its read stamps elided.
+func (s *StatShard) RecordQuietRO() { s.quietRO.Add(1) }
 
 // RecordStampRetries notes n failed CAS attempts while raising a semi-visible
 // read stamp. n == 0 is the common case and records nothing.
@@ -182,6 +193,14 @@ func (s *Stats) RecordCommit(readOnly bool) { s.shards[0].RecordCommit(readOnly)
 // paths).
 func (s *Stats) RecordAbort(reason AbortReason) { s.shards[0].RecordAbort(reason) }
 
+// RecordReRoots notes n versions a collector pass moved back into their
+// variable (shard 0: passes are serialized).
+func (s *Stats) RecordReRoots(n uint64) {
+	if n > 0 {
+		s.shards[0].reRoots.Add(n)
+	}
+}
+
 // Totals sums the shards without allocating (Snapshot builds a map). The
 // health watchdog samples through it on its steady-state path, which is
 // pinned at 0 allocs/op.
@@ -229,6 +248,21 @@ type Snapshot struct {
 	SingleShardCommits   uint64
 	CrossShardCommits    uint64
 	ShardClockCASRetries uint64
+	// Stamp elision (TWM only): QuietROCommits of the ROCommits ran without
+	// stamping their reads — the rest ran the stamping barrier — and
+	// ReRootedVersions counts sole surviving versions the collector copied
+	// back into their variable.
+	QuietROCommits   uint64
+	ReRootedVersions uint64
+}
+
+// QuietROShare returns the share of read-only commits that elided their read
+// stamps, or 0 when none committed.
+func (sn Snapshot) QuietROShare() float64 {
+	if sn.ROCommits == 0 {
+		return 0
+	}
+	return float64(sn.QuietROCommits) / float64(sn.ROCommits)
 }
 
 // MeanBatchSize returns the average installed-batch size, or 0 when the
@@ -260,6 +294,8 @@ func (s *Stats) Snapshot() Snapshot {
 		snap.SingleShardCommits += sh.singleShard.Load()
 		snap.CrossShardCommits += sh.crossShard.Load()
 		snap.ShardClockCASRetries += sh.shardCASRetries.Load()
+		snap.QuietROCommits += sh.quietRO.Load()
+		snap.ReRootedVersions += sh.reRoots.Load()
 		for b := range sh.batchHist {
 			snap.BatchSizeHist[b] += sh.batchHist[b].Load()
 		}
@@ -293,6 +329,8 @@ func (s *Stats) Reset() {
 		sh.singleShard.Store(0)
 		sh.crossShard.Store(0)
 		sh.shardCASRetries.Store(0)
+		sh.quietRO.Store(0)
+		sh.reRoots.Store(0)
 		for b := range sh.batchHist {
 			sh.batchHist[b].Store(0)
 		}
