@@ -17,23 +17,22 @@
 //	summary    Fig. 5(a)-(h) + Fig. 5(i) + Table 2 (all applications)
 //	pressure   resource-exhaustion: stabilize/degrade/recover under a
 //	           version budget, with admission gating and watchdog alerts
-//	readscale  read-path scalability: read-dominated IntSet sweep over
-//	           goroutine counts, emitting BENCH_readscale.json (-json)
 //	groupcommit  commit pipelining: write-heavy Zipf counters A/B of each
 //	           serial engine vs its flat-combining group-commit variant,
-//	           emitting BENCH_groupcommit.json (-json)
+//	           recorded in BENCH_groupcommit.json
 //	durability fsync-policy latency ladder of the write-ahead log (off /
 //	           interval / per-batch / per-commit) on the WAL-capable
-//	           engines, emitting BENCH_durability.json (-json)
+//	           engines, recorded in BENCH_durability.json
 //	shardclock partitioned multi-clock A/B: unsharded twm vs a 16-shard
 //	           clock domain on partitioned counters at several cross-shard
-//	           mixes, emitting BENCH_shardclock.json (-json)
+//	           mixes, recorded in BENCH_shardclock.json
 //	all        everything above (except the sweeps with their own axes)
 //
 // Flags select engines, thread counts, per-cell duration for the
 // microbenchmarks, and input scale. The defaults are container-sized; pass
 // -scale paper for the paper's input sizes (skiplist only; STAMP apps use
-// their default presets).
+// their default presets). The last three experiments write their JSON artifact
+// only when -json names a path.
 package main
 
 import (
@@ -67,7 +66,7 @@ func run(args []string) error {
 	yieldEvery := fs.Int("yield-every", 1, "inject a scheduler yield after every N-th transactional barrier to simulate multi-core overlap on few cores (0 disables)")
 	zipf := fs.Float64("zipf", 0, "Zipf skew for the tree experiment (0 = uniform)")
 	csvPath := fs.String("csv", "", "also append machine-readable results to this CSV file")
-	jsonPath := fs.String("json", "auto", "output path for the experiment's JSON artifact (auto = BENCH_<experiment>.json; empty disables)")
+	jsonPath := fs.String("json", "", "write the experiment's JSON artifact to this path (groupcommit, durability, shardclock)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -144,23 +143,6 @@ func run(args []string) error {
 	case "pressure":
 		res, err := bench.PressureFigure(out, cfg, bench.DefaultPressure())
 		return emit("pressure", res, err)
-	case "readscale":
-		rs := bench.DefaultReadScaling()
-		if *scale == "small" {
-			rs = bench.ReadScalingConfig{Elements: 200, KeyRange: 400, UpdatePct: 0.05, Seed: *seed}
-		}
-		if *threadList == "1,4,8,16,32,64" { // default axis: use the readscale sweep
-			cfg.Threads = bench.ReadScalingThreads()
-		}
-		res, err := bench.ReadScaleFigure(out, cfg, rs)
-		if err != nil {
-			return err
-		}
-		art := bench.NewReadScaleArtifact(cfg, rs, res)
-		if err := writeArtifact(artifactPath(*jsonPath, "readscale"), art.WriteJSON, len(art.Cells)); err != nil {
-			return err
-		}
-		return emit("readscale", res, nil)
 	case "groupcommit":
 		gc := bench.DefaultGroupCommit()
 		if *scale == "small" {
@@ -179,7 +161,7 @@ func run(args []string) error {
 			return err
 		}
 		art := bench.NewGroupCommitArtifact(cfg, gc, res)
-		if err := writeArtifact(artifactPath(*jsonPath, "groupcommit"), art.WriteJSON, len(art.Cells)); err != nil {
+		if err := writeArtifact(*jsonPath, art.WriteJSON, len(art.Cells)); err != nil {
 			return err
 		}
 		return emit("groupcommit", res, nil)
@@ -203,7 +185,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := writeArtifact(artifactPath(*jsonPath, "durability"), art.WriteJSON, len(art.Cells)); err != nil {
+		if err := writeArtifact(*jsonPath, art.WriteJSON, len(art.Cells)); err != nil {
 			return err
 		}
 		return emit("durability", nil, nil)
@@ -223,7 +205,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := writeArtifact(artifactPath(*jsonPath, "shardclock"), art.WriteJSON, len(art.Cells)); err != nil {
+		if err := writeArtifact(*jsonPath, art.WriteJSON, len(art.Cells)); err != nil {
 			return err
 		}
 		return emit("shardclock", nil, nil)
@@ -244,15 +226,6 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
-}
-
-// artifactPath resolves the -json flag for an experiment: "auto" selects the
-// conventional BENCH_<experiment>.json, empty disables the artifact.
-func artifactPath(flagValue, experiment string) string {
-	if flagValue == "auto" {
-		return "BENCH_" + experiment + ".json"
-	}
-	return flagValue
 }
 
 // writeArtifact writes a JSON artifact via the provided encoder; an empty

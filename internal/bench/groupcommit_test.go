@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/engines"
+	"repro/internal/xrand"
 )
 
 // BenchmarkGroupCommit measures the write-heavy Zipf counter workload on each
@@ -40,6 +41,33 @@ func BenchmarkGroupCommit(b *testing.B) {
 				})
 			}
 		})
+	}
+}
+
+// runFixedGoroutines splits b.N operations across exactly g goroutines with
+// per-worker RNG streams, mirroring RunMicro's worker structure.
+func runFixedGoroutines(b *testing.B, g int, op MicroOp) {
+	if g > b.N {
+		g = b.N
+	}
+	done := make(chan struct{}, g)
+	base := xrand.New(uint64(b.N) | 1)
+	share := b.N / g
+	extra := b.N % g
+	for w := 0; w < g; w++ {
+		n := share
+		if w < extra {
+			n++
+		}
+		go func(id, n int, r *xrand.Rand) {
+			for i := 0; i < n; i++ {
+				op(id, r)
+			}
+			done <- struct{}{}
+		}(w, n, base.Split(w))
+	}
+	for w := 0; w < g; w++ {
+		<-done
 	}
 }
 

@@ -38,22 +38,3 @@ func TestSerializabilityDSGWithGC(t *testing.T) {
 	// retained even when version bodies are trimmed).
 	dsg.CheckRandom(t, core.New(core.Options{Options: mvutil.Options{GCEveryNCommits: 64}}), dsg.RunOptions{Seed: 11})
 }
-
-// shardedFactory promotes every stamp at creation, so the whole battery runs
-// with shard-local semi-visible raises and committer max-over-shards scans
-// (DESIGN.md §12).
-func shardedFactory() stm.TM { return core.New(core.Options{EagerStampSharding: true}) }
-
-func TestConformanceShardedStamps(t *testing.T) {
-	stmtest.Run(t, shardedFactory, stmtest.Options{RONeverAborts: true})
-}
-
-func TestSerializabilityDSGShardedStamps(t *testing.T) {
-	dsg.CheckRandom(t, shardedFactory(), dsg.RunOptions{})
-}
-
-func TestSerializabilityDSGShardedStampsHighContention(t *testing.T) {
-	// High contention over few variables is where sharded raises and the
-	// committer's shard-max scans interleave hardest.
-	dsg.CheckRandom(t, shardedFactory(), dsg.RunOptions{Vars: 3, Goroutines: 8, TxPerG: 120, Seed: 43})
-}

@@ -32,7 +32,7 @@ import (
 )
 
 // Options tunes a TWM instance: the settings shared with the other
-// multi-version engine (mvutil.Options) plus TWM's own three switches. The
+// multi-version engine (mvutil.Options) plus TWM's own two switches. The
 // zero value is the paper's algorithm with sensible defaults.
 type Options struct {
 	mvutil.Options
@@ -50,12 +50,6 @@ type Options struct {
 	// anti-dependency detection then keys on twOrder instead of natOrder.
 	// See opacity.go. Mutually exclusive with GroupCommit and ClockShards > 1.
 	Opacity bool
-	// EagerStampSharding promotes every variable's semi-visible read stamp to
-	// the sharded register at creation instead of adaptively under CAS
-	// contention. It trades ~2 KiB per variable for shard-local raises from
-	// the first read; the conformance battery and race soaks use it to drive
-	// every read and every committer validation through the sharded path.
-	EagerStampSharding bool
 }
 
 // TM is a Time-Warp Multi-version transactional memory instance.
@@ -66,15 +60,12 @@ type TM struct {
 	// classically and never warp.
 	mvutil.Chassis
 	// The TWM-only switches; the shared options live in Chassis.Opts.
-	notw, opaque, eagerStamps bool
-	stats                     stm.Stats
+	notw, opaque bool
+	stats        stm.Stats
 
 	// txns pools transaction descriptors (with their read/write-set backing
 	// arrays and active-set slot) across attempts; see Recycle.
 	txns sync.Pool
-	// stampSeq deals out sticky home shards for sharded read stamps, one per
-	// descriptor lifetime — the same scheme as Stats stripes.
-	stampSeq atomic.Uint32
 	// stampChunks holds partially dealt stamp chunks, one per P (newStamp).
 	stampChunks sync.Pool
 
@@ -103,11 +94,11 @@ func New(opts Options) *TM {
 		// per-shard order has no single twOrder line to homogenize onto.
 		panic("core: Opacity and ClockShards > 1 are mutually exclusive")
 	}
-	tm := &TM{notw: opts.DisableTimeWarp, opaque: opts.Opacity, eagerStamps: opts.EagerStampSharding}
+	tm := &TM{notw: opts.DisableTimeWarp, opaque: opts.Opacity}
 	tm.Init(opts.Options, tm.sweep)
 	tm.sweptAt = make([]uint64, tm.ClockShards())
 	tm.txns.New = func() any {
-		tx := &txn{tm: tm, stampShard: int(tm.stampSeq.Add(1)) & (mvutil.StampShards - 1)}
+		tx := &txn{tm: tm}
 		tm.InitDesc(&tx.Desc, tx, tm.stats.Shard())
 		return tx
 	}
@@ -149,30 +140,9 @@ func (tm *TM) CommitOrders(txi stm.Tx) (nat, tw uint64) {
 // instrumentation).
 func (tm *TM) Start(txi stm.Tx) uint64 { return txi.(*txn).start }
 
-// PromoteStamp forces v's semi-visible read stamp onto the sharded
-// representation (tests and instrumentation; promotion otherwise happens
-// adaptively when raisers contend on the stamp word). Safe concurrently
-// with readers and committers — it performs exactly the publication step of
-// the adaptive path, minus the raise.
-func (tm *TM) PromoteStamp(v stm.Var) {
-	tv := v.(*twvar)
-	if tv.stamps.Load() != nil {
-		return
-	}
-	s := new(mvutil.ShardedStamp)
-	s.Seed(tv.stamp.Load())
-	tv.stamps.CompareAndSwap(nil, s)
-}
-
-// StampSharded reports whether v's read stamp has been promoted (tests).
-func (tm *TM) StampSharded(v stm.Var) bool { return v.(*twvar).stamps.Load() != nil }
-
 // ReadStamp reports v's semi-visible read stamp as a committer would observe
 // it (tests and instrumentation: a read that left it unchanged did not stamp).
-func (tm *TM) ReadStamp(v stm.Var) uint64 {
-	m, _ := v.(*twvar).readStamp()
-	return m
-}
+func (tm *TM) ReadStamp(v stm.Var) uint64 { return v.(*twvar).stamp.Load() }
 
 // version is one committed value of a variable. Versions form a singly linked
 // list from newest to oldest in descending twOrder; natOrder breaks no ties in
@@ -209,19 +179,10 @@ type twvar struct {
 	// transactions that may still stand on it are gone. Only sweep touches it.
 	rootFree bool
 
-	// stamp is the semi-visible read stamp (uncontended fast path): a slot in
+	// stamp is the semi-visible read stamp (Table 1's readStamp): a slot in
 	// one of the TM's stamp chunks, so raising it never invalidates the line
 	// another transaction's traversal of this variable loads.
 	stamp *atomic.Uint64
-	// stamps, once non-nil, extends stamp with a sharded CAS-max register
-	// (DESIGN.md §12). It is promoted lazily, the first time raisers actually
-	// collide on stamp: a ShardedStamp is ~2 KiB, far too heavy for the many
-	// cold variables an application allocates, while the single stamp word is
-	// a scalability cliff on the few read-hot ones. After promotion readers
-	// raise only their home shard and committers fold stamp into the shard
-	// maximum, so a raise that landed in the word before (or while) the
-	// promotion published is never lost.
-	stamps atomic.Pointer[mvutil.ShardedStamp]
 
 	hist *historyLog // non-nil only when history recording is enabled
 	id   uint64
@@ -258,9 +219,6 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	v := &twvar{stamp: tm.newStamp()}
 	v.root.value = initial
 	v.latest.Store(&v.root)
-	if tm.eagerStamps {
-		v.stamps.Store(new(mvutil.ShardedStamp))
-	}
 	if b := tm.Opts.Budget; b != nil {
 		// The initial version is charged too: GC may free it once newer
 		// versions exist, and releases must balance installs.
@@ -277,25 +235,11 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	return v
 }
 
-// promoteAfterRetries is the stamp-word CAS failure count at which a raise
-// promotes the variable's stamp to a sharded register. One failed CAS is
-// ordinary bad luck; a second failure within the same raise means at least
-// two other raisers hit this stamp concurrently — the read-hot case the
-// sharding exists for.
-const promoteAfterRetries = 2
-
 // semiVisibleRead advances v's read stamp to at least ts via a CAS maximum
 // (paper's SEMIVISIBLEREAD): readers are visible in aggregate, without
-// tracking individual reader identities. The stamp is adaptive: the single
-// stamp word serves uncontended variables with one CAS, and sustained
-// CAS contention promotes the variable to a sharded register in which this
-// descriptor raises only its sticky home shard (DESIGN.md §12). Failed CAS
-// attempts are counted into the stamp-contention stats either way.
+// tracking individual reader identities. Failed CAS attempts are counted into
+// the stamp-contention stats.
 func (tx *txn) semiVisibleRead(v *twvar, ts uint64) {
-	if s := v.stamps.Load(); s != nil {
-		tx.Stats.RecordStampRetries(s.Raise(tx.stampShard, ts))
-		return
-	}
 	var retries uint64
 	for {
 		last := v.stamp.Load()
@@ -303,53 +247,8 @@ func (tx *txn) semiVisibleRead(v *twvar, ts uint64) {
 			tx.Stats.RecordStampRetries(retries)
 			return
 		}
-		if retries++; retries >= promoteAfterRetries {
-			tx.promoteStamp(v, ts)
-			tx.Stats.RecordStampRetries(retries)
-			return
-		}
+		retries++
 	}
-}
-
-// promoteStamp publishes a sharded register for v carrying this raise. The
-// raise is installed in the candidate register *before* the pointer CAS so
-// that publication and raise are one atomic event: a committer that loads
-// the stamps pointer after the CAS sees the raise in the shard maximum, and
-// a committer that loaded it before falls under the missed-raise case of the
-// raise/observe argument (it still holds v's commit lock, so this reader's
-// subsequent waitUnlocked orders the version traversal after the committer's
-// publications — see DESIGN.md §12). If another reader wins the CAS the
-// raise is redone in the winner's register.
-func (tx *txn) promoteStamp(v *twvar, ts uint64) {
-	s := new(mvutil.ShardedStamp)
-	s.Seed(v.stamp.Load())
-	s.Raise(tx.stampShard, ts)
-	if !v.stamps.CompareAndSwap(nil, s) {
-		tx.Stats.RecordStampRetries(v.stamps.Load().Raise(tx.stampShard, ts))
-	}
-}
-
-// readStamp observes v's semi-visible read stamp from the committer side: the
-// stamp word folded with the shard maximum when a register has been promoted
-// (scanned). The stamp word stays valid forever after promotion (raisers
-// that lost the promotion race may have landed there), so both sources are
-// always combined.
-func (v *twvar) readStamp() (m uint64, scanned bool) {
-	m = v.stamp.Load()
-	s := v.stamps.Load()
-	if s != nil {
-		m = max(m, s.Max())
-	}
-	return m, s != nil
-}
-
-// stampMax is readStamp with the scan counted into the stamp-contention stats.
-func (tx *txn) stampMax(v *twvar) uint64 {
-	m, scanned := v.readStamp()
-	if scanned {
-		tx.Stats.RecordStampScan()
-	}
-	return m
 }
 
 // txn is a TWM transaction (Table 1's Tx struct). Descriptors are pooled
@@ -375,11 +274,6 @@ type txn struct {
 	minAntiDep uint64 // min natOrder over anti-dependent committers; 0 = none
 	natOrder   uint64 // N(tx), assigned at commit
 	twOrder    uint64 // TW(tx), assigned at commit
-
-	// stampShard is the sticky home shard this descriptor raises in promoted
-	// (sharded) read stamps; assigned once per descriptor so raises from one
-	// goroutine keep hitting the same cache line.
-	stampShard int
 }
 
 // ReadOnly implements stm.Tx.
@@ -626,7 +520,7 @@ func (tx *txn) PreDoomed() stm.AbortReason {
 	}
 	ents := tx.writeSet.Entries()
 	for i := range ents {
-		if tx.stampMax(ents[i].Key) > tx.snap(ents[i].Key) {
+		if ents[i].Key.stamp.Load() > tx.snap(ents[i].Key) {
 			return stm.ReasonTriad // source ∧ target
 		}
 	}
@@ -660,7 +554,7 @@ func (tx *txn) Validate(cross bool) stm.AbortReason {
 		// could miss its target role in a triad and warp into a cycle.
 		ents := tx.writeSet.Entries()
 		for i := range ents {
-			if tx.stampMax(ents[i].Key) > tx.snap(ents[i].Key) {
+			if ents[i].Key.stamp.Load() > tx.snap(ents[i].Key) {
 				tx.target = true
 				break
 			}

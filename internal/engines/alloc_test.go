@@ -217,49 +217,6 @@ func TestAllocsTWMNewVar(t *testing.T) {
 	}
 }
 
-// TestAllocsTWMShardedStampRead verifies the read path stays allocation-free
-// after a variable's read stamp has been promoted to the sharded register:
-// readers raise a home shard of the existing register, which must never
-// allocate (only the one-time promotion pays the register's footprint).
-func TestAllocsTWMShardedStampRead(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets do not hold under the race detector")
-	}
-	type promoter interface {
-		PromoteStamp(stm.Var)
-		StampSharded(stm.Var) bool
-	}
-	for _, name := range []string{"twm", "twm-notw", "twm-opaque"} {
-		t.Run(name, func(t *testing.T) {
-			tm := engines.MustNew(name)
-			core, ok := tm.(promoter)
-			if !ok {
-				t.Fatalf("%s does not expose stamp promotion", name)
-			}
-			vars := make([]stm.Var, 8)
-			for i := range vars {
-				vars[i] = tm.NewVar(i)
-				core.PromoteStamp(vars[i])
-				if !core.StampSharded(vars[i]) {
-					t.Fatalf("stamp not promoted")
-				}
-			}
-			roTx := func() {
-				_ = stm.Atomically(tm, true, func(tx stm.Tx) error {
-					for _, v := range vars {
-						_ = tx.Read(v)
-					}
-					return nil
-				})
-			}
-			roTx() // warm the descriptor pool
-			if got := testing.AllocsPerRun(200, roTx); got > 0 {
-				t.Errorf("read-only tx over promoted stamps: %.1f allocs/op, budget 0", got)
-			}
-		})
-	}
-}
-
 // TestAllocsEmptyUpdate verifies an update transaction that writes nothing
 // commits without touching the heap — the write buffer is lazily grown, so
 // a read-mostly workload declared as updates pays nothing for the privilege.

@@ -34,14 +34,10 @@ type StatShard struct {
 	aborts    atomic.Uint64
 	byReason  [numAbortReasons]atomic.Uint64
 
-	// Read-path contention counters (semi-visible reads, DESIGN.md §12):
-	// stampRetries counts failed CAS attempts while raising a read stamp (a
-	// retry means another reader raced the same stamp location — the
-	// cache-line ping-pong the sharded stamps exist to eliminate), and
-	// stampScans counts committer max-over-shards scans (the commit-side
-	// price paid for each promoted, sharded stamp encountered).
+	// Read-path contention counter (semi-visible reads, DESIGN.md §12):
+	// stampRetries counts failed CAS attempts while raising a read stamp — a
+	// retry means another reader raced the same stamp word.
 	stampRetries atomic.Uint64
-	stampScans   atomic.Uint64
 
 	// Group-commit counters (DESIGN.md §13): batches counts installed
 	// combiner batches, batchTxs the update commits they carried, batchSpills
@@ -77,7 +73,8 @@ type StatShard struct {
 	quietRO atomic.Uint64
 	reRoots atomic.Uint64
 
-	_ [128 - (16+batchHistBuckets+int(numAbortReasons))*8%128]byte
+	// 15 is the number of scalar counters above; TestStatShardPadded checks it.
+	_ [128 - (15+batchHistBuckets+int(numAbortReasons))*8%128]byte
 }
 
 // batchHistBuckets is the batch-size histogram width: bucket i covers sizes
@@ -120,9 +117,6 @@ func (s *StatShard) RecordStampRetries(n uint64) {
 		s.stampRetries.Add(n)
 	}
 }
-
-// RecordStampScan notes one committer max-over-shards stamp scan.
-func (s *StatShard) RecordStampScan() { s.stampScans.Add(1) }
 
 // RecordBatch notes one installed group-commit batch of the given size: the
 // batch counter, the carried-commit counter and the size histogram advance
@@ -223,10 +217,8 @@ type Snapshot struct {
 	Aborts    uint64
 	ByReason  map[string]uint64
 	// StampCASRetries counts failed CAS attempts while raising semi-visible
-	// read stamps; StampMaxScans counts committer max-over-shards stamp
-	// scans. Both are zero on engines without semi-visible reads.
+	// read stamps; zero on engines without semi-visible reads.
 	StampCASRetries uint64
-	StampMaxScans   uint64
 	// Group-commit counters; all zero on engines without a combiner stage.
 	// GroupBatches counts installed batches, GroupBatchTxs the update commits
 	// they carried, BatchSpills the members deferred to a later round on a
@@ -285,7 +277,6 @@ func (s *Stats) Snapshot() Snapshot {
 		snap.ROCommits += sh.roCommits.Load()
 		snap.Aborts += sh.aborts.Load()
 		snap.StampCASRetries += sh.stampRetries.Load()
-		snap.StampMaxScans += sh.stampScans.Load()
 		snap.GroupBatches += sh.batches.Load()
 		snap.GroupBatchTxs += sh.batchTxs.Load()
 		snap.BatchSpills += sh.batchSpills.Load()
@@ -320,7 +311,6 @@ func (s *Stats) Reset() {
 		sh.roCommits.Store(0)
 		sh.aborts.Store(0)
 		sh.stampRetries.Store(0)
-		sh.stampScans.Store(0)
 		sh.batches.Store(0)
 		sh.batchTxs.Store(0)
 		sh.batchSpills.Store(0)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // fakeTM is a minimal in-memory TM used to test the Atomically driver without
@@ -156,6 +157,18 @@ func TestAbortRateEmpty(t *testing.T) {
 	var s Stats
 	if got := s.Snapshot().AbortRate(); got != 0 {
 		t.Fatalf("abort rate = %v", got)
+	}
+}
+
+// TestStatShardPadded pins the hand-counted tail pad of StatShard: a stripe
+// must fill whole 128-byte units, or two stripes share a line.
+func TestStatShardPadded(t *testing.T) {
+	shard := unsafe.Sizeof(StatShard{})
+	if shard%128 != 0 {
+		t.Fatalf("sizeof(StatShard) = %d, not a multiple of 128: recount the scalar counters in its pad", shard)
+	}
+	if got := unsafe.Sizeof(Stats{}.shards); got != statShards*shard {
+		t.Fatalf("sizeof(Stats.shards) = %d, want %d", got, statShards*shard)
 	}
 }
 
