@@ -1,6 +1,6 @@
 // Command twm-lint statically enforces the repository's transactional
-// usage discipline (DESIGN.md §9 and §14) with six analyzers: txescape,
-// txpurity, rodiscipline, atomichygiene, txfuture and abortshape.
+// usage discipline (DESIGN.md §9 and §14) with five analyzers: txescape,
+// txpurity, rodiscipline, atomichygiene and abortshape.
 //
 // It runs two ways:
 //

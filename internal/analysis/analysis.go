@@ -10,7 +10,6 @@ import (
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/rodiscipline"
 	"repro/internal/analysis/txescape"
-	"repro/internal/analysis/txfuture"
 	"repro/internal/analysis/txpurity"
 )
 
@@ -21,7 +20,6 @@ func All() []*framework.Analyzer {
 		txpurity.Analyzer,
 		rodiscipline.Analyzer,
 		atomichygiene.Analyzer,
-		txfuture.Analyzer,
 		abortshape.Analyzer,
 	}
 }

@@ -42,30 +42,28 @@ func negatives(tm stm.TM, x *stm.TVar[int]) {
 
 func observe(tx stm.Tx, x *stm.TVar[int]) { _ = x.Get(tx) }
 
-// The async entry points carry the same readOnly discipline: their bodies
-// are transaction bodies, and the constant readOnly argument is theirs.
-func asyncPositives(tm stm.TM, x *stm.TVar[int]) {
-	f := stm.AtomicallyAsync(tm, true, func(tx stm.Tx) error {
+// The other entry points carry the same readOnly discipline: their bodies
+// are transaction bodies, and the constant readOnly argument is theirs (it
+// follows a context there, so it is found by type, not by position).
+func ctxPositives(tm stm.TM, x *stm.TVar[int]) {
+	_ = stm.AtomicallyCtx(nil, tm, true, func(tx stm.Tx) error {
 		x.Set(tx, 5) // want `TVar.Set .a Tx.Write. inside a transaction body started with readOnly=true`
 		bump(tx, x)  // want `call to bump, which reaches TVar.Set`
 		return nil
 	})
-	_ = f.Wait()
 }
 
-func asyncNegatives(tm stm.TM, x *stm.TVar[int]) {
-	f := stm.AtomicallyAsync(tm, true, func(tx stm.Tx) error {
+func gatedNegatives(tm stm.TM, x *stm.TVar[int]) {
+	_ = stm.AtomicallyGated(nil, tm, true, nil, func(tx stm.Tx) error {
 		_ = x.Get(tx)
 		observe(tx, x)
 		return nil
 	})
-	_ = f.Wait()
-	// Async update transactions may write freely.
-	g := stm.AtomicallyAsync(tm, false, func(tx stm.Tx) error {
+	// Gated update transactions may write freely.
+	_ = stm.AtomicallyGated(nil, tm, false, nil, func(tx stm.Tx) error {
 		x.Set(tx, 6)
 		return nil
 	})
-	_ = g.Wait()
 }
 
 // The framework-level //twm:allow directive suppresses rodiscipline

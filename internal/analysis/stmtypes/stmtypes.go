@@ -190,10 +190,9 @@ func IsStmFunc(fn *types.Func, name string) bool {
 
 // IsAtomicallyCall reports whether call starts a transaction: a call to any
 // package-level stm function named with the Atomically prefix (Atomically,
-// AtomicallyCtx, AtomicallyCM, AtomicallyGated, the async variants returning
-// a *stm.Future, and whatever the family grows next), or to a method named
-// Atomically that takes a transaction body — the engine-wrapper convention
-// (hytm's entry point, the dsg runner seam). The name alone is not enough:
+// AtomicallyCtx, AtomicallyGated), or to a method named Atomically that takes
+// a transaction body — the engine-wrapper convention (hytm's entry point, the
+// dsg runner seam). The name alone is not enough:
 // a user-defined Atomically* helper in another package, or a method that
 // merely shares the name without taking a func(stm.Tx) error, does not
 // start a transaction and must not trip the body-discipline analyzers.
@@ -217,47 +216,6 @@ func IsAtomicallyCall(info *types.Info, call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-// IsAsyncAtomicallyCall reports whether call starts an asynchronous
-// transaction returning a *stm.Future (the AtomicallyAsync family).
-func IsAsyncAtomicallyCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := FuncOf(info, call)
-	if fn == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil && PkgPathOf(fn) == StmPath &&
-		strings.HasPrefix(fn.Name(), "AtomicallyAsync")
-}
-
-// IsFuture reports whether t is *stm.Future (or stm.Future itself).
-func IsFuture(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	return isNamed(types.Unalias(t), StmPath, "Future")
-}
-
-// FutureMethodOf returns the name of the stm.Future method call invokes
-// ("Wait", "WaitCtx" or "Done"), or "".
-func FutureMethodOf(info *types.Info, call *ast.CallExpr) string {
-	fn := FuncOf(info, call)
-	if fn == nil {
-		return ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !IsFuture(sig.Recv().Type()) {
-		return ""
-	}
-	switch fn.Name() {
-	case "Wait", "WaitCtx", "Done":
-		return fn.Name()
-	}
-	return ""
 }
 
 // commitLoggerIface locates the stm.CommitLogger interface type as seen by

@@ -40,26 +40,25 @@ func negatives(tm stm.TM, x *stm.TVar[int]) {
 	})
 }
 
-// Async entry points are transaction-body roots like any other: the body of
-// an AtomicallyAsync call is under the same escape discipline.
-func asyncPositives(tm stm.TM, ch chan stm.Tx) {
+// The other entry points are transaction-body roots like Atomically: the
+// body of an AtomicallyCtx or AtomicallyGated call is under the same escape
+// discipline.
+func ctxPositives(tm stm.TM, ch chan stm.Tx) {
 	var leaked stm.Tx
-	f := stm.AtomicallyAsync(tm, false, func(tx stm.Tx) error {
+	_ = stm.AtomicallyCtx(nil, tm, false, func(tx stm.Tx) error {
 		ch <- tx    // want `Tx sent on a channel`
 		leaked = tx // want `outlives the transaction body`
 		return nil
 	})
-	_ = f.Wait()
 	_ = leaked
 }
 
-func asyncNegatives(tm stm.TM, x *stm.TVar[int]) {
-	f := stm.AtomicallyAsync(tm, false, func(tx stm.Tx) error {
+func gatedNegatives(tm stm.TM, x *stm.TVar[int]) {
+	_ = stm.AtomicallyGated(nil, tm, false, nil, func(tx stm.Tx) error {
 		helper(tx, x)
 		x.Set(tx, x.Get(tx)+1)
 		return nil
 	})
-	<-f.Done()
 }
 
 func helper(tx stm.Tx, x *stm.TVar[int]) { _ = x.Get(tx) }

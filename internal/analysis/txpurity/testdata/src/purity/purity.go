@@ -30,21 +30,20 @@ func positives(tm stm.TM, ch chan int, mu *sync.Mutex) {
 		logIt()                   // want `calls logIt, which calls fmt.Printf`
 		deep()                    // want `calls deep, which calls logIt, which calls fmt.Printf`
 		_ = stm.Atomically(tm, false, func(inner stm.Tx) error { return nil }) // want `starts a nested transaction`
-		_ = stm.AtomicallyAsync(tm, false, func(inner stm.Tx) error { return nil }) // want `starts a nested transaction`
+		_ = stm.AtomicallyGated(nil, tm, false, nil, func(inner stm.Tx) error { return nil }) // want `starts a nested transaction`
 		return nil
 	})
 }
 
-// Async bodies are transaction bodies: the purity discipline applies
-// unchanged, and starting any Atomically-family transaction inside one is
-// still a nesting violation.
-func asyncBody(tm stm.TM) {
-	f := stm.AtomicallyAsync(tm, false, func(tx stm.Tx) error {
+// Every Atomically-family entry point roots a transaction body: the purity
+// discipline applies unchanged, and starting any other member of the family
+// inside one is still a nesting violation.
+func gatedBody(tm stm.TM) {
+	_ = stm.AtomicallyGated(nil, tm, false, nil, func(tx stm.Tx) error {
 		fmt.Println("attempt") // want `calls fmt.Println`
 		_ = stm.AtomicallyCtx(nil, tm, false, func(inner stm.Tx) error { return nil }) // want `starts a nested transaction`
 		return nil
 	})
-	_ = f.Wait()
 }
 
 func selectsAndRanges(tm stm.TM, ch chan int) {

@@ -170,7 +170,7 @@ func runPressureCell(engine string, threads int, d time.Duration, pc PressureCon
 				defer wg.Done()
 				for i := 0; ctx.Err() == nil; i++ {
 					idx := (g*31 + i) % pc.Vars
-					err := stm.AtomicallyGated(ctx, tm, false, gate, nil, func(tx stm.Tx) error {
+					err := stm.AtomicallyGated(ctx, tm, false, gate, func(tx stm.Tx) error {
 						tx.Write(vars[idx], tx.Read(vars[idx]).(int)+1)
 						return nil
 					})

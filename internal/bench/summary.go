@@ -160,9 +160,8 @@ func (s *Summary) Table2(w io.Writer) {
 // aggregated over every cell in the summary. Abort *rates* (Table 2) say how
 // often engines restart; the histogram says *why* — whether an engine's
 // aborts come from read validation, commit write conflicts, lock timeouts, or
-// TWM's triad rule — which is the observability the contention-management
-// policies key off (a reason-aware policy is only as good as this split is
-// truthful). Each cell shows the count and its share of the engine's aborts.
+// TWM's triad rule. Each cell shows the count and its share of the engine's
+// aborts.
 func (s *Summary) ReasonHistogram(w io.Writer) {
 	// Union of reasons seen anywhere, sorted for stable columns.
 	reasonSet := map[string]bool{}

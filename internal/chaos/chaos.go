@@ -3,26 +3,18 @@
 // hytm.TM) that deterministically injects spurious aborts, barrier delays and
 // commit stalls into any inner engine.
 //
-// Its purpose is adversarial testing of the retry and contention-management
-// layer. Engines in this repository abort only when a real conflict (or lock
-// timeout) occurs, which makes pathological schedules — spurious aborts, long
-// commit sections, retry storms — hard to reach from workloads alone. The
-// wrapper manufactures those schedules on demand while the inner engine keeps
-// full responsibility for isolation, so any serializability violation found
-// under chaos is a real engine bug, and any livelock is a real policy bug.
+// Its purpose is adversarial testing of the retry loop. Engines in this
+// repository abort only when a real conflict (or lock timeout) occurs, which
+// makes pathological schedules — spurious aborts, long commit sections, retry
+// storms — hard to reach from workloads alone. The wrapper manufactures those
+// schedules on demand while the inner engine keeps full responsibility for
+// isolation, so any serializability violation found under chaos is a real
+// engine bug, and any livelock is a real retry-loop bug.
 //
 // All randomized decisions are drawn from xrand streams derived
 // deterministically from Options.Seed and a per-attempt counter: attempt i
 // draws from the stream Mix(seed, i) regardless of goroutine scheduling, so a
 // given (seed, attempt-index) pair always injects the same events.
-//
-// Chaos respects stm.EscalationActive: while a starvation-escalated attempt
-// holds its serialization token, no spurious aborts or forced commit failures
-// are injected anywhere (delays and stalls still are). The injected faults
-// model conflict-like events — validation false positives, HTM capacity
-// aborts, a peer winning a lock race — and a serialized solo transaction has
-// no peer to lose to; injecting one would fake an impossible failure and
-// would void the bounded-attempts guarantee the starvation tests prove.
 package chaos
 
 import (
@@ -184,9 +176,6 @@ func (t *TM) Commit(tx stm.Tx) bool {
 	if !fail && o.CommitFailProb > 0 && ct.rng.Bool(o.CommitFailProb) {
 		fail = true
 	}
-	if fail && stm.EscalationActive() {
-		fail = false // serialized attempts have no peers to conflict with
-	}
 	if fail {
 		t.inner.Abort(ct.inner)
 		ct.injected = stm.ReasonChaos
@@ -221,9 +210,6 @@ func (ct *chaosTx) barrier() {
 	abort := o.AbortEvery > 0 && ct.tm.barriers.Add(1)%uint64(o.AbortEvery) == 0
 	if !abort && o.AbortProb > 0 && ct.rng.Bool(o.AbortProb) {
 		abort = true
-	}
-	if abort && stm.EscalationActive() {
-		abort = false // serialized attempts have no peers to conflict with
 	}
 	if abort {
 		ct.tm.inj.Aborts.Add(1)

@@ -2,36 +2,14 @@ package chaos_test
 
 import (
 	"context"
-	"sync"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/engines"
 	"repro/internal/stm"
 )
-
-// reasonRecorder is a Policy (and its own manager) that records the abort
-// reasons the retry loop reports, so tests can assert injected faults are
-// classified as ReasonChaos.
-type reasonRecorder struct {
-	mu      sync.Mutex
-	reasons []stm.AbortReason
-}
-
-func (r *reasonRecorder) NewManager() stm.ContentionManager { return r }
-func (r *reasonRecorder) BeforeAttempt(int)                 {}
-func (r *reasonRecorder) AfterAttempt(int)                  {}
-func (r *reasonRecorder) Wait(_ context.Context, _ int, reason stm.AbortReason) {
-	r.mu.Lock()
-	r.reasons = append(r.reasons, reason)
-	r.mu.Unlock()
-}
-
-func (r *reasonRecorder) observed() []stm.AbortReason {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]stm.AbortReason(nil), r.reasons...)
-}
 
 func TestChaosInjectsSpuriousAborts(t *testing.T) {
 	tm := chaos.New(engines.MustNew("twm"), chaos.Options{Seed: 42, AbortEvery: 3})
@@ -101,26 +79,22 @@ func TestChaosCommitFailEvery(t *testing.T) {
 
 func TestChaosCommitFailureReportsReasonChaos(t *testing.T) {
 	// The retry loop must observe injected commit failures as ReasonChaos, not
-	// as the inner engine's (stale or absent) reason.
-	tm := chaos.New(engines.MustNew("twm"), chaos.Options{Seed: 7, CommitFailEvery: 2})
+	// as the inner engine's (stale or absent) reason. Every commit fails, so
+	// the call ends on its deadline and the error carries the last reason.
+	tm := chaos.New(engines.MustNew("twm"), chaos.Options{Seed: 7, CommitFailEvery: 1})
 	v := tm.NewVar(0)
-	rec := &reasonRecorder{}
-	for i := 0; i < 6; i++ {
-		if err := stm.AtomicallyCM(nil, tm, false, rec, func(tx stm.Tx) error {
-			tx.Write(v, tx.Read(v).(int)+1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	err := stm.AtomicallyCtx(ctx, tm, false, func(tx stm.Tx) error {
+		tx.Write(v, tx.Read(v).(int)+1)
+		return nil
+	})
+	var ce *stm.CancelledError
+	if !errors.As(err, &ce) || ce.Attempts == 0 {
+		t.Fatalf("err = %v, want *CancelledError after at least one attempt", err)
 	}
-	reasons := rec.observed()
-	if len(reasons) == 0 {
-		t.Fatalf("no aborts observed")
-	}
-	for _, r := range reasons {
-		if r != stm.ReasonChaos {
-			t.Fatalf("observed reason %v, want chaos", r)
-		}
+	if ce.Reason != stm.ReasonChaos {
+		t.Fatalf("observed reason %v, want chaos", ce.Reason)
 	}
 }
 

@@ -3,14 +3,11 @@ package chaos_test
 import (
 	"os"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/chaos"
 	"repro/internal/dsg"
 	"repro/internal/engines"
-	"repro/internal/stm"
 )
 
 // chaosSeed returns the seed a soak runs under: def normally, or the value of
@@ -59,97 +56,5 @@ func TestChaosSoakSerializable(t *testing.T) {
 				t.Errorf("soak injected no faults; the schedule was not adversarial")
 			}
 		})
-	}
-}
-
-// TestChaosStarvationBoundedProgress asserts the StarvationPolicy progress
-// guarantee end to end on a real engine under fault injection:
-// CommitFailEvery=2 fails every second update commit, so real conflicts plus
-// injected failures regularly push calls past the escalation threshold K.
-// An escalated attempt holds the serialization token exclusively — it cannot
-// lose a real conflict (it runs alone in the policy's domain) and chaos
-// suppresses conflict-like injection under stm.EscalationActive — so every
-// call must commit within K+1 attempts, the policy's hard bound.
-func TestChaosStarvationBoundedProgress(t *testing.T) {
-	const (
-		G     = 4
-		calls = 40
-		K     = 2
-		bound = K + 1
-	)
-	rounds := 3
-	if testing.Short() {
-		rounds = 1
-	}
-	for round := 0; round < rounds; round++ {
-		eng := engines.MustNew("twm")
-		tm := chaos.New(eng, chaos.Options{
-			Seed:            chaosSeed(t, uint64(round+1)),
-			CommitFailEvery: 2,
-			DelayProb:       0.5, // Gosched: interleave attempts on any core count
-		})
-		p := stm.NewStarvationPolicy(K, nil)
-		vars := make([]stm.Var, 4)
-		for i := range vars {
-			vars[i] = tm.NewVar(0)
-		}
-		var (
-			maxAttempts atomic.Int64
-			starved     atomic.Int64 // calls that aborted at least K times
-			wg          sync.WaitGroup
-		)
-		for g := 0; g < G; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < calls; i++ {
-					attempts := 0
-					err := stm.AtomicallyCM(nil, tm, false, p, func(tx stm.Tx) error {
-						attempts++
-						for _, v := range vars {
-							tx.Write(v, tx.Read(v).(int)+1)
-						}
-						return nil
-					})
-					if err != nil {
-						t.Errorf("call failed: %v", err)
-						return
-					}
-					if attempts > K {
-						starved.Add(1)
-					}
-					for {
-						cur := maxAttempts.Load()
-						if int64(attempts) <= cur || maxAttempts.CompareAndSwap(cur, int64(attempts)) {
-							break
-						}
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-		// Every call committed: the shared counters saw every increment.
-		var total int
-		_ = stm.Atomically(tm, true, func(tx stm.Tx) error {
-			total = 0
-			for _, v := range vars {
-				total += tx.Read(v).(int)
-			}
-			return nil
-		})
-		if total != G*calls*len(vars) {
-			t.Fatalf("round %d: counter total %d, want %d", round, total, G*calls*len(vars))
-		}
-		if got := maxAttempts.Load(); got > bound {
-			t.Fatalf("round %d: a call needed %d attempts (bound %d); escalation failed to bound progress", round, got, bound)
-		}
-		t.Logf("round %d: max attempts %d (bound %d), %d/%d calls starved past K, %d escalations, %d injected commit fails",
-			round, maxAttempts.Load(), bound, starved.Load(), G*calls, p.Escalations(), tm.Injected().CommitFails.Load())
-		if starved.Load() > 0 && p.Escalations() == 0 {
-			t.Fatalf("round %d: calls exceeded K attempts without escalating", round)
-		}
 	}
 }

@@ -13,10 +13,10 @@ import (
 	"repro/internal/stm/stmtest"
 )
 
-// TestAsyncGroupCommitEngines: async futures drive real commits through the
-// combiner on both group-commit engines, and concurrent async submitters sum
-// to the expected total.
-func TestAsyncGroupCommitEngines(t *testing.T) {
+// TestGroupCommitConcurrentSubmitters: concurrent callers drive real commits
+// through the combiner on both group-commit engines; every call resolves
+// exactly once and the increments sum to the expected total.
+func TestGroupCommitConcurrentSubmitters(t *testing.T) {
 	for _, name := range engines.GroupCommitSet() {
 		t.Run(name, func(t *testing.T) {
 			stmtest.CheckGoroutines(t)
@@ -32,11 +32,10 @@ func TestAsyncGroupCommitEngines(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < perProducer; i++ {
-						f := stm.AtomicallyAsync(tm, false, func(tx stm.Tx) error {
+						if err := stm.AtomicallyCtx(context.Background(), tm, false, func(tx stm.Tx) error {
 							x.Set(tx, x.Get(tx)+1)
 							return nil
-						})
-						if err := f.Wait(); err != nil {
+						}); err != nil {
 							t.Error(err)
 							return
 						}
@@ -63,12 +62,13 @@ func TestAsyncGroupCommitEngines(t *testing.T) {
 	}
 }
 
-// TestAsyncCancelWhileGroupCommitting: a transaction whose every attempt is
+// TestGroupCommitCancelWhileCommitting: a transaction whose every attempt is
 // published to the combiner and refused there (hard version-budget pressure
-// the engine cannot relieve) retries until its context is cancelled. The
-// future must resolve with *stm.CancelledError, the admission-gate slot must
-// come back, and no goroutine may outlive the test.
-func TestAsyncCancelWhileGroupCommitting(t *testing.T) {
+// the engine cannot relieve) retries until its context is cancelled. A
+// cancelled call never abandons a request it already published to a leader:
+// it returns *stm.CancelledError only between attempts, with the
+// admission-gate slot back, and no goroutine may outlive the test.
+func TestGroupCommitCancelWhileCommitting(t *testing.T) {
 	for _, name := range engines.GroupCommitSet() {
 		t.Run(name, func(t *testing.T) {
 			stmtest.CheckGoroutines(t)
@@ -87,10 +87,13 @@ func TestAsyncCancelWhileGroupCommitting(t *testing.T) {
 			gate := stm.NewAdmissionGate(1, 0)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			f := stm.AtomicallyAsyncGated(ctx, tm, false, gate, nil, func(tx stm.Tx) error {
-				x.Set(tx, x.Get(tx)+1)
-				return nil
-			})
+			done := make(chan error, 1)
+			go func() {
+				done <- stm.AtomicallyGated(ctx, tm, false, gate, func(tx stm.Tx) error {
+					x.Set(tx, x.Get(tx)+1)
+					return nil
+				})
+			}()
 
 			// Wait until the combiner has demonstrably refused a few rounds.
 			deadline := time.Now().Add(5 * time.Second)
@@ -102,20 +105,17 @@ func TestAsyncCancelWhileGroupCommitting(t *testing.T) {
 			}
 			cancel()
 
-			err = f.Wait()
+			err = <-done
 			var ce *stm.CancelledError
 			if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
-				t.Fatalf("future = %v, want *stm.CancelledError wrapping context.Canceled", err)
+				t.Fatalf("err = %v, want *stm.CancelledError wrapping context.Canceled", err)
 			}
-			if ce.Attempts == 0 {
-				t.Fatal("cancellation reported zero attempts despite observed refusals")
+			if ce.Attempts == 0 || ce.Reason != stm.ReasonMemoryPressure {
+				t.Fatalf("cancellation reported %d attempts, last reason %v; want the observed memory-pressure refusals", ce.Attempts, ce.Reason)
 			}
-			// The gate slot is returned with the future's resolution.
-			for deadline := time.Now().Add(time.Second); gate.InFlight() != 0; {
-				if time.Now().After(deadline) {
-					t.Fatalf("gate slot leaked: in-flight = %d", gate.InFlight())
-				}
-				time.Sleep(time.Millisecond)
+			// The gate slot came back before the call returned.
+			if gate.InFlight() != 0 {
+				t.Fatalf("gate slot leaked: in-flight = %d", gate.InFlight())
 			}
 			// The variable was never updated: every attempt was refused.
 			var got int

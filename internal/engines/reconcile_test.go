@@ -1,8 +1,8 @@
 package engines_test
 
 import (
-	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chaos"
@@ -10,48 +10,13 @@ import (
 	"repro/internal/stm"
 )
 
-// ledgerPolicy observes the retry loop from the contention-manager seat:
-// every attempt and every abort reason the loop reports. Reconciling its
-// ledger against the engine's own Stats counters proves the two observability
-// channels agree — every engine-recorded abort reaches the policy with the
-// same classification, and no attempt is hidden from either side.
-type ledgerPolicy struct {
-	mu       sync.Mutex
-	attempts uint64
-	waits    uint64
-	byReason map[stm.AbortReason]uint64
-}
-
-func newLedgerPolicy() *ledgerPolicy {
-	return &ledgerPolicy{byReason: make(map[stm.AbortReason]uint64)}
-}
-
-func (p *ledgerPolicy) NewManager() stm.ContentionManager { return &ledgerCM{p: p} }
-
-type ledgerCM struct{ p *ledgerPolicy }
-
-func (m *ledgerCM) BeforeAttempt(int) {
-	m.p.mu.Lock()
-	m.p.attempts++
-	m.p.mu.Unlock()
-}
-
-func (m *ledgerCM) AfterAttempt(int) {}
-
-func (m *ledgerCM) Wait(_ context.Context, _ int, reason stm.AbortReason) {
-	m.p.mu.Lock()
-	m.p.waits++
-	m.p.byReason[reason]++
-	m.p.mu.Unlock()
-}
-
-// TestStatsReconcileWithContentionManager cross-checks, for every engine,
-// the per-reason abort counters in Stats.Snapshot() against what the
-// ContentionManager observed while driving the same transactions. Delay-only
-// chaos (no injected aborts) interleaves attempts so real conflicts occur on
-// any core count; every abort must then be (a) recorded by the engine, (b)
-// reported to the policy, (c) under the same reason.
-func TestStatsReconcileWithContentionManager(t *testing.T) {
+// TestStatsReconcileWithRetryLoop cross-checks, for every engine, the
+// counters in Stats.Snapshot() against what the retry loop did, observed from
+// the only seat the loop leaves: the body. Delay-only chaos (no injected
+// aborts) interleaves attempts so real conflicts occur on any core count;
+// then every body execution is a start, every call a commit, every extra
+// execution an abort, and each abort is recorded under exactly one reason.
+func TestStatsReconcileWithRetryLoop(t *testing.T) {
 	goroutines, calls := 4, 120
 	if testing.Short() {
 		goroutines, calls = 4, 40
@@ -60,14 +25,14 @@ func TestStatsReconcileWithContentionManager(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			eng := engines.MustNew(name)
 			// Delay-only injection: widens overlap without adding chaos
-			// aborts, so engine stats and policy observations describe the
-			// same set of events.
+			// aborts, so engine stats and body executions describe the same
+			// set of events.
 			tm := chaos.New(eng, chaos.Options{Seed: 11, DelayProb: 0.5})
-			ledger := newLedgerPolicy()
 			vars := make([]stm.Var, 6)
 			for i := range vars {
 				vars[i] = tm.NewVar(0)
 			}
+			var executions atomic.Uint64
 			var wg sync.WaitGroup
 			for g := 0; g < goroutines; g++ {
 				wg.Add(1)
@@ -75,10 +40,11 @@ func TestStatsReconcileWithContentionManager(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < calls; i++ {
 						j := (g + i) % len(vars)
-						err := stm.AtomicallyCM(nil, tm, false, ledger, func(tx stm.Tx) error {
+						err := stm.Atomically(tm, false, func(tx stm.Tx) error {
+							executions.Add(1) //twm:impure counting executions is the observation under test
 							a := tx.Read(vars[j]).(int)
 							b := tx.Read(vars[(j+1)%len(vars)]).(int)
-							tx.Write(vars[j], a+1) //twm:allow abortshape overlapping two-var windows drive the contention manager under test
+							tx.Write(vars[j], a+1) //twm:allow abortshape overlapping two-var windows drive the retry loop under test
 							tx.Write(vars[(j+1)%len(vars)], b+1)
 							return nil
 						})
@@ -95,33 +61,24 @@ func TestStatsReconcileWithContentionManager(t *testing.T) {
 			}
 
 			snap := eng.Stats().Snapshot()
-			ledger.mu.Lock()
-			defer ledger.mu.Unlock()
-
-			if snap.Starts != ledger.attempts {
-				t.Errorf("engine saw %d starts, policy saw %d attempts", snap.Starts, ledger.attempts)
+			execs, total := executions.Load(), uint64(goroutines*calls)
+			if snap.Starts != execs {
+				t.Errorf("engine saw %d starts, the body ran %d times", snap.Starts, execs)
 			}
-			if snap.Aborts != ledger.waits {
-				t.Errorf("engine recorded %d aborts, policy observed %d", snap.Aborts, ledger.waits)
+			if snap.Commits != total {
+				t.Errorf("engine recorded %d commits for %d calls", snap.Commits, total)
 			}
-			if want := ledger.attempts - ledger.waits; snap.Commits != want {
-				t.Errorf("engine recorded %d commits, policy ledger implies %d", snap.Commits, want)
+			if snap.Aborts != execs-total {
+				t.Errorf("engine recorded %d aborts, the loop retried %d times", snap.Aborts, execs-total)
 			}
-			// Per-reason totals must match exactly: same abort, same label.
-			for r, n := range ledger.byReason {
-				if got := snap.ByReason[r.String()]; got != n {
-					t.Errorf("reason %v: engine recorded %d, policy observed %d (engine map %v, policy map %v)",
-						r, got, n, snap.ByReason, ledger.byReason)
-				}
+			var byReason uint64
+			for _, n := range snap.ByReason {
+				byReason += n
 			}
-			var ledgerTotal uint64
-			for _, n := range ledger.byReason {
-				ledgerTotal += n
+			if byReason != snap.Aborts {
+				t.Errorf("per-reason total %d != engine aborts %d (%v)", byReason, snap.Aborts, snap.ByReason)
 			}
-			if ledgerTotal != snap.Aborts {
-				t.Errorf("policy per-reason total %d != engine aborts %d", ledgerTotal, snap.Aborts)
-			}
-			t.Logf("%s: %d attempts, %d aborts, by reason %v", name, ledger.attempts, ledger.waits, snap.ByReason)
+			t.Logf("%s: %d executions, %d aborts, by reason %v", name, execs, snap.Aborts, snap.ByReason)
 		})
 	}
 }

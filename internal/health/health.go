@@ -1,12 +1,11 @@
 // Package health is a liveness watchdog for the STM engines. The engines'
-// own mechanisms (contention management, version GC, the admission gate, the
-// version budget) each defend one failure mode locally; the watchdog is the
+// own mechanisms (retry backoff, version GC, the admission gate, the version
+// budget) each defend one failure mode locally; the watchdog is the
 // cross-cutting observer that notices when a mechanism is losing — a snapshot
 // pinned so long that version GC cannot advance, an abort rate that starves
 // commits (livelock), a commit clock that stops moving, a version budget
 // stuck at hard pressure — and says so, through JSON-able snapshots and
-// raise/clear alert callbacks, optionally remediating (see
-// EscalationRemediation).
+// raise/clear alert callbacks.
 //
 // Detection samples only monotone counters and atomics the engines already
 // maintain (stm.Stats, mvutil.ActiveSet, mvutil.VersionBudget, the commit
@@ -480,23 +479,4 @@ func (w *Watchdog) Snapshot() Snapshot {
 		snap.Targets = append(snap.Targets, ts)
 	}
 	return snap
-}
-
-// EscalationRemediation returns an AlertFunc that auto-remediates livelock by
-// clamping the starvation policy's escalation threshold to 1 while the alert
-// is active (every contender serializes after its first abort, draining the
-// livelock) and restoring the configured threshold on the all-clear. Attach
-// it via Config.OnAlert alongside the policy the livelocked transactions run
-// under.
-func EscalationRemediation(p *stm.StarvationPolicy) AlertFunc {
-	return func(a Alert) {
-		if a.Cond != CondLivelock {
-			return
-		}
-		if a.Raised {
-			p.Clamp(1)
-		} else {
-			p.Clamp(0)
-		}
-	}
 }

@@ -291,24 +291,3 @@ func TestWatchdogStopWithoutStart(t *testing.T) {
 	w := New(Config{}, Target{Name: "t", Stats: new(stm.Stats)})
 	w.Stop() // must not hang
 }
-
-func TestEscalationRemediation(t *testing.T) {
-	p := stm.NewStarvationPolicy(8, nil)
-	var stats stm.Stats
-	w := New(Config{RaiseAfter: 1, ClearAfter: 1, MinAborts: 5,
-		OnAlert: []AlertFunc{EscalationRemediation(p)}},
-		Target{Name: "t", Stats: &stats})
-
-	for i := 0; i < 5; i++ {
-		stats.RecordAbort(stm.ReasonTriad)
-	}
-	w.Step()
-	if got := p.Clamped(); got != 1 {
-		t.Fatalf("Clamped = %d after livelock raise, want 1", got)
-	}
-	stats.RecordCommit(false)
-	w.Step()
-	if got := p.Clamped(); got != 0 {
-		t.Fatalf("Clamped = %d after all-clear, want 0", got)
-	}
-}

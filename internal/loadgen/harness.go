@@ -115,8 +115,8 @@ func runOne(ctx context.Context, engine string, cfg Config, opts ServerOptions) 
 		runErr = err
 	}
 
-	// Post-drain leak check: give the runtime a moment to retire HTTP and
-	// async-transaction goroutines, then record any excess over the pre-start
+	// Post-drain leak check: give the runtime a moment to retire HTTP
+	// goroutines, then record any excess over the pre-start
 	// baseline. A nonzero value in a committed artifact is a red flag.
 	deadline := time.Now().Add(2 * time.Second)
 	leaked := runtime.NumGoroutine() - baseline

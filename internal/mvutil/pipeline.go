@@ -111,7 +111,7 @@ func (d *Desc) Reset() {
 
 // LastAbortReason implements stm.AbortReasoner for the embedding descriptor:
 // the reason of the most recent commit-time abort, so the retry loop can
-// report it to the contention manager (read-path aborts carry their reason in
+// report it in a *stm.CancelledError (read-path aborts carry their reason in
 // the retry signal instead).
 func (d *Desc) LastAbortReason() stm.AbortReason { return d.lastReason }
 

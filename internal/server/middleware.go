@@ -29,9 +29,9 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 
 // recoveryMiddleware is the outermost layer: a panic anywhere in the handler
 // stack answers 500 and the process keeps serving. Transaction-body panics
-// normally never reach here — the async lifecycle contains them into
-// *stm.PanicError futures and writeError maps them — so anything recovered
-// here is a bug in handler code itself, logged with its stack.
+// normally never reach here — update recovers them into a *panicError and
+// writeError maps it — so anything recovered here is a bug in handler code
+// itself, logged with its stack.
 //
 // http.ErrAbortHandler is re-panicked: it is net/http's own control flow for
 // deliberately torn-down responses, not an error.
@@ -67,8 +67,8 @@ func (s *Server) loggingMiddleware(next http.Handler) http.Handler {
 }
 
 // timeoutMiddleware derives the per-request transaction deadline. The
-// deadline propagates into the retry loop (AtomicallyCtx / the gated async
-// path), so a transaction livelocked by contention gives up with a
+// deadline propagates into the retry loop (AtomicallyCtx / AtomicallyGated),
+// so a transaction livelocked by contention gives up with a
 // *stm.CancelledError that writeError turns into a 504 — requests never hang
 // past the bound.
 func (s *Server) timeoutMiddleware(next http.Handler) http.Handler {

@@ -2,17 +2,18 @@
 // HTTP reservation/ledger service in which every request is one transaction.
 // It is the piece that turns the library's production seams — admission
 // control (stm.AdmissionGate), request-scoped cancellation (context → retry
-// loop), the panic-safe async lifecycle (stm.PanicError futures), the health
-// watchdog — into an actual system serving traffic, and the end-to-end
+// loop), panic containment around the transaction body, the health watchdog —
+// into an actual system serving traffic, and the end-to-end
 // harness the latency experiments (cmd/twm-load, BENCH_server.json) measure.
 //
 // Request → transaction mapping:
 //
-//   - Update requests run through stm.AtomicallyAsyncGated with the request's
-//     context: saturation is refused at the gate (429 + Retry-After), client
-//     disconnect cancels the retry loop (499), a server-side deadline bounds
-//     pathological contention (504), and a panicking body resolves the future
-//     with a *stm.PanicError (500) instead of killing the process.
+//   - Update requests run stm.AtomicallyGated with the request's context, on
+//     the request's goroutine: saturation is refused at the gate (429 +
+//     Retry-After), client disconnect cancels the retry loop (499), a
+//     server-side deadline bounds pathological contention (504), and a
+//     panicking body is recovered into a *panicError (500) after the loop has
+//     aborted the attempt, recycled its descriptor and released the slot.
 //   - Read-only requests run stm.AtomicallyCtx directly: they bypass the gate
 //     (on the multi-version engines they never abort and hold no locks), so
 //     reads stay fast while updates queue at the door — the paper's
@@ -31,6 +32,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -363,13 +365,31 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
+// panicError is a contained transaction-body panic: the request that panicked
+// answers 500, the process serves on. Stack keeps the panicking frames for
+// the log line.
+type panicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *panicError) Error() string {
+	return fmt.Sprintf("server: transaction body panicked: %v", e.Value)
+}
+
 // update runs fn as a gated update transaction bound to the request context.
-// The async form is deliberate: a body panic resolves the future with a
-// *stm.PanicError (stack captured at the panic site) instead of unwinding
-// this goroutine, so the error path below is uniform — every failure mode is
-// a typed error.
-func (s *Server) update(ctx context.Context, fn func(stm.Tx) error) error {
-	return stm.AtomicallyAsyncGated(ctx, s.tm, false, s.gate, nil, fn).Wait()
+// A body panic becomes a *panicError, so every failure mode reaches writeError
+// as a typed error. By the time the recover below sees the panic the retry
+// loop's own unwinding has aborted the attempt, recycled the descriptor and
+// released the gate slot; debug.Stack in a deferred function still shows the
+// panicking frames.
+func (s *Server) update(ctx context.Context, fn func(stm.Tx) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &panicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return stm.AtomicallyGated(ctx, s.tm, false, s.gate, fn)
 }
 
 // read runs fn as a read-only transaction bound to the request context,
@@ -521,9 +541,9 @@ func (s *Server) handleMove(op func(stm.Tx, *account, int64) error) http.Handler
 	}
 }
 
-// handleTxPanic panics from inside a transaction body: the drill for the
-// panic-safe async lifecycle (future resolves with *stm.PanicError → 500
-// here, process lives).
+// handleTxPanic panics from inside a transaction body: the drill for panic
+// containment (update recovers it into a *panicError → 500 here, process
+// lives).
 func (s *Server) handleTxPanic(w http.ResponseWriter, r *http.Request) {
 	err := s.update(r.Context(), func(stm.Tx) error {
 		panic("debugz: transaction body panic drill") //twm:impure deliberate fault drill; the body never commits
@@ -598,27 +618,27 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 //
 //	*stm.OverloadError  → 429 + Retry-After (the gate shed the request)
 //	*stm.CancelledError → 499 (client went away) or 504 (server deadline)
-//	*stm.PanicError     → 500 (contained body panic; stack logged)
+//	*panicError         → 500 (contained body panic; stack logged)
 //	domain errors       → 404 / 409 / 400 (user-level aborts, not retried)
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	var (
 		oe *stm.OverloadError
 		ce *stm.CancelledError
-		pe *stm.PanicError
+		pe *panicError
 	)
 	switch {
 	case errors.As(err, &oe):
 		s.metrics.Sheds.Add(1)
-		// The client should come back after roughly one gate wait (minimum
-		// 1s: Retry-After has whole-second resolution).
-		retry := int64(1)
-		if s.cfg.GateWait > time.Second {
-			retry = int64(s.cfg.GateWait / time.Second)
-		}
+		// The client should come back after one gate wait, rounded up (and at
+		// least 1s: Retry-After has whole-second resolution) — sooner, no
+		// slot can have drained.
+		retry := max(1, int64((s.cfg.GateWait+time.Second-1)/time.Second))
 		w.Header().Set("Retry-After", fmt.Sprint(retry))
 		writeErrJSON(w, http.StatusTooManyRequests, "overloaded", err)
 	case errors.As(err, &ce):
 		s.metrics.Cancels.Add(1)
+		s.log.Info("transaction cancelled",
+			"method", r.Method, "path", r.URL.Path, "attempts", ce.Attempts, "reason", ce.Reason.String(), "err", ce.Err)
 		if errors.Is(err, context.DeadlineExceeded) {
 			writeErrJSON(w, http.StatusGatewayTimeout, "deadline", err)
 			return

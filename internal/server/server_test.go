@@ -176,6 +176,22 @@ func TestOverload429(t *testing.T) {
 	if rr := get(h, "/v1/accounts/0"); rr.Code != http.StatusOK {
 		t.Fatalf("read under saturation: %d", rr.Code)
 	}
+
+	// Retry-After rounds the gate wait up: a client told to come back 1s
+	// into a 1.5s wait returns before a slot can have drained. (The request
+	// sits out the 1.5s it is configured to queue for.)
+	slow := newTestServer(t, server.Config{Engine: "twm", GateLimit: 1, GateWait: 1500 * time.Millisecond, Accounts: 2, InitialBalance: 100, RequestTimeout: -1})
+	if err := slow.Gate().Acquire(nil); err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Gate().Release()
+	rr = post(slow.Handler(), "/v1/transfer", `{"from":"0","to":"1","amount":1}`)
+	if rr.Code != http.StatusTooManyRequests {
+		t.Fatalf("saturated transfer after the wait: %d %s", rr.Code, rr.Body)
+	}
+	if got := rr.Header().Get("Retry-After"); got != "2" {
+		t.Fatalf("Retry-After = %q for a 1.5s gate wait, want \"2\"", got)
+	}
 }
 
 // TestCancelMidRetry pins the 499 path: an engine under forced commit
@@ -214,10 +230,32 @@ func TestDeadline504(t *testing.T) {
 	}
 }
 
-// TestPanicContained pins the server consequence of the panic-safe
-// lifecycle: a panic inside a transaction body answers 500 with the future
-// resolved (no hang), the process keeps serving, and — the descriptor-leak
-// fix — the engine's pool survives repeated panics.
+// TestCancelLogsAttemptsAndReason: a 504 says in the log how many attempts the
+// transaction burned and why the last one aborted, while the response body
+// stays the CancelledError's own text.
+func TestCancelLogsAttemptsAndReason(t *testing.T) {
+	var logged bytes.Buffer
+	tm := chaos.New(engines.MustNew("twm"), chaos.Options{Seed: 1, CommitFailProb: 1})
+	s := newTestServer(t, server.Config{TM: tm, Accounts: 2, InitialBalance: 100, RequestTimeout: 50 * time.Millisecond,
+		Logger: slog.New(slog.NewTextHandler(&logged, nil))})
+	rr := post(s.Handler(), "/v1/transfer", `{"from":"0","to":"1","amount":1}`)
+	if rr.Code != http.StatusGatewayTimeout {
+		t.Fatalf("deadline transfer: %d %s, want 504", rr.Code, rr.Body)
+	}
+	if strings.Contains(rr.Body.String(), "chaos") {
+		t.Errorf("abort reason leaked into the response body: %s", rr.Body)
+	}
+	for _, want := range []string{"transaction cancelled", "attempts=", "reason=chaos"} {
+		if !strings.Contains(logged.String(), want) {
+			t.Errorf("log lacks %q:\n%s", want, logged.String())
+		}
+	}
+}
+
+// TestPanicContained pins the server consequence of panic containment: a
+// panic inside a transaction body answers 500 (no hang), the process keeps
+// serving, and — the descriptor-leak fix — the engine's pool survives
+// repeated panics.
 func TestPanicContained(t *testing.T) {
 	s := newTestServer(t, server.Config{Engine: "twm", Accounts: 2, InitialBalance: 100, Debug: true})
 	h := s.Handler()
@@ -238,6 +276,27 @@ func TestPanicContained(t *testing.T) {
 	// The server still serves and commits after nine contained panics.
 	if rr := post(h, "/v1/transfer", `{"from":"0","to":"1","amount":1}`); rr.Code != http.StatusOK {
 		t.Fatalf("transfer after panics: %d %s", rr.Code, rr.Body)
+	}
+}
+
+// TestPanicContainedLogsStack: the contained panic's log line carries the
+// panic value and a stack that still shows the panicking body (the recover
+// runs in a deferred call, before the frames are gone), and the gate slot the
+// request held is back by the time the 500 is written.
+func TestPanicContainedLogsStack(t *testing.T) {
+	var logged bytes.Buffer
+	s := newTestServer(t, server.Config{Engine: "twm", Debug: true,
+		Logger: slog.New(slog.NewTextHandler(&logged, nil))})
+	if rr := post(s.Handler(), "/debugz/txpanic", `{}`); rr.Code != http.StatusInternalServerError {
+		t.Fatalf("txpanic: %d %s", rr.Code, rr.Body)
+	}
+	for _, want := range []string{"transaction body panic contained", "debugz: transaction body panic drill", "handleTxPanic"} {
+		if !strings.Contains(logged.String(), want) {
+			t.Errorf("log lacks %q:\n%s", want, logged.String())
+		}
+	}
+	if n := s.Gate().InFlight(); n != 0 {
+		t.Fatalf("gate in-flight = %d after a contained panic, want 0", n)
 	}
 }
 
@@ -279,8 +338,8 @@ func TestHealthz(t *testing.T) {
 
 // TestGracefulShutdownDrains runs the real lifecycle over a TCP listener:
 // concurrent traffic, shutdown mid-stream, every in-flight request answered,
-// no goroutine left behind (the leak check covers the HTTP server, the async
-// transaction goroutines and the watchdog).
+// no goroutine left behind (the leak check covers the HTTP server and the
+// watchdog).
 func TestGracefulShutdownDrains(t *testing.T) {
 	s := newTestServer(t, server.Config{Engine: "twm", Accounts: 8, InitialBalance: 1000})
 

@@ -50,8 +50,8 @@ func chaosSeed(t *testing.T, def uint64) uint64 {
 //     from 2xx responses — a 200 is a commit promise, chaos or no chaos;
 //   - liveness: the soak commits a nonzero number of updates through the
 //     noise (the contention machinery digests injected failures);
-//   - no leaks: every async transaction goroutine, HTTP goroutine and the
-//     watchdog wind down with the test.
+//   - no leaks: every HTTP goroutine and the watchdog wind down with the
+//     test.
 func TestServerChaosSoak(t *testing.T) {
 	stmtest.CheckGoroutines(t)
 	seed := chaosSeed(t, 0xC0FFEE)

@@ -129,9 +129,9 @@ type TxRecycler interface {
 // the engine last aborted them. Read-path aborts carry their reason in the
 // retry signal, but a Commit that returns false has no other channel: the
 // engine records the reason on the descriptor before returning, and the retry
-// loop reads it back (before recycling) to tell the ContentionManager why the
-// attempt failed. Engines that do not implement it are assumed to fail commits
-// only on write/write conflicts.
+// loop reads it back (before recycling) so a *CancelledError can say why the
+// last attempt failed. Engines that do not implement it are assumed to fail
+// commits only on write/write conflicts.
 type AbortReasoner interface {
 	LastAbortReason() AbortReason
 }
@@ -143,17 +143,17 @@ type AbortReasoner interface {
 // transaction without retrying and returns that error (user-level abort).
 // Panics other than retry signals propagate after the engine cleans up.
 //
-// Retries use the built-in randomized exponential backoff (the schedule of
-// the Backoff type). AtomicallyCM plugs in a different contention-management
-// policy; AtomicallyCtx bounds the retry loop with a context.
+// Retries use randomized exponential backoff (the schedule of the Backoff
+// type). AtomicallyCtx bounds the retry loop with a context; AtomicallyGated
+// also admits the call through an AdmissionGate.
 func Atomically(tm TM, readOnly bool, fn func(Tx) error) error {
-	return run(nil, tm, readOnly, nil, nil, fn)
+	return run(nil, tm, readOnly, nil, fn)
 }
 
-// run is the shared retry loop behind Atomically, AtomicallyCtx, AtomicallyCM
-// and AtomicallyGated. ctx, gate and cm may all be nil; with a nil cm the loop
-// uses the built-in Backoff schedule inline (no interface calls, no
-// allocation — the hot path of every benchmark).
+// run is the one retry loop, behind Atomically, AtomicallyCtx and
+// AtomicallyGated. ctx and gate may both be nil; the Backoff schedule runs
+// inline (no interface calls, no allocation — the hot path of every
+// benchmark).
 //
 // A non-nil gate admits the call before the first attempt and holds the slot
 // until the call finishes (commit, user error, or cancellation) — retries and
@@ -161,7 +161,7 @@ func Atomically(tm TM, readOnly bool, fn func(Tx) error) error {
 // door instead of multiplying in-flight contenders. Read-only transactions
 // bypass the gate: they hold no locks and (on the multi-versioned engines)
 // never abort, so they are not what an abort storm is made of.
-func run(ctx context.Context, tm TM, readOnly bool, gate *AdmissionGate, cm ContentionManager, fn func(Tx) error) error {
+func run(ctx context.Context, tm TM, readOnly bool, gate *AdmissionGate, fn func(Tx) error) error {
 	if gate != nil && !readOnly {
 		if err := gate.Acquire(ctx); err != nil {
 			if _, ok := err.(*OverloadError); ok {
@@ -175,31 +175,23 @@ func run(ctx context.Context, tm TM, readOnly bool, gate *AdmissionGate, cm Cont
 	}
 	rec, _ := tm.(TxRecycler)
 	var bo Backoff
+	last := ReasonNone // why the previous attempt aborted
 	for attempt := 1; ; attempt++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return &CancelledError{Attempts: attempt - 1, Err: err}
+				return &CancelledError{Attempts: attempt - 1, Reason: last, Err: err}
 			}
-		}
-		if cm != nil {
-			cm.BeforeAttempt(attempt)
 		}
 		tx := tm.Begin(readOnly)
 		err, reason, retry := runOnce(tm, rec, tx, fn)
 		if rec != nil {
 			rec.Recycle(tx)
 		}
-		if cm != nil {
-			cm.AfterAttempt(attempt)
-		}
 		if !retry {
 			return err
 		}
-		if cm != nil {
-			cm.Wait(ctx, attempt, reason)
-		} else {
-			bo.WaitCtx(ctx)
-		}
+		last = reason
+		bo.WaitCtx(ctx)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// CancelledError is returned by AtomicallyCtx and AtomicallyCM when the
+// CancelledError is returned by AtomicallyCtx and AtomicallyGated when the
 // context is cancelled or its deadline expires before the transaction
 // commits. It is distinct from both user errors (returned verbatim from the
 // body) and engine aborts (which retry silently): the transaction made no
@@ -17,6 +17,10 @@ type CancelledError struct {
 	// Attempts counts fully-finished (aborted) attempts before cancellation
 	// was observed.
 	Attempts int
+	// Reason is why the last of those attempts aborted; ReasonNone when the
+	// call was cancelled before any attempt ran or while queued at the gate.
+	// Error() does not print it.
+	Reason AbortReason
 	// Err is the context's error: context.Canceled or context.DeadlineExceeded.
 	Err error
 }
@@ -40,41 +44,16 @@ func (e *CancelledError) Unwrap() error { return e.Err }
 // Use it for request-scoped work where livelock under pathological
 // contention must be bounded by a deadline rather than by backoff alone.
 func AtomicallyCtx(ctx context.Context, tm TM, readOnly bool, fn func(Tx) error) error {
-	return run(ctx, tm, readOnly, nil, nil, fn)
+	return run(ctx, tm, readOnly, nil, fn)
 }
 
-// AtomicallyCM is Atomically with an explicit contention-management policy
-// and optional cancellation (a nil ctx never cancels). The policy is
-// consulted around every attempt and between retries with the attempt count
-// and the abort reason; see ContentionManager for the exact protocol and the
-// shipped policies (BackoffPolicy, ReasonAwarePolicy, StarvationPolicy).
-//
-// One manager is manufactured per call (a small allocation); the undecorated
-// Atomically remains the allocation-free fast path for code that does not
-// need a custom policy.
-func AtomicallyCM(ctx context.Context, tm TM, readOnly bool, p Policy, fn func(Tx) error) error {
-	var cm ContentionManager
-	var gate *AdmissionGate
-	if p != nil {
-		cm = p.NewManager()
-		if a, ok := p.(Admitter); ok {
-			gate = a.AdmissionGate()
-		}
-	}
-	return run(ctx, tm, readOnly, gate, cm, fn)
-}
-
-// AtomicallyGated is AtomicallyCM with an explicit admission gate: the call is
+// AtomicallyGated is AtomicallyCtx behind an admission gate: the call is
 // admitted through g before its first attempt and occupies one gate slot until
 // it finishes. When g is saturated the call waits boundedly and gives up with
 // a *OverloadError (or a *CancelledError when ctx is cancelled first), so
 // saturation becomes backpressure at the door instead of an abort storm
-// inside the engine. Read-only calls bypass the gate. A nil g, p and ctx
-// reduce to plain Atomically.
-func AtomicallyGated(ctx context.Context, tm TM, readOnly bool, g *AdmissionGate, p Policy, fn func(Tx) error) error {
-	var cm ContentionManager
-	if p != nil {
-		cm = p.NewManager()
-	}
-	return run(ctx, tm, readOnly, g, cm, fn)
+// inside the engine. Read-only calls bypass the gate. A nil g and ctx reduce
+// to plain Atomically.
+func AtomicallyGated(ctx context.Context, tm TM, readOnly bool, g *AdmissionGate, fn func(Tx) error) error {
+	return run(ctx, tm, readOnly, g, fn)
 }

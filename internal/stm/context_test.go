@@ -52,6 +52,51 @@ func TestAtomicallyCtxStopsRetrying(t *testing.T) {
 	if time.Since(start) > 5*time.Second {
 		t.Fatalf("cancellation took too long")
 	}
+	// fakeTM has no AbortReasoner, so its failed commits read as write
+	// conflicts; the error carries the last one.
+	var ce *CancelledError
+	if !errors.As(err, &ce) || ce.Attempts < 1 || ce.Reason != ReasonWriteConflict {
+		t.Fatalf("err = %+v, want *CancelledError{Attempts>=1, Reason: write-conflict}", err)
+	}
+}
+
+func TestAtomicallyCtxCancelledMidWait(t *testing.T) {
+	// Every commit fails, so the call is aborting or backing off when the
+	// cancellation lands: it must surface a *CancelledError promptly.
+	tm := &fakeTM{failCommits: 1 << 30}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	err := AtomicallyCtx(ctx, tm, false, func(Tx) error { return nil })
+	elapsed := time.Since(start)
+	var ce *CancelledError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err=%v, want *CancelledError", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("CancelledError must unwrap to context.Canceled, got %v", err)
+	}
+	if ce.Attempts < 1 {
+		t.Fatalf("attempts=%d, want at least the attempt that was waited on", ce.Attempts)
+	}
+	if elapsed > 5*time.Second {
+		t.Fatalf("cancellation mid-wait took %v; must return promptly", elapsed)
+	}
+}
+
+func TestCancelledErrorMessage(t *testing.T) {
+	e := &CancelledError{Attempts: 3, Reason: ReasonTriad, Err: context.DeadlineExceeded}
+	if !errors.Is(e, context.DeadlineExceeded) {
+		t.Fatalf("CancelledError broken: %v", e)
+	}
+	// The text is wire protocol (the server's 499/504 bodies): the reason
+	// must not leak into it.
+	if got, want := e.Error(), "stm: transaction cancelled after 3 attempts: context deadline exceeded"; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
 }
 
 func TestAtomicallyCtxUserError(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// OverloadError is returned by a gated Atomically variant when the admission
+// OverloadError is returned by AtomicallyGated when the admission
 // gate stayed saturated for the whole bounded wait. No attempt ran and no
 // durable change was made; the caller should shed the request (or retry it
 // with its own higher-level policy). It is the load-shedding counterpart of
@@ -38,7 +38,7 @@ func (e *OverloadError) Error() string {
 // the gate exists to prevent. Read-only transactions bypass gates entirely.
 //
 // The zero value is not usable; construct with NewAdmissionGate. A gate may
-// be shared by any number of goroutines and Atomically variants.
+// be shared by any number of goroutines.
 type AdmissionGate struct {
 	slots   chan struct{}
 	maxWait time.Duration
@@ -148,31 +148,3 @@ func (g *AdmissionGate) Overloads() uint64 { return g.overloads.Load() }
 
 // Cancels reports total queued calls that left on context cancellation.
 func (g *AdmissionGate) Cancels() uint64 { return g.cancels.Load() }
-
-// Admitter is implemented by policies that carry an admission gate; the
-// AtomicallyCM path consults it so a gate can be attached without a new entry
-// point (see GatedPolicy).
-type Admitter interface {
-	AdmissionGate() *AdmissionGate
-}
-
-// GatedPolicy combines an admission gate with a contention-management policy
-// for the AtomicallyCM path: admission caps how many calls are in flight,
-// the inner policy decides how each admitted call retries. A nil Inner uses
-// the default backoff schedule.
-type GatedPolicy struct {
-	Gate  *AdmissionGate
-	Inner Policy
-}
-
-// NewManager implements Policy.
-func (p GatedPolicy) NewManager() ContentionManager {
-	inner := p.Inner
-	if inner == nil {
-		inner = BackoffPolicy{}
-	}
-	return inner.NewManager()
-}
-
-// AdmissionGate implements Admitter.
-func (p GatedPolicy) AdmissionGate() *AdmissionGate { return p.Gate }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -131,7 +130,7 @@ func TestGatedAtomicallyCtxCancelUnblocks(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		err := stm.AtomicallyGated(nil, tm, false, g, nil, func(tx stm.Tx) error {
+		err := stm.AtomicallyGated(nil, tm, false, g, func(tx stm.Tx) error {
 			close(occupied) //twm:impure test coordination; body runs exactly once
 			<-release       //twm:impure hold the slot with a transaction in flight
 			v.Set(tx, 1)
@@ -146,7 +145,7 @@ func TestGatedAtomicallyCtxCancelUnblocks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- stm.AtomicallyGated(ctx, tm, false, g, nil, func(tx stm.Tx) error {
+		done <- stm.AtomicallyGated(ctx, tm, false, g, func(tx stm.Tx) error {
 			v.Set(tx, 2)
 			return nil
 		})
@@ -179,7 +178,7 @@ func TestGatedAtomicallyOverloadRecorded(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = stm.AtomicallyGated(nil, tm, false, g, nil, func(tx stm.Tx) error {
+		_ = stm.AtomicallyGated(nil, tm, false, g, func(tx stm.Tx) error {
 			close(occupied) //twm:impure test coordination; body runs exactly once
 			<-release       //twm:impure hold the slot with a transaction in flight
 			v.Set(tx, 1)
@@ -188,7 +187,7 @@ func TestGatedAtomicallyOverloadRecorded(t *testing.T) {
 	}()
 	<-occupied
 
-	err := stm.AtomicallyGated(nil, tm, false, g, nil, func(tx stm.Tx) error {
+	err := stm.AtomicallyGated(nil, tm, false, g, func(tx stm.Tx) error {
 		v.Set(tx, 2)
 		return nil
 	})
@@ -217,7 +216,7 @@ func TestGateReadOnlyBypass(t *testing.T) {
 	defer g.Release()
 	// A read-only transaction must pass a saturated gate untouched.
 	var got int
-	if err := stm.AtomicallyGated(nil, tm, true, g, nil, func(tx stm.Tx) error {
+	if err := stm.AtomicallyGated(nil, tm, true, g, func(tx stm.Tx) error {
 		got = v.Get(tx)
 		return nil
 	}); err != nil {
@@ -225,51 +224,5 @@ func TestGateReadOnlyBypass(t *testing.T) {
 	}
 	if got != 7 {
 		t.Fatalf("got %d, want 7", got)
-	}
-}
-
-func TestGatedPolicyThroughAtomicallyCM(t *testing.T) {
-	tm := core.New(core.Options{})
-	v := stm.NewTVar(tm, 0)
-	g := stm.NewAdmissionGate(4, time.Second)
-	p := stm.GatedPolicy{Gate: g, Inner: stm.ReasonAwarePolicy{}}
-
-	const workers, perWorker = 8, 50
-	var wg sync.WaitGroup
-	var fail atomic.Bool
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				if err := stm.AtomicallyCM(nil, tm, false, p, func(tx stm.Tx) error {
-					v.Set(tx, v.Get(tx)+1)
-					return nil
-				}); err != nil {
-					fail.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if fail.Load() {
-		t.Fatal("gated CM transaction failed")
-	}
-	var got int
-	if err := stm.Atomically(tm, true, func(tx stm.Tx) error {
-		got = v.Get(tx)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got != workers*perWorker {
-		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
-	}
-	if g.Admitted() == 0 {
-		t.Fatal("gate never admitted anything — AtomicallyCM did not consult the Admitter")
-	}
-	if g.InFlight() != 0 {
-		t.Fatalf("slots leaked: InFlight = %d", g.InFlight())
 	}
 }
