@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/engines"
-	"repro/internal/hytm"
 	"repro/internal/stamp"
 	"repro/internal/stm"
 	"repro/internal/xrand"
@@ -168,68 +167,12 @@ func BenchmarkAblationTimeWarp(b *testing.B) {
 	}
 }
 
-// BenchmarkHybridFallback is the §6 future-work experiment: a simulated
-// best-effort HTM with each STM engine as its fallback path, swept across
-// hardware reliability levels. The question the paper poses — does a
-// fallback STM with fewer spurious aborts help a hybrid TM? — shows up as
-// the spread between engines growing as the fallback rate rises.
-func BenchmarkHybridFallback(b *testing.B) {
-	for _, abortProb := range []float64{0.0, 0.3, 0.9} {
-		b.Run(fmt.Sprintf("hwAbortP=%.1f", abortProb), func(b *testing.B) {
-			for _, engine := range []string{"twm", "tl2", "norec", "jvstm"} {
-				b.Run(engine, func(b *testing.B) {
-					tm := hytm.New(engines.MustNew(engine), hytm.Options{AbortProb: abortProb})
-					const nv = 32
-					vars := make([]stm.Var, nv)
-					for i := range vars {
-						vars[i] = tm.NewVar(0)
-					}
-					b.SetParallelism(benchThreads)
-					b.ResetTimer()
-					b.RunParallel(func(pb *testing.PB) {
-						r := xrand.New(uint64(b.N) | 1)
-						for pb.Next() {
-							i, j := r.Intn(nv), r.Intn(nv)
-							_ = tm.Atomically(false, func(tx stm.Tx) error {
-								tx.Write(vars[i], tx.Read(vars[i]).(int)+1)
-								tx.Write(vars[j], tx.Read(vars[j]).(int)-1)
-								return nil
-							})
-						}
-					})
-					b.StopTimer()
-					s := tm.HybridStats()
-					total := float64(s.HWCommits.Load() + s.Fallbacks.Load())
-					if total > 0 {
-						b.ReportMetric(float64(s.Fallbacks.Load())/total*100, "fallback-%")
-					}
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationTreeStructure compares the treap this repository's
-// vacation uses against STAMP's red-black tree on the same mixed workload,
-// quantifying the DESIGN.md substitution (same O(log n) conflict footprint).
-func BenchmarkAblationTreeStructure(b *testing.B) {
-	for _, impl := range []string{"treap", "rbtree"} {
-		cfg := bench.DefaultTree(impl)
-		cfg.Elements, cfg.KeyRange = 500, 1000
-		for _, engine := range []string{"twm", "tl2"} {
-			b.Run(impl+"/"+engine, func(b *testing.B) {
-				runMicroBench(b, engine, bench.TreeMicro(cfg))
-			})
-		}
-	}
-}
-
-// BenchmarkZipfContention sweeps access skew on the skip list: rising skew
-// concentrates conflicts on hot keys, widening the gap between time-warping
-// and classic validation.
+// BenchmarkZipfContention sweeps access skew on the red-black tree: rising
+// skew concentrates conflicts on hot keys, widening the gap between
+// time-warping and classic validation.
 func BenchmarkZipfContention(b *testing.B) {
 	for _, s := range []float64{0, 0.99} {
-		cfg := bench.DefaultTree("treap")
+		cfg := bench.DefaultTree()
 		cfg.Elements, cfg.KeyRange, cfg.ZipfS = 500, 1000, s
 		for _, engine := range []string{"twm", "tl2", "norec"} {
 			b.Run(fmt.Sprintf("s=%.2f/%s", s, engine), func(b *testing.B) {

@@ -12,7 +12,6 @@
 //	counters   Fig. 4(a): two shared counters (worst-case contention)
 //	disjoint   Fig. 4(b): per-thread SkipLists (conflict-free)
 //	overhead   Fig. 4(c): per-phase overhead breakdown
-//	tree       ablation: treap vs red-black tree ordered maps (-zipf for skew)
 //	stamp      Fig. 5 panel for one application (-app)
 //	summary    Fig. 5(a)-(h) + Fig. 5(i) + Table 2 (all applications)
 //	pressure   resource-exhaustion: stabilize/degrade/recover under a
@@ -64,7 +63,6 @@ func run(args []string) error {
 	app := fs.String("app", "", "application for the stamp experiment (see summary for names)")
 	seed := fs.Uint64("seed", 1, "base RNG seed")
 	yieldEvery := fs.Int("yield-every", 1, "inject a scheduler yield after every N-th transactional barrier to simulate multi-core overlap on few cores (0 disables)")
-	zipf := fs.Float64("zipf", 0, "Zipf skew for the tree experiment (0 = uniform)")
 	csvPath := fs.String("csv", "", "also append machine-readable results to this CSV file")
 	jsonPath := fs.String("json", "", "write the experiment's JSON artifact to this path (groupcommit, durability, shardclock)")
 	if err := fs.Parse(args); err != nil {
@@ -120,13 +118,6 @@ func run(args []string) error {
 	case "overhead":
 		res, err := bench.Fig4cOverhead(out, cfg, dj)
 		return emit("fig4c-overhead", res, err)
-	case "tree":
-		elements := 2000
-		if *scale == "small" {
-			elements = 500
-		}
-		res, err := bench.TreeFigure(out, cfg, elements, *zipf)
-		return emit("tree", res, err)
 	case "stamp":
 		apps, err := bench.StampApps(stampScale)
 		if err != nil {

@@ -86,18 +86,11 @@ func (p *Pass) Inspect(fn func(ast.Node) bool) {
 	}
 }
 
-// RunAnalyzers applies each analyzer to the package described by (fset,
+// RunAnalyzersFacts applies each analyzer to the package described by (fset,
 // files, pkg, info) and returns the combined diagnostics sorted by position.
-// Facts stay private to this one package; use RunAnalyzersFacts to thread a
-// session-wide store.
-func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, sizes types.Sizes) ([]Diagnostic, error) {
-	return RunAnalyzersFacts(analyzers, fset, files, pkg, info, sizes, NewFactStore())
-}
-
-// RunAnalyzersFacts is RunAnalyzers with an explicit fact store: analyzers
-// read facts that earlier analyses (of this package's dependencies) left in
-// the store and add their own for later ones. Diagnostics suppressed by a
-// `//twm:allow <rule>` directive on their line or the line above are
+// Analyzers read facts that earlier analyses (of this package's dependencies)
+// left in the store and add their own for later ones. Diagnostics suppressed
+// by a `//twm:allow <rule>` directive on their line or the line above are
 // dropped here, so every analyzer honors the directive uniformly.
 func RunAnalyzersFacts(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, sizes types.Sizes, facts *FactStore) ([]Diagnostic, error) {
 	allows := CollectAllows(fset, files)

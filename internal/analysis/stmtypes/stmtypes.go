@@ -74,9 +74,8 @@ type Body struct {
 	// when the parameter is blank.
 	TxParam types.Object
 	// Call is the call expression the closure is passed to (stm.Atomically,
-	// stm.AtomicallyCtx, a hybrid engine's Atomically method, or any other
-	// runner taking func(stm.Tx) error); nil if the closure is bound to a
-	// variable instead.
+	// stm.AtomicallyCtx, or any other runner taking func(stm.Tx) error); nil
+	// if the closure is bound to a variable instead.
 	Call *ast.CallExpr
 	// ReadOnly reports the constant value of the runner's readOnly
 	// argument; ReadOnlyKnown is false when there is no such argument or it
@@ -190,32 +189,14 @@ func IsStmFunc(fn *types.Func, name string) bool {
 
 // IsAtomicallyCall reports whether call starts a transaction: a call to any
 // package-level stm function named with the Atomically prefix (Atomically,
-// AtomicallyCtx, AtomicallyGated), or to a method named Atomically that takes
-// a transaction body — the engine-wrapper convention (hytm's entry point, the
-// dsg runner seam). The name alone is not enough:
-// a user-defined Atomically* helper in another package, or a method that
-// merely shares the name without taking a func(stm.Tx) error, does not
-// start a transaction and must not trip the body-discipline analyzers.
+// AtomicallyCtx, AtomicallyGated). The name alone is not enough: a
+// user-defined Atomically* helper in another package, or a method that merely
+// shares the name, does not start a transaction and must not trip the
+// body-discipline analyzers.
 func IsAtomicallyCall(info *types.Info, call *ast.CallExpr) bool {
 	fn := FuncOf(info, call)
-	if fn == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	if strings.HasPrefix(fn.Name(), "Atomically") && PkgPathOf(fn) == StmPath && sig.Recv() == nil {
-		return true
-	}
-	if fn.Name() == "Atomically" && sig.Recv() != nil {
-		for i := 0; i < sig.Params().Len(); i++ {
-			if p, ok := sig.Params().At(i).Type().(*types.Signature); ok && IsBodySig(p) {
-				return true
-			}
-		}
-	}
-	return false
+	return fn != nil && strings.HasPrefix(fn.Name(), "Atomically") && PkgPathOf(fn) == StmPath &&
+		fn.Type().(*types.Signature).Recv() == nil
 }
 
 // commitLoggerIface locates the stm.CommitLogger interface type as seen by

@@ -1,10 +1,9 @@
 // Negative golden for runner resolution: callees that merely look like the
 // stm runner surface must not count as transaction entry points. Inside a
-// real body, calling a user-defined AtomicallyLocal or a user method named
-// Atomically without a body parameter draws no nested-transaction
-// diagnostic — both would have matched the old name-prefix heuristic. The
-// engine-wrapper convention — a method named exactly Atomically taking a
-// func(stm.Tx) error — still counts, so it is flagged as nested.
+// real body, calling a user-defined AtomicallyLocal, a user method named
+// Atomically without a body parameter, or even one that takes a
+// func(stm.Tx) error draws no nested-transaction diagnostic: only the stm
+// package's own Atomically* functions start a transaction.
 package purity
 
 import "repro/internal/stm"
@@ -21,8 +20,7 @@ func (journal) Atomically(step func() error) error { return step() }
 
 type engine struct{}
 
-// Atomically matches the engine-wrapper convention: named Atomically with
-// a func(stm.Tx) error parameter.
+// Atomically takes a transaction body but is still user code.
 func (engine) Atomically(readOnly bool, fn func(tx stm.Tx) error) error { return fn(nil) }
 
 func pureBody(tx stm.Tx) error { return nil }
@@ -33,7 +31,7 @@ func lookalikes(tm stm.TM, j journal, e engine) {
 	_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
 		_ = AtomicallyLocal(tm, false, pureBody) // prefix lookalike: clean
 		_ = j.Atomically(pureStep)               // method lookalike: clean
-		_ = e.Atomically(false, pureBody)        // want `starts a nested transaction`
+		_ = e.Atomically(false, pureBody)        // body-taking method lookalike: clean
 		return nil
 	})
 }

@@ -21,10 +21,6 @@ type FigureConfig struct {
 	YieldEvery int
 }
 
-// DefaultThreads is the paper's x-axis (goroutine counts here; the paper's
-// machine had 64 hardware threads, this harness oversubscribes a container).
-func DefaultThreads() []int { return []int{1, 4, 8, 16, 32, 64} }
-
 // Fig3SkipList runs the Fig. 3(a)/(b) sweep and prints throughput and abort
 // rate per engine and thread count. It returns all cells for further
 // aggregation.

@@ -1,21 +1,14 @@
 package bench
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/ds/rbtree"
-	"repro/internal/ds/treap"
 	"repro/internal/stm"
 	"repro/internal/xrand"
 )
 
-// TreeConfig parameterizes the ordered-map microbenchmark (the IntSet-RBTree
-// companion of the paper's skip-list experiment, plus a structure ablation:
-// this repository's vacation uses a treap where STAMP uses a red-black
-// tree, and this benchmark quantifies that substitution).
+// TreeConfig parameterizes the ordered-map microbenchmark on the red-black
+// tree (the IntSet-RBTree companion of the paper's skip-list experiment).
 type TreeConfig struct {
-	Impl      string  // "treap" or "rbtree"
 	Elements  int     // initial size
 	KeyRange  int64   // keys drawn from [0, KeyRange)
 	UpdatePct float64 // fraction of update transactions
@@ -24,32 +17,17 @@ type TreeConfig struct {
 }
 
 // DefaultTree returns the container-sized tree configuration.
-func DefaultTree(impl string) TreeConfig {
-	return TreeConfig{Impl: impl, Elements: 2_000, KeyRange: 4_000, UpdatePct: 0.25, Seed: 1}
-}
-
-// orderedMap abstracts the two tree implementations for the benchmark.
-type orderedMap interface {
-	Contains(tx stm.Tx, k int64) bool
-	Put(tx stm.Tx, k int64, v stm.Value) bool
-	Delete(tx stm.Tx, k int64) bool
+func DefaultTree() TreeConfig {
+	return TreeConfig{Elements: 2_000, KeyRange: 4_000, UpdatePct: 0.25, Seed: 1}
 }
 
 // TreeMicro builds the tree workload: lookups plus insert/delete pairs, with
 // optional Zipfian key skew.
 func TreeMicro(cfg TreeConfig) Micro {
 	return Micro{
-		Name: "tree-" + cfg.Impl,
+		Name: "tree",
 		Prepare: func(tm stm.TM, threads int) (MicroOp, error) {
-			var m orderedMap
-			switch cfg.Impl {
-			case "treap":
-				m = treap.New(tm)
-			case "rbtree":
-				m = rbtree.New(tm)
-			default:
-				return nil, fmt.Errorf("bench: unknown tree impl %q", cfg.Impl)
-			}
+			m := rbtree.New(tm)
 			r := xrand.New(cfg.Seed)
 			const batch = 128
 			for done := 0; done < cfg.Elements; {
@@ -95,24 +73,4 @@ func TreeMicro(cfg TreeConfig) Micro {
 			return op, nil
 		},
 	}
-}
-
-// TreeFigure runs the treap-vs-rbtree comparison across engines and thread
-// counts (an ablation beyond the paper's tables; see DESIGN.md §6).
-func TreeFigure(w io.Writer, cfg FigureConfig, elements int, zipfS float64) ([]Result, error) {
-	var all []Result
-	for _, impl := range []string{"treap", "rbtree"} {
-		tc := DefaultTree(impl)
-		tc.Elements = elements
-		tc.KeyRange = int64(elements) * 2
-		tc.ZipfS = zipfS
-		res, err := microFigure(w, cfg, TreeMicro(tc),
-			fmt.Sprintf("Ablation: ordered map (%s) throughput (txs/s)", impl),
-			fmt.Sprintf("Ablation: ordered map (%s) abort rate (%%)", impl))
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, res...)
-	}
-	return all, nil
 }

@@ -1,7 +1,7 @@
 // Package chaos provides a fault-injection middleware for STM engines: a
-// composable stm.TM wrapper (same shape as trace.TM, bench.WithYield and
-// hytm.TM) that deterministically injects spurious aborts, barrier delays and
-// commit stalls into any inner engine.
+// composable stm.TM wrapper (same shape as bench.WithYield) that
+// deterministically injects spurious aborts, barrier delays and commit stalls
+// into any inner engine.
 //
 // Its purpose is adversarial testing of the retry loop. Engines in this
 // repository abort only when a real conflict (or lock timeout) occurs, which

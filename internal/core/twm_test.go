@@ -595,9 +595,6 @@ func TestNameAndFlags(t *testing.T) {
 	if got := New(Options{DisableTimeWarp: true}).Name(); got != "twm-notw" {
 		t.Fatalf("ablation name = %q", got)
 	}
-	if !New(Options{}).MultiVersion() {
-		t.Fatalf("TWM is multi-versioned")
-	}
 }
 
 func TestHistoryOrdering(t *testing.T) {

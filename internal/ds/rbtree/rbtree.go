@@ -1,8 +1,6 @@
 // Package rbtree is a transactional red-black tree mapping int64 keys to
-// arbitrary values — the data structure the original STAMP vacation builds
-// its reservation tables from (this repository's vacation port uses the
-// lighter treap; the red-black tree is provided as the faithful alternative
-// and is compared against the treap in the ablation benchmarks).
+// arbitrary values — the data structure STAMP's vacation builds its
+// reservation tables from, and so does internal/stamp/vacation.
 //
 // Every mutable field (color, value, child and parent links) is a
 // transactional variable, so lookups read a root-to-key path and structural

@@ -43,55 +43,23 @@ type TB interface {
 	Failed() bool
 }
 
-// Atomic is the engine surface the randomized oracle drives: it names
-// itself, allocates variables, runs transaction bodies, and records
-// per-variable version histories. Any stm.TM that implements
-// stm.HistoryRecording satisfies it through CheckRandom's adapter; engines
-// with their own transaction entry point (hytm.TM) satisfy it directly.
-type Atomic interface {
-	stm.HistoryRecording
-	Name() string
-	NewVar(initial stm.Value) stm.Var
-	Atomically(readOnly bool, fn func(stm.Tx) error) error
-}
-
-// tmRunner adapts a plain stm.TM to Atomic via the package-level
-// stm.Atomically entry point.
-type tmRunner struct {
-	tm stm.TM
-	stm.HistoryRecording
-}
-
-func (r tmRunner) Name() string                     { return r.tm.Name() }
-func (r tmRunner) NewVar(initial stm.Value) stm.Var { return r.tm.NewVar(initial) }
-func (r tmRunner) Atomically(readOnly bool, fn func(stm.Tx) error) error {
-	return stm.Atomically(r.tm, readOnly, fn)
-}
-
-// CheckRandom drives CheckRandomAtomic against a software engine. The TM
-// must implement stm.HistoryRecording.
+// CheckRandom drives a randomized concurrent history against tm and asserts
+// that the resulting Direct Serialization Graph is acyclic. The engine must
+// implement stm.HistoryRecording and have been created fresh (history is
+// enabled here, before any variable exists).
 func CheckRandom(t TB, tm stm.TM, opts RunOptions) {
 	t.Helper()
 	hr, ok := tm.(stm.HistoryRecording)
 	if !ok {
 		t.Fatalf("engine %s does not support history recording", tm.Name())
 	}
-	CheckRandomAtomic(t, tmRunner{tm, hr}, opts)
-}
-
-// CheckRandomAtomic drives a randomized concurrent history against a and
-// asserts that the resulting Direct Serialization Graph is acyclic. The
-// engine must have been created fresh (history is enabled here, before any
-// variable exists).
-func CheckRandomAtomic(t TB, a Atomic, opts RunOptions) {
-	t.Helper()
 	opts.defaults()
-	a.EnableHistory()
+	hr.EnableHistory()
 
 	vars := make([]stm.Var, opts.Vars)
 	initial := make([]int64, opts.Vars)
 	for i := range vars {
-		vars[i] = a.NewVar(int64(0))
+		vars[i] = tm.NewVar(int64(0))
 	}
 
 	var mu sync.Mutex
@@ -108,7 +76,7 @@ func CheckRandomAtomic(t TB, a Atomic, opts RunOptions) {
 				id := TxID(gid*1_000_000 + i + 1)
 				ro := r.float() < opts.ReadOnlyP
 				rec := TxRecord{ID: id, ReadOnly: ro}
-				err := a.Atomically(ro, func(tx stm.Tx) error {
+				err := stm.Atomically(tm, ro, func(tx stm.Tx) error {
 					// Reset per attempt: only the committed attempt counts.
 					rec.Reads = make(map[int]int64)
 					rec.Writes = make(map[int]int64)
@@ -147,14 +115,14 @@ func CheckRandomAtomic(t TB, a Atomic, opts RunOptions) {
 		return
 	}
 
-	graph, err := Build(a, vars, initial, records)
+	graph, err := Build(hr, vars, initial, records)
 	if err != nil {
-		t.Fatalf("%s: building DSG: %v", a.Name(), err)
+		t.Fatalf("%s: building DSG: %v", tm.Name(), err)
 	}
 	if cycle := graph.FindCycle(); cycle != nil {
-		t.Fatalf("%s: non-serializable history: %s", a.Name(), FormatCycle(cycle))
+		t.Fatalf("%s: non-serializable history: %s", tm.Name(), FormatCycle(cycle))
 	}
-	t.Logf("%s: DSG acyclic over %d transactions, %d edges", a.Name(), graph.Nodes(), graph.Edges())
+	t.Logf("%s: DSG acyclic over %d transactions, %d edges", tm.Name(), graph.Nodes(), graph.Edges())
 }
 
 // rng is a tiny xorshift generator; workloads must not depend on math/rand's

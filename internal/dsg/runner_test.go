@@ -5,38 +5,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dsg"
-	"repro/internal/hytm"
 )
 
-// TestCheckRandomHybrid drives the serializability oracle through the hybrid
-// wrapper's own Atomically entry point: hardware-profile commits and software
-// fallbacks interleave in a single history, recorded by the inner TWM engine.
-// Tight capacity limits plus a spurious-abort probability force both paths to
-// be exercised; under -race this doubles as a data-race check on the hybrid
-// commit subscription.
-func TestCheckRandomHybrid(t *testing.T) {
-	tm := hytm.New(core.New(core.Options{}), hytm.Options{
-		MaxReads:   4,
-		MaxWrites:  2,
-		AbortProb:  0.05,
-		HWAttempts: 2,
-	})
-	dsg.CheckRandomAtomic(t, tm, dsg.RunOptions{Goroutines: 6, TxPerG: 100, Seed: 7})
-
-	stats := tm.HybridStats()
-	hw := stats.HWCommits.Load() + stats.ROFastCommits.Load()
-	fb := stats.Fallbacks.Load()
-	t.Logf("%s: %d hardware commits, %d fallbacks", tm.Name(), hw, fb)
-	if hw == 0 {
-		t.Errorf("expected some hardware-path commits, got none")
-	}
-	if fb == 0 {
-		t.Errorf("expected some software fallbacks under tight capacity, got none")
-	}
-}
-
-// TestCheckRandomAdapter keeps the plain-TM entry point covered through the
-// same Atomic seam the hybrid uses.
-func TestCheckRandomAdapter(t *testing.T) {
+// TestCheckRandom keeps the randomized oracle's own entry point covered on a
+// plain TWM engine.
+func TestCheckRandom(t *testing.T) {
 	dsg.CheckRandom(t, core.New(core.Options{}), dsg.RunOptions{Goroutines: 4, TxPerG: 80, Seed: 11})
 }

@@ -2,13 +2,14 @@ package engines_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/engines"
 	"repro/internal/health"
 	"repro/internal/mvutil"
 	"repro/internal/stm"
-	"repro/internal/trace"
 )
 
 // Steady-state allocation budgets per engine, measured after transaction
@@ -104,36 +105,37 @@ func TestAllocsSmallUpdate(t *testing.T) {
 	}
 }
 
-// TestAllocsTracedReadOnly verifies the trace middleware preserves the
-// allocation-free read path of every engine: the tracedTx wrappers are pooled
-// and the tracer forwards Recycle to the inner engine, so wrapping an engine
-// for tracing costs ring-buffer writes but no heap. This is a regression test
-// for the bug where the tracer did not implement stm.TxRecycler, which made
-// Atomically's recycler assertion fail on the wrapper and silently disabled
-// the inner engine's descriptor pooling (every traced attempt re-allocated
-// its read and write sets).
-func TestAllocsTracedReadOnly(t *testing.T) {
+// TestAllocsWrappedReadOnly verifies the yield wrapper every paper figure and
+// TestSerializabilityTrueParallelism run through preserves the allocation-free
+// read path of every engine: the yieldTx wrappers are pooled and the wrapper
+// forwards Recycle to the inner engine. A wrapper that stops forwarding makes
+// every wrapped attempt allocate a fresh descriptor, and this test fails.
+func TestAllocsWrappedReadOnly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
 	}
 	for _, name := range engines.Names() {
 		t.Run(name, func(t *testing.T) {
-			tm := trace.New(engines.MustNew(name), 1024)
-			vars := make([]stm.Var, 8)
-			for i := range vars {
-				vars[i] = tm.NewVar(i)
-			}
-			roTx := func() {
-				_ = stm.Atomically(tm, true, func(tx stm.Tx) error {
-					for _, v := range vars {
-						_ = tx.Read(v)
+			for _, every := range []int{1, 1 << 30} {
+				t.Run(fmt.Sprintf("yield=%d", every), func(t *testing.T) {
+					tm := bench.WithYield(engines.MustNew(name), every)
+					vars := make([]stm.Var, 8)
+					for i := range vars {
+						vars[i] = tm.NewVar(i)
 					}
-					return nil
+					roTx := func() {
+						_ = stm.Atomically(tm, true, func(tx stm.Tx) error {
+							for _, v := range vars {
+								_ = tx.Read(v)
+							}
+							return nil
+						})
+					}
+					roTx() // warm the wrapper and descriptor pools
+					if got := testing.AllocsPerRun(200, roTx); got > 0 {
+						t.Errorf("wrapped read-only tx: %.1f allocs/op, budget 0", got)
+					}
 				})
-			}
-			roTx() // warm the wrapper and descriptor pools
-			if got := testing.AllocsPerRun(200, roTx); got > 0 {
-				t.Errorf("traced read-only tx: %.1f allocs/op, budget 0", got)
 			}
 		})
 	}

@@ -36,9 +36,6 @@ var factories = map[string]func(o mvutil.Options) stm.TM{
 // PaperSet is the engine lineup of the paper's figures, in their legend order.
 func PaperSet() []string { return []string{"jvstm", "tl2", "norec", "avstm", "twm"} }
 
-// Baselines is PaperSet without TWM.
-func Baselines() []string { return []string{"jvstm", "tl2", "norec", "avstm"} }
-
 // Names lists all registered engines, sorted.
 func Names() []string {
 	out := make([]string, 0, len(factories))

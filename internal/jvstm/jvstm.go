@@ -62,9 +62,6 @@ func (tm *TM) Name() string {
 	return "jvstm"
 }
 
-// MultiVersion implements stm.MultiVersioned.
-func (tm *TM) MultiVersion() bool { return true }
-
 // Stats implements stm.TM.
 func (tm *TM) Stats() *stm.Stats { return &tm.stats }
 

@@ -30,10 +30,9 @@ type VersionBudget struct {
 	count atomic.Int64 // live versions
 	bytes atomic.Int64 // approximate live version bytes
 
-	softGCs   atomic.Uint64 // eager GC passes triggered at soft pressure
-	trims     atomic.Uint64 // chain-trim passes triggered at hard pressure
-	rejects   atomic.Uint64 // installs refused (ReasonMemoryPressure aborts)
-	recovered atomic.Uint64 // initial versions installed by WAL replay
+	softGCs atomic.Uint64 // eager GC passes triggered at soft pressure
+	trims   atomic.Uint64 // chain-trim passes triggered at hard pressure
+	rejects atomic.Uint64 // installs refused (ReasonMemoryPressure aborts)
 }
 
 // BudgetConfig sets the limits. A zero limit disables that axis; the soft
@@ -128,13 +127,6 @@ func (b *VersionBudget) NoteTrim() { b.trims.Add(1) }
 // NoteReject counts one refused install (a ReasonMemoryPressure abort).
 func (b *VersionBudget) NoteReject() { b.rejects.Add(1) }
 
-// NoteRecovered counts n initial versions installed by crash recovery (WAL
-// replay re-creating variables with their durable values). Their memory is
-// charged through the ordinary Install path by NewVar; this counter only
-// tells the memory accounting apart — a budget that fills at boot is sized
-// too small for the recovered working set, not leaking under load.
-func (b *VersionBudget) NoteRecovered(n int64) { b.recovered.Add(uint64(n)) }
-
 // SoftGCs reports eager GC passes triggered so far.
 func (b *VersionBudget) SoftGCs() uint64 { return b.softGCs.Load() }
 
@@ -144,9 +136,6 @@ func (b *VersionBudget) Trims() uint64 { return b.trims.Load() }
 // Rejects reports refused installs so far.
 func (b *VersionBudget) Rejects() uint64 { return b.rejects.Load() }
 
-// Recovered reports initial versions installed by WAL replay.
-func (b *VersionBudget) Recovered() uint64 { return b.recovered.Load() }
-
 // BudgetSnapshot is a JSON-able copy of the budget state.
 type BudgetSnapshot struct {
 	Versions int64  `json:"versions"`
@@ -155,21 +144,17 @@ type BudgetSnapshot struct {
 	SoftGCs  uint64 `json:"softGCs"`
 	Trims    uint64 `json:"trims"`
 	Rejects  uint64 `json:"rejects"`
-	// Recovered counts the initial versions WAL replay installed at boot;
-	// they are part of Versions/Bytes like any other install.
-	Recovered uint64 `json:"recovered,omitempty"`
 }
 
 // Snapshot copies the counters for reporting.
 func (b *VersionBudget) Snapshot() BudgetSnapshot {
 	return BudgetSnapshot{
-		Versions:  b.count.Load(),
-		Bytes:     b.bytes.Load(),
-		Level:     b.Level().String(),
-		SoftGCs:   b.softGCs.Load(),
-		Trims:     b.trims.Load(),
-		Rejects:   b.rejects.Load(),
-		Recovered: b.recovered.Load(),
+		Versions: b.count.Load(),
+		Bytes:    b.bytes.Load(),
+		Level:    b.Level().String(),
+		SoftGCs:  b.softGCs.Load(),
+		Trims:    b.trims.Load(),
+		Rejects:  b.rejects.Load(),
 	}
 }
 

@@ -68,12 +68,6 @@ type TM interface {
 	Stats() *Stats
 }
 
-// MultiVersioned is implemented by engines that keep more than one version per
-// variable (TWM and JVSTM). Used by benchmarks for reporting only.
-type MultiVersioned interface {
-	MultiVersion() bool
-}
-
 // Profilable is implemented by engines that support the per-phase time
 // breakdown of Fig. 4(c). Passing nil disables profiling (the default).
 type Profilable interface {
