@@ -136,7 +136,7 @@ func invariantRound(name string, yield bool, seed uint64) error {
 					if from != to {
 						f := tx.Read(accs[from]).(int)
 						if f >= 10 {
-							tx.Write(accs[from], f-10) //twm:allow abortshape insufficient-funds guard is inherent check-then-act; the verifier wants this contention
+							tx.Write(accs[from], f-10)
 							tx.Write(accs[to], tx.Read(accs[to]).(int)+10)
 						}
 					}

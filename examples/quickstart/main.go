@@ -35,9 +35,7 @@ func main() {
 			if balance < amount {
 				return fmt.Errorf("insufficient funds in account %d", from)
 			}
-			// The balance guard makes this read-then-write window inherent;
-			// the directive below is how twm-lint suppressions look.
-			accs[from].Set(tx, balance-amount) //twm:allow abortshape balance check precedes the debit by design
+			accs[from].Set(tx, balance-amount)
 			accs[to].Set(tx, accs[to].Get(tx)+amount)
 			return nil
 		})

@@ -5,7 +5,6 @@
 package analysis
 
 import (
-	"repro/internal/analysis/abortshape"
 	"repro/internal/analysis/atomichygiene"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/rodiscipline"
@@ -20,6 +19,5 @@ func All() []*framework.Analyzer {
 		txpurity.Analyzer,
 		rodiscipline.Analyzer,
 		atomichygiene.Analyzer,
-		abortshape.Analyzer,
 	}
 }

@@ -18,7 +18,8 @@
 //     carries its own alignment guarantee, or move the field first).
 //
 // A deliberate mixed access (e.g. a reset of a pooled descriptor that is
-// provably unshared at that point) can be annotated `//twm:nonatomic`.
+// provably unshared at that point) is declared with
+// `//twm:allow atomichygiene <reason>`.
 package atomichygiene
 
 import (
@@ -47,7 +48,6 @@ type atomicUse struct {
 
 func run(pass *framework.Pass) error {
 	info := pass.TypesInfo
-	suppress := framework.DirectiveLines(pass.Fset, pass.Files, "twm:nonatomic")
 
 	// Phase 1: find address-based sync/atomic calls on struct fields.
 	uses := make(map[*types.Var]atomicUse)
@@ -102,10 +102,7 @@ func run(pass *framework.Pass) error {
 		if !ok {
 			return true
 		}
-		if framework.SuppressedAt(pass.Fset, suppress, sel.Pos()) {
-			return true
-		}
-		pass.Reportf(sel.Pos(), "field %s is accessed with atomic.%s elsewhere but plainly here; mixed access races (//twm:nonatomic to allow)", field.Name(), use.name)
+		pass.Reportf(sel.Pos(), "field %s is accessed with atomic.%s elsewhere but plainly here; mixed access races", field.Name(), use.name)
 		return true
 	})
 

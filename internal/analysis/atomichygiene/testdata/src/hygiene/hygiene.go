@@ -31,7 +31,7 @@ func atomicRead(c *counters) uint64 {
 }
 
 func suppressedReset(c *counters) {
-	c.hits = 0 //twm:nonatomic pooled descriptor, provably unshared here
+	c.hits = 0 //twm:allow atomichygiene pooled descriptor, provably unshared here
 }
 
 // plain is never touched atomically; plain access everywhere is fine.
@@ -40,9 +40,3 @@ type plain struct {
 }
 
 func bumpPlain(p *plain) { p.n++ }
-
-// The framework-level //twm:allow directive works alongside the analyzer's
-// own //twm:nonatomic hatch.
-func allowedMixedWrite(c *counters) {
-	c.aligned = 7 //twm:allow atomichygiene init-before-publish; no concurrent access yet
-}

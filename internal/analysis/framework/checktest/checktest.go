@@ -1,32 +1,21 @@
 // Package checktest is the golden-file test harness for twm-lint
 // analyzers, equivalent in spirit to x/tools' analysistest: a testdata
-// package is type-checked from source, the analyzers run over it (and,
-// first, over any sibling testdata packages it imports, with facts flowing
-// between them), and the results are matched line-by-line against `// want`
-// expectation comments in the testdata itself.
+// package is type-checked from source, the analyzers run over it, and the
+// results are matched line-by-line against `// want` expectation comments
+// in the testdata itself.
 //
 // Expectation syntax (a subset of analysistest's):
 //
 //	x = tx            // want `escapes`
 //	fmt.Println(x)    // want "calls fmt" "second diagnostic on this line"
-//	func Log() {}     // want Log:"impure: calls fmt.Printf"
+//	_ = 1 //twm:allow txpurity stale // want `suppresses no diagnostic`
 //
-// A bare quoted string is an anchored-nowhere regular expression that must
-// match the message of exactly one diagnostic reported on that line; a
-// name:"pattern" token asserts an exported object fact — the object named
-// `name` declared on that line must carry a fact whose String() matches.
-// Diagnostics and expectations must cover each other exactly. Fact
-// expectations are opt-in per file: in a file containing at least one
-// name:"pattern" token, every fact exported on that file's objects must be
-// matched; files with none ignore facts entirely (analyzers export facts
-// pervasively, and most golden files are about diagnostics).
-//
-// The testdata tree is also a GOPATH-style source root: a golden package
-// may import another golden package by its testdata/src-relative path
-// (e.g. package testdata/src/crosspure/consumer importing
-// "crosspure/helper"), which is how the cross-package fact tests are
-// written. Imported golden packages are analyzed too, and their own
-// `// want` comments are checked in the same run.
+// Each quoted string is a regular expression that must match the message
+// of exactly one diagnostic reported on that line; diagnostics and
+// expectations must cover each other exactly. As in analysistest, a
+// comment that contains "// want" is read from there on, which is how a
+// line whose only comment is a directive states what is reported about the
+// directive itself.
 package checktest
 
 import (
@@ -43,210 +32,91 @@ import (
 
 // Run loads the package in testdata/src/<pkgname> (relative to the test's
 // working directory, i.e. the analyzer's package directory) and checks the
-// analyzers' diagnostics and exported facts against the `// want`
-// expectations of it and of every sibling testdata package it imports.
+// analyzers' diagnostics against its `// want` expectations.
 func Run(t *testing.T, pkgname string, analyzers ...*framework.Analyzer) {
 	t.Helper()
-	srcRoot, err := filepath.Abs(filepath.Join("testdata", "src"))
+	dir, err := filepath.Abs(filepath.Join("testdata", "src", filepath.FromSlash(pkgname)))
 	if err != nil {
-		t.Fatalf("checktest: %v", err)
-	}
-	dir := filepath.Join(srcRoot, filepath.FromSlash(pkgname))
-	if _, err := os.Stat(dir); err != nil {
 		t.Fatalf("checktest: %v", err)
 	}
 	modRoot, modPath, err := findModule()
 	if err != nil {
 		t.Fatalf("checktest: %v", err)
 	}
-	loader := framework.NewLoader(modRoot, modPath)
-	loader.SrcRoot = srcRoot
-	pkg, err := loader.LoadDir(dir, "")
+	l := newLoader(modRoot, modPath)
+	pkg, err := l.loadDir(dir)
 	if err != nil {
 		t.Fatalf("checktest: %v", err)
 	}
-	session := framework.NewSession(loader, analyzers)
-	if _, err := session.Analyze(pkg); err != nil {
+	diags, err := framework.RunAnalyzers(analyzers, l.fset, pkg.files, pkg.pkg, pkg.info)
+	if err != nil {
 		t.Fatalf("checktest: %v", err)
-	}
-
-	// The checked set: the target plus every golden sibling it pulled in.
-	var checked []*framework.LoadedPackage
-	for _, lp := range loader.LoadedAll() {
-		if strings.HasPrefix(lp.Dir, srcRoot+string(filepath.Separator)) || lp.Dir == dir {
-			checked = append(checked, lp)
-		}
 	}
 
 	type key struct {
 		file string
 		line int
 	}
-	diagWants := make(map[key][]*regexp.Regexp)
-	type factWant struct {
-		name string
-		re   *regexp.Regexp
-	}
-	factWants := make(map[key][]factWant)
-	factFiles := make(map[string]bool) // files that opted into fact checking
-
-	for _, lp := range checked {
-		for _, f := range lp.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					expects, ok := parseWant(c.Text)
-					if !ok {
-						continue
+	wants := make(map[key][]*regexp.Regexp)
+	for _, f := range pkg.files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				pos := l.fset.Position(c.Pos())
+				k := key{pos.Filename, pos.Line}
+				for _, pattern := range parseWant(c.Text) {
+					re, err := regexp.Compile(pattern)
+					if err != nil {
+						t.Fatalf("%s: bad want pattern %q: %v", pos, pattern, err)
 					}
-					pos := loader.Fset.Position(c.Pos())
-					k := key{pos.Filename, pos.Line}
-					for _, e := range expects {
-						re, err := regexp.Compile(e.pattern)
-						if err != nil {
-							t.Fatalf("%s: bad want pattern %q: %v", pos, e.pattern, err)
-						}
-						if e.name == "" {
-							diagWants[k] = append(diagWants[k], re)
-						} else {
-							factWants[k] = append(factWants[k], factWant{e.name, re})
-							factFiles[pos.Filename] = true
-						}
-					}
+					wants[k] = append(wants[k], re)
 				}
 			}
 		}
 	}
 
-	// Match diagnostics against expectations, package by package.
-	for _, lp := range checked {
-		for _, d := range session.Diagnostics(lp.Path) {
-			pos := loader.Fset.Position(d.Pos)
-			k := key{pos.Filename, pos.Line}
-			matched := false
-			for i, re := range diagWants[k] {
-				if re.MatchString(d.Message) {
-					diagWants[k] = append(diagWants[k][:i], diagWants[k][i+1:]...)
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				t.Errorf("%s: unexpected diagnostic: %s (%s)", pos, d.Message, d.Analyzer)
-			}
-		}
-	}
-	for k, res := range diagWants {
-		for _, re := range res {
-			t.Errorf("%s:%d: expected diagnostic matching %q, got none", k.file, k.line, re)
-		}
-	}
-
-	// Match exported facts against expectations in opted-in files.
-	for _, of := range session.Facts.AllObjectFacts() {
-		if of.Object == nil {
-			continue
-		}
-		pos := loader.Fset.Position(of.Object.Pos())
-		if !factFiles[pos.Filename] {
-			continue
-		}
+	for _, d := range diags {
+		pos := l.fset.Position(d.Pos)
 		k := key{pos.Filename, pos.Line}
-		text := fmt.Sprint(of.Fact)
 		matched := false
-		for i, w := range factWants[k] {
-			if w.name == of.Object.Name() && w.re.MatchString(text) {
-				factWants[k] = append(factWants[k][:i], factWants[k][i+1:]...)
+		for i, re := range wants[k] {
+			if re.MatchString(d.Message) {
+				wants[k] = append(wants[k][:i], wants[k][i+1:]...)
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("%s: unexpected fact on %s: %s (%T)", pos, of.Object.Name(), text, of.Fact)
+			t.Errorf("%s: unexpected diagnostic: %s (%s)", pos, d.Message, d.Analyzer)
 		}
 	}
-	for k, ws := range factWants {
-		for _, w := range ws {
-			t.Errorf("%s:%d: expected fact on %s matching %q, got none", k.file, k.line, w.name, w.re)
+	for k, res := range wants {
+		for _, re := range res {
+			t.Errorf("%s:%d: expected diagnostic matching %q, got none", k.file, k.line, re)
 		}
 	}
 }
 
-// expect is one parsed expectation: a diagnostic pattern (name empty) or an
-// object-fact pattern.
-type expect struct {
-	name    string
-	pattern string
-}
-
-// parseWant extracts the expectations from a `// want "..." name:"..."`
-// comment; ok is false if the comment is not an expectation.
-func parseWant(text string) (expects []expect, ok bool) {
+// parseWant extracts the patterns of a `// want "..." `+"`...`"+` comment;
+// nil if the comment is not an expectation.
+func parseWant(text string) []string {
+	if i := strings.Index(text, "// want "); i > 0 {
+		text = text[i:]
+	}
 	rest, found := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(text, "//")), "want ")
 	if !found {
-		return nil, false
+		return nil
 	}
-	rest = strings.TrimSpace(rest)
-	for rest != "" {
-		var name string
-		if i := identPrefixLen(rest); i > 0 && i < len(rest) && rest[i] == ':' {
-			name = rest[:i]
-			rest = rest[i+1:]
-		}
-		if rest == "" {
-			return expects, len(expects) > 0
-		}
-		quote := rest[0]
-		if quote != '"' && quote != '`' {
-			return expects, len(expects) > 0
-		}
-		if quote == '`' {
-			end := strings.IndexByte(rest[1:], '`')
-			if end < 0 {
-				return expects, len(expects) > 0
-			}
-			expects = append(expects, expect{name, rest[1 : 1+end]})
-			rest = strings.TrimSpace(rest[end+2:])
-			continue
-		}
-		// Double-quoted: respect escapes via strconv.
-		prefix, err := quotedPrefix(rest)
+	var patterns []string
+	for rest = strings.TrimSpace(rest); rest != ""; {
+		quoted, err := strconv.QuotedPrefix(rest) // "..." or `...`
 		if err != nil {
-			return expects, len(expects) > 0
+			break
 		}
-		unq, err := strconv.Unquote(prefix)
-		if err != nil {
-			return expects, len(expects) > 0
-		}
-		expects = append(expects, expect{name, unq})
-		rest = strings.TrimSpace(rest[len(prefix):])
+		unq, _ := strconv.Unquote(quoted)
+		patterns = append(patterns, unq)
+		rest = strings.TrimSpace(rest[len(quoted):])
 	}
-	return expects, len(expects) > 0
-}
-
-// identPrefixLen returns the length of the leading Go identifier of s, or 0.
-func identPrefixLen(s string) int {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		alpha := c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z')
-		digit := '0' <= c && c <= '9'
-		if !alpha && !(i > 0 && digit) {
-			return i
-		}
-	}
-	return len(s)
-}
-
-// quotedPrefix returns the leading double-quoted Go string literal of s.
-func quotedPrefix(s string) (string, error) {
-	for i := 1; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++
-		case '"':
-			return s[:i+1], nil
-		}
-	}
-	return "", fmt.Errorf("unterminated string in want comment: %s", s)
+	return patterns
 }
 
 // findModule locates the enclosing module from the test's working

@@ -1,69 +1,40 @@
 package framework
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
-	"strings"
 )
 
-// vetConfig mirrors the JSON configuration file cmd/go hands to a
-// -vettool for each package unit (see cmd/go/internal/work and
-// x/tools/go/analysis/unitchecker, which consume the same format).
+// vetConfig mirrors the fields this tool reads from the JSON configuration
+// file cmd/go hands to a -vettool for each package unit (see
+// cmd/go/internal/work and x/tools/go/analysis/unitchecker, which consume
+// the same format).
 type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
 }
 
-// DiagJSONDirEnv names the environment variable through which the twm-lint
-// driver asks vet units to mirror their diagnostics as JSON files (one per
-// unit) into a directory, so the driver can assemble a SARIF report after
-// `go vet` finishes. Unset means text-only output.
-const DiagJSONDirEnv = "TWM_LINT_DIAG_DIR"
-
-// DiagJSON is the per-diagnostic record written into the diagnostics
-// directory and consumed by the SARIF assembler and the baseline gate.
-type DiagJSON struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 // VetUnit implements the `go vet -vettool` protocol for one package unit:
 // it reads the cfg file, type-checks the unit against the export data the
-// go command already produced, decodes the facts its dependencies exported
-// (PackageVetx), runs the analyzers, prints diagnostics in the standard
-// file:line:col form, and gob-encodes the unit's fact store — its own
-// exports plus the imported closure — to VetxOutput for dependent units.
-// Facts-only units (VetxOnly, dependencies outside the vetted pattern) run
-// just the fact-carrying analyzers with diagnostics suppressed. The
-// returned exit code follows unitchecker's convention: 0 clean, 1
-// operational error, 2 diagnostics.
+// go command already produced, runs the analyzers, and prints diagnostics in
+// the standard file:line:col form. The analyzers export no facts, so every
+// unit writes the empty VetxOutput the go command requires, and a
+// facts-only unit (VetxOnly: a dependency outside the vetted patterns) does
+// nothing else. The returned exit code follows unitchecker's convention: 0
+// clean, 1 operational error, 2 diagnostics.
 func VetUnit(analyzers []*Analyzer, cfgPath string, stderr io.Writer) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -75,78 +46,14 @@ func VetUnit(analyzers []*Analyzer, cfgPath string, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "twm-lint: parsing vet config %s: %v\n", cfgPath, err)
 		return 1
 	}
-
-	RegisterFactTypes(analyzers)
-
-	// Facts are a module-internal protocol: effects of standard-library
-	// functions are captured by the analyzers' curated lists, not by
-	// analyzing the stdlib itself (which go vet offers as VetxOnly units of
-	// every dependency). Write an empty vetx and move on.
-	if cfg.VetxOnly && isStdlibUnit(&cfg) {
-		facts := NewFactStore()
-		payload, err := facts.EncodeVetx()
-		if err == nil && cfg.VetxOutput != "" {
-			err = os.WriteFile(cfg.VetxOutput, payload, 0o666)
-		}
-		if err != nil {
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 			fmt.Fprintf(stderr, "twm-lint: %v\n", err)
 			return 1
 		}
-		return 0
 	}
-
-	// The store starts as the union of the dependencies' exports; the go
-	// command orders units so every vetx named here already exists.
-	facts := NewFactStore()
-	for _, vetxFile := range sortedValues(cfg.PackageVetx) {
-		data, err := os.ReadFile(vetxFile)
-		if err != nil {
-			// A missing dependency vetx degrades cross-package precision,
-			// never correctness: analyzers treat "no fact" as "nothing
-			// known". Keep going.
-			continue
-		}
-		if err := facts.DecodeVetx(data); err != nil {
-			fmt.Fprintf(stderr, "twm-lint: %s: %v\n", vetxFile, err)
-			return 1
-		}
-	}
-
-	// writeVetx persists the unit's facts; the go command requires the
-	// output file to exist after a successful run even when empty.
-	writeVetx := func() bool {
-		if cfg.VetxOutput == "" {
-			return true
-		}
-		payload, err := facts.EncodeVetx()
-		if err != nil {
-			fmt.Fprintf(stderr, "twm-lint: %v\n", err)
-			return false
-		}
-		if err := os.WriteFile(cfg.VetxOutput, payload, 0o666); err != nil {
-			fmt.Fprintf(stderr, "twm-lint: writing %s: %v\n", cfg.VetxOutput, err)
-			return false
-		}
-		return true
-	}
-
-	run := analyzers
 	if cfg.VetxOnly {
-		// Facts-only dependency unit: only analyzers that export facts
-		// need to run, and their diagnostics belong to the unit that owns
-		// the package, not to this visit.
-		run = nil
-		for _, a := range analyzers {
-			if len(a.FactTypes) > 0 {
-				run = append(run, a)
-			}
-		}
-		if len(run) == 0 {
-			if !writeVetx() {
-				return 1
-			}
-			return 0
-		}
+		return 0
 	}
 
 	fset := token.NewFileSet()
@@ -172,27 +79,16 @@ func VetUnit(analyzers []*Analyzer, cfgPath string, stderr io.Writer) int {
 		}
 		return os.Open(file)
 	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	sizes := types.SizesFor(compiler, runtime.GOARCH)
-	if sizes == nil {
-		sizes = types.SizesFor("gc", runtime.GOARCH)
-	}
 	var typeErrs []error
 	conf := types.Config{
 		Importer: importer.ForCompiler(fset, "gc", lookup),
-		Sizes:    sizes,
+		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	info := NewInfo()
 	pkg, _ := conf.Check(cfg.ImportPath, fset, files, info)
 	if len(typeErrs) > 0 {
-		if cfg.SucceedOnTypecheckFailure || cfg.VetxOnly {
-			if !writeVetx() {
-				return 1
-			}
+		if cfg.SucceedOnTypecheckFailure {
 			return 0
 		}
 		for _, e := range typeErrs {
@@ -201,79 +97,16 @@ func VetUnit(analyzers []*Analyzer, cfgPath string, stderr io.Writer) int {
 		return 1
 	}
 
-	diags, err := RunAnalyzersFacts(run, fset, files, pkg, info, sizes, facts)
+	diags, err := RunAnalyzers(analyzers, fset, files, pkg, info)
 	if err != nil {
 		fmt.Fprintf(stderr, "twm-lint: %v\n", err)
 		return 1
 	}
-	if cfg.VetxOnly {
-		diags = nil
+	for _, d := range diags {
+		fmt.Fprintf(stderr, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
-	writeDiagJSON(cfg.ID, fset, diags)
 	if len(diags) > 0 {
-		for _, d := range diags {
-			fmt.Fprintf(stderr, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Analyzer)
-		}
-		// Facts are still written: dependents analyze regardless of this
-		// unit's diagnostics, exactly like unitchecker.
-		writeVetx()
 		return 2
 	}
-	if !writeVetx() {
-		return 1
-	}
 	return 0
-}
-
-// isStdlibUnit reports whether the unit vets a standard-library package:
-// either the config says so or its sources live under GOROOT/src.
-func isStdlibUnit(cfg *vetConfig) bool {
-	if cfg.Standard[normVariantPath(cfg.ImportPath)] {
-		return true
-	}
-	if len(cfg.GoFiles) == 0 {
-		return false
-	}
-	goroot := build.Default.GOROOT
-	if goroot == "" {
-		return false
-	}
-	rel, err := filepath.Rel(filepath.Join(goroot, "src"), cfg.GoFiles[0])
-	return err == nil && rel != ".." && !strings.HasPrefix(rel, ".."+string(filepath.Separator))
-}
-
-// writeDiagJSON mirrors the unit's diagnostics into the driver's
-// diagnostics directory (DiagJSONDirEnv) for SARIF assembly. Best-effort:
-// the text output on stderr remains authoritative.
-func writeDiagJSON(unitID string, fset *token.FileSet, diags []Diagnostic) {
-	dir := os.Getenv(DiagJSONDirEnv)
-	if dir == "" || len(diags) == 0 {
-		return
-	}
-	out := make([]DiagJSON, 0, len(diags))
-	for _, d := range diags {
-		p := fset.Position(d.Pos)
-		out = append(out, DiagJSON{File: p.Filename, Line: p.Line, Col: p.Column, Analyzer: d.Analyzer, Message: d.Message})
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		return
-	}
-	name := fmt.Sprintf("%x.json", sha256.Sum256([]byte(unitID)))
-	os.WriteFile(filepath.Join(dir, name), data, 0o666)
-}
-
-// sortedValues returns m's values in key order, for deterministic fact
-// merging.
-func sortedValues(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, m[k])
-	}
-	return out
 }

@@ -50,7 +50,7 @@ func run(pass *framework.Pass) error {
 		inProgress: make(map[*types.Func]bool),
 	}
 	for _, body := range stmtypes.FindBodies(pass.TypesInfo, pass.Files) {
-		if !body.ReadOnlyKnown || !body.ReadOnly {
+		if !body.ReadOnly {
 			continue
 		}
 		for _, v := range c.scan(body.Lit.Body) {

@@ -73,21 +73,14 @@ type Body struct {
 	// TxParam is the declared object of the closure's Tx parameter, or nil
 	// when the parameter is blank.
 	TxParam types.Object
-	// Call is the call expression the closure is passed to (stm.Atomically,
-	// stm.AtomicallyCtx, or any other runner taking func(stm.Tx) error); nil
-	// if the closure is bound to a variable instead.
-	Call *ast.CallExpr
-	// ReadOnly reports the constant value of the runner's readOnly
-	// argument; ReadOnlyKnown is false when there is no such argument or it
-	// is not constant.
-	ReadOnly      bool
-	ReadOnlyKnown bool
+	// ReadOnly reports that the closure is passed to a runner (stm.Atomically
+	// or any other call taking func(stm.Tx) error) whose readOnly argument is
+	// the constant true.
+	ReadOnly bool
 }
 
 // FindBodies returns every transaction-body closure in the files: all
-// function literals of type func(stm.Tx) error. Literals passed directly to
-// a call also carry the call and, when determinable, the constant readOnly
-// argument of that call.
+// function literals of type func(stm.Tx) error.
 func FindBodies(info *types.Info, files []*ast.File) []Body {
 	parentCall := make(map[*ast.FuncLit]*ast.CallExpr)
 	for _, f := range files {
@@ -123,8 +116,7 @@ func FindBodies(info *types.Info, files []*ast.File) []Body {
 				}
 			}
 			if call := parentCall[lit]; call != nil {
-				b.Call = call
-				b.ReadOnly, b.ReadOnlyKnown = readOnlyArg(info, call)
+				b.ReadOnly = readOnlyArg(info, call)
 			}
 			bodies = append(bodies, b)
 			return true
@@ -133,12 +125,12 @@ func FindBodies(info *types.Info, files []*ast.File) []Body {
 	return bodies
 }
 
-// readOnlyArg finds the callee's bool parameter named readOnly (or ro) and
-// returns the constant value of the corresponding argument.
-func readOnlyArg(info *types.Info, call *ast.CallExpr) (val, known bool) {
+// readOnlyArg reports whether the callee's bool parameter named readOnly
+// (or ro) receives the constant true.
+func readOnlyArg(info *types.Info, call *ast.CallExpr) bool {
 	sig, ok := info.Types[call.Fun].Type.(*types.Signature)
 	if !ok {
-		return false, false
+		return false
 	}
 	for i := 0; i < sig.Params().Len() && i < len(call.Args); i++ {
 		p := sig.Params().At(i)
@@ -149,12 +141,9 @@ func readOnlyArg(info *types.Info, call *ast.CallExpr) (val, known bool) {
 			continue
 		}
 		tv, ok := info.Types[call.Args[i]]
-		if !ok || tv.Value == nil || tv.Value.Kind() != constant.Bool {
-			return false, false
-		}
-		return constant.BoolVal(tv.Value), true
+		return ok && tv.Value != nil && tv.Value.Kind() == constant.Bool && constant.BoolVal(tv.Value)
 	}
-	return false, false
+	return false
 }
 
 // FuncOf resolves the called function or method object of call, or nil.
@@ -199,75 +188,6 @@ func IsAtomicallyCall(info *types.Info, call *ast.CallExpr) bool {
 		fn.Type().(*types.Signature).Recv() == nil
 }
 
-// commitLoggerIface locates the stm.CommitLogger interface type as seen by
-// pkg: the stm package's own scope when pkg is stm (or its test variant),
-// otherwise the scope of pkg's direct stm import. Nil when pkg cannot see
-// the interface — then nothing in pkg can implement it relevantly either.
-func commitLoggerIface(pkg *types.Package) *types.Interface {
-	if pkg == nil {
-		return nil
-	}
-	stm := pkg
-	if normPath(pkg.Path()) != StmPath {
-		stm = nil
-		for _, imp := range pkg.Imports() {
-			if normPath(imp.Path()) == StmPath {
-				stm = imp
-				break
-			}
-		}
-		if stm == nil {
-			return nil
-		}
-	}
-	obj := stm.Scope().Lookup("CommitLogger")
-	if obj == nil {
-		return nil
-	}
-	iface, _ := obj.Type().Underlying().(*types.Interface)
-	return iface
-}
-
-// IsCommitLoggerMethod reports whether fn is a method through which its
-// receiver type satisfies stm.CommitLogger: the receiver (or a pointer to
-// it) implements the interface and fn's name is in the interface's method
-// set. Such methods are the engines' commit-path durability seam — invoked
-// once per commit with write locks held, never from inside a re-executable
-// transaction body — which is why txpurity exempts them from the body
-// purity discipline. A mere name match (an Append on a type that does not
-// implement the interface) does not qualify.
-func IsCommitLoggerMethod(fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	iface := commitLoggerIface(fn.Pkg())
-	if iface == nil {
-		return false
-	}
-	inSet := false
-	for i := 0; i < iface.NumMethods(); i++ {
-		if iface.Method(i).Name() == fn.Name() {
-			inSet = true
-			break
-		}
-	}
-	if !inSet {
-		return false
-	}
-	recv := sig.Recv().Type()
-	if types.Implements(recv, iface) {
-		return true
-	}
-	if _, isPtr := recv.(*types.Pointer); !isPtr {
-		return types.Implements(types.NewPointer(recv), iface)
-	}
-	return false
-}
-
 // IsTxWrite reports whether call invokes stm.Tx.Write (on the interface or
 // any value whose static type is stm.Tx).
 func IsTxWrite(info *types.Info, call *ast.CallExpr) bool {
@@ -280,17 +200,11 @@ func IsTxWrite(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // IsTVarSet reports whether call invokes (*stm.TVar[T]).Set, the typed
-// wrapper over Tx.Write.
+// wrapper over Tx.Write (the stm package has other types with a Set
+// method, e.g. WriteSet).
 func IsTVarSet(info *types.Info, call *ast.CallExpr) bool {
-	return isTVarMethod(info, call, "Set")
-}
-
-// isTVarMethod reports whether call invokes the named method with a
-// *stm.TVar[T] receiver (the stm package has other types with Get/Set
-// methods, e.g. WriteSet).
-func isTVarMethod(info *types.Info, call *ast.CallExpr, name string) bool {
 	fn := FuncOf(info, call)
-	if fn == nil || fn.Name() != name || PkgPathOf(fn) != StmPath {
+	if fn == nil || fn.Name() != "Set" || PkgPathOf(fn) != StmPath {
 		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -303,20 +217,4 @@ func isTVarMethod(info *types.Info, call *ast.CallExpr, name string) bool {
 	}
 	named, isNamed := recv.(*types.Named)
 	return isNamed && named.Obj().Name() == "TVar"
-}
-
-// IsTxRead reports whether call invokes stm.Tx.Read.
-func IsTxRead(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Read" {
-		return false
-	}
-	tv, ok := info.Types[sel.X]
-	return ok && IsTx(tv.Type)
-}
-
-// IsTVarGet reports whether call invokes (*stm.TVar[T]).Get, the typed
-// wrapper over Tx.Read.
-func IsTVarGet(info *types.Info, call *ast.CallExpr) bool {
-	return isTVarMethod(info, call, "Get")
 }

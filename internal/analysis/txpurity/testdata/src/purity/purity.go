@@ -1,6 +1,6 @@
 // Package purity is twm-lint golden-test input: effects a transaction body
-// must not have (it re-executes on retry), and the //twm:impure escape
-// hatch that declares an effect deliberate.
+// must not have (it re-executes on retry), and the //twm:allow directive
+// that declares an effect deliberate and must suppress one.
 package purity
 
 import (
@@ -61,16 +61,24 @@ func selectsAndRanges(tm stm.TM, ch chan int) {
 
 func suppressed(tm stm.TM) {
 	_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
-		//twm:impure deliberate debug output while bisecting
+		//twm:allow txpurity deliberate debug output while bisecting
 		fmt.Println("allowed")
-		runtime.Gosched() //twm:impure scheduling yield, same cost on every engine
-		yieldHelper()
+		runtime.Gosched() //twm:allow txpurity scheduling yield, same cost on every engine
 		return nil
 	})
 }
 
-//twm:impure scheduling helper modeled on the bench yield wrapper
-func yieldHelper() { runtime.Gosched() }
+// A directive that names no analyzer, or that has nothing to suppress on its
+// line or the line below, is reported itself.
+func staleAllows(tm stm.TM) {
+	_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
+		fmt.Println("x") //twm:allow txpurty misspelled // want `names no analyzer \("txpurty"\)` `calls fmt.Println`
+		return nil //twm:allow txpurity nothing impure here // want `//twm:allow txpurity suppresses no diagnostic`
+	})
+}
+
+//twm:allow // want `names no analyzer`
+func noAnalyzer() {}
 
 func negatives(tm stm.TM, x *stm.TVar[int], sink *[]int) {
 	_ = stm.Atomically(tm, false, func(tx stm.Tx) error {

@@ -19,27 +19,10 @@
 //     and the print/println builtins;
 //   - nondeterminism: time.Now/Sleep/..., math/rand, runtime.Gosched.
 //
-// The escape hatch is a `//twm:impure` comment: on the line of (or above)
-// the offending statement, or in the doc comment of a called function, it
-// declares the impurity deliberate (the bench yield wrapper's scheduling
-// yields are the canonical use) and silences the report.
-//
-// One structural exemption needs no directive: methods through which a type
-// implements stm.CommitLogger (Append, Durable). They are the durability
-// seam of the engines' commit paths — invoked once per commit with write
-// locks held, never from inside a re-executable transaction body — and
-// performing I/O is their contract, so they neither report locally nor
-// export impurity facts. A lookalike method on a type that does not
-// implement the interface gets no such pass.
-//
-// Purity is transitive across package boundaries: the analyzer exports an
-// ImpureFact for every function of the analyzed package whose body
-// (transitively) has an effect, and consults the facts of imported
-// packages at every cross-package call site. In source mode the framework
-// Session computes dependency facts in-process; under `go vet -vettool`
-// they travel as gob payloads piggybacked on the unit-checker protocol
-// (framework/facts.go), so an impure helper three packages away is
-// reported at the body that ultimately calls it.
+// A deliberate effect (a test's coordination channel, a probe counter) is
+// declared with `//twm:allow txpurity <reason>` on its line or the line
+// above. Calls into other packages, beyond the listed effects, are not
+// followed: such a callee is taken to be pure.
 package txpurity
 
 import (
@@ -54,23 +37,10 @@ import (
 
 // Analyzer is the txpurity analysis.
 var Analyzer = &framework.Analyzer{
-	Name:      "txpurity",
-	Doc:       "report side effects inside transaction bodies, which re-execute on retry",
-	Run:       run,
-	FactTypes: []framework.Fact{&ImpureFact{}},
+	Name: "txpurity",
+	Doc:  "report side effects inside transaction bodies, which re-execute on retry",
+	Run:  run,
 }
-
-// ImpureFact marks a function whose body (transitively) performs an effect
-// a transaction body must not have. What reads like a violation chain:
-// "calls fmt.Printf" or "calls logIt, which calls fmt.Printf".
-type ImpureFact struct {
-	What string
-}
-
-// AFact marks ImpureFact as a framework fact.
-func (*ImpureFact) AFact() {}
-
-func (f *ImpureFact) String() string { return "impure: " + f.What }
 
 // purePkgFuncs exempts pure constructors from otherwise-forbidden
 // packages: they build values without touching the outside world, and
@@ -121,32 +91,22 @@ type violation struct {
 }
 
 type checker struct {
-	pass        *framework.Pass
-	impureLines map[string]map[int]bool
-	decls       map[*types.Func]*ast.FuncDecl
-	summaries   map[*types.Func][]violation
-	inProgress  map[*types.Func]bool
+	pass       *framework.Pass
+	decls      map[*types.Func]*ast.FuncDecl
+	summaries  map[*types.Func][]violation
+	inProgress map[*types.Func]bool
 }
 
 func run(pass *framework.Pass) error {
 	c := &checker{
-		pass:        pass,
-		impureLines: framework.DirectiveLines(pass.Fset, pass.Files, "twm:impure"),
-		decls:       declaredFuncs(pass),
-		summaries:   make(map[*types.Func][]violation),
-		inProgress:  make(map[*types.Func]bool),
+		pass:       pass,
+		decls:      declaredFuncs(pass),
+		summaries:  make(map[*types.Func][]violation),
+		inProgress: make(map[*types.Func]bool),
 	}
 	for _, body := range stmtypes.FindBodies(pass.TypesInfo, pass.Files) {
 		for _, v := range c.scan(body.Lit.Body) {
-			pass.Reportf(v.pos, "transaction body %s; bodies re-execute on retry (//twm:impure to allow)", v.what)
-		}
-	}
-	// Export an impurity fact for every declared function with an effect,
-	// whether or not a local body calls it: callers in packages that import
-	// this one resolve their cross-package call sites through these facts.
-	for fn := range c.decls {
-		if s := c.summary(fn); len(s) > 0 {
-			pass.ExportObjectFact(fn, &ImpureFact{What: s[0].what})
+			pass.Reportf(v.pos, "transaction body %s; bodies re-execute on retry", v.what)
 		}
 	}
 	return nil
@@ -183,20 +143,6 @@ func (c *checker) summary(fn *types.Func) []violation {
 	if decl == nil {
 		return nil
 	}
-	if framework.HasDirective(decl.Doc, "twm:impure") {
-		c.summaries[fn] = nil
-		return nil
-	}
-	// stm.CommitLogger implementations are commit-path code, not body code:
-	// the engines invoke Append with write locks held after validation and
-	// Durable after install, exactly once per commit, never from inside a
-	// re-executable body — and their entire job is I/O. A nil summary both
-	// silences local call sites and keeps the ImpureFact from being
-	// exported, so durable loggers don't poison every cross-package caller.
-	if stmtypes.IsCommitLoggerMethod(fn) {
-		c.summaries[fn] = nil
-		return nil
-	}
 	c.inProgress[fn] = true
 	s := c.scan(decl.Body)
 	c.inProgress[fn] = false
@@ -209,12 +155,7 @@ func (c *checker) summary(fn *types.Func) []violation {
 func (c *checker) scan(body ast.Node) []violation {
 	info := c.pass.TypesInfo
 	var out []violation
-	add := func(pos token.Pos, what string) {
-		if framework.SuppressedAt(c.pass.Fset, c.impureLines, pos) {
-			return
-		}
-		out = append(out, violation{pos, what})
-	}
+	add := func(pos token.Pos, what string) { out = append(out, violation{pos, what}) }
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
@@ -297,16 +238,6 @@ func (c *checker) checkCall(call *ast.CallExpr, add func(token.Pos, string)) {
 		// Same-package callee: fold its summary in at the call site.
 		if s := c.summary(fn); len(s) > 0 {
 			add(call.Pos(), "calls "+fn.Name()+", which "+s[0].what)
-		}
-	default:
-		// Cross-package callee: the owning package's analysis exported an
-		// ImpureFact if the function has (transitive) effects. No fact
-		// means pure — dependencies are always analyzed first, in source
-		// mode by the Session and in vet mode by the go command's unit
-		// ordering.
-		var f ImpureFact
-		if c.pass.ImportObjectFact(fn, &f) {
-			add(call.Pos(), "calls "+fn.Pkg().Name()+"."+fn.Name()+", which "+f.What)
 		}
 	}
 }

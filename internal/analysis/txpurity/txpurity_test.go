@@ -10,19 +10,3 @@ import (
 func TestTxPurity(t *testing.T) {
 	checktest.Run(t, "purity", txpurity.Analyzer)
 }
-
-// TestTxPurityCrossPackage proves purity propagates across a package
-// boundary: the impure helpers live in crosspure/helper, the transaction
-// bodies that reach them in crosspure/consumer, and the findings (plus the
-// helper package's exported ImpureFacts) are asserted in both.
-func TestTxPurityCrossPackage(t *testing.T) {
-	checktest.Run(t, "crosspure/consumer", txpurity.Analyzer)
-}
-
-// TestTxPurityCommitLogger proves the structural exemption: methods through
-// which a type implements stm.CommitLogger are commit-path code (no
-// diagnostics, no exported facts), while a name-alike Append on a
-// non-implementing type is still flagged and still exports its fact.
-func TestTxPurityCommitLogger(t *testing.T) {
-	checktest.Run(t, "commitlogger", txpurity.Analyzer)
-}

@@ -172,7 +172,7 @@ func runDurabilityCell(engine, policy string, threads int, d time.Duration, dc D
 					if b < 1 {
 						return nil
 					}
-					vars[from].Set(tx, b-1) //twm:allow abortshape insufficient-funds guard is the workload's inherent check-then-act
+					vars[from].Set(tx, b-1)
 					vars[to].Set(tx, vars[to].Get(tx)+1)
 					return nil
 				})

@@ -98,7 +98,7 @@ func runCrashSoak(t *testing.T, engine string, seed uint64) {
 					if b < amt {
 						return nil
 					}
-					vars[from].Set(tx, b-amt) //twm:allow abortshape insufficient-funds guard is the workload's inherent check-then-act
+					vars[from].Set(tx, b-amt)
 					vars[to].Set(tx, vars[to].Get(tx)+amt)
 					return nil
 				})

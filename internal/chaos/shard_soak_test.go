@@ -101,8 +101,8 @@ func TestCrossShardConservationSoak(t *testing.T) {
 				err := stm.Atomically(tm, false, func(tx stm.Tx) error {
 					a := tx.Read(vars[from]).(int)
 					b := tx.Read(vars[to]).(int)
-					tx.Write(vars[from], a-1) //twm:allow abortshape deliberate read-then-write transfer probe
-					tx.Write(vars[to], b+1)   //twm:allow abortshape deliberate read-then-write transfer probe
+					tx.Write(vars[from], a-1)
+					tx.Write(vars[to], b+1)
 					return nil
 				})
 				if err != nil {

@@ -46,7 +46,7 @@ func TestGCUnderLoad(t *testing.T) {
 					if f < 1 {
 						return nil
 					}
-					tx.Write(vars[from], f-1) //twm:allow abortshape balance guard; the stress test wants conflicting transfers
+					tx.Write(vars[from], f-1)
 					tx.Write(vars[to], tx.Read(vars[to]).(int)+1)
 					return nil
 				})

@@ -136,7 +136,7 @@ func BenchmarkTraverseBesideStamper(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			//twm:allow abortshape the walker must take the update-transaction read barrier
+			// The walker must take the update-transaction read barrier.
 			_ = stm.Atomically(tm, false, walk)
 		}
 		b.StopTimer()

@@ -130,14 +130,14 @@ func TestOpacityInflightSnapshotConsistency(t *testing.T) {
 				}
 				_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
 					a := tx.Read(x).(int)
-					runtime.Gosched() //twm:impure invite interleaving between the reads
+					runtime.Gosched() //twm:allow txpurity invite interleaving between the reads
 					b := tx.Read(y).(int)
-					mu.Lock() //twm:impure per-attempt probe counters, deliberately outside the STM
+					mu.Lock() //twm:allow txpurity per-attempt probe counters, deliberately outside the STM
 					checks++
 					if a+b != pairSum {
 						violations++
 					}
-					mu.Unlock()       //twm:impure see above
+					mu.Unlock()       //twm:allow txpurity see above
 					tx.Write(junk, i) // stay an update transaction
 					return nil
 				})

@@ -542,7 +542,7 @@ func TestVersionListInvariant(t *testing.T) {
 				_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
 					tx.Read(vars[next(nv)])
 					tx.Read(vars[next(nv)])
-					tx.Write(vars[next(nv)], i) //twm:allow abortshape randomized workload generates upgrade windows on purpose
+					tx.Write(vars[next(nv)], i)
 					return nil
 				})
 			}

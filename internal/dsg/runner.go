@@ -93,7 +93,7 @@ func CheckRandom(t TB, tm stm.TM, opts RunOptions) {
 						for k := 0; k < nWrites; k++ {
 							v := r.intn(opts.Vars)
 							val := int64(id)*100 + int64(v)
-							tx.Write(vars[v], val) //twm:allow abortshape history generator explores upgrade windows as part of the schedule space
+							tx.Write(vars[v], val)
 							rec.Writes[v] = val
 						}
 					}

@@ -188,7 +188,7 @@ func TestAllocsAVSTMRegistry(t *testing.T) {
 		vars[i] = tm.NewVar(i)
 	}
 	hotReads := func() {
-		//twm:allow abortshape measures the update path's visible-read accounting; readOnly=false is the point
+		// Measures the update path's visible-read accounting; readOnly=false is the point.
 		_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
 			for range 3 { // re-reads exercise the home-shard dedup walk
 				for _, v := range vars {
@@ -231,7 +231,7 @@ func TestAllocsEmptyUpdate(t *testing.T) {
 			tm := engines.MustNew(name)
 			v := tm.NewVar(7)
 			emptyTx := func() {
-				//twm:allow abortshape exercises the empty-write-set commit of an update transaction by design
+				// Exercises the empty-write-set commit of an update transaction by design.
 				_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
 					_ = tx.Read(v)
 					return nil
@@ -268,7 +268,7 @@ func TestAllocsPanicPath(t *testing.T) {
 						t.Fatalf("recovered %v, want the body's panic value", r)
 					}
 				}()
-				//twm:allow abortshape the leak being regression-tested lives in the update-descriptor pool; readOnly=true would test the wrong pool
+				// The leak being regression-tested lives in the update-descriptor pool; readOnly=true would test the wrong pool.
 				_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
 					_ = tx.Read(v)
 					panic(boom)

@@ -41,10 +41,10 @@ func TestStatsReconcileWithRetryLoop(t *testing.T) {
 					for i := 0; i < calls; i++ {
 						j := (g + i) % len(vars)
 						err := stm.Atomically(tm, false, func(tx stm.Tx) error {
-							executions.Add(1) //twm:impure counting executions is the observation under test
+							executions.Add(1) //twm:allow txpurity counting executions is the observation under test
 							a := tx.Read(vars[j]).(int)
 							b := tx.Read(vars[(j+1)%len(vars)]).(int)
-							tx.Write(vars[j], a+1) //twm:allow abortshape overlapping two-var windows drive the retry loop under test
+							tx.Write(vars[j], a+1)
 							tx.Write(vars[(j+1)%len(vars)], b+1)
 							return nil
 						})

@@ -155,7 +155,7 @@ func transfer(tx stm.Tx, from, to *account, amount int64) error {
 	if fb-from.held.Get(tx) < amount {
 		return ErrInsufficient
 	}
-	from.balance.Set(tx, fb-amount) //twm:allow abortshape insufficient-funds guard is inherent check-then-act in a ledger debit
+	from.balance.Set(tx, fb-amount)
 	to.balance.Set(tx, to.balance.Get(tx)+amount)
 	return nil
 }
@@ -179,7 +179,7 @@ func reserve(tx stm.Tx, a *account, amount int64) error {
 	if a.balance.Get(tx)-h < amount {
 		return ErrInsufficient
 	}
-	a.held.Set(tx, h+amount) //twm:allow abortshape hold placement is inherent check-then-act against available funds
+	a.held.Set(tx, h+amount)
 	return nil
 }
 
@@ -192,7 +192,7 @@ func release(tx stm.Tx, a *account, amount int64) error {
 	if h < amount {
 		return ErrInsufficientHold
 	}
-	a.held.Set(tx, h-amount) //twm:allow abortshape hold release is inherent check-then-act against the held slice
+	a.held.Set(tx, h-amount)
 	return nil
 }
 
@@ -206,7 +206,7 @@ func capture(tx stm.Tx, a *account, amount int64) error {
 	if h < amount {
 		return ErrInsufficientHold
 	}
-	a.held.Set(tx, h-amount) //twm:allow abortshape capture is inherent check-then-act against the held slice
+	a.held.Set(tx, h-amount)
 	a.balance.Set(tx, a.balance.Get(tx)-amount)
 	return nil
 }

@@ -275,8 +275,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Serve accepts on ln until ctx is cancelled, then shuts down gracefully:
-// stop accepting, let in-flight requests finish (their transactions are
-// bounded by RequestTimeout) for up to drain, then hard-close whatever
+// stop accepting, close connections that have not started a request, let
+// in-flight requests finish (their transactions are bounded by
+// RequestTimeout) for up to drain, then hard-close whatever
 // remains. The drain ordering matters: requests first (they hold gate slots
 // and engine state), watchdog last (it only observes). Returns nil on a clean
 // drain; the ledger and engine remain usable after return (Close releases the
@@ -306,12 +307,14 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration
 	if maxHeader == 0 {
 		maxHeader = 64 << 10
 	}
+	fresh := &freshConns{conns: make(map[net.Conn]struct{})}
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		BaseContext:       func(net.Listener) context.Context { return base },
 		ReadHeaderTimeout: readHeader,
 		IdleTimeout:       idle,
 		MaxHeaderBytes:    maxHeader,
+		ConnState:         fresh.track,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
@@ -327,6 +330,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration
 	// ctx is already done; Shutdown needs a fresh deadline for the drain.
 	sctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
+	fresh.refuse()
 	err := hs.Shutdown(sctx)
 	// Drain over — cleanly or expired. Cancel anything still retrying (a
 	// no-op on a clean drain) and, if connections remain, force-close them so
@@ -340,6 +344,57 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration
 		return fmt.Errorf("server: drain incomplete: %w", err)
 	}
 	return nil
+}
+
+// freshConns tracks the connections that have not yet started a request
+// (http.StateNew) so a drain can refuse them. Shutdown counts such a
+// connection as active until it is 5 s old or its ReadHeaderTimeout fires,
+// so one unused pre-dialled client connection would otherwise hold the
+// whole drain window and turn a graceful stop into "drain incomplete"
+// (DESIGN.md §15).
+type freshConns struct {
+	mu       sync.Mutex
+	conns    map[net.Conn]struct{}
+	n        atomic.Int32 // len(conns), read without mu
+	refusing bool
+}
+
+// track is the http.Server ConnState hook. A connection is recorded when
+// accepted and forgotten at its next state change; once every connection
+// has started a request (n == 0), the per-request transitions cost one
+// atomic load and allocate nothing.
+func (f *freshConns) track(c net.Conn, st http.ConnState) {
+	if st != http.StateNew && f.n.Load() == 0 {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		if _, ok := f.conns[c]; ok {
+			delete(f.conns, c)
+			f.n.Add(-1)
+		}
+	case f.refusing:
+		c.Close() // accepted just before the listener closed
+	default:
+		f.conns[c] = struct{}{}
+		f.n.Add(1)
+	}
+}
+
+// refuse closes every connection that has not started a request, and every
+// connection accepted from now on, exactly as a closed listener refuses one
+// that arrives after it.
+func (f *freshConns) refuse() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.refusing = true
+	for c := range f.conns {
+		c.Close()
+	}
+	clear(f.conns)
+	f.n.Store(0)
 }
 
 // routes builds the ServeMux. Method+path patterns (Go 1.22 mux) keep the
@@ -546,7 +601,7 @@ func (s *Server) handleMove(op func(stm.Tx, *account, int64) error) http.Handler
 // lives).
 func (s *Server) handleTxPanic(w http.ResponseWriter, r *http.Request) {
 	err := s.update(r.Context(), func(stm.Tx) error {
-		panic("debugz: transaction body panic drill") //twm:impure deliberate fault drill; the body never commits
+		panic("debugz: transaction body panic drill")
 	})
 	s.writeError(w, r, err)
 }

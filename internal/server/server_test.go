@@ -392,3 +392,54 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	client.CloseIdleConnections()
 }
+
+// acceptSignal reports each accepted connection, so a test knows the server
+// holds it before draining starts.
+type acceptSignal struct {
+	net.Listener
+	accepted chan struct{}
+}
+
+func (l acceptSignal) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- struct{}{}
+	}
+	return c, err
+}
+
+// TestDrainRefusesUnusedConnection: a connection that has sent nothing when
+// draining starts cannot hold the drain. net/http's Shutdown counts such a
+// connection as active until it is 5 s old, so without the refusal Serve
+// waits out its whole window and reports "drain incomplete".
+func TestDrainRefusesUnusedConnection(t *testing.T) {
+	s := newTestServer(t, server.Config{Engine: "twm", Accounts: 2, InitialBalance: 1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := acceptSignal{Listener: ln, accepted: make(chan struct{}, 1)}
+	ctx, cancel := context.WithCancel(context.Background())
+	const window = 3 * time.Second
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ctx, sig, window) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	<-sig.accepted
+	start := time.Now()
+	cancel()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v after %v, want a clean drain", err, time.Since(start))
+	}
+	if took := time.Since(start); took > window/2 {
+		t.Fatalf("drain took %v of a %v window", took, window)
+	}
+	conn.SetReadDeadline(time.Now().Add(window))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("unused connection read (%d, %v), want EOF: the drain closes it", n, err)
+	}
+}

@@ -259,7 +259,7 @@ func (b *Bench) linkPhase(tm stm.TM, threads int, l int) error {
 					if tx.Read(succ.prev) != (*segment)(nil) {
 						return nil
 					}
-					tx.Write(s.next, succ) //twm:allow abortshape claim both links only if free: check-then-act is the algorithm (STAMP genome)
+					tx.Write(s.next, succ)
 					tx.Write(succ.prev, s)
 					claimed = true
 					return nil

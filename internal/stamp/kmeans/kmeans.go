@@ -189,9 +189,9 @@ func (b *Bench) Run(tm stm.TM, threads int) error {
 						b.centers[c][d] = tx.Read(b.sums[c][d]).(float64) / float64(n)
 					}
 				}
-				tx.Write(b.lens[c], 0) //twm:allow abortshape fold-then-reset of the accumulators is the barrier step (STAMP kmeans)
+				tx.Write(b.lens[c], 0)
 				for d := 0; d < b.p.Dims; d++ {
-					tx.Write(b.sums[c][d], 0.0) //twm:allow abortshape fold-then-reset of the accumulators is the barrier step (STAMP kmeans)
+					tx.Write(b.sums[c][d], 0.0)
 				}
 			}
 			return nil

@@ -69,9 +69,8 @@ type CommitRecord struct {
 // Implementations must be safe for concurrent use; Append calls themselves
 // are naturally serialized per clock domain (the caller holds write locks),
 // but Durable is invoked from many goroutines at once. The interface is
-// engine-facing commit-path code: the txpurity analyzer exempts
-// implementations from transaction-body purity checks, because a logger
-// method runs exactly once per commit, never inside a re-executable body.
+// engine-facing commit-path code: a logger method runs exactly once per
+// commit, never inside a re-executable body.
 type CommitLogger interface {
 	Append(recs []CommitRecord) (LSN, error)
 	Durable(lsn LSN) error

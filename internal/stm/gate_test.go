@@ -131,8 +131,8 @@ func TestGatedAtomicallyCtxCancelUnblocks(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		err := stm.AtomicallyGated(nil, tm, false, g, func(tx stm.Tx) error {
-			close(occupied) //twm:impure test coordination; body runs exactly once
-			<-release       //twm:impure hold the slot with a transaction in flight
+			close(occupied) //twm:allow txpurity test coordination; body runs exactly once
+			<-release       //twm:allow txpurity hold the slot with a transaction in flight
 			v.Set(tx, 1)
 			return nil
 		})
@@ -179,8 +179,8 @@ func TestGatedAtomicallyOverloadRecorded(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		_ = stm.AtomicallyGated(nil, tm, false, g, func(tx stm.Tx) error {
-			close(occupied) //twm:impure test coordination; body runs exactly once
-			<-release       //twm:impure hold the slot with a transaction in flight
+			close(occupied) //twm:allow txpurity test coordination; body runs exactly once
+			<-release       //twm:allow txpurity hold the slot with a transaction in flight
 			v.Set(tx, 1)
 			return nil
 		})

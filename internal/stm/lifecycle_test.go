@@ -139,8 +139,8 @@ func TestGatedHoldsSlotAcrossRetries(t *testing.T) {
 				t.Errorf("attempt %d ran outside the slot: in-flight = %d", runs, g.InFlight())
 			}
 			if runs == 2 {
-				close(entered) //twm:impure test coordination; guarded to the second attempt
-				<-release      //twm:impure hold the slot mid-retry
+				close(entered) //twm:allow txpurity test coordination; guarded to the second attempt
+				<-release      //twm:allow txpurity hold the slot mid-retry
 			}
 			return nil
 		})

@@ -217,7 +217,7 @@ func TestTVarTypedAccess(t *testing.T) {
 		if got := v.Get(tx); got != "hello" {
 			t.Errorf("get = %q", got)
 		}
-		v.Set(tx, "world") //twm:allow abortshape single-threaded semantics test; no concurrent readers exist
+		v.Set(tx, "world")
 		if got := v.Get(tx); got != "world" {
 			t.Errorf("get after set = %q", got)
 		}

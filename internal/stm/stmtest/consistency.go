@@ -38,14 +38,14 @@ func inflightConsistency(t *testing.T, tm stm.TM) {
 				}
 				_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
 					a := x.Get(tx)
-					runtime.Gosched() //twm:impure widen the window between the reads
+					runtime.Gosched() //twm:allow txpurity widen the window between the reads
 					b := y.Get(tx)
-					mu.Lock() //twm:impure per-attempt probe counters, deliberately outside the STM
+					mu.Lock() //twm:allow txpurity per-attempt probe counters, deliberately outside the STM
 					checks++
 					if a+b != pairSum {
 						violations++
 					}
-					mu.Unlock() //twm:impure see above
+					mu.Unlock() //twm:allow txpurity see above
 					junk.Set(tx, i)
 					return nil
 				})
@@ -92,7 +92,7 @@ func pipeline(t *testing.T, tm stm.TM) {
 					if slot.Get(tx) != 0 {
 						return nil // slot full; try again later
 					}
-					slot.Set(tx, n+1) //twm:allow abortshape slot-claim is check-then-act; the harness manufactures pivot windows deliberately
+					slot.Set(tx, n+1)
 					produced.Set(tx, n+1)
 					return nil
 				}); err != nil {
@@ -122,7 +122,7 @@ func pipeline(t *testing.T, tm stm.TM) {
 					if err := stm.Atomically(tm, false, func(tx stm.Tx) error {
 						got = cell.Get(tx)
 						if got != 0 {
-							cell.Set(tx, 0) //twm:allow abortshape drain-if-full is check-then-act; contention is the test's subject
+							cell.Set(tx, 0)
 						}
 						return nil
 					}); err != nil {

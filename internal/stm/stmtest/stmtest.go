@@ -184,7 +184,7 @@ func bankInvariant(t *testing.T, tm stm.TM) {
 					if f < amt {
 						return nil // insufficient funds; commit read-only
 					}
-					accs[from].Set(tx, f-amt) //twm:allow abortshape insufficient-funds guard; the invariant suite wants conflicting transfers
+					accs[from].Set(tx, f-amt)
 					accs[to].Set(tx, accs[to].Get(tx)+amt)
 					return nil
 				}); err != nil {

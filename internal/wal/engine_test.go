@@ -86,7 +86,7 @@ func TestEngineRecoveryMatchesLiveState(t *testing.T) {
 							if b < amt {
 								return nil
 							}
-							vars[from].Set(tx, b-amt) //twm:allow abortshape insufficient-funds guard is the workload's inherent check-then-act
+							vars[from].Set(tx, b-amt)
 							vars[to].Set(tx, vars[to].Get(tx)+amt)
 							return nil
 						})
