@@ -22,15 +22,12 @@
 //	durability fsync-policy latency ladder of the write-ahead log (off /
 //	           interval / per-batch / per-commit) on the WAL-capable
 //	           engines, recorded in BENCH_durability.json
-//	shardclock partitioned multi-clock A/B: unsharded twm vs a 16-shard
-//	           clock domain on partitioned counters at several cross-shard
-//	           mixes, recorded in BENCH_shardclock.json
 //	all        everything above (except the sweeps with their own axes)
 //
 // Flags select engines, thread counts, per-cell duration for the
 // microbenchmarks, and input scale. The defaults are container-sized; pass
 // -scale paper for the paper's input sizes (skiplist only; STAMP apps use
-// their default presets). The last three experiments write their JSON artifact
+// their default presets). The last two experiments write their JSON artifact
 // only when -json names a path.
 package main
 
@@ -64,7 +61,7 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 1, "base RNG seed")
 	yieldEvery := fs.Int("yield-every", 1, "inject a scheduler yield after every N-th transactional barrier to simulate multi-core overlap on few cores (0 disables)")
 	csvPath := fs.String("csv", "", "also append machine-readable results to this CSV file")
-	jsonPath := fs.String("json", "", "write the experiment's JSON artifact to this path (groupcommit, durability, shardclock)")
+	jsonPath := fs.String("json", "", "write the experiment's JSON artifact to this path (groupcommit, durability)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -180,26 +177,6 @@ func run(args []string) error {
 			return err
 		}
 		return emit("durability", nil, nil)
-	case "shardclock":
-		sc := bench.DefaultShardClock()
-		sc.Seed = *seed
-		if *scale == "small" {
-			sc.Partitions = 4
-			sc.VarsPerPartition = 64
-		}
-		// The A/B has its own thread axis (the high-contention end of the
-		// sweep, where clock sharing is the bottleneck).
-		if *threadList == "1,4,8,16,32,64" {
-			cfg.Threads = bench.ShardClockThreads()
-		}
-		art, err := bench.ShardClockFigure(out, cfg, sc)
-		if err != nil {
-			return err
-		}
-		if err := writeArtifact(*jsonPath, art.WriteJSON, len(art.Cells)); err != nil {
-			return err
-		}
-		return emit("shardclock", nil, nil)
 	case "all":
 		if res, err := bench.Fig3SkipList(out, cfg, sl); emit("fig3-skiplist", res, err) != nil {
 			return err
@@ -293,7 +270,6 @@ func summary(cfg bench.FigureConfig, scale string, emit emitFunc) error {
 	}
 	sum.Table2(os.Stdout)
 	sum.ReasonHistogram(os.Stdout)
-	sum.ShardCommitSplit(os.Stdout)
 	sum.StampElision(os.Stdout)
 	return nil
 }

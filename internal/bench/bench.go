@@ -68,14 +68,12 @@ func RunMicro(engine string, m Micro, threads int, d time.Duration, seed uint64,
 	if err != nil {
 		return Result{}, err
 	}
-	return RunMicroOn(WithYield(inner, yieldEvery), engine, m, threads, d, seed)
+	return runMicroOn(WithYield(inner, yieldEvery), engine, m, threads, d, seed)
 }
 
-// RunMicroOn is RunMicro over a pre-built engine instance — the entry point
-// for sweeps whose engines need construction options the registry's plain
-// names don't carry (sharded clocks, budgets, custom wrappers). label names
-// the engine in the Result.
-func RunMicroOn(tm stm.TM, label string, m Micro, threads int, d time.Duration, seed uint64) (Result, error) {
+// runMicroOn is RunMicro over a pre-built engine instance; label names the
+// engine in the Result.
+func runMicroOn(tm stm.TM, label string, m Micro, threads int, d time.Duration, seed uint64) (Result, error) {
 	op, err := m.Prepare(tm, threads)
 	if err != nil {
 		return Result{}, fmt.Errorf("bench: prepare %s: %w", m.Name, err)

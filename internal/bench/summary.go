@@ -205,42 +205,6 @@ func (s *Summary) ReasonHistogram(w io.Writer) {
 	tbl.Fprint(w)
 }
 
-// ShardCommitSplit prints each engine's single- vs cross-shard commit split
-// and fence CAS retries, aggregated over every cell. Engines running a single
-// clock domain record nothing here, so the table only appears when a sharded
-// engine contributed — the split is the first thing to read when a sharded
-// run's throughput looks wrong (a cross-heavy split means the fence, not the
-// fast path, set the pace).
-func (s *Summary) ShardCommitSplit(w io.Writer) {
-	single := map[string]uint64{}
-	cross := map[string]uint64{}
-	retries := map[string]uint64{}
-	any := false
-	for _, c := range s.Cells {
-		single[c.Engine] += c.Stats.SingleShardCommits
-		cross[c.Engine] += c.Stats.CrossShardCommits
-		retries[c.Engine] += c.Stats.ShardClockCASRetries
-		if c.Stats.SingleShardCommits > 0 || c.Stats.CrossShardCommits > 0 {
-			any = true
-		}
-	}
-	if !any {
-		return
-	}
-	tbl := NewTable("Shard commit split (aggregated over cells)",
-		"engine", "single-shard", "cross-shard", "cross share", "cas-retries")
-	for _, e := range s.engines() {
-		total := single[e] + cross[e]
-		if total == 0 {
-			continue
-		}
-		tbl.AddRow(e, fmt.Sprintf("%d", single[e]), fmt.Sprintf("%d", cross[e]),
-			fmt.Sprintf("%.1f%%", 100*float64(cross[e])/float64(total)),
-			fmt.Sprintf("%d", retries[e]))
-	}
-	tbl.Fprint(w)
-}
-
 // StampElision prints, per engine, how many read-only commits ran quiet (read
 // stamps elided, DESIGN.md §12.5) and how many versions the collector
 // re-rooted, aggregated over every cell. Only TWM records either, so the

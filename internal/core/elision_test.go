@@ -31,40 +31,38 @@ func bump(t *testing.T, tm *TM, v stm.Var) uint64 {
 // parked sample — which restarted it with ReasonMemoryPressure although no
 // budget is configured.
 func TestSnapshotPublishedBeforeSample(t *testing.T) {
-	for _, k := range []int{1, 4} {
-		tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1, ClockShards: k}})
-		x := tm.NewVar(0)
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1}})
+	x := tm.NewVar(0)
+	bump(t, tm, x)
+	var last uint64
+	tm.SnapshotStall = func() {
+		tm.SnapshotStall = nil
 		bump(t, tm, x)
-		var last uint64
-		tm.SnapshotStall = func() {
-			tm.SnapshotStall = nil
-			bump(t, tm, x)
-			last = bump(t, tm, x)
-			if freed := tm.GC(); freed == 0 {
-				t.Errorf("K=%d: the pass inside the window freed nothing", k)
-			}
+		last = bump(t, tm, x)
+		if freed := tm.GC(); freed == 0 {
+			t.Errorf("the pass inside the window freed nothing")
 		}
-		ro := tm.Begin(true)
-		if tm.SnapshotStall != nil {
-			t.Fatalf("K=%d: Begin did not reach the stall point", k)
-		}
-		if got := ro.(*txn).snap(x.(*twvar)); got < last {
-			t.Errorf("K=%d: snapshot %d is below the bound %d of a pass that did not see the transaction", k, got, last)
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("K=%d: read-only read restarted (%v): the pass trimmed the version its snapshot needs", k, r)
-				}
-			}()
-			if got := ro.Read(x); got != 3 {
-				t.Errorf("K=%d: read %v, want 3", k, got)
+	}
+	ro := tm.Begin(true)
+	if tm.SnapshotStall != nil {
+		t.Fatalf("Begin did not reach the stall point")
+	}
+	if got := ro.(*txn).start; got < last {
+		t.Errorf("snapshot %d is below the bound %d of a pass that did not see the transaction", got, last)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("read-only read restarted (%v): the pass trimmed the version its snapshot needs", r)
 			}
 		}()
-		tm.Commit(ro)
-		if n := tm.Stats().Snapshot().ByReason[stm.ReasonMemoryPressure.String()]; n != 0 {
-			t.Errorf("K=%d: %d memory-pressure restarts without a budget", k, n)
+		if got := ro.Read(x); got != 3 {
+			t.Errorf("read %v, want 3", got)
 		}
+	}()
+	tm.Commit(ro)
+	if n := tm.Stats().Snapshot().ByReason[stm.ReasonMemoryPressure.String()]; n != 0 {
+		t.Errorf("%d memory-pressure restarts without a budget", n)
 	}
 }
 
@@ -73,52 +71,50 @@ func TestSnapshotPublishedBeforeSample(t *testing.T) {
 // snapshot is still registered; quiet reads leave the stamp alone, the others
 // raise it as before.
 func TestQuietOnlyWithoutOlderUpdater(t *testing.T) {
-	for _, k := range []int{1, 4} {
-		tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1, ClockShards: k}})
-		x, y := tm.NewVar(0), tm.NewVar(0)
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1}})
+	x, y := tm.NewVar(0), tm.NewVar(0)
 
-		ro := tm.Begin(true)
-		if !ro.(*txn).quiet {
-			t.Fatalf("K=%d: read-only transaction on an idle engine is not quiet", k)
-		}
-		ro.Read(x)
-		if s := tm.ReadStamp(x); s != 0 {
-			t.Errorf("K=%d: quiet read raised the stamp to %d", k, s)
-		}
-		tm.Commit(ro)
+	ro := tm.Begin(true)
+	if !ro.(*txn).quiet {
+		t.Fatalf("read-only transaction on an idle engine is not quiet")
+	}
+	ro.Read(x)
+	if s := tm.ReadStamp(x); s != 0 {
+		t.Errorf("quiet read raised the stamp to %d", s)
+	}
+	tm.Commit(ro)
 
-		old := tm.Begin(false) // in flight from here on
-		peer := tm.Begin(true)
-		if !peer.(*txn).quiet {
-			t.Errorf("K=%d: an update transaction at the same start made a reader stamp", k)
-		}
-		tm.Commit(peer)
-		otherRO := tm.Begin(true) // read-only registrations never count
-		bump(t, tm, x)
-		bump(t, tm, y) // both shards' clocks move at K=4 (round-robin placement)
+	old := tm.Begin(false) // in flight from here on
+	peer := tm.Begin(true)
+	if !peer.(*txn).quiet {
+		t.Errorf("an update transaction at the same start made a reader stamp")
+	}
+	tm.Commit(peer)
+	otherRO := tm.Begin(true) // read-only registrations never count
+	bump(t, tm, x)
+	bump(t, tm, y)
 
-		late := tm.Begin(true)
-		if late.(*txn).quiet {
-			t.Fatalf("K=%d: reader is quiet with an older update transaction in flight", k)
-		}
-		late.Read(y)
-		if s := tm.ReadStamp(y); s == 0 {
-			t.Errorf("K=%d: stamping read left the stamp at 0", k)
-		}
-		tm.Commit(late)
+	late := tm.Begin(true)
+	if late.(*txn).quiet {
+		t.Fatalf("reader is quiet with an older update transaction in flight")
+	}
+	late.Read(y)
+	if s := tm.ReadStamp(y); s == 0 {
+		t.Errorf("stamping read left the stamp at 0")
+	}
+	tm.Commit(late)
 
-		tm.Abort(old)
-		after := tm.Begin(true)
-		if !after.(*txn).quiet {
-			t.Errorf("K=%d: reader not quiet after the older update transaction finished (an older read-only one remains)", k)
-		}
-		tm.Commit(after)
-		tm.Commit(otherRO)
+	tm.Abort(old)
+	after := tm.Begin(true)
+	if !after.(*txn).quiet {
+		t.Errorf("reader not quiet after the older update transaction finished (an older read-only one remains)")
+	}
+	tm.Commit(after)
+	tm.Commit(otherRO)
 
-		sn := tm.Stats().Snapshot()
-		if sn.ROCommits != 5 || sn.QuietROCommits != 4 {
-			t.Errorf("K=%d: %d read-only commits, %d quiet; want 5 and 4", k, sn.ROCommits, sn.QuietROCommits)
-		}
+	sn := tm.Stats().Snapshot()
+	if sn.ROCommits != 5 || sn.QuietROCommits != 4 {
+		t.Errorf("%d read-only commits, %d quiet; want 5 and 4", sn.ROCommits, sn.QuietROCommits)
 	}
 }
 

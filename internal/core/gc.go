@@ -8,7 +8,7 @@ package core
 // time-warp below k (such a transaction would need a concurrent
 // anti-dependent committer with natOrder < k, contradicting k's minimality).
 //
-// The schedule, the per-shard bounds and the budget escalation (eager pass at
+// The schedule, the bound and the budget escalation (eager pass at
 // soft pressure, depth trim at hard pressure) are the shared chassis's
 // (mvutil.Chassis.GC, admit); this file is the pass over TWM's chains.
 
@@ -19,8 +19,8 @@ import (
 
 // sweep is the chain pass behind mvutil.Chassis; gcMu is held. With depth == 0
 // it frees, per variable, everything older than the newest version visible at
-// its shard's bound. With depth > 0 it instead cuts every chain to at most
-// depth versions, newest first, ignoring the bounds — so it may free versions
+// bound. With depth > 0 it instead cuts every chain to at most depth
+// versions, newest first, ignoring bound — so it may free versions
 // an in-flight transaction still needs, the hard-pressure degradation that
 // trades the read-only no-abort guarantee for a memory bound. Safety survives
 // because either pass only removes a chain suffix: every read and commit-time
@@ -37,11 +37,10 @@ import (
 // latest, and the root left the chain in an earlier pass; so once every
 // transaction that began before that pass ended has finished, none can. The
 // pass that unlinks a root marks it (rootFree), every pass ends by sampling
-// the clocks (sweptAt), and a later pass re-roots only on a shard whose bound
-// — the oldest registered start, or the clock when none is — exceeds that
-// sample: every transaction registered now began after it, and one that is
+// the clock (sweptAt), and a later pass re-roots only when its bound — the
+// oldest registered start, or the clock when none is — exceeds that sample: every transaction registered now began after it, and one that is
 // not registered yet has not read anything (Chassis.Snapshot).
-func (tm *TM) sweep(bounds []uint64, depth int) (freed int, bytes int64) {
+func (tm *TM) sweep(bound uint64, depth int) (freed int, bytes int64) {
 	tm.varsMu.Lock()
 	vars := tm.vars // snapshot; vars are append-only
 	tm.varsMu.Unlock()
@@ -53,7 +52,7 @@ func (tm *TM) sweep(bounds []uint64, depth int) (freed int, bytes int64) {
 			// leave the lock word — and the line every traversal of v loads —
 			// untouched. An install racing this check is the next pass's
 			// business.
-			if head == &v.root || !v.rootFree || depth > 0 || bounds[v.shard] <= tm.sweptAt[v.shard] {
+			if head == &v.root || !v.rootFree || depth > 0 || bound <= tm.sweptAt {
 				continue
 			}
 			if v.owner.TryLockGC() {
@@ -76,7 +75,6 @@ func (tm *TM) sweep(bounds []uint64, depth int) (freed int, bytes int64) {
 				ver = ver.next.Load()
 			}
 		} else {
-			bound := bounds[v.shard]
 			for ver.natOrder > bound || ver.twOrder > bound {
 				next := ver.next.Load()
 				if next == nil {
@@ -98,9 +96,7 @@ func (tm *TM) sweep(bounds []uint64, depth int) (freed int, bytes int64) {
 		ver.next.Store(nil)
 		v.owner.UnlockGC()
 	}
-	for s := range tm.sweptAt {
-		tm.sweptAt[s] = tm.Clk.Load(s)
-	}
+	tm.sweptAt = tm.Clk.Load()
 	tm.stats.RecordReRoots(rerooted)
 	return freed, bytes
 }

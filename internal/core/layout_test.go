@@ -13,9 +13,8 @@ import (
 
 // TestVarLayout pins the coherence properties of the per-variable metadata
 // (DESIGN.md §12.4): everything a read barrier loads from the variable unless
-// it stamps — lock word, chain head, embedded version, and the clock shard the
-// update barrier folds into its footprint and the sharded barriers index the
-// snapshot with — sits in the variable's first 64 bytes, next to the
+// it stamps — lock word, chain head and embedded version — sits in the
+// variable's first 64 bytes, next to the
 // collector's root mark; a stamping barrier loads the stamp pointer from the
 // bytes after them. The variable is 88 bytes — still the 96-byte size class;
 // the 80-byte class would need hist out of the variable — and the read stamp
@@ -39,7 +38,6 @@ func TestVarLayout(t *testing.T) {
 		{"owner", unsafe.Offsetof(z.owner), unsafe.Sizeof(z.owner)},
 		{"latest", unsafe.Offsetof(z.latest), unsafe.Sizeof(z.latest)},
 		{"root", unsafe.Offsetof(z.root), unsafe.Sizeof(z.root)},
-		{"shard", unsafe.Offsetof(z.shard), unsafe.Sizeof(z.shard)},
 		{"rootFree", unsafe.Offsetof(z.rootFree), unsafe.Sizeof(z.rootFree)},
 	} {
 		if end := f.off + f.len; end > 64 {

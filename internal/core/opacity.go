@@ -38,7 +38,7 @@ func (tx *txn) readOpaque(tv *twvar) stm.Value {
 		return val // read-after-write
 	}
 	tx.readSet = append(tx.readSet, tv)
-	tx.semiVisibleRead(tv, tx.tm.Clk.Load(0)) // opacity excludes sharding
+	tx.semiVisibleRead(tv, tx.tm.Clk.Load())
 	if !tv.owner.WaitUnlocked(&tx.Desc, tx.tm.Opts.LockSpinBudget) {
 		tx.Stats.RecordAbort(stm.ReasonLockTimeout)
 		stm.Retry(stm.ReasonLockTimeout)

@@ -48,16 +48,14 @@ type Options struct {
 	// perform semi-visible reads during execution, homogenizing the
 	// serialization order perceived by all transactions. Commit-time
 	// anti-dependency detection then keys on twOrder instead of natOrder.
-	// See opacity.go. Mutually exclusive with GroupCommit and ClockShards > 1.
+	// See opacity.go. Mutually exclusive with GroupCommit.
 	Opacity bool
 }
 
 // TM is a Time-Warp Multi-version transactional memory instance.
 type TM struct {
-	// Chassis is the machinery shared with internal/jvstm: clock domain,
-	// active set, GC schedule, budget, logger and the commit pipeline. Time-
-	// warp rules apply per clock domain; cross-shard commits validate
-	// classically and never warp.
+	// Chassis is the machinery shared with internal/jvstm: commit clock,
+	// active set, GC schedule, budget, logger and the commit pipeline.
 	mvutil.Chassis
 	// The TWM-only switches; the shared options live in Chassis.Opts.
 	notw, opaque bool
@@ -72,9 +70,9 @@ type TM struct {
 	varsMu  sync.Mutex
 	vars    []*twvar
 	history atomic.Bool
-	// sweptAt is each shard's clock as the last collector pass ended (sweep's
-	// re-root rule); guarded by the chassis's GC mutex.
-	sweptAt []uint64
+	// sweptAt is the clock as the last collector pass ended (sweep's re-root
+	// rule); guarded by the chassis's GC mutex.
+	sweptAt uint64
 }
 
 // New returns a TWM instance with the given options.
@@ -88,15 +86,8 @@ func New(opts Options) *TM {
 		// rule is argued for that schedule (DESIGN.md §7).
 		panic("core: GroupCommit requires the default time-warp mode")
 	}
-	if opts.Opacity && opts.ClockShards > 1 {
-		// The opacity extension homogenizes every transaction onto the
-		// read-only visibility rule against one serialization order; a
-		// per-shard order has no single twOrder line to homogenize onto.
-		panic("core: Opacity and ClockShards > 1 are mutually exclusive")
-	}
 	tm := &TM{notw: opts.DisableTimeWarp, opaque: opts.Opacity}
 	tm.Init(opts.Options, tm.sweep)
-	tm.sweptAt = make([]uint64, tm.ClockShards())
 	tm.txns.New = func() any {
 		tx := &txn{tm: tm}
 		tm.InitDesc(&tx.Desc, tx, tm.stats.Shard())
@@ -120,9 +111,6 @@ func (tm *TM) Name() string {
 
 // Stats implements stm.TM.
 func (tm *TM) Stats() *stm.Stats { return &tm.stats }
-
-// VarShard reports the clock shard v was assigned to (tests, checkpoints).
-func (tm *TM) VarShard(v stm.Var) int { return int(v.(*twvar).shard) }
 
 // CommitOrders reports the natural and time-warp commit orders assigned to a
 // committed update transaction of this TM (both zero before commit). A
@@ -155,8 +143,8 @@ type version struct {
 func (v *version) timeWarped() bool { return v.natOrder != v.twOrder }
 
 // twvar is the concrete transactional variable (Table 1's Var struct). What a
-// read barrier loads unless it stamps — lock word, chain head, the embedded
-// version and the clock shard — leads the struct and is stored to only by a
+// read barrier loads unless it stamps — lock word, chain head and the
+// embedded version — leads the struct and is stored to only by a
 // committer installing a version or the collector re-rooting one; the
 // semi-visible read stamp lives off the variable, in a stamp chunk
 // (DESIGN.md §12.4).
@@ -167,11 +155,6 @@ type twvar struct {
 	// that whichever sole surviving version the collector copies back (sweep)
 	// — so a read of a variable with one version follows no pointer out of it.
 	root version
-	// shard is the clock domain the variable belongs to (always 0 when
-	// unsharded). Its versions' natOrder/twOrder, its read stamps and the
-	// snapshot component it is read against all live on this shard's number
-	// line; numbers from different shards are never compared.
-	shard uint32
 	// rootFree marks root as unlinked from the chain and so reusable once the
 	// transactions that may still stand on it are gone. Only sweep touches it.
 	rootFree bool
@@ -228,7 +211,6 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	v.id = uint64(len(tm.vars)) + 1
 	tm.vars = append(tm.vars, v)
 	tm.varsMu.Unlock()
-	v.shard = tm.ShardOf(v.id)
 	return v
 }
 
@@ -252,8 +234,7 @@ func (tx *txn) semiVisibleRead(v *twvar, ts uint64) {
 // (see Recycle); every slice below keeps its backing array across reuse.
 type txn struct {
 	// Desc is the header shared with internal/jvstm: counters, active-set
-	// slot, snapshot vector, footprint masks and the commit pipeline's
-	// per-member state. It is also the identity that owns commit locks.
+	// slot and the commit pipeline's per-member state. It is also the identity that owns commit locks.
 	mvutil.Desc
 	tm       *TM
 	readOnly bool
@@ -261,7 +242,7 @@ type txn struct {
 	// transaction in flight at Begin and therefore reads without stamping
 	// (DESIGN.md §12.5).
 	quiet bool
-	start uint64 // S(tx); at ClockShards>1 the min over Vec (GC registration)
+	start uint64 // S(tx)
 
 	readSet  []*twvar
 	writeSet stm.WriteSet[*twvar] // insertion-ordered; Writes sorts by id
@@ -291,17 +272,8 @@ func (tm *TM) Begin(readOnly bool) stm.Tx {
 	tx.readOnly = readOnly
 	tx.Stats.RecordStart()
 	tx.start = tm.Snapshot(&tx.Desc, !readOnly)
-	tx.quiet = readOnly && !tm.opaque && tm.Quiet(&tx.Desc, tx.start)
+	tx.quiet = readOnly && !tm.opaque && tm.Quiet(tx.start)
 	return tx
-}
-
-// snap is the snapshot component a read of v is judged against: the shard's
-// vector component at ClockShards>1, the scalar start otherwise.
-func (tx *txn) snap(v *twvar) uint64 {
-	if tx.Vec != nil {
-		return tx.Vec[v.shard]
-	}
-	return tx.start
 }
 
 // Recycle implements stm.TxRecycler: reset the descriptor and return it to
@@ -357,18 +329,17 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 func (tx *txn) readRO(tv *twvar) stm.Value {
 	// The semi-visible read must precede the lock wait so that a concurrent
 	// committer either observes the raised stamp (and raises its target
-	// flag) or has already published its versions before we traverse. The
-	// stamp is raised in the variable's own clock domain. A quiet transaction
+	// flag) or has already published its versions before we traverse. A
+	// quiet transaction
 	// keeps only the wait: the committers it can meet serialize after its
 	// snapshot wherever they warp to, unless they drew at or below it — and
 	// those hold the lock until their versions are in.
 	if !tx.quiet {
-		tx.semiVisibleRead(tv, tx.tm.Clk.Load(int(tv.shard)))
+		tx.semiVisibleRead(tv, tx.tm.Clk.Load())
 	}
 	tv.owner.WaitUnlocked(nil, -1)
-	snap := tx.snap(tv)
 	ver := tv.latest.Load()
-	for ver.twOrder > snap {
+	for ver.twOrder > tx.start {
 		ver = ver.next.Load()
 		if ver == nil {
 			tx.Stats.RecordAbort(stm.ReasonMemoryPressure)
@@ -386,14 +357,12 @@ func (tx *txn) readUpdate(tv *twvar) stm.Value {
 		return val // read-after-write
 	}
 	tx.readSet = append(tx.readSet, tv)
-	tx.Smask |= 1 << tv.shard
 	if !tv.owner.WaitUnlocked(&tx.Desc, tx.tm.Opts.LockSpinBudget) {
 		tx.Stats.RecordAbort(stm.ReasonLockTimeout)
 		stm.Retry(stm.ReasonLockTimeout)
 	}
-	snap := tx.snap(tv)
 	ver := tv.latest.Load()
-	for ver.twOrder > snap || ver.natOrder > snap {
+	for ver.twOrder > tx.start || ver.natOrder > tx.start {
 		if ver.timeWarped() {
 			tx.Stats.RecordAbort(stm.ReasonTimeWarpSkip)
 			stm.Retry(stm.ReasonTimeWarpSkip)
@@ -415,10 +384,7 @@ func (tx *txn) Write(v stm.Var, val stm.Value) {
 	if tx.readOnly {
 		panic("core: Write on a read-only transaction")
 	}
-	tv := v.(*twvar)
-	tx.Smask |= 1 << tv.shard
-	tx.Wmask |= 1 << tv.shard
-	tx.writeSet.Put(tv, val)
+	tx.writeSet.Put(v.(*twvar), val)
 }
 
 // Abort implements stm.TM: cleanup after a retry signal or user abort.
@@ -476,10 +442,8 @@ func (tx *txn) Writes(dst []mvutil.WriteRef) []mvutil.WriteRef {
 // below any order this transaction could still draw — so a doom verdict is
 // always genuine, never speculative:
 //
-//   - Classic validation (the DisableTimeWarp ablation, and any cross-shard
-//     footprint — it never warps, and its draw exceeds every order on every
-//     touched shard): a head newer than the snapshot is exactly the failure
-//     the scan would hit first.
+//   - Classic validation (the DisableTimeWarp ablation): a head newer than
+//     the snapshot is exactly the failure the scan would hit first.
 //   - A time-warped head newer than the snapshot is a Rule 2 abort; if GC
 //     or trimming removes it first, every remaining newer version either
 //     aborts the scan itself or ends it in ReasonMemoryPressure.
@@ -497,17 +461,16 @@ func (tx *txn) PreDoomed() stm.AbortReason {
 	if tm.opaque {
 		return stm.ReasonNone
 	}
-	classic := tm.notw || tx.Cross()
 	source := false
 	for _, v := range tx.readSet {
 		ver := v.latest.Load()
-		if ver.natOrder <= tx.snap(v) {
+		if ver.natOrder <= tx.start {
 			continue
 		}
 		if ver.timeWarped() {
 			return stm.ReasonTimeWarpSkip
 		}
-		if classic {
+		if tm.notw {
 			return stm.ReasonReadConflict
 		}
 		source = true
@@ -517,7 +480,7 @@ func (tx *txn) PreDoomed() stm.AbortReason {
 	}
 	ents := tx.writeSet.Entries()
 	for i := range ents {
-		if ents[i].Key.stamp.Load() > tx.snap(ents[i].Key) {
+		if ents[i].Key.stamp.Load() > tx.start {
 			return stm.ReasonTriad // source ∧ target
 		}
 	}
@@ -527,34 +490,23 @@ func (tx *txn) PreDoomed() stm.AbortReason {
 // Validate implements mvutil.Member: TWM's predicate over the multi-version
 // conflict order — HANDLEWRITE's stamp check, HANDLEREAD and Rules 1-2 — run
 // at the member's turn with every write lock held and N(tx) drawn.
-//
-// A cross-shard footprint (cross) validates classically and never warps: its
-// draw wv exceeds every number previously issued on every touched shard, so
-// it cannot shadow a stamped reader (the target check is skipped), a version
-// of a read variable with natural order in (snap, wv] on its shard's line
-// means the read is stale and the commit aborts (an equal order would leave
-// the pair unordered), and versions above wv belong to committers that
-// serialize after us. Rule 1 is never invoked and the triad rule is vacuous:
-// natOrder = twOrder = wv.
-func (tx *txn) Validate(cross bool) stm.AbortReason {
+func (tx *txn) Validate() stm.AbortReason {
 	tm := tx.tm
 	tx.natOrder = tx.Draw
-	if !cross {
-		// Some transaction concurrent with tx read a variable tx is about to
-		// overwrite: tx is the target of an anti-dependency. (The paper
-		// checks >= with stamps taken before the stamper's clock increment;
-		// ours are taken after it, so the strict inequality is the same
-		// condition: a reader stamped at or below our start serializes at or
-		// below it, while any time-warp destination of ours exceeds start.)
-		// The check runs here rather than while locking so that, in a batch,
-		// earlier members' commit-time raises are visible to it — or a member
-		// could miss its target role in a triad and warp into a cycle.
-		ents := tx.writeSet.Entries()
-		for i := range ents {
-			if ents[i].Key.stamp.Load() > tx.snap(ents[i].Key) {
-				tx.target = true
-				break
-			}
+	// Some transaction concurrent with tx read a variable tx is about to
+	// overwrite: tx is the target of an anti-dependency. (The paper checks >=
+	// with stamps taken before the stamper's clock increment; ours are taken
+	// after it, so the strict inequality is the same condition: a reader
+	// stamped at or below our start serializes at or below it, while any
+	// time-warp destination of ours exceeds start.) The check runs here
+	// rather than while locking so that, in a batch, earlier members'
+	// commit-time raises are visible to it — or a member could miss its
+	// target role in a triad and warp into a cycle.
+	ents := tx.writeSet.Entries()
+	for i := range ents {
+		if ents[i].Key.stamp.Load() > tx.start {
+			tx.target = true
+			break
 		}
 	}
 	// From here on no read stamp can change this commit's fate, and every
@@ -567,15 +519,14 @@ func (tx *txn) Validate(cross bool) stm.AbortReason {
 	// The stamp is our own draw, not a fresh clock sample: under the strict
 	// target check that is the paper's pre-increment condition exactly, and
 	// it keeps the scan off the clock line. Every committer with a smaller
-	// order on the variable's line held its write locks when it drew, so the
-	// lock wait orders this traversal behind its installs.
+	// order held its write locks when it drew, so the lock wait orders this
+	// traversal behind its installs.
 	budget := tm.Opts.LockSpinBudget
 	for _, v := range tx.readSet {
 		tx.semiVisibleRead(v, tx.natOrder)
 		if !v.owner.WaitUnlocked(&tx.Desc, budget) {
 			return stm.ReasonLockTimeout
 		}
-		snap := tx.snap(v)
 		ver := v.latest.Load()
 		if tm.opaque {
 			if r := tx.scanOpaque(ver); r != stm.ReasonNone {
@@ -583,7 +534,7 @@ func (tx *txn) Validate(cross bool) stm.AbortReason {
 			}
 			continue
 		}
-		for ver.natOrder > snap {
+		for ver.natOrder > tx.start {
 			switch {
 			case tm.notw:
 				// Ablation: classic validation rejects any stale read.
@@ -594,10 +545,6 @@ func (tx *txn) Validate(cross bool) stm.AbortReason {
 				// the writer serialized after us in N, its warp destination
 				// is unordered against ours).
 				return stm.ReasonTimeWarpSkip
-			case cross:
-				if ver.natOrder <= tx.natOrder {
-					return stm.ReasonReadConflict // stale; cross never warps
-				}
 			case ver.natOrder < tx.natOrder:
 				// The writer committed between our start and our own commit
 				// without time-warping: a genuine anti-dependency; Rule 1

@@ -635,3 +635,56 @@ func TestAtomicallyUserError(t *testing.T) {
 		t.Fatalf("user-aborted write leaked: %v", got)
 	}
 }
+
+// TestSeedClockMonotone seeds the clock (recovery fast-forward) while
+// committers race it: no update is lost, the clock ends at or above the seed,
+// a commit after the seed orders above it, and a lower seed is a no-op.
+func TestSeedClockMonotone(t *testing.T) {
+	const (
+		workers = 8
+		perW    = 300
+		seedTo  = 5000
+	)
+	tm := New(Options{})
+	x := tm.NewVar(0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perW; i++ {
+				err := stm.Atomically(tm, false, func(tx stm.Tx) error {
+					tx.Write(x, tx.Read(x).(int)+1)
+					return nil
+				})
+				if err != nil {
+					t.Errorf("atomic increment: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	tm.SeedClock(seedTo) // races the committers' draws
+	wg.Wait()
+	c := tm.Clock()
+	if c < seedTo {
+		t.Fatalf("clock %d below seed %d", c, seedTo)
+	}
+	tm.SeedClock(seedTo / 2)
+	if got := tm.Clock(); got != c {
+		t.Fatalf("a lower seed moved the clock: %d -> %d", c, got)
+	}
+	tx := tm.Begin(false)
+	tx.Write(x, tx.Read(x).(int)+1)
+	if !tm.Commit(tx) {
+		t.Fatal("uncontended commit aborted")
+	}
+	if nat, _ := tm.CommitOrders(tx); nat <= seedTo {
+		t.Fatalf("post-seed commit ordered at %d, not above the seed %d", nat, seedTo)
+	}
+	ro := tm.Begin(true)
+	if got := ro.Read(x).(int); got != workers*perW+1 {
+		t.Fatalf("lost updates across seeding: got %d, want %d", got, workers*perW+1)
+	}
+	tm.Commit(ro)
+}

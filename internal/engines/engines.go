@@ -60,11 +60,6 @@ func GroupCommitSet() []string { return []string{"twm-gc", "jvstm-gc"} }
 // the multi-versioned engines, serial and group-commit alike.
 func DurableSet() []string { return []string{"jvstm", "jvstm-gc", "twm", "twm-gc"} }
 
-// ShardedSet lists the engines that support a partitioned clock domain
-// (DESIGN.md §17). Opacity mode homogenizes reads against the single global
-// number line and is excluded.
-func ShardedSet() []string { return []string{"jvstm", "jvstm-gc", "twm", "twm-gc", "twm-notw"} }
-
 // Option configures one capability of the engine under construction; New
 // rejects it for an engine outside the capability's set.
 type Option func(name string, o *mvutil.Options) error
@@ -94,29 +89,11 @@ func WithBudget(budget *mvutil.VersionBudget, maxDepth int) Option {
 // out the logger's durability policy before acknowledging (the
 // stm.CommitLogger protocol). Attaching the logger at construction is safe
 // even while recovery is still replaying — NewVar never logs, so re-creating
-// variables with recovered values writes nothing. Combined with
-// WithClockShards, commit records carry the writer's shard list so recovery
-// can fast-forward every shard clock independently
-// (wal.Recovered.ShardSerials).
+// variables with recovered values writes nothing.
 func WithLogger(logger stm.CommitLogger) Option {
 	return func(name string, o *mvutil.Options) error {
 		o.Logger = logger
 		return supports(name, DurableSet(), "a commit logger")
-	}
-}
-
-// WithClockShards partitions the engine's clock into shards domains (rounded
-// to a power of two, capped at mvutil.MaxClockShards) with an optional
-// variable-to-shard assignment function (nil selects round-robin on the
-// variable id); ShardedSet engines only. shards <= 1 is the unsharded engine
-// and is accepted by every engine.
-func WithClockShards(shards int, sharder func(id uint64, shards int) int) Option {
-	return func(name string, o *mvutil.Options) error {
-		if shards <= 1 {
-			return nil
-		}
-		o.ClockShards, o.Sharder = shards, sharder
-		return supports(name, ShardedSet(), "clock shards")
 	}
 }
 

@@ -1,7 +1,6 @@
 package engines_test
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -38,8 +37,7 @@ func TestSerializabilityTrueParallelism(t *testing.T) {
 // at every barrier, most of them begin while some update transaction is
 // mid-flight — older (they stamp), younger or already past its stamp check
 // (they do not) — and every reader's snapshot is checked against the order the
-// writers ended up in. K=1 scans scalar starts, K=2 and 4 compare snapshot
-// vectors component-wise; both read barriers must have run.
+// writers ended up in; both read barriers must have run.
 func TestSerializabilityMostlyReadOnly(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
@@ -48,23 +46,21 @@ func TestSerializabilityMostlyReadOnly(t *testing.T) {
 		rounds = 4
 	}
 	for _, name := range []string{"twm", "twm-gc"} {
-		for _, k := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/K=%d", name, k), func(t *testing.T) {
-				var ro, quiet uint64
-				for round := 0; round < rounds && !t.Failed(); round++ {
-					inner := engines.MustNew(name, engines.WithClockShards(k, nil))
-					dsg.CheckRandom(t, bench.WithYield(inner, 1), dsg.RunOptions{
-						Vars: 6, Goroutines: 8, TxPerG: 80, ReadOnlyP: 0.7,
-						Seed: uint64(round*257 + 31*k),
-					})
-					sn := inner.Stats().Snapshot()
-					ro, quiet = ro+sn.ROCommits, quiet+sn.QuietROCommits
-				}
-				if quiet == 0 || quiet == ro {
-					t.Errorf("only one read barrier ran: %d of %d read-only commits quiet", quiet, ro)
-				}
-			})
-		}
+		t.Run(name, func(t *testing.T) {
+			var ro, quiet uint64
+			for round := 0; round < rounds && !t.Failed(); round++ {
+				inner := engines.MustNew(name)
+				dsg.CheckRandom(t, bench.WithYield(inner, 1), dsg.RunOptions{
+					Vars: 6, Goroutines: 8, TxPerG: 80, ReadOnlyP: 0.7,
+					Seed: uint64(round*257 + 31),
+				})
+				sn := inner.Stats().Snapshot()
+				ro, quiet = ro+sn.ROCommits, quiet+sn.QuietROCommits
+			}
+			if quiet == 0 || quiet == ro {
+				t.Errorf("only one read barrier ran: %d of %d read-only commits quiet", quiet, ro)
+			}
+		})
 	}
 }
 

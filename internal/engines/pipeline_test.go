@@ -21,13 +21,10 @@ func transcript(tm stm.TM, h histories.History) []string {
 // TestPaperHistoriesDifferential replays the paper's Fig. 1 / Fig. 2
 // histories step by step through every configuration of the one commit
 // pipeline and requires identical transcripts — commit/abort verdicts, abort
-// reasons, read values and (nat, tw) commit orders: serial, group commit (a
-// batch of one), and K=2 clock shards with every variable on shard 1 (a
-// single-shard footprint on a number line that, like the scalar clock,
-// starts at 1). TWM's transcripts are pinned, so the comparison cannot pass
-// by every variant being wrong the same way.
+// reasons, read values and (nat, tw) commit orders: serial and group commit
+// (a batch of one). TWM's transcripts are pinned, so the comparison cannot
+// pass by every variant being wrong the same way.
 func TestPaperHistoriesDifferential(t *testing.T) {
-	shard1 := engines.WithClockShards(2, func(uint64, int) int { return 1 })
 	twmWant := map[string][]string{
 		"Fig. 1": {
 			"T1 read A.next = D", "T1 commit: ok nat=0 tw=0",
@@ -60,12 +57,9 @@ func TestPaperHistoriesDifferential(t *testing.T) {
 			}{
 				{"twm", []func() stm.TM{
 					func() stm.TM { return engines.MustNew("twm-gc") },
-					func() stm.TM { return engines.MustNew("twm", shard1) },
-					func() stm.TM { return engines.MustNew("twm-gc", shard1) },
 				}},
 				{"jvstm", []func() stm.TM{
 					func() stm.TM { return engines.MustNew("jvstm-gc") },
-					func() stm.TM { return engines.MustNew("jvstm", shard1) },
 				}},
 			} {
 				want := transcript(engines.MustNew(fam.base), h)
@@ -134,7 +128,6 @@ func TestReadOnlyElisionHistories(t *testing.T) {
 // entered the pipeline (the doomed one included, the read-only one not) and
 // time charged to the same set of phases.
 func TestProfilerAttributionAgrees(t *testing.T) {
-	cross := engines.WithClockShards(2, nil) // round-robin: x and y on different shards
 	type shape struct {
 		txs                                int64
 		read, readSet, writeSet, commitPhs bool
@@ -145,8 +138,6 @@ func TestProfilerAttributionAgrees(t *testing.T) {
 		func() stm.TM { return engines.MustNew("jvstm") },
 		func() stm.TM { return engines.MustNew("twm-gc") },
 		func() stm.TM { return engines.MustNew("jvstm-gc") },
-		func() stm.TM { return engines.MustNew("twm", cross) },
-		func() stm.TM { return engines.MustNew("jvstm", cross) },
 	} {
 		tm := mk()
 		var prof stm.Profiler

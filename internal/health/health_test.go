@@ -201,7 +201,7 @@ func TestWatchdogCommitsPerTick(t *testing.T) {
 
 func TestWatchdogStuckSnapshot(t *testing.T) {
 	var stats stm.Stats
-	active := mvutil.NewActiveSet(1)
+	active := new(mvutil.ActiveSet)
 	var clock atomic.Uint64
 	clock.Store(1)
 	w := New(Config{RaiseAfter: 2, StuckClockLag: 100, OnAlert: nil},

@@ -29,7 +29,7 @@ type Options = mvutil.Options
 
 // TM is a JVSTM instance.
 type TM struct {
-	// Chassis is the machinery shared with internal/core: clock domain,
+	// Chassis is the machinery shared with internal/core: commit clock,
 	// active set, GC schedule, budget, logger and the commit pipeline.
 	mvutil.Chassis
 	stats stm.Stats
@@ -65,9 +65,6 @@ func (tm *TM) Name() string {
 // Stats implements stm.TM.
 func (tm *TM) Stats() *stm.Stats { return &tm.stats }
 
-// VarShard reports the clock shard v was assigned to (tests, checkpoints).
-func (tm *TM) VarShard(v stm.Var) int { return int(v.(*jvar).shard) }
-
 // jversion is one committed value (a JVSTM "body").
 type jversion struct {
 	value stm.Value
@@ -77,11 +74,7 @@ type jversion struct {
 
 // jvar is the transactional variable (a VBox).
 type jvar struct {
-	id uint64
-	// shard is the clock domain the variable belongs to (always 0 when
-	// unsharded); its versions' numbers and the snapshot component it is read
-	// against live on this shard's line.
-	shard uint32
+	id    uint64
 	owner mvutil.Lock // commit lock
 	head  atomic.Pointer[jversion]
 
@@ -105,7 +98,6 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	v.id = uint64(len(tm.vars)) + 1
 	tm.vars = append(tm.vars, v)
 	tm.varsMu.Unlock()
-	v.shard = tm.ShardOf(v.id)
 	return v
 }
 
@@ -113,24 +105,14 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 // slices keep their backing arrays across reuse.
 type txn struct {
 	// Desc is the header shared with internal/core: counters, active-set
-	// slot, snapshot vector, footprint masks and the commit pipeline's
-	// per-member state. It is also the identity that owns commit locks.
+	// slot and the commit pipeline's per-member state. It is also the identity that owns commit locks.
 	mvutil.Desc
 	tm       *TM
 	readOnly bool
-	start    uint64 // at ClockShards>1 the min over Vec (GC registration)
+	start    uint64
 
 	readSet  []*jvar
 	writeSet stm.WriteSet[*jvar]
-}
-
-// snap is the snapshot component a read of v is judged against: the shard's
-// vector component at ClockShards>1, the scalar start otherwise.
-func (tx *txn) snap(v *jvar) uint64 {
-	if tx.Vec != nil {
-		return tx.Vec[v.shard]
-	}
-	return tx.start
 }
 
 // ReadOnly implements stm.Tx.
@@ -184,12 +166,10 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 			return val
 		}
 		tx.readSet = append(tx.readSet, tv)
-		tx.Smask |= 1 << tv.shard
 	}
 	tv.owner.WaitUnlocked(nil, -1)
-	snap := tx.snap(tv)
 	ver := tv.head.Load()
-	for ver.ver > snap {
+	for ver.ver > tx.start {
 		ver = ver.next.Load()
 		if ver == nil {
 			// A hard-pressure trim reclaimed the version this snapshot needs
@@ -212,10 +192,7 @@ func (tx *txn) Write(v stm.Var, val stm.Value) {
 	if tx.readOnly {
 		panic("jvstm: Write on a read-only transaction")
 	}
-	tv := v.(*jvar)
-	tx.Smask |= 1 << tv.shard
-	tx.Wmask |= 1 << tv.shard
-	tx.writeSet.Put(tv, val)
+	tx.writeSet.Put(v.(*jvar), val)
 }
 
 // Abort implements stm.TM. No commit lock outlives CommitUpdate, so there is
@@ -256,7 +233,7 @@ func (tx *txn) Writes(dst []mvutil.WriteRef) []mvutil.WriteRef {
 // takes no lock waits: a head mid-publication is left to Validate.
 func (tx *txn) PreDoomed() stm.AbortReason {
 	for _, v := range tx.readSet {
-		if v.head.Load().ver > tx.snap(v) {
+		if v.head.Load().ver > tx.start {
 			return stm.ReasonReadConflict
 		}
 	}
@@ -273,17 +250,10 @@ func (tx *txn) PreDoomed() stm.AbortReason {
 // the snapshot — its publications are inside it, and the read barrier already
 // waited those out — or above wv, in which case it serializes after us and
 // cannot have produced a version our reads missed. Nothing remains to
-// validate. With a single-shard footprint the argument runs on the home
-// shard's number line against its snapshot component (in a batch it can only
-// fire for a shard run's first member, whose draw is the ordinary case); a
-// cross-shard draw advanced several lines and validates every read.
-func (tx *txn) Validate(cross bool) stm.AbortReason {
+// validate. In a batch it can only fire for the round's first member.
+func (tx *txn) Validate() stm.AbortReason {
 	tx.Serial = tx.Draw
-	snap := tx.start
-	if tx.Vec != nil {
-		snap = tx.Vec[tx.Home()]
-	}
-	if !cross && tx.Draw == snap+1 {
+	if tx.Draw == tx.start+1 {
 		return stm.ReasonNone
 	}
 	budget := tx.tm.Opts.LockSpinBudget
@@ -291,7 +261,7 @@ func (tx *txn) Validate(cross bool) stm.AbortReason {
 		if !v.owner.WaitUnlocked(&tx.Desc, budget) {
 			return stm.ReasonLockTimeout
 		}
-		if v.head.Load().ver > tx.snap(v) {
+		if v.head.Load().ver > tx.start {
 			return stm.ReasonReadConflict
 		}
 	}
@@ -321,11 +291,11 @@ func (tx *txn) Install(charge *mvutil.BatchCharge) {
 // sweep is the chain pass behind mvutil.Chassis, exactly as in internal/core
 // but with the single (natural) time line; gcMu is held. With depth == 0 it
 // frees, per variable, everything older than the newest version visible at
-// its shard's bound; with depth > 0 it cuts every chain to at most depth
-// versions regardless of the bounds, so it may free versions an in-flight
+// bound; with depth > 0 it cuts every chain to at most depth versions
+// regardless of bound, so it may free versions an in-flight
 // transaction still needs — those restart with stm.ReasonMemoryPressure when
 // their read walk reaches the shortened end (DESIGN.md §11).
-func (tm *TM) sweep(bounds []uint64, depth int) (freed int, bytes int64) {
+func (tm *TM) sweep(bound uint64, depth int) (freed int, bytes int64) {
 	tm.varsMu.Lock()
 	vars := tm.vars // snapshot; vars are append-only
 	tm.varsMu.Unlock()
@@ -340,7 +310,7 @@ func (tm *TM) sweep(bounds []uint64, depth int) (freed int, bytes int64) {
 				ver = ver.next.Load()
 			}
 		} else {
-			for ver.ver > bounds[v.shard] {
+			for ver.ver > bound {
 				next := ver.next.Load()
 				if next == nil {
 					break // a trim already cut below the version visible at bound

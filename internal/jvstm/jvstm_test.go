@@ -1,6 +1,7 @@
 package jvstm_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/dsg"
@@ -145,36 +146,79 @@ func TestDoomedCommitPassesOnClock(t *testing.T) {
 // sample and its registration, while commits and a collector pass go by, must
 // come out with a snapshot the trimmed chain still serves.
 func TestSnapshotPublishedBeforeSample(t *testing.T) {
-	for _, k := range []int{1, 4} {
-		tm := jvstm.New(jvstm.Options{GCEveryNCommits: -1, ClockShards: k})
-		x := tm.NewVar(0)
-		bump := func() {
-			tx := tm.Begin(false)
-			tx.Write(x, tx.Read(x).(int)+1)
-			if !tm.Commit(tx) {
-				t.Fatalf("uncontended commit aborted")
-			}
+	tm := jvstm.New(jvstm.Options{GCEveryNCommits: -1})
+	x := tm.NewVar(0)
+	bump := func() {
+		tx := tm.Begin(false)
+		tx.Write(x, tx.Read(x).(int)+1)
+		if !tm.Commit(tx) {
+			t.Fatalf("uncontended commit aborted")
 		}
+	}
+	bump()
+	tm.SnapshotStall = func() {
+		tm.SnapshotStall = nil
 		bump()
-		tm.SnapshotStall = func() {
-			tm.SnapshotStall = nil
-			bump()
-			bump()
-			if freed := tm.GC(); freed == 0 {
-				t.Errorf("K=%d: the pass inside the window freed nothing", k)
-			}
+		bump()
+		if freed := tm.GC(); freed == 0 {
+			t.Errorf("the pass inside the window freed nothing")
 		}
-		ro := tm.Begin(true)
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("K=%d: read-only read restarted (%v): the pass trimmed the version its snapshot needs", k, r)
-				}
-			}()
-			if got := ro.Read(x); got != 3 {
-				t.Errorf("K=%d: read %v, want 3", k, got)
+	}
+	ro := tm.Begin(true)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("read-only read restarted (%v): the pass trimmed the version its snapshot needs", r)
 			}
 		}()
-		tm.Commit(ro)
+		if got := ro.Read(x); got != 3 {
+			t.Errorf("read %v, want 3", got)
+		}
+	}()
+	tm.Commit(ro)
+}
+
+// TestSeedClockMonotone is internal/core's test of the same name on this
+// engine: seeding the clock while committers race it loses no update, leaves
+// the clock at or above the seed, and a lower seed is a no-op.
+func TestSeedClockMonotone(t *testing.T) {
+	const (
+		workers = 8
+		perW    = 300
+		seedTo  = 5000
+	)
+	tm := jvstm.New(jvstm.Options{})
+	x := tm.NewVar(0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perW; i++ {
+				err := stm.Atomically(tm, false, func(tx stm.Tx) error {
+					tx.Write(x, tx.Read(x).(int)+1)
+					return nil
+				})
+				if err != nil {
+					t.Errorf("atomic increment: %v", err)
+					return
+				}
+			}
+		}()
 	}
+	tm.SeedClock(seedTo) // races the committers' draws
+	wg.Wait()
+	c := tm.Clock()
+	if c < seedTo {
+		t.Fatalf("clock %d below seed %d", c, seedTo)
+	}
+	tm.SeedClock(seedTo / 2)
+	if got := tm.Clock(); got != c {
+		t.Fatalf("a lower seed moved the clock: %d -> %d", c, got)
+	}
+	ro := tm.Begin(true)
+	if got := ro.Read(x).(int); got != workers*perW {
+		t.Fatalf("lost updates across seeding: got %d, want %d", got, workers*perW)
+	}
+	tm.Commit(ro)
 }

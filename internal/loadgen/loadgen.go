@@ -49,16 +49,6 @@ type Config struct {
 	// funds conflicts rare so the abort machinery, not the domain, is on
 	// trial).
 	Amount int64 `json:"amount"`
-	// ClockShards tells the generator the server's partitioned-clock layout
-	// (DESIGN.md §17): the server's account sharder colocates account index i
-	// on clock shard i % ClockShards. 0 or 1 disables partition-aware draws.
-	ClockShards int `json:"clock_shards,omitempty"`
-	// CrossShardFrac is the fraction of transfers whose two accounts live on
-	// different clock shards (only meaningful with ClockShards > 1). The
-	// remaining transfers stay within the source account's shard, so a 0
-	// setting offers pure single-shard update traffic — the zero-coordination
-	// fast path — and 1 makes every transfer pay the cross-shard fence.
-	CrossShardFrac float64 `json:"cross_shard_frac,omitempty"`
 	// Seed makes the arrival schedule and key draws replayable.
 	Seed uint64 `json:"seed"`
 	// Timeout bounds each HTTP request client-side (default 5s — above the
@@ -89,9 +79,6 @@ func (c *Config) fill() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.CrossShardFrac < 0 || c.CrossShardFrac > 1 {
-		c.CrossShardFrac = 0
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 5 * time.Second
@@ -205,13 +192,8 @@ func Run(ctx context.Context, baseURL string, cfg Config) (Result, error) {
 		if update {
 			from := zipf.Next(rng)
 			to := zipf.Next(rng)
-			if cfg.ClockShards > 1 {
-				to = alignShard(rng, from, to, cfg.Accounts, cfg.ClockShards,
-					rng.Float64() < cfg.CrossShardFrac)
-			} else {
-				for to == from {
-					to = zipf.Next(rng)
-				}
+			for to == from {
+				to = zipf.Next(rng)
 			}
 			path = "/v1/transfer"
 			body = fmt.Sprintf(`{"from":"%d","to":"%d","amount":%d}`, from, to, cfg.Amount)
@@ -250,37 +232,6 @@ func Run(ctx context.Context, baseURL string, cfg Config) (Result, error) {
 	res.All.Dropped = dropped.update + dropped.ro
 	res.AchievedRate = float64(res.All.Sent) / wall.Seconds()
 	return res, nil
-}
-
-// alignShard maps a Zipf-drawn transfer destination onto the requested shard
-// relation with the source: the server colocates account index i on clock
-// shard i % k, so the destination's residue class decides whether the
-// transfer's footprint spans one clock domain or two. The adjustment shifts
-// the draw to the nearest index in the wanted residue class, preserving the
-// Zipf rank (and hence the configured contention skew) within each shard.
-func alignShard(rng *xrand.Rand, from, to, accounts, k int, cross bool) int {
-	want := from % k
-	if cross {
-		want = (want + 1 + rng.Intn(k-1)) % k
-	}
-	to = to - to%k + want
-	if to >= accounts {
-		to -= k
-	}
-	if to < 0 {
-		to = want % accounts
-	}
-	if !cross && to == from {
-		to += k
-		if to >= accounts {
-			to = want
-		}
-		if to == from {
-			// Degenerate layout (one account in the shard): any other account.
-			to = (from + 1) % accounts
-		}
-	}
-	return to
 }
 
 // fire sends one request and classifies the outcome by status (0 = transport

@@ -1,5 +1,5 @@
 // Package mvutil is what the multi-versioned engines (TWM in internal/core
-// and JVSTM in internal/jvstm) share: the Chassis they embed — clock domain,
+// and JVSTM in internal/jvstm) share: the Chassis they embed — commit clock,
 // active-transaction registry, GC schedule, version budget, durability seam —
 // and the one commit pipeline both run (pipeline.go), parameterised by each
 // engine's validation rule.
@@ -24,9 +24,9 @@ import "sync/atomic"
 // runs (OlderUpdate): it reads update cells only, so cells that read-only
 // transactions write on every Begin and Commit are loaded by nobody but the
 // occasional collector pass and stay exclusive in their writer's cache.
+// The zero value is an empty registry.
 type ActiveSet struct {
-	lists  [2]atomic.Pointer[activeCell] // indexed by kind
-	shards int                           // width of RegisterVec registrations
+	lists [2]atomic.Pointer[activeCell] // indexed by kind
 }
 
 // The two kinds of registration.
@@ -40,7 +40,6 @@ const (
 const (
 	wordLive   = 1 << iota // registered
 	wordUpdate             // the update transaction has yet to check read stamps (Settle)
-	wordVec                // vec carries the per-clock-shard starts; start is their minimum
 	wordShift  = iota
 )
 
@@ -49,16 +48,9 @@ const (
 // in neighbouring cells do not false-share.
 type activeCell struct {
 	word atomic.Uint64
-	// vec holds the components of a RegisterVec registration. Only the
-	// registration holding the cell stores to it, and only before the word that
-	// announces the components. A scan that reads them across an Unregister and
-	// the next claim gets a mix of two registrations, the first of which has
-	// finished and the second of which published after the scan began — the
-	// case every consumer already tolerates (see Register).
-	vec  []atomic.Uint64
 	next *activeCell // set before the cell is pushed, never changed
 
-	_ [128 - 40]byte
+	_ [128 - 16]byte
 }
 
 // Slot is one descriptor's handle on the registry: the cell holding its
@@ -70,10 +62,6 @@ type Slot struct {
 	cell *activeCell // nil: not registered
 	last [2]*activeCell
 }
-
-// NewActiveSet returns a registry whose RegisterVec registrations carry
-// shards components (1 or less: scalar registrations only).
-func NewActiveSet(shards int) *ActiveSet { return &ActiveSet{shards: shards} }
 
 // publish stores w as slot's registration: into the cell it holds (a
 // replacement keeps the kind of what it replaces), or else into a free cell of
@@ -105,9 +93,6 @@ func (a *ActiveSet) claim(list *atomic.Pointer[activeCell], w uint64) *activeCel
 	}
 	c := new(activeCell)
 	c.word.Store(w)
-	if a.shards > 1 {
-		c.vec = make([]atomic.Uint64, a.shards)
-	}
 	for {
 		c.next = list.Load()
 		if list.CompareAndSwap(c.next, c) {
@@ -116,11 +101,12 @@ func (a *ActiveSet) claim(list *atomic.Pointer[activeCell], w uint64) *activeCel
 	}
 }
 
-func liveWord(start uint64, update bool, flags uint64) uint64 {
+func liveWord(start uint64, update bool) uint64 {
+	w := start<<wordShift | wordLive
 	if update {
-		flags |= wordUpdate
+		w |= wordUpdate
 	}
-	return start<<wordShift | flags | wordLive
+	return w
 }
 
 // Register publishes a registration at start, replacing the Slot's current
@@ -131,35 +117,7 @@ func liveWord(start uint64, update bool, flags uint64) uint64 {
 // differs (Chassis.Snapshot) — so that a scan which misses the registration
 // is known to precede the final sample.
 func (a *ActiveSet) Register(slot *Slot, start uint64, update bool) {
-	a.publish(slot, liveWord(start, update, 0))
-}
-
-// RegisterVec is Register for a transaction begun on a per-clock-shard
-// snapshot vector: scalar consumers (MinStart, OlderUpdate) see min, and
-// per-shard consumers (MinStarts, OlderUpdateVec) see each component — so one
-// shard's GC bound is never dragged down by a transaction whose snapshot of
-// that shard is actually recent, just because some *other* shard's clock
-// lags. len(vec) must be the set's shard count and min the minimum of vec.
-//
-// The registration is first published as a scalar one at min (which claims
-// the cell and is a lower bound on every component), then the components are
-// stored, then the word that announces them. Only what differs from the
-// cell's contents is stored, so republishing an unchanged vector — or one
-// idle shards dominate — costs loads of the registrant's own line.
-func (a *ActiveSet) RegisterVec(slot *Slot, vec []uint64, min uint64, update bool) {
-	w := liveWord(min, update, wordVec)
-	c := slot.cell
-	if c == nil || c.word.Load()&wordVec == 0 {
-		c = a.publish(slot, w&^wordVec)
-	} // else a republication: the components only rise, each is valid on its own
-	for i := range c.vec {
-		if c.vec[i].Load() != vec[i] {
-			c.vec[i].Store(vec[i])
-		}
-	}
-	if c.word.Load() != w {
-		c.word.Store(w)
-	}
+	a.publish(slot, liveWord(start, update))
 }
 
 // Unregister removes a finished transaction. Unregistering a slot that holds
@@ -204,35 +162,6 @@ func (a *ActiveSet) MinStart(fallback uint64) uint64 {
 	return min
 }
 
-// MinStarts folds the per-clock-shard minimum start into dst, which the
-// caller pre-fills with per-shard fallbacks (typically each shard's clock).
-// Vector registrations contribute component-wise; scalar ones contribute
-// their single start to every component (the conservative reading — a scalar
-// registrant's snapshot position on any shard's line is unknown).
-func (a *ActiveSet) MinStarts(dst []uint64) {
-	for k := range a.lists {
-		for c := a.lists[k].Load(); c != nil; c = c.next {
-			w := c.word.Load()
-			if w == 0 {
-				continue
-			}
-			if w&wordVec != 0 && len(c.vec) == len(dst) {
-				for s := range dst {
-					if v := c.vec[s].Load(); v < dst[s] {
-						dst[s] = v
-					}
-				}
-				continue
-			}
-			for s := range dst {
-				if w>>wordShift < dst[s] {
-					dst[s] = w >> wordShift
-				}
-			}
-		}
-	}
-}
-
 // OlderUpdate reports whether an update transaction that has not settled is
 // registered below start. A caller that sampled start before the call learns
 // from false that every such transaction still to come will run at start or
@@ -242,26 +171,6 @@ func (a *ActiveSet) OlderUpdate(start uint64) bool {
 	for c := a.lists[kindUpdate].Load(); c != nil; c = c.next {
 		if w := c.word.Load(); w&wordUpdate != 0 && w>>wordShift < start {
 			return true
-		}
-	}
-	return false
-}
-
-// OlderUpdateVec is OlderUpdate against a snapshot vector: it reports whether
-// some unsettled update registration is below vec in any component.
-func (a *ActiveSet) OlderUpdateVec(vec []uint64) bool {
-	for c := a.lists[kindUpdate].Load(); c != nil; c = c.next {
-		w := c.word.Load()
-		if w&wordUpdate == 0 {
-			continue
-		}
-		if w&wordVec == 0 || len(c.vec) != len(vec) {
-			return true // no per-shard position to compare: assume older
-		}
-		for s := range vec {
-			if c.vec[s].Load() < vec[s] {
-				return true
-			}
 		}
 	}
 	return false

@@ -9,14 +9,14 @@ import (
 )
 
 func TestMinStartEmpty(t *testing.T) {
-	a := NewActiveSet(1)
+	a := new(ActiveSet)
 	if got := a.MinStart(42); got != 42 {
 		t.Fatalf("empty min = %d, want fallback 42", got)
 	}
 }
 
 func TestRegisterUnregister(t *testing.T) {
-	a := NewActiveSet(1)
+	a := new(ActiveSet)
 	var s1, s2, s3 Slot
 	a.Register(&s1, 10, false)
 	a.Register(&s2, 5, true)
@@ -37,10 +37,10 @@ func TestRegisterUnregister(t *testing.T) {
 }
 
 func TestSlotReuse(t *testing.T) {
-	// A pooled slot is registered and unregistered many times; its home shard
-	// is sticky and each registration's start must be visible exactly while
+	// A pooled slot is registered and unregistered many times; its cell is
+	// sticky and each registration's start must be visible exactly while
 	// registered.
-	a := NewActiveSet(1)
+	a := new(ActiveSet)
 	var s Slot
 	for i := uint64(1); i <= 50; i++ {
 		a.Register(&s, i, i%2 == 0)
@@ -58,7 +58,7 @@ func TestMinStartNeverAboveLiveMinimum(t *testing.T) {
 	// Property: with any set of live registrations, MinStart is the exact
 	// minimum of the live starts (or the fallback when none).
 	f := func(starts []uint16, removeMask uint8) bool {
-		a := NewActiveSet(1)
+		a := new(ActiveSet)
 		slots := make([]*Slot, len(starts))
 		for i, s := range starts {
 			slots[i] = new(Slot)
@@ -87,7 +87,7 @@ func TestMinStartNeverAboveLiveMinimum(t *testing.T) {
 }
 
 func TestConcurrentRegistration(t *testing.T) {
-	a := NewActiveSet(1)
+	a := new(ActiveSet)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -108,7 +108,7 @@ func TestConcurrentRegistration(t *testing.T) {
 }
 
 func TestOlderUpdate(t *testing.T) {
-	a := NewActiveSet(1)
+	a := new(ActiveSet)
 	var ro, upd Slot
 	a.Register(&ro, 3, false)
 	if a.OlderUpdate(10) {
@@ -131,36 +131,13 @@ func TestOlderUpdate(t *testing.T) {
 	}
 }
 
-func TestOlderUpdateVec(t *testing.T) {
-	a := NewActiveSet(4)
-	var upd, scalar Slot
-	a.RegisterVec(&upd, []uint64{5, 9, 5, 5}, 5, true)
-	if a.OlderUpdateVec([]uint64{5, 9, 5, 5}) || a.OlderUpdateVec([]uint64{1, 1, 1, 1}) {
-		t.Fatal("an update transaction at or above every component counted as older")
-	}
-	if !a.OlderUpdateVec([]uint64{5, 10, 5, 5}) {
-		t.Fatal("update transaction below component 1 not seen")
-	}
-	if !a.OlderUpdate(6) || a.OlderUpdate(5) {
-		t.Fatal("scalar consumers must see the vector's minimum")
-	}
-	a.Unregister(&upd)
-	// A scalar update registration has no per-shard position: always older.
-	a.Register(&scalar, 100, true)
-	if !a.OlderUpdateVec([]uint64{1, 1, 1, 1}) {
-		t.Fatal("scalar update registration must count as older for vector readers")
-	}
-}
-
-// TestActiveSetAgainstModel runs randomized concurrent Register / RegisterVec
-// / Unregister against a mutex-guarded model and checks every concurrent
-// MinStarts scan from both sides: at or below every registration that was live
-// for the whole scan (nothing live is missed), and at or above the smallest
-// start that was live at any moment of it (nothing is invented; a vector
-// registration is briefly visible as a scalar one at its minimum).
+// TestActiveSetAgainstModel runs randomized concurrent Register / Unregister
+// against a mutex-guarded model and checks every concurrent MinStart scan
+// from both sides: at or below every registration that was live for the
+// whole scan (nothing live is missed), and at or above the smallest start
+// that was live at any moment of it (nothing is invented).
 func TestActiveSetAgainstModel(t *testing.T) {
 	const (
-		k        = 4
 		workers  = 6
 		fallback = uint64(1 << 40)
 	)
@@ -168,22 +145,19 @@ func TestActiveSetAgainstModel(t *testing.T) {
 	if testing.Short() {
 		iters = 800
 	}
-	a := NewActiveSet(k)
+	a := new(ActiveSet)
 
 	type reg struct {
-		vec [k]uint64
-		min uint64
-		gen int
+		start uint64
+		gen   int
 	}
 	var mu sync.Mutex
 	sure := map[int]reg{}  // registered for certain: added after, removed before the real call
 	maybe := map[int]reg{} // possibly registered: added before, removed after the real call
-	var low [k]uint64      // smallest start that was possibly registered since the scanner last reset it
+	var low uint64         // smallest start that was possibly registered since the scanner last reset it
 	noteLow := func(r reg) {
-		for s := range low {
-			if r.min < low[s] {
-				low[s] = r.min
-			}
+		if r.start < low {
+			low = r.start
 		}
 	}
 
@@ -196,29 +170,12 @@ func TestActiveSetAgainstModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			var slot Slot
 			for i := 0; i < iters; i++ {
-				r := reg{gen: i}
-				vector := rng.Intn(2) == 0
-				base := uint64(rng.Intn(1000)) + 1
-				min := fallback
-				for s := range r.vec {
-					r.vec[s] = base
-					if vector {
-						r.vec[s] += uint64(rng.Intn(50))
-					}
-					if r.vec[s] < min {
-						min = r.vec[s]
-					}
-				}
-				r.min = min
+				r := reg{start: uint64(rng.Intn(1000)) + 1, gen: i}
 				mu.Lock()
 				maybe[w] = r
 				noteLow(r)
 				mu.Unlock()
-				if vector {
-					a.RegisterVec(&slot, r.vec[:], min, rng.Intn(2) == 0)
-				} else {
-					a.Register(&slot, base, rng.Intn(2) == 0)
-				}
+				a.Register(&slot, r.start, rng.Intn(2) == 0)
 				mu.Lock()
 				sure[w] = r
 				mu.Unlock()
@@ -256,19 +213,13 @@ func TestActiveSetAgainstModel(t *testing.T) {
 		for w, r := range sure {
 			before[w] = r
 		}
-		for s := range low {
-			low[s] = fallback
-		}
+		low = fallback
 		for _, r := range maybe {
 			noteLow(r)
 		}
 		mu.Unlock()
 
-		var got [k]uint64
-		for s := range got {
-			got[s] = fallback
-		}
-		a.MinStarts(got[:])
+		got := a.MinStart(fallback)
 		scans++
 
 		mu.Lock()
@@ -276,16 +227,12 @@ func TestActiveSetAgainstModel(t *testing.T) {
 			if now, ok := sure[w]; !ok || now.gen != r.gen {
 				continue // not live for the whole scan
 			}
-			for s := range got {
-				if got[s] > r.vec[s] {
-					t.Errorf("scan %d: component %d = %d above worker %d's live registration %d", scans, s, got[s], w, r.vec[s])
-				}
+			if got > r.start {
+				t.Errorf("scan %d: min %d above worker %d's live registration %d", scans, got, w, r.start)
 			}
 		}
-		for s := range got {
-			if got[s] < low[s] {
-				t.Errorf("scan %d: component %d = %d below everything registered during the scan (%d)", scans, s, got[s], low[s])
-			}
+		if got < low {
+			t.Errorf("scan %d: min %d below everything registered during the scan (%d)", scans, got, low)
 		}
 		mu.Unlock()
 		if t.Failed() {
@@ -300,7 +247,7 @@ func TestActiveSetAgainstModel(t *testing.T) {
 // (across runtime.GC, and always under the race detector) — and requires the
 // registry to stay as long as the most registrations ever held at once.
 func TestRegistryBoundedByPeakConcurrency(t *testing.T) {
-	a := NewActiveSet(1)
+	a := new(ActiveSet)
 	const live = 8
 	for round := 0; round < 200; round++ {
 		slots := make([]*Slot, live)

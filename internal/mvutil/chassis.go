@@ -1,7 +1,6 @@
 package mvutil
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,7 +28,7 @@ type Options struct {
 	MaxVersionDepth int
 	// GroupCommit routes every update commit through the flat-combining
 	// stage (Combiner): one leader runs the commit pipeline over a whole
-	// batch of published committers under one clock advance per shard run.
+	// batch of published committers under one clock advance.
 	GroupCommit bool
 	// GroupMaxBatch caps the members per combiner batch; 0 selects
 	// DefaultMaxBatch. Only consulted when GroupCommit is set.
@@ -40,14 +39,6 @@ type Options struct {
 	// stm.CommitLogger seam (DESIGN.md §16). It must be set before the engine
 	// serves transactions.
 	Logger stm.CommitLogger
-	// ClockShards partitions the variable space into that many clock domains
-	// (rounded up to a power of two, capped at MaxClockShards; 0 and 1 keep
-	// the single global clock). See ClockDomain and DESIGN.md §17.
-	ClockShards int
-	// Sharder overrides the variable→shard assignment (default: round-robin
-	// on the variable id). It is consulted once, at NewVar, with the
-	// effective shard count; it must be pure and total.
-	Sharder func(id uint64, shards int) int
 }
 
 const (
@@ -57,7 +48,7 @@ const (
 )
 
 // Chassis is everything the multi-version engines have in common besides
-// their version chains and their validation rule: the clock domain, the
+// their version chains and their validation rule: the commit clock, the
 // active-transaction registry, the GC schedule, the version budget, the
 // durability seam and the commit pipeline (pipeline.go). An engine embeds one
 // Chassis in its TM and plugs in its descriptor type (Member) and its chain
@@ -65,13 +56,10 @@ const (
 type Chassis struct {
 	// Opts holds the engine's shared options with the defaults applied.
 	Opts Options
-	// Clk defines the commit order. At ClockShards=1 it degenerates to one
-	// shared logical clock (cell 0) on its own cache line; at K>1 each shard's
-	// cell is an independent number line (DESIGN.md §17).
-	Clk     ClockDomain
-	Sharded bool // ClockShards > 1
-	Active  *ActiveSet
-	Prof    atomic.Pointer[stm.Profiler]
+	// Clk defines the commit order: one logical clock on its own cache line.
+	Clk    Clock
+	Active *ActiveSet
+	Prof   atomic.Pointer[stm.Profiler]
 	// SnapshotStall, when non-nil, runs inside Snapshot between the first clock
 	// sample and its publication: the fault point of the tests that park a
 	// beginning transaction there while commits and collector passes go by.
@@ -80,10 +68,10 @@ type Chassis struct {
 	gcCount atomic.Uint64
 	gcMu    sync.Mutex
 	// sweep is the engine's chain pass. With depth == 0 it frees, in every
-	// variable of shard s, the versions older than the newest one visible at
-	// bounds[s]; with depth > 0 it cuts every chain to depth versions
-	// regardless of bounds. It skips variables whose commit lock is busy.
-	sweep func(bounds []uint64, depth int) (freed int, bytes int64)
+	// variable, the versions older than the newest one visible at bound; with
+	// depth > 0 it cuts every chain to depth versions regardless of bound. It
+	// skips variables whose commit lock is busy.
+	sweep func(bound uint64, depth int) (freed int, bytes int64)
 
 	// logErr probes the logger's latched failure (nil when the logger has
 	// none to report); logFailed latches an Append this engine saw fail.
@@ -100,9 +88,9 @@ type Chassis struct {
 	stripeSeq atomic.Uint32
 }
 
-// Init applies the option defaults, sizes the clock domain and wires the
-// engine's chain sweep. It must run before the engine is shared.
-func (c *Chassis) Init(opts Options, sweep func(bounds []uint64, depth int) (int, int64)) {
+// Init applies the option defaults, starts the clock and wires the engine's
+// chain sweep. It must run before the engine is shared.
+func (c *Chassis) Init(opts Options, sweep func(bound uint64, depth int) (int, int64)) {
 	if opts.GCEveryNCommits == 0 {
 		opts.GCEveryNCommits = defaultGCEvery
 	}
@@ -120,28 +108,18 @@ func (c *Chassis) Init(opts Options, sweep func(bounds []uint64, depth int) (int
 	if e, ok := opts.Logger.(interface{ Err() error }); ok {
 		c.logErr = e.Err
 	}
-	// Every shard's clock starts at 1 so a zero read stamp can never satisfy
-	// a "stamp > snapshot" check in any domain (initial versions carry order
-	// 0 and are visible to every snapshot).
-	c.Sharded = c.Clk.Init(opts.ClockShards, 1) > 1
-	c.Active = NewActiveSet(c.Clk.Shards())
+	// The clock starts at 1 so a zero read stamp can never satisfy a "stamp >
+	// snapshot" check (initial versions carry order 0 and are visible to
+	// every snapshot).
+	c.Clk.Raise(1)
+	c.Active = new(ActiveSet)
 }
 
 // SetProfiler implements stm.Profilable.
 func (c *Chassis) SetProfiler(p *stm.Profiler) { c.Prof.Store(p) }
 
-// Clock exposes a monotone logical-clock progress measure: the single clock
-// value at ClockShards=1 and the sum of the shard cells otherwise (every
-// commit strictly increases it, which is all the health watchdog and the
-// tests that sample it rely on).
-func (c *Chassis) Clock() uint64 { return c.Clk.Sum() }
-
-// ClockShards reports the effective clock-shard count (1 when unsharded).
-func (c *Chassis) ClockShards() int { return c.Clk.Shards() }
-
-// ClockVec appends the current per-shard clock vector to dst (one consistent
-// cut). Checkpoints use it to stamp snapshots with per-shard serials.
-func (c *Chassis) ClockVec(dst []uint64) []uint64 { return c.Clk.Snapshot(dst) }
+// Clock returns the logical clock (the health watchdog's progress measure).
+func (c *Chassis) Clock() uint64 { return c.Clk.Load() }
 
 // ActiveSet exposes the active-transaction registry (health watchdog).
 func (c *Chassis) ActiveSet() *ActiveSet { return c.Active }
@@ -153,52 +131,16 @@ func (c *Chassis) Budget() *VersionBudget { return c.Opts.Budget }
 // (the health watchdog probes it for the WAL-stall judge).
 func (c *Chassis) CommitLogger() stm.CommitLogger { return c.Opts.Logger }
 
-// SeedClock advances every shard's clock to at least v. Recovery calls it,
-// after replaying a write-ahead log whose highest serialization key is v and
-// before the engine serves transactions, so every post-recovery commit orders
+// SeedClock advances the clock to at least v. Recovery calls it, after
+// replaying a write-ahead log whose highest serialization key is v and before
+// the engine serves transactions, so every post-recovery commit orders
 // strictly after everything recovered (recovered values are installed as
-// initial versions, visible to every snapshot). Raising every shard to the
-// global maximum is always sound — clock values need not be dense, only
-// monotone per shard — and stays correct even when the shard count or
-// sharder changed across the restart.
-func (c *Chassis) SeedClock(v uint64) {
-	for s := 0; s < c.Clk.Shards(); s++ {
-		c.Clk.Raise(s, v)
-	}
-}
+// initial versions, visible to every snapshot). Clock values need not be
+// dense, only monotone, so a lower v is a no-op.
+func (c *Chassis) SeedClock(v uint64) { c.Clk.Raise(v) }
 
-// SeedClockShard advances one shard's clock to at least v (per-shard recovery
-// fast-forward from the WAL's per-shard max-Serial fold). Callers that cannot
-// prove the variable→shard assignment is unchanged since the log was written
-// must follow with SeedClock of the global maximum.
-func (c *Chassis) SeedClockShard(s int, v uint64) {
-	if s >= 0 && s < c.Clk.Shards() {
-		c.Clk.Raise(s, v)
-	}
-}
-
-// ShardOf maps a variable id to its clock shard through the configured
-// sharder (default: round-robin), clamped into range; 0 when unsharded.
-func (c *Chassis) ShardOf(id uint64) uint32 {
-	if !c.Sharded {
-		return 0
-	}
-	k := c.Clk.Shards()
-	if f := c.Opts.Sharder; f != nil {
-		s := f(id, k) % k
-		if s < 0 {
-			s += k
-		}
-		return uint32(s)
-	}
-	return uint32(c.Clk.ShardOf(id))
-}
-
-// Snapshot registers d in the active set and samples its snapshot — the
-// scalar clock, or at ClockShards>1 one consistent per-shard vector cut into
-// d.Vec (see ClockDomain.Snapshot for why the fence seqlock makes the cut
-// consistent). It returns S(tx): the clock sample, or the minimum over the
-// vector. update marks an update transaction's registration.
+// Snapshot registers d in the active set and samples its snapshot, S(tx),
+// which it returns. update marks an update transaction's registration.
 //
 // The registration is published before the sample the transaction runs at
 // (publish-before-sample): a first sample is published, the clock is sampled
@@ -206,51 +148,28 @@ func (c *Chassis) ShardOf(id uint64) uint32 {
 // What is published is thus at or below the snapshot at every instant, and a
 // scan that does not see the registration at all read the cell before the
 // publication, hence before the second sample. So a collector pass either
-// folds a bound at or below this snapshot or computed all its bounds before
-// the snapshot was taken, and can never trim a version this transaction may
+// folds a bound at or below this snapshot or computed its bound before the
+// snapshot was taken, and can never trim a version this transaction may
 // read; and the read-only scan of Quiet either sees an update transaction or
 // knows it samples later (DESIGN.md §12.5).
-//
-// Sharded transactions register the whole vector: the GC folds per-shard
-// bounds from it, so shard s's bound tracks the oldest *component s* among
-// active snapshots instead of the oldest min-component — one lagging shard
-// clock must not freeze collection everywhere else. The scalar min backs the
-// quiesce fence and the health watchdog.
 func (c *Chassis) Snapshot(d *Desc, update bool) uint64 {
-	if !c.Sharded {
-		pub := c.Clk.Load(0)
-		if c.SnapshotStall != nil {
-			c.SnapshotStall()
-		}
-		c.Active.Register(&d.Slot, pub, update)
-		start := c.Clk.Load(0)
-		if start != pub {
-			c.Active.Register(&d.Slot, start, update)
-		}
-		return start
-	}
-	d.Vec = c.Clk.Snapshot(d.Vec)
+	pub := c.Clk.Load()
 	if c.SnapshotStall != nil {
 		c.SnapshotStall()
 	}
-	c.Active.RegisterVec(&d.Slot, d.Vec, slices.Min(d.Vec), update)
-	d.Vec = c.Clk.Snapshot(d.Vec)
-	min := slices.Min(d.Vec)
-	c.Active.RegisterVec(&d.Slot, d.Vec, min, update) // stores what moved, if anything
-	return min
+	c.Active.Register(&d.Slot, pub, update)
+	start := c.Clk.Load()
+	if start != pub {
+		c.Active.Register(&d.Slot, start, update)
+	}
+	return start
 }
 
-// Quiet reports whether no update transaction that began below d's snapshot
-// (start, as Snapshot just returned it) has yet to check read stamps
-// (ActiveSet.Settle) — component-wise at ClockShards>1. TWM's read-only
-// transactions elide their read stamps on it; the scan must follow the
-// snapshot sample (sample-before-scan).
-func (c *Chassis) Quiet(d *Desc, start uint64) bool {
-	if c.Sharded {
-		return !c.Active.OlderUpdateVec(d.Vec)
-	}
-	return !c.Active.OlderUpdate(start)
-}
+// Quiet reports whether no update transaction that began below start (d's
+// snapshot, as Snapshot just returned it) has yet to check read stamps
+// (ActiveSet.Settle). TWM's read-only transactions elide their read stamps
+// on it; the scan must follow the snapshot sample (sample-before-scan).
+func (c *Chassis) Quiet(start uint64) bool { return !c.Active.OlderUpdate(start) }
 
 // GC trims version lists down to the oldest version any active or future
 // transaction can observe and returns the number of versions released.
@@ -263,20 +182,10 @@ func (c *Chassis) GC() int {
 	return c.gcLocked()
 }
 
-// gcLocked is the collection pass; the caller holds gcMu. The bound is
-// computed per shard: active transactions register their snapshot vectors,
-// so shard s's bound is the oldest component s among live snapshots, capped
-// by shard s's own clock — exact per domain. Folding the scalar min instead
-// would couple every shard's bound to the slowest shard's clock and, under
-// skewed progress, freeze collection on the busy shards.
+// gcLocked is the collection pass; the caller holds gcMu. The bound is the
+// oldest registered start, or the clock when nothing is registered.
 func (c *Chassis) gcLocked() int {
-	var bounds [MaxClockShards]uint64
-	k := c.Clk.Shards()
-	for s := 0; s < k; s++ {
-		bounds[s] = c.Clk.Load(s)
-	}
-	c.Active.MinStarts(bounds[:k])
-	return c.release(c.sweep(bounds[:k], 0))
+	return c.release(c.sweep(c.Active.MinStart(c.Clk.Load()), 0))
 }
 
 // release returns what a sweep freed to the version budget.
@@ -334,7 +243,7 @@ func (c *Chassis) admit() stm.AbortReason {
 				b.NoteSoftGC()
 			}
 			if b.Level() == PressureHard {
-				c.release(c.sweep(nil, c.Opts.MaxVersionDepth))
+				c.release(c.sweep(0, c.Opts.MaxVersionDepth))
 				b.NoteTrim()
 			}
 			level := b.Level()

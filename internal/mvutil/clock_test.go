@@ -1,249 +1,87 @@
 package mvutil
 
 import (
-	"runtime"
+	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
-func TestClockDomainInit(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {16, 16},
-		{33, 64}, {64, 64}, {100, 64},
-	}
-	for _, c := range cases {
-		var d ClockDomain
-		if got := d.Init(c.in, 1); got != c.want || d.Shards() != c.want {
-			t.Errorf("Init(%d) = %d (Shards %d), want %d", c.in, got, d.Shards(), c.want)
-		}
-		for s := 0; s < d.Shards(); s++ {
-			if d.Load(s) != 1 {
-				t.Fatalf("Init(%d): cell %d = %d, want 1", c.in, s, d.Load(s))
-			}
-		}
-	}
-}
-
-func TestClockDomainShardOf(t *testing.T) {
-	var d ClockDomain
-	d.Init(4, 1)
-	seen := map[int]int{}
-	for id := uint64(1); id <= 16; id++ {
-		s := d.ShardOf(id)
-		if s < 0 || s >= 4 {
-			t.Fatalf("ShardOf(%d) = %d out of range", id, s)
-		}
-		seen[s]++
-	}
-	for s := 0; s < 4; s++ {
-		if seen[s] != 4 {
-			t.Errorf("round-robin imbalance: shard %d got %d of 16 ids", s, seen[s])
-		}
-	}
-}
-
-func TestClockDomainRaise(t *testing.T) {
-	var d ClockDomain
-	d.Init(2, 1)
-	if r := d.Raise(0, 10); r != 0 || d.Load(0) != 10 {
-		t.Fatalf("Raise(0,10): retries %d cell %d", r, d.Load(0))
+func TestClockRaise(t *testing.T) {
+	var c Clock
+	c.Raise(10)
+	if c.Load() != 10 {
+		t.Fatalf("Raise(10): clock %d", c.Load())
 	}
 	// Raising below the current value is a no-op.
-	if r := d.Raise(0, 5); r != 0 || d.Load(0) != 10 {
-		t.Fatalf("Raise(0,5) after 10: retries %d cell %d", r, d.Load(0))
+	c.Raise(5)
+	if c.Load() != 10 {
+		t.Fatalf("Raise(5) after 10: clock %d", c.Load())
 	}
-	if d.Load(1) != 1 {
-		t.Fatalf("Raise leaked into other shard: %d", d.Load(1))
-	}
-}
-
-func TestClockDomainAdvanceCross(t *testing.T) {
-	var d ClockDomain
-	d.Init(4, 1)
-	d.Add(1, 41) // shard 1 is ahead at 42
-	wv, _ := d.AdvanceCross(0b0110)
-	if wv != 43 {
-		t.Fatalf("AdvanceCross max-fold: wv = %d, want 43", wv)
-	}
-	if d.Load(1) != 43 || d.Load(2) != 43 {
-		t.Fatalf("touched cells not raised: %d, %d", d.Load(1), d.Load(2))
-	}
-	if d.Load(0) != 1 || d.Load(3) != 1 {
-		t.Fatalf("untouched cells moved: %d, %d", d.Load(0), d.Load(3))
-	}
-	// A second draw over the same shards strictly exceeds the first.
-	wv2, _ := d.AdvanceCross(0b0110)
-	if wv2 <= wv {
-		t.Fatalf("second cross draw %d not above first %d", wv2, wv)
+	if got := c.Add(3); got != 13 {
+		t.Fatalf("Add(3) = %d, want 13", got)
 	}
 }
 
-// TestClockDomainSnapshotConsistency hammers the seqlock with concurrent
-// cross-shard draws and asserts the sharp consistency invariant: shards 2 and
-// 3 are advanced only inside fences, and every fence leaves them equal — so a
-// consistent cut must never show them apart. Shards 0 and 1 take plain
-// single-shard traffic at the same time to keep the cells moving.
-func TestClockDomainSnapshotConsistency(t *testing.T) {
-	var d ClockDomain
-	d.Init(4, 1)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for !stop.Load() {
-				d.Add(s, 1)
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for !stop.Load() {
-			d.AdvanceCross(0b1100)
-		}
-	}()
-
-	vec := make([]uint64, 0, 4)
-	for i := 0; i < 20000; i++ {
-		vec = d.Snapshot(vec)
-		if len(vec) != 4 {
-			t.Fatalf("snapshot length %d", len(vec))
-		}
-		if vec[2] != vec[3] {
-			t.Fatalf("inconsistent cut: fence-only shards differ: %v", vec)
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
-}
-
-// TestClockDomainFenceBracket exercises the two-step read primitive the
-// engines' lazy snapshot extension uses: a pair of cell reads bracketed by an
-// unchanged fence sequence is a consistent cut.
-func TestClockDomainFenceBracket(t *testing.T) {
-	var d ClockDomain
-	d.Init(4, 1)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for !stop.Load() {
-			d.AdvanceCross(0b1100)
-		}
-	}()
-
-	consistent := 0
-	for i := 0; i < 50000; i++ {
-		x0 := d.FenceSample()
-		c2 := d.Load(2)
-		c3 := d.Load(3)
-		if d.FenceStable(x0) {
-			consistent++
-			if c2 != c3 {
-				t.Fatalf("stable bracket but inconsistent pair: %d != %d", c2, c3)
-			}
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
-	if consistent == 0 {
-		t.Skip("fence never stable across the bracket; cannot assert")
-	}
-}
-
-func TestClockDomainMaxSum(t *testing.T) {
-	var d ClockDomain
-	d.Init(4, 1)
-	d.Add(2, 9)
-	if d.Max() != 10 {
-		t.Fatalf("Max = %d, want 10", d.Max())
-	}
-	if d.Sum() != 13 { // 1+1+10+1
-		t.Fatalf("Sum = %d, want 13", d.Sum())
-	}
-	var one ClockDomain
-	one.Init(1, 1)
-	one.Add(0, 5)
-	if one.Sum() != 6 || one.Max() != 6 {
-		t.Fatalf("K=1 Sum/Max = %d/%d, want 6/6", one.Sum(), one.Max())
-	}
-}
-
-// TestClockDomainSeedRace is the race-pinning test for recovery fast-forward:
+// TestClockSeedRace is the race-pinning test for recovery fast-forward:
 // Raise (the CAS-max seed loop) racing plain Add must never lose an update —
-// the cell ends at least at the seed value plus every fetch-add that landed
+// the clock ends at least at the seed value plus every fetch-add that landed
 // after the seed won.
-func TestClockDomainSeedRace(t *testing.T) {
-	var d ClockDomain
-	d.Init(2, 1)
+func TestClockSeedRace(t *testing.T) {
+	var c Clock
+	c.Raise(1)
 	const adds = 2000
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < adds; i++ {
-			d.Add(0, 1)
+			c.Add(1)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for v := uint64(0); v < 3000; v++ {
-			d.Raise(0, v)
+			c.Raise(v)
 		}
 	}()
 	wg.Wait()
-	// Every Add must be preserved: the final value is at least 1+adds, and at
-	// least the largest seed.
-	if got := d.Load(0); got < 1+adds || got < 2999 {
-		t.Fatalf("lost updates: cell = %d, want >= %d and >= 2999", got, 1+adds)
+	if got := c.Load(); got < 1+adds || got < 2999 {
+		t.Fatalf("lost updates: clock = %d, want >= %d and >= 2999", got, 1+adds)
 	}
 }
 
-// unpaddedClock is the control for BenchmarkClockContention: K counters
-// packed on adjacent words, the layout the padded clockCell exists to avoid.
-type unpaddedClock struct {
-	cells [MaxClockShards]atomic.Uint64
+// TestClockPadded pins the clock word alone on its 64-byte line inside the
+// Chassis, whatever the Chassis's alignment: every other field ends at least
+// 56 bytes before the word (the most an 8-byte-aligned word can sit into its
+// line) and starts at least 64 bytes after the word's start.
+func TestClockPadded(t *testing.T) {
+	ct := reflect.TypeOf(Chassis{})
+	clk, _ := ct.FieldByName("Clk")
+	v, _ := clk.Type.FieldByName("v")
+	word := clk.Offset + v.Offset
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if f.Name == "Clk" {
+			continue
+		}
+		if end := f.Offset + f.Type.Size(); end > word-56 && f.Offset < word+64 {
+			t.Errorf("Chassis.%s [%d,%d) may share the clock word's line (word at %d)", f.Name, f.Offset, end, word)
+		}
+	}
+	for i := 0; i < clk.Type.NumField(); i++ {
+		if f := clk.Type.Field(i); f.Name != "v" && f.Name != "_" {
+			t.Errorf("Clock.%s shares the clock's padding", f.Name)
+		}
+	}
 }
 
-// BenchmarkClockContention measures the false-sharing gap between padded and
-// unpadded per-shard clock cells under parallel single-shard advances. On a
-// multi-core host the unpadded variant ships every increment to every other
-// core; the padded variant is the satellite fix proving the clock belongs on
-// its own cache line independent of the sharding tentpole.
+// BenchmarkClockContention measures the commit clock's fetch-add under
+// parallel committers: the cost every update round pays once.
 func BenchmarkClockContention(b *testing.B) {
-	shards := 8
-	b.Run("padded", func(b *testing.B) {
-		var d ClockDomain
-		d.Init(shards, 1)
-		var next atomic.Uint64
-		b.RunParallel(func(pb *testing.PB) {
-			s := int(next.Add(1)-1) % shards
-			for pb.Next() {
-				d.Add(s, 1)
-			}
-		})
+	var c Clock
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			c.Add(1)
+		}
 	})
-	b.Run("unpadded", func(b *testing.B) {
-		var u unpaddedClock
-		var next atomic.Uint64
-		b.RunParallel(func(pb *testing.PB) {
-			s := int(next.Add(1)-1) % shards
-			for pb.Next() {
-				u.cells[s].Add(1)
-			}
-		})
-	})
-	b.Run("global", func(b *testing.B) {
-		var c atomic.Uint64
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				c.Add(1)
-			}
-		})
-	})
-	_ = runtime.NumCPU()
 }

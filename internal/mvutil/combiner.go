@@ -118,8 +118,8 @@ func NewCombiner(maxBatch int, hooks *BatchHooks) *Combiner {
 // Submit publishes req on a stripe and waits until some leader — possibly
 // this caller — resolves it. commit receives each drained batch (at most
 // maxBatch requests) and must Finish every request it is handed, exactly
-// once. stripe spreads publication (any value; the caller's descriptor-sticky
-// shard index is ideal). It returns the commit outcome and whether the commit
+// once. stripe spreads publication (any value; a descriptor-sticky index is
+// ideal). It returns the commit outcome and whether the commit
 // was performed by another goroutine's leader session (the flat-combining
 // handoff).
 func (c *Combiner) Submit(req *CommitReq, stripe int, commit func(batch []*CommitReq)) (ok, handoff bool) {

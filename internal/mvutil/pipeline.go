@@ -1,7 +1,6 @@
 package mvutil
 
 import (
-	"math/bits"
 	"runtime"
 	"sync/atomic"
 
@@ -16,10 +15,8 @@ import (
 //
 // with the engine supplying only its validation rule (Member). A serial
 // commit is a round of one over descriptor-local scratch; a group-commit
-// leader runs the same round over a drained batch; an unsharded engine is a
-// clock domain with K=1; a single-shard commit is a cross-shard commit whose
-// footprint mask has one bit. The safety arguments are stated once, at the
-// stage they belong to (round), and in DESIGN.md §7.
+// leader runs the same round over a drained batch. The safety arguments are
+// stated once, at the stage they belong to (round), and in DESIGN.md §7.
 
 // Member is what an engine's transaction descriptor plugs into the pipeline:
 // the three steps of the commit protocol that differ between engines, plus
@@ -35,10 +32,9 @@ type Member interface {
 	// Validate decides the commit at the member's turn, with every write
 	// lock held and Desc.Draw assigned: it performs the engine's commit-time
 	// reads of shared state (raises, scans), sets Desc.Serial and returns
-	// stm.ReasonNone, or returns the abort reason. cross reports a footprint
-	// spanning clock shards, which must validate classically (never warp).
-	// Lock waits must go through Lock.WaitUnlocked with the member's Desc.
-	Validate(cross bool) stm.AbortReason
+	// stm.ReasonNone, or returns the abort reason. Lock waits must go
+	// through Lock.WaitUnlocked with the member's Desc.
+	Validate() stm.AbortReason
 	// Install inserts the member's versions (locks still held), adding what
 	// it installs to charge.
 	Install(charge *BatchCharge)
@@ -52,20 +48,12 @@ type WriteRef struct {
 }
 
 // Desc is the descriptor header the engines embed in their pooled transaction
-// descriptors: the footprint, the pipeline's per-member state and the
-// descriptor-local scratch a serial round runs on. A *Desc is also the
-// identity that owns commit locks.
+// descriptors: the pipeline's per-member state and the descriptor-local
+// scratch a serial round runs on. A *Desc is also the identity that owns
+// commit locks.
 type Desc struct {
 	Stats *stm.StatShard // striped counters; assigned once per descriptor
 	Slot  Slot           // active-set registration, reused across attempts
-
-	// Vec is the per-shard snapshot vector, one consistent cut sampled at
-	// Begin (sharded mode only; nil otherwise). Smask/Wmask accumulate the
-	// footprint: the shards of every variable read or written (Smask) and
-	// written (Wmask). A multi-bit Smask makes the commit cross-shard.
-	Vec   []uint64
-	Smask uint64
-	Wmask uint64
 
 	// Draw is the natural commit order the draw stage assigned (N(tx); the
 	// write version for JVSTM). Serial is the serialization key Validate
@@ -86,10 +74,9 @@ type Desc struct {
 	req     CommitReq
 	solo    [1]*Desc // the round of one: {self}
 	local   scratch
-	// logWrites/logShards back this member's commit record; the logger must
-	// not retain them past Append.
+	// logWrites backs this member's commit record; the logger must not
+	// retain it past Append.
 	logWrites []stm.LoggedWrite
-	logShards []uint32
 }
 
 // InitDesc wires a freshly allocated descriptor to its engine-side half.
@@ -100,9 +87,8 @@ func (c *Chassis) InitDesc(d *Desc, m Member, stats *stm.StatShard) {
 }
 
 // Reset clears the per-attempt state before the descriptor returns to its
-// pool. Vec and the scratch keep their backing arrays.
+// pool. The scratch keeps its backing arrays.
 func (d *Desc) Reset() {
-	d.Smask, d.Wmask = 0, 0
 	d.Draw, d.Serial = 0, 0
 	d.lastReason = stm.ReasonNone
 	d.writes = stm.ResetVarSlice(d.writes)
@@ -114,19 +100,6 @@ func (d *Desc) Reset() {
 // report it in a *stm.CancelledError (read-path aborts carry their reason in
 // the retry signal instead).
 func (d *Desc) LastAbortReason() stm.AbortReason { return d.lastReason }
-
-// Home is the clock shard a single-shard footprint commits against (0 when
-// unsharded).
-func (d *Desc) Home() int {
-	if d.Smask != 0 {
-		return bits.TrailingZeros64(d.Smask)
-	}
-	return 0
-}
-
-// Cross reports a footprint spanning clock shards. Unsharded engines only
-// ever set bit 0, so no Sharded check is needed.
-func (d *Desc) Cross() bool { return d.Smask&(d.Smask-1) != 0 }
 
 // Lock is a variable's commit lock: nil means unlocked, otherwise the owning
 // descriptor (or the garbage collector's sentinel).
@@ -187,7 +160,6 @@ func (l *Lock) WaitUnlocked(self *Desc, budget int) bool {
 // the Chassis's (under the leader lock) for a group-commit round.
 type scratch struct {
 	admitted []*Desc
-	order    []*Desc
 	recs     []stm.CommitRecord
 	claimed  map[*Lock]struct{}
 	// charge accumulates the round's version-budget installs (here rather
@@ -229,7 +201,6 @@ func (c *Chassis) lead(reqs []*CommitReq) {
 	// submitter at any time, and leader-held scratch must not pin it.
 	clear(c.pend[:cap(c.pend)])
 	clear(c.batch.admitted[:cap(c.batch.admitted)])
-	clear(c.batch.order[:cap(c.batch.order)])
 	clear(c.batch.recs[:cap(c.batch.recs)])
 	clear(c.batch.claimed)
 }
@@ -284,9 +255,7 @@ func (c *Chassis) round(ms []*Desc, sc *scratch) (spill []*Desc) {
 	sc.admitted = admitted
 
 	// Lock: every admitted member's write set, per member in variable-id
-	// order (deadlock avoidance; id order is shard-agnostic, so single- and
-	// cross-shard committers interleave safely), before any member is
-	// processed. Each wait is a bounded spin; a timeout fails just that
+	// order (deadlock avoidance), before any member is processed. Each wait is a bounded spin; a timeout fails just that
 	// member with stm.ReasonLockTimeout.
 	budget := c.Opts.LockSpinBudget
 	locked := admitted[:0]
@@ -313,17 +282,22 @@ func (c *Chassis) round(ms []*Desc, sc *scratch) (spill []*Desc) {
 
 	// Draw, strictly after the lock stage (lock-before-draw publication): a
 	// committer owns all its write locks when it draws its order and releases
-	// each only after installing, so whoever later draws a larger order on
-	// the same number line — or begins a snapshot at or above ours — finds
-	// our version installed or our variable locked, and the lock waits in
-	// Validate and in the read barriers order it behind our installs. The
-	// paper increments after validation (line 65), relying on its lock-free
-	// commit's atomicity; with locks that order lets two committers validate
-	// before either installs and both miss the other's anti-dependency.
+	// each only after installing, so whoever later draws a larger order — or
+	// begins a snapshot at or above ours — finds our version installed or our
+	// variable locked, and the lock waits in Validate and in the read
+	// barriers order it behind our installs. The paper increments after
+	// validation (line 65), relying on its lock-free commit's atomicity; with
+	// locks that order lets two committers validate before either installs
+	// and both miss the other's anti-dependency. One fetch-add draws the
+	// whole round's orders, ascending in processing order.
+	first := c.Clk.Add(uint64(k)) - uint64(k) + 1
+	for i, d := range locked {
+		d.Draw = first + uint64(i)
+	}
 	if c.combiner != nil {
 		locked[0].Stats.RecordBatch(k)
+		locked[0].Stats.RecordClockAdvance()
 	}
-	order := c.draw(locked, sc)
 
 	// Validate and install in draw order. Each member's checks run at its
 	// turn, against the state every earlier member left — raises applied,
@@ -332,9 +306,9 @@ func (c *Chassis) round(ms []*Desc, sc *scratch) (spill []*Desc) {
 	// fails here wastes its tick (a harmless clock gap).
 	logger := c.Opts.Logger
 	recs := sc.recs[:0]
-	done := order[:0]
-	for _, d := range order {
-		r := d.m.Validate(d.Cross())
+	done := locked[:0]
+	for _, d := range locked {
+		r := d.m.Validate()
 		if prof != nil {
 			now := prof.Now()
 			prof.AddReadSetVal(now - t0)
@@ -407,80 +381,15 @@ func claim(writes []WriteRef, claimed map[*Lock]struct{}) bool {
 	return true
 }
 
-// draw assigns every locked member its natural commit order and returns the
-// processing sequence: single-shard members stably grouped into per-shard
-// runs (one Add per populated shard covers the whole run; an unsharded engine
-// has the one run), then the cross-shard members, each drawing through the
-// fence. On every shard's number line orders ascend in processing order — the
-// invariant the sequential-schedule argument rests on: two members touching a
-// common variable share its shard.
-//
-// A cross-shard draw is one more than the maximum over every FOOTPRINT
-// shard's clock, reads included (full-footprint fence): causality hops shard
-// boundaries only through cross-footprint transactions, and the consistency
-// of Snapshot's vector cuts rests on every such hop raising all the shards it
-// connects inside one fence (ClockDomain). The draw therefore exceeds every
-// order and stamp previously issued on every touched line.
-func (c *Chassis) draw(locked []*Desc, sc *scratch) []*Desc {
-	out := sc.order[:0]
-	var runs uint64
-	for _, d := range locked {
-		if !d.Cross() {
-			runs |= d.Smask
-		}
-	}
-	for ; runs != 0; runs &= runs - 1 {
-		s := bits.TrailingZeros64(runs)
-		start := len(out)
-		for _, d := range locked {
-			if d.Smask == 1<<s {
-				out = append(out, d)
-			}
-		}
-		n := uint64(len(out) - start)
-		first := c.Clk.Add(s, n) - n + 1
-		for i, d := range out[start:] {
-			d.Draw = first + uint64(i)
-		}
-		if c.combiner != nil {
-			out[start].Stats.RecordClockAdvance()
-		}
-	}
-	for _, d := range locked {
-		if d.Cross() {
-			wv, casRetries := c.Clk.AdvanceCross(d.Smask)
-			d.Stats.RecordShardCASRetries(casRetries)
-			if c.combiner != nil {
-				d.Stats.RecordClockAdvance()
-			}
-			d.Draw = wv
-			out = append(out, d)
-		}
-	}
-	sc.order = out
-	return out
-}
-
 // record builds d's commit record in its own scratch. Serial is the
 // serialization key, Tie the natural order (equal-Serial clashes replay
-// smallest-Tie, the same winner clash elision keeps in memory). Sharded
-// engines add the write-footprint shard vector so recovery can fold a
-// per-shard max serial; unsharded records leave it nil and stay
-// byte-identical on disk.
+// smallest-Tie, the same winner clash elision keeps in memory).
 func (c *Chassis) record(d *Desc) stm.CommitRecord {
 	d.logWrites = d.logWrites[:0]
 	for i := range d.writes {
 		d.logWrites = append(d.logWrites, d.writes[i].LoggedWrite)
 	}
-	rec := stm.CommitRecord{Serial: d.Serial, Tie: d.Draw, Writes: d.logWrites}
-	if c.Sharded {
-		d.logShards = d.logShards[:0]
-		for m := d.Wmask; m != 0; m &= m - 1 {
-			d.logShards = append(d.logShards, uint32(bits.TrailingZeros64(m)))
-		}
-		rec.Shards = d.logShards
-	}
-	return rec
+	return stm.CommitRecord{Serial: d.Serial, Tie: d.Draw, Writes: d.logWrites}
 }
 
 // unlock releases the commit locks d holds.
@@ -506,9 +415,6 @@ func (c *Chassis) resolve(d *Desc, reason stm.AbortReason, prof *stm.Profiler) {
 	c.Active.Unregister(&d.Slot)
 	if reason == stm.ReasonNone {
 		d.Stats.RecordCommit(false)
-		if c.Sharded {
-			d.Stats.RecordShardCommit(d.Cross())
-		}
 	} else {
 		d.Stats.RecordAbort(reason)
 		d.lastReason = reason

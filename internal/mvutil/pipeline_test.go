@@ -67,8 +67,8 @@ func (f *fakeMember) PreDoomed() stm.AbortReason {
 	return f.preDoom
 }
 
-func (f *fakeMember) Validate(cross bool) stm.AbortReason {
-	f.ev.add("validate:%s locked=%v cross=%v", f.name, f.holdsAll(), cross)
+func (f *fakeMember) Validate() stm.AbortReason {
+	f.ev.add("validate:%s locked=%v", f.name, f.holdsAll())
 	f.Serial = f.Draw
 	return f.verdict
 }
@@ -132,25 +132,24 @@ func newRig(opts Options, withLogger bool) *rig {
 		opts.Logger = r.logger
 	}
 	opts.GCEveryNCommits = -1
-	r.c.Init(opts, func([]uint64, int) (int, int64) { return 0, 0 })
+	r.c.Init(opts, func(uint64, int) (int, int64) { return 0, 0 })
 	r.c.SetProfiler(&r.prof)
 	return r
 }
 
-// member adds a member writing nvars fresh variables in shard 0.
+// member adds a member writing nvars fresh variables.
 func (r *rig) member(name string, nvars int) *fakeMember {
 	vars := make([]*fakeVar, nvars)
 	for i := range vars {
 		r.nextID++
 		vars[i] = &fakeVar{id: r.nextID}
 	}
-	return r.memberOn(name, vars, 1)
+	return r.memberOn(name, vars)
 }
 
-func (r *rig) memberOn(name string, vars []*fakeVar, smask uint64) *fakeMember {
+func (r *rig) memberOn(name string, vars []*fakeVar) *fakeMember {
 	f := &fakeMember{name: name, ev: r.ev, vars: vars}
 	r.c.InitDesc(&f.Desc, f, r.stats.Shard())
-	f.Smask, f.Wmask = smask, smask
 	r.members = append(r.members, f)
 	if r.logger != nil {
 		r.logger.members = r.members
@@ -220,16 +219,16 @@ func TestPipelineStageOrder(t *testing.T) {
 		a := r.member("a", 2)
 		want := []string{
 			"pre:a", "writes:a",
-			"validate:a locked=true cross=false", "install:a locked=true",
+			"validate:a locked=true", "install:a locked=true",
 			"append:[2] locked=true", "durable locked=false",
 		}
 		if batched {
 			b, c := r.member("b", 1), r.member("c", 3)
 			want = []string{
 				"pre:a", "writes:a", "pre:b", "writes:b", "pre:c", "writes:c",
-				"validate:a locked=true cross=false", "install:a locked=true",
-				"validate:b locked=true cross=false", "install:b locked=true",
-				"validate:c locked=true cross=false", "install:c locked=true",
+				"validate:a locked=true", "install:a locked=true",
+				"validate:b locked=true", "install:b locked=true",
+				"validate:c locked=true", "install:c locked=true",
 				"append:[2 3 4] locked=true", "durable locked=false",
 			}
 			r.run(a, b, c)
@@ -403,7 +402,7 @@ func TestPipelineAppendError(t *testing.T) {
 func TestPipelineSpill(t *testing.T) {
 	r := newRig(Options{GroupCommit: true}, false)
 	a := r.member("a", 2)
-	b := r.memberOn("b", a.vars[1:], 1) // overlaps a
+	b := r.memberOn("b", a.vars[1:]) // overlaps a
 	c := r.member("c", 1)
 	r.run(a, b, c)
 	for _, m := range r.members {
@@ -415,40 +414,6 @@ func TestPipelineSpill(t *testing.T) {
 	snap := r.stats.Snapshot()
 	if snap.BatchSpills != 1 || snap.GroupBatches != 2 || snap.ClockAdvances != 2 {
 		t.Errorf("spills=%d batches=%d advances=%d, want 1 2 2", snap.BatchSpills, snap.GroupBatches, snap.ClockAdvances)
-	}
-	r.check(t)
-}
-
-// TestPipelineShardedDrawOrder: per-shard runs in admitted order, one Add
-// each, then the cross-footprint members through the fence, above every run.
-func TestPipelineShardedDrawOrder(t *testing.T) {
-	r := newRig(Options{GroupCommit: true, ClockShards: 2}, false)
-	x := r.memberOn("x", []*fakeVar{{id: 1}}, 0b11) // cross
-	s1 := r.memberOn("s1", []*fakeVar{{id: 2}}, 0b10)
-	s0 := r.memberOn("s0", []*fakeVar{{id: 3}}, 0b01)
-	s1b := r.memberOn("s1b", []*fakeVar{{id: 4}}, 0b10)
-	r.run(x, s1, s0, s1b)
-	var order []string
-	for _, e := range r.ev.log {
-		if rest, ok := strings.CutPrefix(e, "validate:"); ok {
-			order = append(order, rest)
-		}
-	}
-	want := []string{
-		"s0 locked=true cross=false", "s1 locked=true cross=false",
-		"s1b locked=true cross=false", "x locked=true cross=true",
-	}
-	if !reflect.DeepEqual(order, want) {
-		t.Errorf("processing order %q, want %q", order, want)
-	}
-	if s0.Draw != 2 || s1.Draw != 2 || s1b.Draw != 3 || x.Draw != 4 {
-		t.Errorf("draws s0=%d s1=%d s1b=%d x=%d, want 2 2 3 4", s0.Draw, s1.Draw, s1b.Draw, x.Draw)
-	}
-	if vec := r.c.ClockVec(nil); !reflect.DeepEqual(vec, []uint64{4, 4}) {
-		t.Errorf("clock vector %v, want [4 4]: the fence raises every footprint shard", vec)
-	}
-	if snap := r.stats.Snapshot(); snap.CrossShardCommits != 1 || snap.SingleShardCommits != 3 {
-		t.Errorf("cross=%d single=%d, want 1 3", snap.CrossShardCommits, snap.SingleShardCommits)
 	}
 	r.check(t)
 }
@@ -467,11 +432,10 @@ func TestPipelineConcurrentSerialRounds(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			mu.Lock()
-			m := r.memberOn(fmt.Sprintf("g%d", g), shared[g%2:g%2+2], 1)
+			m := r.memberOn(fmt.Sprintf("g%d", g), shared[g%2:g%2+2])
 			mu.Unlock()
 			for i := 0; i < rounds; i++ {
 				m.Reset()
-				m.Smask, m.Wmask = 1, 1
 				r.c.CommitUpdate(&m.Desc)
 			}
 		}(g)

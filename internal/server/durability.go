@@ -34,28 +34,9 @@ type accountMeta struct {
 // clocked and clockSeeded are the engine capabilities recovery needs beyond
 // stm.TM: reading the commit clock (checkpoint serial) and fast-forwarding it
 // past everything the log replayed (so post-recovery commits serialize after
-// pre-crash ones). shardClocked extends them to partitioned clocks (DESIGN.md
-// §17): the checkpoint snapshots the whole clock vector and recovery
-// fast-forwards each shard past its own replayed floor.
+// pre-crash ones).
 type clocked interface{ Clock() uint64 }
 type clockSeeded interface{ SeedClock(v uint64) }
-type shardClocked interface {
-	ClockShards() int
-	ClockVec(dst []uint64) []uint64
-	SeedClockShard(s int, v uint64)
-}
-
-// accountSharder colocates each account's two variables — the ledger creates
-// balance then held, so the k-th account (0-based) owns ids 2k+1 and 2k+2 —
-// on one clock shard. Single-account operations (deposit, withdraw, hold)
-// then always commit against a single clock domain, and a transfer touches at
-// most two.
-func accountSharder(id uint64, shards int) int {
-	if id == 0 {
-		return 0
-	}
-	return int(((id - 1) / 2) % uint64(shards))
-}
 
 // openDurable recovers the WAL directory and builds the engine with the log
 // attached. Meta records already recovered must not be re-appended on the next
@@ -77,7 +58,7 @@ func openDurable(cfg *Config) (stm.TM, *wal.Writer, *wal.Recovered, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tm, err := engines.New(cfg.Engine, engines.WithLogger(w), engines.WithClockShards(cfg.ClockShards, accountSharder))
+	tm, err := engines.New(cfg.Engine, engines.WithLogger(w))
 	if err != nil {
 		w.Close()
 		return nil, nil, nil, err
@@ -94,31 +75,7 @@ func (s *Server) recover(rec *wal.Recovered) error {
 	if err := s.ledger.replay(rec); err != nil {
 		return err
 	}
-	if sc, ok := s.tm.(shardClocked); ok && sc.ClockShards() > 1 {
-		// Per-shard fast-forward: each domain's clock moves past its own
-		// replayed floor, so a shard untouched since the snapshot is not
-		// dragged up to the global maximum. If the log mentions a shard the
-		// current layout does not have, the shard count changed across the
-		// restart and the variable-to-shard mapping with it — fall back to
-		// raising every line past the global maximum, which is always sound.
-		k := sc.ClockShards()
-		resharded := false
-		for sh := range rec.ShardSerials {
-			if int(sh) >= k {
-				resharded = true
-				break
-			}
-		}
-		if resharded {
-			if g, ok := s.tm.(clockSeeded); ok {
-				g.SeedClock(rec.Serial)
-			}
-		} else {
-			for sh, v := range rec.ShardSerials {
-				sc.SeedClockShard(int(sh), v)
-			}
-		}
-	} else if sc, ok := s.tm.(clockSeeded); ok {
+	if sc, ok := s.tm.(clockSeeded); ok {
 		sc.SeedClock(rec.Serial)
 	}
 	if len(rec.Metas) > 0 || rec.Records > 0 {
@@ -252,23 +209,6 @@ func (s *Server) Checkpoint() error {
 		Serial: c.Clock(),
 		Metas:  metas,
 		Values: make(map[uint64]wal.Value, 2*len(accs)),
-	}
-	if sc, ok := s.tm.(shardClocked); ok {
-		// Partitioned clock: capture the whole vector c0[s] (a fenced
-		// consistent cut). Step 2's argument then holds per shard — a record
-		// in a prunable segment has serial ≤ c0[s] on every shard it touched —
-		// and replay's per-shard coverage rule consumes the vector directly.
-		// Serial becomes the vector maximum: serials from different shards are
-		// not comparable, and the global floor must dominate them all.
-		if vec := sc.ClockVec(nil); len(vec) > 1 {
-			snap.ShardSerials = vec
-			snap.Serial = 0
-			for _, v := range vec {
-				if v > snap.Serial {
-					snap.Serial = v
-				}
-			}
-		}
 	}
 	if err := stm.Atomically(s.tm, true, func(tx stm.Tx) error {
 		clear(snap.Values) // the body may re-run

@@ -30,15 +30,6 @@ type CommitRecord struct {
 	Serial uint64
 	Tie    uint64
 	Writes []LoggedWrite
-	// Shards is the commit's clock-shard vector: the sorted set of clock
-	// shards the write set touched, as assigned by the engine's sharder.
-	// Serial is drawn from (and comparable within) exactly these shards'
-	// number lines — a cross-shard commit raises every listed shard's clock
-	// to Serial before the record is appended, so recovery's per-shard
-	// max-Serial fold stays correct. Nil/empty means the engine ran unsharded
-	// (ClockShards == 1, shard 0 implied); the WAL encodes that case
-	// byte-identically to the pre-sharding format.
-	Shards []uint32
 }
 
 // CommitLogger is the durability seam on an engine's commit path. Engines
@@ -66,9 +57,9 @@ type CommitRecord struct {
 //     report success to its caller, so an acknowledged commit is exactly as
 //     durable as the policy promises.
 //
-// Implementations must be safe for concurrent use; Append calls themselves
-// are naturally serialized per clock domain (the caller holds write locks),
-// but Durable is invoked from many goroutines at once. The interface is
+// Implementations must be safe for concurrent use; Append calls of commits
+// that share a variable are serialized (the caller holds write locks), but
+// Durable is invoked from many goroutines at once. The interface is
 // engine-facing commit-path code: a logger method runs exactly once per
 // commit, never inside a re-executable body.
 type CommitLogger interface {

@@ -23,14 +23,6 @@ type Snapshot struct {
 	Serial uint64
 	Metas  [][]byte
 	Values map[uint64]Value
-	// ShardSerials is the per-clock-shard serial vector the snapshot read at
-	// (index = shard id), set when the engine runs with ClockShards > 1. It
-	// replaces the scalar Serial in replay's coverage rule: serials from
-	// different shards are not mutually comparable, so a record is covered
-	// only when its serial is at or below the component of every shard it
-	// touched. Empty for unsharded engines — the snapshot file then stays
-	// byte-identical to the pre-sharding format.
-	ShardSerials []uint64
 }
 
 // Value aliases stm.Value without forcing snapshot consumers to import stm.
@@ -53,14 +45,6 @@ func WriteSnapshot(dir string, seq uint64, s *Snapshot) error {
 		var err error
 		if body, err = encodeValue(body, v); err != nil {
 			return err
-		}
-	}
-	if len(s.ShardSerials) > 1 {
-		// Optional trailing shard vector; absent on unsharded snapshots so
-		// their bytes match the pre-sharding format exactly.
-		body = appendU32(body, uint32(len(s.ShardSerials)))
-		for _, v := range s.ShardSerials {
-			body = appendU64(body, v)
 		}
 	}
 
@@ -151,21 +135,12 @@ func readSnapshot(path string) (*Snapshot, error) {
 		body = rest
 		s.Values[id] = val
 	}
-	if len(body) > 0 {
-		// Trailing per-shard serial vector (sharded snapshots only).
-		if len(body) < 4 {
-			return nil, errCorrupt
+	if len(body) >= 4 {
+		// A clock-sharded engine appended its per-shard serial vector
+		// (ns:u32 | ns × serial:u64, ns >= 2) after the values.
+		if ns := int(binary.LittleEndian.Uint32(body)); ns >= 2 && len(body) == 4+8*ns {
+			return nil, ErrShardedLog
 		}
-		ns := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if ns < 2 || ns > 1<<16 || len(body) != 8*ns {
-			return nil, errCorrupt
-		}
-		s.ShardSerials = make([]uint64, ns)
-		for i := range s.ShardSerials {
-			s.ShardSerials[i] = binary.LittleEndian.Uint64(body[8*i:])
-		}
-		body = nil
 	}
 	if len(body) != 0 {
 		return nil, errCorrupt
