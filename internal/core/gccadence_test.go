@@ -1,0 +1,72 @@
+package core_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dsg"
+	"repro/internal/mvutil"
+	"repro/internal/stm"
+	"repro/internal/stm/stmtest"
+)
+
+// The conformance and serializability batteries with version GC every K
+// commits, so every collection pass races the battery's open snapshots
+// through the single-bound sweep. The test names and K values are those of
+// the deleted clock-sharding variants (DESIGN.md §17); the engine has one
+// clock, and K now sets GCEveryNCommits.
+
+func gcCadenceFactory(k int, group bool) func() stm.TM {
+	return func() stm.TM {
+		return core.New(core.Options{Options: mvutil.Options{GCEveryNCommits: k, GroupCommit: group}})
+	}
+}
+
+func TestConformanceClockShards(t *testing.T) {
+	for _, k := range []int{2, 4, 16} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			stmtest.Run(t, gcCadenceFactory(k, false), stmtest.Options{RONeverAborts: true})
+		})
+	}
+}
+
+func TestConformanceClockShardsGroupCommit(t *testing.T) {
+	stmtest.Run(t, gcCadenceFactory(4, true), stmtest.Options{RONeverAborts: true})
+}
+
+func TestSerializabilityDSGClockShards(t *testing.T) {
+	for _, k := range []int{2, 4, 16} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			dsg.CheckRandom(t, gcCadenceFactory(k, false)(), dsg.RunOptions{Seed: uint64(k)})
+		})
+	}
+}
+
+func TestSerializabilityDSGClockShardsHighContention(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			dsg.CheckRandom(t, gcCadenceFactory(k, false)(),
+				dsg.RunOptions{Vars: 3, Goroutines: 8, TxPerG: 120, Seed: uint64(100 + k)})
+		})
+	}
+}
+
+func TestSerializabilityDSGClockShardsReadHeavy(t *testing.T) {
+	dsg.CheckRandom(t, gcCadenceFactory(4, false)(),
+		dsg.RunOptions{Vars: 6, Goroutines: 6, TxPerG: 150, ReadOnlyP: 0.6, Seed: 17})
+}
+
+func TestSerializabilityDSGClockShardsAblation(t *testing.T) {
+	dsg.CheckRandom(t, core.New(core.Options{Options: mvutil.Options{GCEveryNCommits: 4}, DisableTimeWarp: true}),
+		dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 120, Seed: 23})
+}
+
+func TestSerializabilityDSGClockShardsGroupCommit(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			dsg.CheckRandom(t, gcCadenceFactory(k, true)(),
+				dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 120, Seed: uint64(200 + k)})
+		})
+	}
+}
