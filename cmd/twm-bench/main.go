@@ -14,8 +14,6 @@
 //	overhead   Fig. 4(c): per-phase overhead breakdown
 //	stamp      Fig. 5 panel for one application (-app)
 //	summary    Fig. 5(a)-(h) + Fig. 5(i) + Table 2 (all applications)
-//	pressure   resource-exhaustion: stabilize/degrade/recover under a
-//	           version budget, with admission gating and watchdog alerts
 //	groupcommit  commit pipelining: write-heavy Zipf counters A/B of each
 //	           serial engine vs its flat-combining group-commit variant,
 //	           recorded in BENCH_groupcommit.json
@@ -128,9 +126,6 @@ func run(args []string) error {
 		return emit("fig5-"+*app, res, err)
 	case "summary":
 		return summary(cfg, stampScale, emit)
-	case "pressure":
-		res, err := bench.PressureFigure(out, cfg, bench.DefaultPressure())
-		return emit("pressure", res, err)
 	case "groupcommit":
 		gc := bench.DefaultGroupCommit()
 		if *scale == "small" {

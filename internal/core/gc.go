@@ -8,26 +8,15 @@ package core
 // time-warp below k (such a transaction would need a concurrent
 // anti-dependent committer with natOrder < k, contradicting k's minimality).
 //
-// The schedule, the bound and the budget escalation (eager pass at
-// soft pressure, depth trim at hard pressure) are the shared chassis's
-// (mvutil.Chassis.GC, admit); this file is the pass over TWM's chains.
+// The schedule and the bound are the shared chassis's (mvutil.Chassis.GC);
+// this file is the pass over TWM's chains.
 
-import (
-	"repro/internal/mvutil"
-	"repro/internal/stm"
-)
+import "repro/internal/stm"
 
-// sweep is the chain pass behind mvutil.Chassis; gcMu is held. With depth == 0
-// it frees, per variable, everything older than the newest version visible at
-// bound. With depth > 0 it instead cuts every chain to at most depth
-// versions, newest first, ignoring bound — so it may free versions
-// an in-flight transaction still needs, the hard-pressure degradation that
-// trades the read-only no-abort guarantee for a memory bound. Safety survives
-// because either pass only removes a chain suffix: every read and commit-time
-// scan that terminates normally saw exactly what it would have seen before,
-// and a walk that reaches the shortened end aborts with
-// stm.ReasonMemoryPressure instead of guessing. Variables whose commit lock
-// is busy are skipped (the next pass will get them).
+// sweep is the chain pass behind mvutil.Chassis; gcMu is held. It frees, per
+// variable, everything older than the newest version visible at bound.
+// Variables whose commit lock is busy are skipped (the next pass will get
+// them).
 //
 // Re-rooting: a bounded pass also moves a sole surviving heap version back
 // into the variable's embedded root, so a variable that was overwritten and
@@ -40,7 +29,7 @@ import (
 // the clock (sweptAt), and a later pass re-roots only when its bound — the
 // oldest registered start, or the clock when none is — exceeds that sample: every transaction registered now began after it, and one that is
 // not registered yet has not read anything (Chassis.Snapshot).
-func (tm *TM) sweep(bound uint64, depth int) (freed int, bytes int64) {
+func (tm *TM) sweep(bound uint64) (freed int) {
 	tm.varsMu.Lock()
 	vars := tm.vars // snapshot; vars are append-only
 	tm.varsMu.Unlock()
@@ -52,7 +41,7 @@ func (tm *TM) sweep(bound uint64, depth int) (freed int, bytes int64) {
 			// leave the lock word — and the line every traversal of v loads —
 			// untouched. An install racing this check is the next pass's
 			// business.
-			if head == &v.root || !v.rootFree || depth > 0 || bound <= tm.sweptAt {
+			if head == &v.root || !v.rootFree || bound <= tm.sweptAt {
 				continue
 			}
 			if v.owner.TryLockGC() {
@@ -70,25 +59,19 @@ func (tm *TM) sweep(bound uint64, depth int) (freed int, bytes int64) {
 			continue
 		}
 		ver := v.latest.Load()
-		if depth > 0 {
-			for i := 1; i < depth && ver.next.Load() != nil; i++ {
-				ver = ver.next.Load()
+		for ver.natOrder > bound || ver.twOrder > bound {
+			next := ver.next.Load()
+			if next == nil {
+				// Bounds are not monotone across passes (Chassis.GC): an
+				// earlier pass at a higher bound already cut below the
+				// version visible at this one; ver is the oldest retained.
+				break
 			}
-		} else {
-			for ver.natOrder > bound || ver.twOrder > bound {
-				next := ver.next.Load()
-				if next == nil {
-					// A trim pass already cut below the version visible at
-					// bound; ver is the oldest retained version.
-					break
-				}
-				ver = next
-			}
+			ver = next
 		}
 		// ver is the newest version that must stay; everything older goes.
 		for tail := ver.next.Load(); tail != nil; tail = tail.next.Load() {
 			freed++
-			bytes += mvutil.ApproxVersionBytes(tail.value)
 			if tail == &v.root {
 				v.rootFree = true
 			}
@@ -98,7 +81,7 @@ func (tm *TM) sweep(bound uint64, depth int) (freed int, bytes int64) {
 	}
 	tm.sweptAt = tm.Clk.Load()
 	tm.stats.RecordReRoots(rerooted)
-	return freed, bytes
+	return freed
 }
 
 // VersionCount returns the number of live versions of v (including the

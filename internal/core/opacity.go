@@ -46,13 +46,6 @@ func (tx *txn) readOpaque(tv *twvar) stm.Value {
 	ver := tv.latest.Load()
 	for ver.twOrder > tx.start {
 		ver = ver.next.Load()
-		if ver == nil {
-			// A hard-pressure trim reclaimed the version this snapshot needs
-			// (trim only cuts a chain suffix, so a walk that terminates
-			// normally saw everything it would have pre-trim).
-			tx.Stats.RecordAbort(stm.ReasonMemoryPressure)
-			stm.Retry(stm.ReasonMemoryPressure)
-		}
 	}
 	return ver.value
 }
@@ -60,10 +53,7 @@ func (tx *txn) readOpaque(tv *twvar) stm.Value {
 // scanOpaque performs the commit-time anti-dependency scan for one read
 // variable under opacity visibility. It returns stm.ReasonNone when the
 // transaction may proceed, stm.ReasonTimeWarpSkip when it must abort (a
-// time-warped version from a later natural committer), and
-// stm.ReasonMemoryPressure when the scan ran off a chain shortened by a
-// hard-pressure trim — anti-dependency information may be lost, so the
-// commit aborts rather than risk mis-serialization.
+// time-warped version from a later natural committer).
 func (tx *txn) scanOpaque(ver *version) stm.AbortReason {
 	for ver.twOrder > tx.start {
 		if ver.natOrder < tx.natOrder {
@@ -77,9 +67,6 @@ func (tx *txn) scanOpaque(ver *version) stm.AbortReason {
 			return stm.ReasonTimeWarpSkip
 		}
 		ver = ver.next.Load()
-		if ver == nil {
-			return stm.ReasonMemoryPressure
-		}
 	}
 	return stm.ReasonNone
 }

@@ -55,7 +55,7 @@ type Options struct {
 // TM is a Time-Warp Multi-version transactional memory instance.
 type TM struct {
 	// Chassis is the machinery shared with internal/jvstm: commit clock,
-	// active set, GC schedule, budget, logger and the commit pipeline.
+	// active set, GC schedule, logger and the commit pipeline.
 	mvutil.Chassis
 	// The TWM-only switches; the shared options live in Chassis.Opts.
 	notw, opaque bool
@@ -199,11 +199,6 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	v := &twvar{stamp: tm.newStamp()}
 	v.root.value = initial
 	v.latest.Store(&v.root)
-	if b := tm.Opts.Budget; b != nil {
-		// The initial version is charged too: GC may free it once newer
-		// versions exist, and releases must balance installs.
-		b.Install(1, mvutil.ApproxVersionBytes(initial))
-	}
 	if tm.history.Load() {
 		v.hist = &historyLog{}
 	}
@@ -320,12 +315,8 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 // transaction is quiet), then the newest version with twOrder <= start
 // (time-warp committed versions included).
 //
-// Without a budget the walk always terminates: GC never frees the newest
-// version visible at the oldest active snapshot. A hard-pressure trim may
-// have cut the version this snapshot needs; the walk then runs off the chain
-// and the transaction restarts with ReasonMemoryPressure — the one documented
-// case where a read-only transaction aborts (a fresh attempt takes a current
-// snapshot, which the trim depth always serves).
+// The walk always terminates: GC never frees the newest version visible at
+// the oldest active snapshot, so a read-only transaction never aborts.
 func (tx *txn) readRO(tv *twvar) stm.Value {
 	// The semi-visible read must precede the lock wait so that a concurrent
 	// committer either observes the raised stamp (and raises its target
@@ -341,10 +332,6 @@ func (tx *txn) readRO(tv *twvar) stm.Value {
 	ver := tv.latest.Load()
 	for ver.twOrder > tx.start {
 		ver = ver.next.Load()
-		if ver == nil {
-			tx.Stats.RecordAbort(stm.ReasonMemoryPressure)
-			stm.Retry(stm.ReasonMemoryPressure)
-		}
 	}
 	return ver.value
 }
@@ -368,13 +355,6 @@ func (tx *txn) readUpdate(tv *twvar) stm.Value {
 			stm.Retry(stm.ReasonTimeWarpSkip)
 		}
 		ver = ver.next.Load()
-		if ver == nil {
-			// A hard-pressure trim reclaimed the version this snapshot
-			// needs (trim only cuts a chain suffix, so a walk that
-			// terminates normally saw everything it would have pre-trim).
-			tx.Stats.RecordAbort(stm.ReasonMemoryPressure)
-			stm.Retry(stm.ReasonMemoryPressure)
-		}
 	}
 	return ver.value
 }
@@ -444,9 +424,9 @@ func (tx *txn) Writes(dst []mvutil.WriteRef) []mvutil.WriteRef {
 //
 //   - Classic validation (the DisableTimeWarp ablation): a head newer than
 //     the snapshot is exactly the failure the scan would hit first.
-//   - A time-warped head newer than the snapshot is a Rule 2 abort; if GC
-//     or trimming removes it first, every remaining newer version either
-//     aborts the scan itself or ends it in ReasonMemoryPressure.
+//   - A time-warped head newer than the snapshot is a Rule 2 abort: GC
+//     never frees a version newer than a live snapshot, so the scan meets
+//     it.
 //   - An un-warped head newer than the snapshot makes this transaction an
 //     anti-dependency source; combined with a raised stamp on any write-set
 //     variable (the target condition Validate would find) the triad rule
@@ -558,13 +538,6 @@ func (tx *txn) Validate() stm.AbortReason {
 			// serialize after us at their own (un-warped) natural position;
 			// our twOrder <= natOrder < theirs already orders us first.
 			ver = ver.next.Load()
-			if ver == nil {
-				// A trim reclaimed the tail before the scan reached a
-				// version at or below our snapshot: anti-dependency
-				// information may be lost, so abort rather than risk a
-				// mis-serialized commit.
-				return stm.ReasonMemoryPressure
-			}
 		}
 	}
 
@@ -582,10 +555,10 @@ func (tx *txn) Validate() stm.AbortReason {
 }
 
 // Install implements mvutil.Member (paper's CREATENEWVERSION per write).
-func (tx *txn) Install(charge *mvutil.BatchCharge) {
+func (tx *txn) Install() {
 	ents := tx.writeSet.Entries()
 	for i := range ents {
-		tx.tm.createNewVersion(tx, ents[i].Key, ents[i].Val, charge)
+		tx.tm.createNewVersion(tx, ents[i].Key, ents[i].Val)
 	}
 }
 
@@ -595,27 +568,18 @@ func (tx *txn) Install(charge *mvutil.BatchCharge) {
 // earliest natural committer — which, holding the commit lock, necessarily
 // inserted first — is the one later transactions must not shadow.
 //
-// When the insertion walk runs off a chain shortened by a hard-pressure trim
-// (every retained version has a larger twOrder than ours), the insertion is
-// also skipped: appending below the trim cut would let a reader whose
-// snapshot falls between our twOrder and the oldest retained version observe
-// our value where a (trimmed) newer-serialized one was due. Skipping keeps
-// those readers on the documented degradation path instead — their walk
-// reaches nil and restarts with stm.ReasonMemoryPressure — and changes
-// nothing for readers and scans that terminate within the retained prefix.
-//
-// charge accumulates the version-budget install; the pipeline flushes it once
-// per round.
-func (tm *TM) createNewVersion(tx *txn, v *twvar, val stm.Value, charge *mvutil.BatchCharge) {
+// The walk stops above the chain's end: twOrder exceeds the start of tx, and
+// the oldest retained version is visible at a collector bound no greater than
+// that start.
+func (tm *TM) createNewVersion(tx *txn, v *twvar, val stm.Value) {
 	var newer *version
 	older := v.latest.Load()
-	for older != nil && tx.twOrder < older.twOrder {
+	for tx.twOrder < older.twOrder {
 		newer = older
 		older = older.next.Load()
 	}
-	if older == nil || tx.twOrder == older.twOrder {
-		// Below the trim cut, or a clash: no transaction will ever read this
-		// value (see above).
+	if tx.twOrder == older.twOrder {
+		// A clash: no transaction will ever read this value (see above).
 		if v.hist != nil {
 			v.hist.append(stm.VersionRecord{Value: val, Serial: tx.twOrder, Tie: tx.natOrder, Elided: true})
 		}
@@ -627,9 +591,6 @@ func (tm *TM) createNewVersion(tx *txn, v *twvar, val stm.Value, charge *mvutil.
 		v.latest.Store(ver)
 	} else {
 		newer.next.Store(ver)
-	}
-	if tm.Opts.Budget != nil {
-		charge.Add(1, mvutil.ApproxVersionBytes(val))
 	}
 	if v.hist != nil {
 		v.hist.append(stm.VersionRecord{Value: val, Serial: tx.twOrder, Tie: tx.natOrder})

@@ -517,6 +517,42 @@ func TestGCPreservesActiveSnapshot(t *testing.T) {
 	}
 }
 
+// TestGCBoundBelowPredecessor pins why the sweep stops at a chain's end:
+// collector bounds are not monotone. A pass between Chassis.Snapshot's first
+// publication and its republication folds the stale, lower sample, after an
+// earlier pass already cut at the later clock; the walk for the lower bound
+// then reaches the oldest retained version and must keep it, not run off the
+// tail.
+func TestGCBoundBelowPredecessor(t *testing.T) {
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1}})
+	x := tm.NewVar(0)
+	for range 3 {
+		bump(t, tm, x)
+	}
+	tm.GC() // bound = the clock: only the newest version stays
+	bump(t, tm, x)
+	var slot mvutil.Slot
+	tm.Active.Register(&slot, 1, false) // a first sample published late
+	if freed := tm.GC(); freed != 0 {
+		t.Errorf("the pass at the lower bound freed %d, want 0", freed)
+	}
+	if n := tm.VersionCount(x); n != 2 {
+		t.Errorf("%d versions after the pass at the lower bound, want 2", n)
+	}
+	tm.Active.Register(&slot, tm.Clock(), false) // the republished snapshot
+	if freed := tm.GC(); freed != 1 {
+		t.Errorf("the pass at the republished bound freed %d, want 1", freed)
+	}
+	tm.Active.Unregister(&slot)
+	ro := tm.Begin(true)
+	if got := ro.Read(x); got != 4 {
+		t.Errorf("read %v, want 4", got)
+	}
+	if !tm.Commit(ro) {
+		t.Error("read-only commit failed")
+	}
+}
+
 func TestVersionListInvariant(t *testing.T) {
 	// After a randomized batch of concurrent commits, every version list must
 	// be strictly descending in twOrder, with twOrder <= natOrder everywhere.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/engines"
 	"repro/internal/health"
-	"repro/internal/mvutil"
 	"repro/internal/stm"
 )
 
@@ -142,18 +141,17 @@ func TestAllocsWrappedReadOnly(t *testing.T) {
 }
 
 // TestAllocsWatchdogSample verifies the health watchdog's steady-state
-// sampling path allocates nothing while watching every budgeted engine at
-// full fidelity (stats deltas, clock, active set, budget level). The watchdog
-// exists to observe a system in distress; a sampler that allocates adds GC
-// load exactly when the process is dying of memory pressure.
+// sampling path allocates nothing while watching every multi-version engine
+// at full fidelity (stats deltas, clock, active set). The watchdog exists to
+// observe a system in distress; a sampler that allocates adds GC load exactly
+// when the process is dying of memory pressure.
 func TestAllocsWatchdogSample(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
 	}
-	b := mvutil.NewVersionBudget(mvutil.BudgetConfig{SoftVersions: 1 << 16, HardVersions: 1 << 17})
 	var targets []health.Target
 	for _, name := range engines.MultiVersionSet() {
-		tm := engines.MustNew(name, engines.WithBudget(b, 0))
+		tm := engines.MustNew(name)
 		v := tm.NewVar(0)
 		_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
 			tx.Write(v, 1)

@@ -46,8 +46,8 @@ func Names() []string {
 	return out
 }
 
-// MultiVersionSet lists the engines that maintain version chains (and hence
-// accept a version budget), in PaperSet order.
+// MultiVersionSet lists the engines that maintain version chains, in
+// PaperSet order.
 func MultiVersionSet() []string {
 	return []string{"jvstm", "jvstm-gc", "twm", "twm-notw", "twm-opaque", "twm-gc"}
 }
@@ -70,18 +70,6 @@ func supports(name string, set []string, what string) error {
 		return nil
 	}
 	return fmt.Errorf("engines: engine %q does not support %s (have %v)", name, what, set)
-}
-
-// WithBudget attaches a version budget and trim depth (the resource-
-// exhaustion configuration; see DESIGN.md §11). Only the engines in
-// MultiVersionSet support one. A zero maxDepth selects the engine's default
-// trim depth, and one budget may be shared across several engines to cap
-// their combined version memory.
-func WithBudget(budget *mvutil.VersionBudget, maxDepth int) Option {
-	return func(name string, o *mvutil.Options) error {
-		o.Budget, o.MaxVersionDepth = budget, maxDepth
-		return supports(name, MultiVersionSet(), "a version budget")
-	}
 }
 
 // WithLogger attaches a commit logger (DurableSet engines): every update

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/engines"
-	"repro/internal/mvutil"
 	"repro/internal/stm"
 	"repro/internal/stm/stmtest"
 )
@@ -63,8 +62,8 @@ func TestGroupCommitConcurrentSubmitters(t *testing.T) {
 }
 
 // TestGroupCommitCancelWhileCommitting: a transaction whose every attempt is
-// published to the combiner and refused there (hard version-budget pressure
-// the engine cannot relieve) retries until its context is cancelled. A
+// published to the combiner and refused there (a commit logger that has
+// latched a failure) retries until its context is cancelled. A
 // cancelled call never abandons a request it already published to a leader:
 // it returns *stm.CancelledError only between attempts, with the
 // admission-gate slot back, and no goroutine may outlive the test.
@@ -72,16 +71,13 @@ func TestGroupCommitCancelWhileCommitting(t *testing.T) {
 	for _, name := range engines.GroupCommitSet() {
 		t.Run(name, func(t *testing.T) {
 			stmtest.CheckGoroutines(t)
-			budget := mvutil.NewVersionBudget(mvutil.BudgetConfig{SoftVersions: 1, HardVersions: 2})
-			tm, err := engines.New(name, engines.WithBudget(budget, 0))
+			// The latched logger makes every group-commit round refuse its
+			// members with ReasonDurability, so every attempt travels the
+			// full submit → leader → refuse → retry loop.
+			tm, err := engines.New(name, engines.WithLogger(latchedLogger{}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			// An external charge the engine's GC cannot release pins the
-			// budget at hard pressure: every group-commit round refuses its
-			// members with ReasonMemoryPressure, so every attempt travels the
-			// full submit → leader → refuse → retry loop.
-			budget.Install(8, 0)
 
 			x := stm.NewTVar(tm, 0)
 			gate := stm.NewAdmissionGate(1, 0)
@@ -97,9 +93,9 @@ func TestGroupCommitCancelWhileCommitting(t *testing.T) {
 
 			// Wait until the combiner has demonstrably refused a few rounds.
 			deadline := time.Now().Add(5 * time.Second)
-			for tm.Stats().Snapshot().ByReason[stm.ReasonMemoryPressure.String()] < 3 {
+			for tm.Stats().Snapshot().ByReason[stm.ReasonDurability.String()] < 3 {
 				if time.Now().After(deadline) {
-					t.Fatal("no memory-pressure refusals observed")
+					t.Fatal("no durability refusals observed")
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -110,8 +106,8 @@ func TestGroupCommitCancelWhileCommitting(t *testing.T) {
 			if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want *stm.CancelledError wrapping context.Canceled", err)
 			}
-			if ce.Attempts == 0 || ce.Reason != stm.ReasonMemoryPressure {
-				t.Fatalf("cancellation reported %d attempts, last reason %v; want the observed memory-pressure refusals", ce.Attempts, ce.Reason)
+			if ce.Attempts == 0 || ce.Reason != stm.ReasonDurability {
+				t.Fatalf("cancellation reported %d attempts, last reason %v; want the observed durability refusals", ce.Attempts, ce.Reason)
 			}
 			// The gate slot came back before the call returned.
 			if gate.InFlight() != 0 {
@@ -131,3 +127,15 @@ func TestGroupCommitCancelWhileCommitting(t *testing.T) {
 		})
 	}
 }
+
+// latchedLogger is a commit logger that has latched a failure: the admit
+// stage refuses every round before anything is appended.
+type latchedLogger struct{}
+
+func (latchedLogger) Append([]stm.CommitRecord) (stm.LSN, error) {
+	return 0, errLatched
+}
+func (latchedLogger) Durable(stm.LSN) error { return errLatched }
+func (latchedLogger) Err() error            { return errLatched }
+
+var errLatched = errors.New("log latched")

@@ -1,15 +1,14 @@
 // Package health is a liveness watchdog for the STM engines. The engines'
-// own mechanisms (retry backoff, version GC, the admission gate, the version
-// budget) each defend one failure mode locally; the watchdog is the
-// cross-cutting observer that notices when a mechanism is losing — a snapshot
-// pinned so long that version GC cannot advance, an abort rate that starves
-// commits (livelock), a commit clock that stops moving, a version budget
-// stuck at hard pressure — and says so, through JSON-able snapshots and
-// raise/clear alert callbacks.
+// own mechanisms (retry backoff, version GC, the admission gate) each defend
+// one failure mode locally; the watchdog is the cross-cutting observer that
+// notices when a mechanism is losing — a snapshot pinned so long that version
+// GC cannot advance, an abort rate that starves commits (livelock), a commit
+// clock that stops moving, a write-ahead log that fails or wedges — and says
+// so, through JSON-able snapshots and raise/clear alert callbacks.
 //
 // Detection samples only monotone counters and atomics the engines already
-// maintain (stm.Stats, mvutil.ActiveSet, mvutil.VersionBudget, the commit
-// clock), so the steady-state sampling path allocates nothing and perturbs
+// maintain (stm.Stats, mvutil.ActiveSet, the commit clock, the WAL
+// counters), so the steady-state sampling path allocates nothing and perturbs
 // nothing — the watchdog observes a struggling system without adding load to
 // it. Conditions are raised only after RaiseAfter consecutive bad windows and
 // cleared only after ClearAfter consecutive good ones, so one anomalous
@@ -46,9 +45,6 @@ const (
 	// moving ticks prove the commit stage is alive even when the counters
 	// have not caught up yet.
 	CondClockStall
-	// CondBudget: the version budget reads hard pressure — installs are
-	// being refused (or imminently will be) with stm.ReasonMemoryPressure.
-	CondBudget
 	// CondWALStall: the engine's write-ahead log is failing or wedged — the
 	// writer has latched an error (every further commit aborts with
 	// stm.ReasonDurability), or appended records are pending durability and
@@ -68,8 +64,6 @@ func (c Condition) String() string {
 		return "stuck-snapshot"
 	case CondClockStall:
 		return "clock-stall"
-	case CondBudget:
-		return "budget-hard"
 	case CondWALStall:
 		return "wal-stall"
 	}
@@ -100,8 +94,6 @@ type Target struct {
 	// Active is the engine's in-flight transaction registry; nil disables
 	// CondStuck.
 	Active *mvutil.ActiveSet
-	// Budget is the engine's version budget; nil disables CondBudget.
-	Budget *mvutil.VersionBudget
 	// WAL is the engine's commit-log writer; nil disables CondWALStall.
 	WAL WALProber
 }
@@ -111,12 +103,11 @@ type Target struct {
 type (
 	clocked     interface{ Clock() uint64 }
 	activeSeter interface{ ActiveSet() *mvutil.ActiveSet }
-	budgeted    interface{ Budget() *mvutil.VersionBudget }
 	logged      interface{ CommitLogger() stm.CommitLogger }
 )
 
 // TargetOf derives a Target from an engine, probing the optional capabilities
-// (clock, active set, version budget) with interface assertions so any
+// (clock, active set, commit logger) with interface assertions so any
 // stm.TM can be watched at whatever fidelity it supports.
 func TargetOf(tm stm.TM) Target {
 	t := Target{Name: tm.Name(), Stats: tm.Stats()}
@@ -125,9 +116,6 @@ func TargetOf(tm stm.TM) Target {
 	}
 	if a, ok := tm.(activeSeter); ok {
 		t.Active = a.ActiveSet()
-	}
-	if b, ok := tm.(budgeted); ok {
-		t.Budget = b.Budget()
 	}
 	if l, ok := tm.(logged); ok {
 		if p, ok := l.CommitLogger().(WALProber); ok {
@@ -347,12 +335,6 @@ func (w *Watchdog) Step() {
 				"clock", clock, "oldest-snapshot", min)
 		}
 
-		if t.Budget != nil {
-			w.judge(t, st, CondBudget,
-				t.Budget.Level() == mvutil.PressureHard,
-				"versions", uint64(t.Budget.Versions()), "rejects", t.Budget.Rejects())
-		}
-
 		if t.WAL != nil {
 			// Bad: the writer latched an error, or records are waiting on
 			// durability with a watermark that did not move all window.
@@ -427,8 +409,7 @@ type TargetSnapshot struct {
 	MinStart uint64 `json:"minStart,omitempty"`
 	// CommitsPerTick is the last sampled window's commits per clock tick:
 	// ≈1 on a serial commit path, the mean batch size under group commit.
-	CommitsPerTick float64                `json:"commitsPerTick,omitempty"`
-	Budget         *mvutil.BudgetSnapshot `json:"budget,omitempty"`
+	CommitsPerTick float64 `json:"commitsPerTick,omitempty"`
 	// WALPending/WALSynced/WALErr mirror the WAL prober when one is attached:
 	// records appended but not yet durable, the durable watermark, and the
 	// writer's latched error.
@@ -459,10 +440,6 @@ func (w *Watchdog) Snapshot() Snapshot {
 			if t.Active != nil {
 				ts.MinStart = t.Active.MinStart(ts.Clock)
 			}
-		}
-		if t.Budget != nil {
-			b := t.Budget.Snapshot()
-			ts.Budget = &b
 		}
 		if t.WAL != nil {
 			var werr error

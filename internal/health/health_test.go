@@ -26,10 +26,9 @@ func (c *collect) last() (Alert, bool) {
 }
 
 func TestTargetOf(t *testing.T) {
-	b := mvutil.NewVersionBudget(mvutil.BudgetConfig{HardVersions: 100})
 	for _, tm := range []stm.TM{
-		core.New(core.Options{Options: mvutil.Options{Budget: b}}),
-		jvstm.New(jvstm.Options{Budget: b}),
+		core.New(core.Options{}),
+		jvstm.New(jvstm.Options{}),
 	} {
 		tgt := TargetOf(tm)
 		if tgt.Name != tm.Name() || tgt.Stats == nil {
@@ -40,9 +39,6 @@ func TestTargetOf(t *testing.T) {
 		}
 		if tgt.Active == nil {
 			t.Errorf("%s: no active-set capability", tm.Name())
-		}
-		if tgt.Budget != b {
-			t.Errorf("%s: budget not surfaced", tm.Name())
 		}
 	}
 }
@@ -223,31 +219,8 @@ func TestWatchdogStuckSnapshot(t *testing.T) {
 	}
 }
 
-func TestWatchdogBudget(t *testing.T) {
-	var stats stm.Stats
-	b := mvutil.NewVersionBudget(mvutil.BudgetConfig{SoftVersions: 5, HardVersions: 10})
-	w := New(Config{RaiseAfter: 2}, Target{Name: "t", Stats: &stats, Budget: b})
-	b.Install(11, 0)
-	w.Step()
-	w.Step()
-	if !w.Active("t", CondBudget) {
-		t.Fatal("budget pressure not raised")
-	}
-	snap := w.Snapshot()
-	if len(snap.Targets) != 1 || snap.Targets[0].Budget == nil ||
-		snap.Targets[0].Budget.Level != "hard" || len(snap.Targets[0].Active) == 0 {
-		t.Fatalf("snapshot misses budget state: %+v", snap)
-	}
-	b.Release(8, 0)
-	w.Step()
-	w.Step()
-	if w.Active("t", CondBudget) {
-		t.Fatal("budget pressure not cleared")
-	}
-}
-
 func TestSnapshotJSON(t *testing.T) {
-	tm := core.New(core.Options{Options: mvutil.Options{Budget: mvutil.NewVersionBudget(mvutil.BudgetConfig{HardVersions: 64})}})
+	tm := core.New(core.Options{})
 	v := stm.NewTVar(tm, 0)
 	if err := stm.Atomically(tm, false, func(tx stm.Tx) error {
 		v.Set(tx, 1)
@@ -261,7 +234,7 @@ func TestSnapshotJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"name":"twm"`, `"commits":1`, `"budget"`, `"clock"`} {
+	for _, want := range []string{`"name":"twm"`, `"commits":1`, `"clock"`} {
 		if !containsStr(string(out), want) {
 			t.Errorf("snapshot JSON missing %s: %s", want, out)
 		}

@@ -14,7 +14,9 @@ import (
 // commits, so every collection pass races the battery's open snapshots
 // through the single-bound sweep. The test names and K values are those of
 // the deleted clock-sharding variants (DESIGN.md §17); the engine has one
-// clock, and K now sets GCEveryNCommits.
+// clock, and K now sets GCEveryNCommits. K=1 runs a pass after every commit:
+// the conformance battery's ROAbortFree then holds read-only aborts at exactly
+// zero at the tightest cadence.
 
 func gcCadenceFactory(k int, group bool) func() stm.TM {
 	return func() stm.TM {
@@ -23,7 +25,7 @@ func gcCadenceFactory(k int, group bool) func() stm.TM {
 }
 
 func TestConformanceClockShards(t *testing.T) {
-	for _, k := range []int{2, 4, 16} {
+	for _, k := range []int{1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
 			stmtest.Run(t, gcCadenceFactory(k, false), stmtest.Options{RONeverAborts: true})
 		})
@@ -31,7 +33,7 @@ func TestConformanceClockShards(t *testing.T) {
 }
 
 func TestSerializabilityDSGClockShards(t *testing.T) {
-	for _, k := range []int{2, 4, 16} {
+	for _, k := range []int{1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
 			dsg.CheckRandom(t, gcCadenceFactory(k, false)(), dsg.RunOptions{Seed: uint64(30 + k)})
 		})
@@ -39,7 +41,7 @@ func TestSerializabilityDSGClockShards(t *testing.T) {
 }
 
 func TestSerializabilityDSGClockShardsHighContention(t *testing.T) {
-	for _, k := range []int{2, 4} {
+	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
 			dsg.CheckRandom(t, gcCadenceFactory(k, false)(),
 				dsg.RunOptions{Vars: 3, Goroutines: 8, TxPerG: 120, Seed: uint64(300 + k)})
@@ -48,7 +50,7 @@ func TestSerializabilityDSGClockShardsHighContention(t *testing.T) {
 }
 
 func TestSerializabilityDSGClockShardsGroupCommit(t *testing.T) {
-	for _, k := range []int{2, 4} {
+	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
 			dsg.CheckRandom(t, gcCadenceFactory(k, true)(),
 				dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 120, Seed: uint64(400 + k)})

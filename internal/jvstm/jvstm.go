@@ -30,7 +30,7 @@ type Options = mvutil.Options
 // TM is a JVSTM instance.
 type TM struct {
 	// Chassis is the machinery shared with internal/core: commit clock,
-	// active set, GC schedule, budget, logger and the commit pipeline.
+	// active set, GC schedule, logger and the commit pipeline.
 	mvutil.Chassis
 	stats stm.Stats
 
@@ -89,11 +89,6 @@ func (v *jvar) VarID() uint64 { return v.id }
 func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	v := &jvar{}
 	v.head.Store(&jversion{value: initial})
-	if b := tm.Opts.Budget; b != nil {
-		// The initial version is charged too: GC may free it once newer
-		// versions exist, and releases must balance installs.
-		b.Install(1, mvutil.ApproxVersionBytes(initial))
-	}
 	tm.varsMu.Lock()
 	v.id = uint64(len(tm.vars)) + 1
 	tm.vars = append(tm.vars, v)
@@ -171,15 +166,6 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 	ver := tv.head.Load()
 	for ver.ver > tx.start {
 		ver = ver.next.Load()
-		if ver == nil {
-			// A hard-pressure trim reclaimed the version this snapshot needs
-			// (trim only cuts a chain suffix, so a walk that terminates
-			// normally saw everything it would have pre-trim). Restart with a
-			// fresh snapshot, which the trim depth always serves — the one
-			// documented case where a read-only transaction aborts.
-			tx.Stats.RecordAbort(stm.ReasonMemoryPressure)
-			stm.Retry(stm.ReasonMemoryPressure)
-		}
 	}
 	if prof != nil {
 		prof.AddRead(prof.Now() - t0)
@@ -269,7 +255,7 @@ func (tx *txn) Validate() stm.AbortReason {
 }
 
 // Install implements mvutil.Member: push the new versions at the heads.
-func (tx *txn) Install(charge *mvutil.BatchCharge) {
+func (tx *txn) Install() {
 	tm := tx.tm
 	ents := tx.writeSet.Entries()
 	for i := range ents {
@@ -277,9 +263,6 @@ func (tx *txn) Install(charge *mvutil.BatchCharge) {
 		nv := &jversion{value: val, ver: tx.Draw}
 		nv.next.Store(v.head.Load())
 		v.head.Store(nv)
-		if tm.Opts.Budget != nil {
-			charge.Add(1, mvutil.ApproxVersionBytes(val))
-		}
 		if tm.history.Load() {
 			v.histMu.Lock()
 			v.hist = append(v.hist, stm.VersionRecord{Value: val, Serial: tx.Draw})
@@ -289,13 +272,9 @@ func (tx *txn) Install(charge *mvutil.BatchCharge) {
 }
 
 // sweep is the chain pass behind mvutil.Chassis, exactly as in internal/core
-// but with the single (natural) time line; gcMu is held. With depth == 0 it
-// frees, per variable, everything older than the newest version visible at
-// bound; with depth > 0 it cuts every chain to at most depth versions
-// regardless of bound, so it may free versions an in-flight
-// transaction still needs — those restart with stm.ReasonMemoryPressure when
-// their read walk reaches the shortened end (DESIGN.md §11).
-func (tm *TM) sweep(bound uint64, depth int) (freed int, bytes int64) {
+// but with the single (natural) time line; gcMu is held. It frees, per
+// variable, everything older than the newest version visible at bound.
+func (tm *TM) sweep(bound uint64) (freed int) {
 	tm.varsMu.Lock()
 	vars := tm.vars // snapshot; vars are append-only
 	tm.varsMu.Unlock()
@@ -305,27 +284,23 @@ func (tm *TM) sweep(bound uint64, depth int) (freed int, bytes int64) {
 			continue // busy committer; the next pass will get it
 		}
 		ver := v.head.Load()
-		if depth > 0 {
-			for i := 1; i < depth && ver.next.Load() != nil; i++ {
-				ver = ver.next.Load()
+		for ver.ver > bound {
+			next := ver.next.Load()
+			if next == nil {
+				// Bounds are not monotone across passes (Chassis.GC): an
+				// earlier pass at a higher bound already cut below the
+				// version visible at this one; ver is the oldest retained.
+				break
 			}
-		} else {
-			for ver.ver > bound {
-				next := ver.next.Load()
-				if next == nil {
-					break // a trim already cut below the version visible at bound
-				}
-				ver = next
-			}
+			ver = next
 		}
 		for tail := ver.next.Load(); tail != nil; tail = tail.next.Load() {
 			freed++
-			bytes += mvutil.ApproxVersionBytes(tail.value)
 		}
 		ver.next.Store(nil)
 		v.owner.UnlockGC()
 	}
-	return freed, bytes
+	return freed
 }
 
 // VersionCount returns the live version count of v (tests).

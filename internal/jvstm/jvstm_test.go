@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dsg"
 	"repro/internal/jvstm"
+	"repro/internal/mvutil"
 	"repro/internal/stm"
 	"repro/internal/stm/stmtest"
 )
@@ -144,7 +145,8 @@ func TestDoomedCommitPassesOnClock(t *testing.T) {
 // TestSnapshotPublishedBeforeSample is internal/core's test of the same name
 // on this engine: a read-only transaction parked between its first clock
 // sample and its registration, while commits and a collector pass go by, must
-// come out with a snapshot the trimmed chain still serves.
+// come out with a snapshot the trimmed chain still serves, and commit with no
+// abort of any reason.
 func TestSnapshotPublishedBeforeSample(t *testing.T) {
 	tm := jvstm.New(jvstm.Options{GCEveryNCommits: -1})
 	x := tm.NewVar(0)
@@ -168,14 +170,59 @@ func TestSnapshotPublishedBeforeSample(t *testing.T) {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				t.Fatalf("read-only read restarted (%v): the pass trimmed the version its snapshot needs", r)
+				t.Fatalf("read-only read failed (%v): the pass trimmed the version its snapshot needs", r)
 			}
 		}()
 		if got := ro.Read(x); got != 3 {
 			t.Errorf("read %v, want 3", got)
 		}
 	}()
-	tm.Commit(ro)
+	if !tm.Commit(ro) {
+		t.Fatal("read-only commit failed")
+	}
+	if n := tm.Stats().Snapshot().Aborts; n != 0 {
+		t.Errorf("%d aborts; a read-only transaction never aborts", n)
+	}
+}
+
+// TestGCBoundBelowPredecessor is internal/core's test of the same name on
+// this engine: a pass at a bound below its predecessor's (a stale first
+// snapshot sample published late) stops at the oldest retained version.
+func TestGCBoundBelowPredecessor(t *testing.T) {
+	tm := jvstm.New(jvstm.Options{GCEveryNCommits: -1})
+	x := tm.NewVar(0)
+	bump := func() {
+		tx := tm.Begin(false)
+		tx.Write(x, tx.Read(x).(int)+1)
+		if !tm.Commit(tx) {
+			t.Fatalf("uncontended commit aborted")
+		}
+	}
+	for range 3 {
+		bump()
+	}
+	tm.GC() // bound = the clock: only the newest version stays
+	bump()
+	var slot mvutil.Slot
+	tm.ActiveSet().Register(&slot, 1, false) // a first sample published late
+	if freed := tm.GC(); freed != 0 {
+		t.Errorf("the pass at the lower bound freed %d, want 0", freed)
+	}
+	if n := tm.VersionCount(x); n != 2 {
+		t.Errorf("%d versions after the pass at the lower bound, want 2", n)
+	}
+	tm.ActiveSet().Register(&slot, tm.Clock(), false) // the republished snapshot
+	if freed := tm.GC(); freed != 1 {
+		t.Errorf("the pass at the republished bound freed %d, want 1", freed)
+	}
+	tm.ActiveSet().Unregister(&slot)
+	ro := tm.Begin(true)
+	if got := ro.Read(x); got != 4 {
+		t.Errorf("read %v, want 4", got)
+	}
+	if !tm.Commit(ro) {
+		t.Error("read-only commit failed")
+	}
 }
 
 // TestSeedClockMonotone is internal/core's test of the same name on this

@@ -1,6 +1,6 @@
 // Package mvutil is what the multi-versioned engines (TWM in internal/core
 // and JVSTM in internal/jvstm) share: the Chassis they embed — commit clock,
-// active-transaction registry, GC schedule, version budget, durability seam —
+// active-transaction registry, GC schedule, durability seam —
 // and the one commit pipeline both run (pipeline.go), parameterised by each
 // engine's validation rule.
 package mvutil

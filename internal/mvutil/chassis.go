@@ -18,14 +18,6 @@ type Options struct {
 	// LockSpinBudget bounds the spin iterations a transaction waits on a
 	// peer's commit lock before self-aborting. 0 selects the default.
 	LockSpinBudget int
-	// Budget, when non-nil, caps the engine's version memory (VersionBudget,
-	// DESIGN.md §11): soft pressure triggers eager GC, hard pressure trims
-	// chains to MaxVersionDepth and, as a last resort, fails commits with
-	// stm.ReasonMemoryPressure. A budget may be shared between engines.
-	Budget *VersionBudget
-	// MaxVersionDepth is the per-variable chain depth the hard-pressure trim
-	// cuts to. 0 selects the default; only consulted when Budget is set.
-	MaxVersionDepth int
 	// GroupCommit routes every update commit through the flat-combining
 	// stage (Combiner): one leader runs the commit pipeline over a whole
 	// batch of published committers under one clock advance.
@@ -44,15 +36,14 @@ type Options struct {
 const (
 	defaultGCEvery   = 4096
 	defaultSpinLimit = 2048
-	defaultTrimDepth = 8
 )
 
 // Chassis is everything the multi-version engines have in common besides
 // their version chains and their validation rule: the commit clock, the
-// active-transaction registry, the GC schedule, the version budget, the
-// durability seam and the commit pipeline (pipeline.go). An engine embeds one
-// Chassis in its TM and plugs in its descriptor type (Member) and its chain
-// sweep; the accessors below are promoted onto the engine.
+// active-transaction registry, the GC schedule, the durability seam and the
+// commit pipeline (pipeline.go). An engine embeds one Chassis in its TM and
+// plugs in its descriptor type (Member) and its chain sweep; the accessors
+// below are promoted onto the engine.
 type Chassis struct {
 	// Opts holds the engine's shared options with the defaults applied.
 	Opts Options
@@ -67,11 +58,10 @@ type Chassis struct {
 
 	gcCount atomic.Uint64
 	gcMu    sync.Mutex
-	// sweep is the engine's chain pass. With depth == 0 it frees, in every
-	// variable, the versions older than the newest one visible at bound; with
-	// depth > 0 it cuts every chain to depth versions regardless of bound. It
-	// skips variables whose commit lock is busy.
-	sweep func(bound uint64, depth int) (freed int, bytes int64)
+	// sweep is the engine's chain pass: it frees, in every variable, the
+	// versions older than the newest one visible at bound, and returns how
+	// many. It skips variables whose commit lock is busy.
+	sweep func(bound uint64) (freed int)
 
 	// logErr probes the logger's latched failure (nil when the logger has
 	// none to report); logFailed latches an Append this engine saw fail.
@@ -90,15 +80,12 @@ type Chassis struct {
 
 // Init applies the option defaults, starts the clock and wires the engine's
 // chain sweep. It must run before the engine is shared.
-func (c *Chassis) Init(opts Options, sweep func(bound uint64, depth int) (int, int64)) {
+func (c *Chassis) Init(opts Options, sweep func(bound uint64) int) {
 	if opts.GCEveryNCommits == 0 {
 		opts.GCEveryNCommits = defaultGCEvery
 	}
 	if opts.LockSpinBudget == 0 {
 		opts.LockSpinBudget = defaultSpinLimit
-	}
-	if opts.MaxVersionDepth <= 0 {
-		opts.MaxVersionDepth = defaultTrimDepth
 	}
 	c.Opts = opts
 	c.sweep = sweep
@@ -123,9 +110,6 @@ func (c *Chassis) Clock() uint64 { return c.Clk.Load() }
 
 // ActiveSet exposes the active-transaction registry (health watchdog).
 func (c *Chassis) ActiveSet() *ActiveSet { return c.Active }
-
-// Budget exposes the configured version budget; nil when unbounded.
-func (c *Chassis) Budget() *VersionBudget { return c.Opts.Budget }
 
 // CommitLogger exposes the configured durability seam; nil when memory-only
 // (the health watchdog probes it for the WAL-stall judge).
@@ -172,28 +156,27 @@ func (c *Chassis) Snapshot(d *Desc, update bool) uint64 {
 func (c *Chassis) Quiet(start uint64) bool { return !c.Active.OlderUpdate(start) }
 
 // GC trims version lists down to the oldest version any active or future
-// transaction can observe and returns the number of versions released.
-// Passes are serialized so each pass's bound is at least its predecessor's;
-// an older bound walking a list truncated by a newer pass would run off the
-// tail.
+// transaction can observe and returns the number of versions released. The
+// bound is the oldest registered start, or the clock when nothing is
+// registered.
+//
+// Passes are serialized, but their bounds are not monotone: Snapshot
+// publishes its first clock sample before it re-samples, so a pass that runs
+// between that publication and the republication folds the stale, lower
+// sample, while an earlier pass that did not yet see the registration may
+// have used the later clock. Such a pass walks a chain an earlier pass
+// already cut below its own bound; the engines' sweeps stop at the oldest
+// retained version instead of running off the tail. No transaction reads
+// below the cut: every live snapshot is at or above every bound a pass
+// computed while it was live (Snapshot).
+//
+// What GC retains is bounded (DESIGN.md §2): per variable, at most one
+// version at or below the oldest registered start, plus every version
+// installed since.
 func (c *Chassis) GC() int {
 	c.gcMu.Lock()
 	defer c.gcMu.Unlock()
-	return c.gcLocked()
-}
-
-// gcLocked is the collection pass; the caller holds gcMu. The bound is the
-// oldest registered start, or the clock when nothing is registered.
-func (c *Chassis) gcLocked() int {
-	return c.release(c.sweep(c.Active.MinStart(c.Clk.Load()), 0))
-}
-
-// release returns what a sweep freed to the version budget.
-func (c *Chassis) release(freed int, bytes int64) int {
-	if b := c.Opts.Budget; b != nil && freed > 0 {
-		b.Release(int64(freed), bytes)
-	}
-	return freed
+	return c.sweep(c.Active.MinStart(c.Clk.Load()))
 }
 
 // gcTick advances the commit counter by k and runs a collection pass if the
@@ -211,49 +194,11 @@ func (c *Chassis) gcTick(k int) {
 // admit is the pipeline's first stage: it decides, before any commit lock is
 // taken or clock ticked, whether a round may install at all.
 //
-// Version-memory backpressure escalates until pressure relents: soft
-// pressure triggers an eager GC pass (non-blocking — when another pass is
-// already running it frees versions on our behalf), hard pressure runs a
-// blocking pass, then trims every chain to MaxVersionDepth — the one pass
-// that may free versions an active snapshot still needs; the affected
-// transactions restart with stm.ReasonMemoryPressure (DESIGN.md §11) — and
-// when even trimming leaves the budget above its hard limit the round is
-// refused.
-//
 // Durability fail-fast: a logger that latched a failure (its own, or an
 // Append this engine saw fail) can never accept another record, so the round
 // fails at the door instead of installing versions whose record is known to
 // be unwritable — and nothing is ever logged after a hole.
 func (c *Chassis) admit() stm.AbortReason {
-	if b := c.Opts.Budget; b != nil {
-		switch b.Level() {
-		case PressureSoft:
-			if c.gcMu.TryLock() {
-				c.gcLocked()
-				c.gcMu.Unlock()
-				b.NoteSoftGC()
-			}
-		case PressureHard:
-			// One blocking pass at a time serves every committer that hit
-			// the limit together (they re-check the level under the lock, so
-			// the losers of the lock race usually find it already relieved).
-			c.gcMu.Lock()
-			if b.Level() == PressureHard {
-				c.gcLocked()
-				b.NoteSoftGC()
-			}
-			if b.Level() == PressureHard {
-				c.release(c.sweep(0, c.Opts.MaxVersionDepth))
-				b.NoteTrim()
-			}
-			level := b.Level()
-			c.gcMu.Unlock()
-			if level == PressureHard {
-				b.NoteReject()
-				return stm.ReasonMemoryPressure
-			}
-		}
-	}
 	if c.logFailed.Load() || (c.logErr != nil && c.logErr() != nil) {
 		return stm.ReasonDurability
 	}

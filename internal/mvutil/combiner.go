@@ -189,25 +189,3 @@ func (c *Combiner) lead(commit func(batch []*CommitReq)) {
 		c.scratch = buf[:0]
 	}
 }
-
-// BatchCharge accumulates version-budget installs across one batch so the
-// engine charges its VersionBudget once per batch instead of once per
-// version — the batched analogue of the per-install charge (DESIGN.md §11).
-type BatchCharge struct {
-	Count, Bytes int64
-}
-
-// Add records n installed versions totalling approximately bytes.
-func (c *BatchCharge) Add(n, bytes int64) {
-	c.Count += n
-	c.Bytes += bytes
-}
-
-// Flush charges the accumulated installs to b (nil b, or an empty charge,
-// is a no-op) and resets the accumulator.
-func (c *BatchCharge) Flush(b *VersionBudget) {
-	if b != nil && c.Count != 0 {
-		b.Install(c.Count, c.Bytes)
-	}
-	c.Count, c.Bytes = 0, 0
-}

@@ -173,32 +173,3 @@ func TestCombinerSplitBatchHook(t *testing.T) {
 		t.Fatal("split hook never fired despite a gated multi-member backlog")
 	}
 }
-
-func TestBatchCharge(t *testing.T) {
-	b := NewVersionBudget(BudgetConfig{SoftVersions: 2, HardVersions: 4})
-	var ch BatchCharge
-	ch.Add(1, 10)
-	ch.Add(2, 20)
-	if b.Level() != PressureNone {
-		t.Fatal("budget charged before Flush")
-	}
-	ch.Flush(b)
-	if b.Level() != PressureSoft {
-		t.Fatalf("level = %v after flushing 3 versions (soft=2), want soft", b.Level())
-	}
-	// Flush resets the accumulator: a second flush charges nothing.
-	ch.Flush(b)
-	if b.Level() != PressureSoft {
-		t.Fatalf("empty flush changed the level to %v", b.Level())
-	}
-	// A nil budget is a no-op but still resets.
-	ch.Add(100, 0)
-	ch.Flush(nil)
-	if ch.Count != 0 || ch.Bytes != 0 {
-		t.Fatalf("flush to nil budget did not reset: %+v", ch)
-	}
-	ch.Flush(b)
-	if b.Level() != PressureSoft {
-		t.Fatal("reset accumulator still charged the budget")
-	}
-}

@@ -35,9 +35,8 @@ type Member interface {
 	// stm.ReasonNone, or returns the abort reason. Lock waits must go
 	// through Lock.WaitUnlocked with the member's Desc.
 	Validate() stm.AbortReason
-	// Install inserts the member's versions (locks still held), adding what
-	// it installs to charge.
-	Install(charge *BatchCharge)
+	// Install inserts the member's versions (locks still held).
+	Install()
 }
 
 // WriteRef is one write-set entry as the pipeline sees it: the variable's
@@ -162,9 +161,6 @@ type scratch struct {
 	admitted []*Desc
 	recs     []stm.CommitRecord
 	claimed  map[*Lock]struct{}
-	// charge accumulates the round's version-budget installs (here rather
-	// than on the stack: it is handed to Member.Install, an interface call).
-	charge BatchCharge
 }
 
 // CommitUpdate commits d's buffered writes through the pipeline and reports
@@ -215,8 +211,8 @@ func (c *Chassis) round(ms []*Desc, sc *scratch) (spill []*Desc) {
 		t0 = prof.Now()
 	}
 
-	// Admit. On refusal the whole round fails — escalation already ran, so
-	// per-member retries would just repeat the rejection. No lock is held.
+	// Admit. On refusal the whole round fails — a latched logger refuses
+	// every member alike. No lock is held.
 	if r := c.admit(); r != stm.ReasonNone {
 		for _, d := range ms {
 			c.resolve(d, r, prof)
@@ -318,7 +314,7 @@ func (c *Chassis) round(ms []*Desc, sc *scratch) (spill []*Desc) {
 			c.resolve(d, r, prof)
 			continue
 		}
-		d.m.Install(&sc.charge)
+		d.m.Install()
 		if logger != nil {
 			recs = append(recs, c.record(d))
 		}
@@ -330,7 +326,6 @@ func (c *Chassis) round(ms []*Desc, sc *scratch) (spill []*Desc) {
 		}
 	}
 	sc.recs = recs
-	sc.charge.Flush(c.Opts.Budget)
 
 	// Log, with every survivor's write locks still held (append-before-
 	// visible): a version is reachable by other transactions only once its

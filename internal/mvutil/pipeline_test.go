@@ -73,10 +73,9 @@ func (f *fakeMember) Validate() stm.AbortReason {
 	return f.verdict
 }
 
-func (f *fakeMember) Install(charge *BatchCharge) {
+func (f *fakeMember) Install() {
 	f.ev.add("install:%s locked=%v", f.name, f.holdsAll())
 	f.installed++
-	charge.Add(int64(len(f.vars)), 0)
 }
 
 // fakeLogger scripts the durability seam and records what it is handed.
@@ -132,7 +131,7 @@ func newRig(opts Options, withLogger bool) *rig {
 		opts.Logger = r.logger
 	}
 	opts.GCEveryNCommits = -1
-	r.c.Init(opts, func(uint64, int) (int, int64) { return 0, 0 })
+	r.c.Init(opts, func(uint64) int { return 0 })
 	r.c.SetProfiler(&r.prof)
 	return r
 }
@@ -243,29 +242,6 @@ func TestPipelineStageOrder(t *testing.T) {
 		}
 		if got, want := r.c.Clock(), uint64(1+len(r.members)); got != want {
 			t.Errorf("clock = %d, want one tick per member (%d)", got, want)
-		}
-		r.check(t)
-	})
-}
-
-func TestPipelineBudgetRefusal(t *testing.T) {
-	modes(t, func(t *testing.T, opts Options, batched bool) {
-		opts.Budget = NewVersionBudget(BudgetConfig{HardVersions: 1})
-		opts.Budget.Install(5, 0) // past the hard limit; the fake sweep frees nothing
-		r := newRig(opts, false)
-		ms := []*fakeMember{r.member("a", 1)}
-		if batched {
-			ms = append(ms, r.member("b", 1))
-		}
-		r.run(ms...)
-		for _, m := range ms {
-			r.wantOutcome(t, m, stm.ReasonMemoryPressure)
-		}
-		if len(r.ev.log) != 0 || r.c.Clock() != 1 {
-			t.Errorf("refused round still ran stages %q (clock %d)", r.ev.log, r.c.Clock())
-		}
-		if opts.Budget.Rejects() == 0 || opts.Budget.Trims() == 0 {
-			t.Errorf("escalation did not run: %+v", opts.Budget.Snapshot())
 		}
 		r.check(t)
 	})

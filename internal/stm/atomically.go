@@ -42,11 +42,6 @@ const (
 	// ReasonChaos: a fault injected by the internal/chaos middleware (spurious
 	// abort or forced commit failure). Never produced by a real engine.
 	ReasonChaos
-	// ReasonMemoryPressure: the version-memory budget is exhausted — a
-	// multi-versioned engine refused a version install at the hard limit, or a
-	// read walked into a region of a version chain the budget's trim pass had
-	// already reclaimed. Only produced when a VersionBudget is configured.
-	ReasonMemoryPressure
 	// ReasonOverload: an admission gate refused entry (OverloadError). The
 	// retry loop records it into the engine's stats so saturation shows up in
 	// the retries-by-reason histogram; no engine ever produces it and no
@@ -84,8 +79,6 @@ func (r AbortReason) String() string {
 		return "user"
 	case ReasonChaos:
 		return "chaos"
-	case ReasonMemoryPressure:
-		return "memory-pressure"
 	case ReasonOverload:
 		return "overload"
 	case ReasonDurability:

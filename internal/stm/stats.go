@@ -14,7 +14,13 @@ import "sync/atomic"
 // descriptors — each hold a *StatShard obtained once from Shard() and record
 // through it; Snapshot aggregates the shards. The Record* methods on Stats
 // itself remain for one-off callers and route to shard 0.
+//
+// The engines embed Stats at whatever offset their other fields leave. The
+// leading pad keeps shard 0's counters out of the 128-byte unit of the field
+// before it (the engines read theirs on every barrier), and each shard's
+// trailing pad does the same for the next shard and for the field after.
 type Stats struct {
+	_      [128]byte
 	shards [statShards]StatShard
 	next   atomic.Uint32 // round-robin shard assignment (cold path only)
 }
@@ -26,7 +32,9 @@ const statShards = 16
 
 // StatShard is one stripe of counters. It is padded so two shards never share
 // a cache line (destructive interference granularity is 128 bytes on the
-// x86-64 targets we care about: 2 lines, spatial prefetcher).
+// x86-64 targets we care about: 2 lines, spatial prefetcher): to whole
+// 128-byte units, with at least one unit of slack after the counters, so the
+// separation holds at any alignment of Stats.
 type StatShard struct {
 	starts    atomic.Uint64
 	commits   atomic.Uint64
@@ -63,7 +71,7 @@ type StatShard struct {
 	reRoots atomic.Uint64
 
 	// 12 is the number of scalar counters above; TestStatShardPadded checks it.
-	_ [128 - (12+batchHistBuckets+int(numAbortReasons))*8%128]byte
+	_ [128 + (128-(12+batchHistBuckets+int(numAbortReasons))*8%128)%128]byte
 }
 
 // batchHistBuckets is the batch-size histogram width: bucket i covers sizes

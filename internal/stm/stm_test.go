@@ -161,11 +161,20 @@ func TestAbortRateEmpty(t *testing.T) {
 }
 
 // TestStatShardPadded pins the hand-counted tail pad of StatShard: a stripe
-// must fill whole 128-byte units, or two stripes share a line.
+// must fill whole 128-byte units and leave at least 128 bytes after its
+// counters, or two stripes share a line when Stats sits off a 128-byte
+// boundary; and shard 0 must start 128 bytes into Stats.
 func TestStatShardPadded(t *testing.T) {
 	shard := unsafe.Sizeof(StatShard{})
 	if shard%128 != 0 {
 		t.Fatalf("sizeof(StatShard) = %d, not a multiple of 128: recount the scalar counters in its pad", shard)
+	}
+	var s StatShard
+	if counters := unsafe.Offsetof(s.reRoots) + unsafe.Sizeof(s.reRoots); shard-counters < 128 {
+		t.Fatalf("StatShard leaves %d bytes after its counters, want at least 128", shard-counters)
+	}
+	if off := unsafe.Offsetof(Stats{}.shards); off < 128 {
+		t.Fatalf("Stats.shards at offset %d, want at least 128", off)
 	}
 	if got := unsafe.Sizeof(Stats{}.shards); got != statShards*shard {
 		t.Fatalf("sizeof(Stats.shards) = %d, want %d", got, statShards*shard)
