@@ -92,7 +92,7 @@ func BenchmarkFig4cOverhead(b *testing.B) {
 		b.Run(engine, func(b *testing.B) {
 			inner := engines.MustNew(engine)
 			prof := &stm.Profiler{}
-			inner.(stm.Profilable).SetProfiler(prof)
+			inner.Stats().SetProfiler(prof)
 			tm := bench.WithYield(inner, yieldEvery)
 			op, err := bench.DisjointMicro(cfg).Prepare(tm, benchThreads)
 			if err != nil {

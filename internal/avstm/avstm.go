@@ -75,7 +75,6 @@ func choosePoint(lb, ub uint64) (uint64, bool) {
 type TM struct {
 	commitMu sync.Mutex // serializes commit finalization (see package doc)
 	stats    stm.Stats
-	prof     atomic.Pointer[stm.Profiler]
 
 	// txns pools transaction descriptors across attempts; see Recycle.
 	txns sync.Pool
@@ -106,28 +105,25 @@ func (tm *TM) Name() string { return "avstm" }
 // Stats implements stm.TM.
 func (tm *TM) Stats() *stm.Stats { return &tm.stats }
 
-// SetProfiler implements stm.Profilable.
-func (tm *TM) SetProfiler(p *stm.Profiler) { tm.prof.Store(p) }
-
 // avar is the transactional variable: a single version plus timestamps and
 // the striped visible-reader registry (registry.go).
 type avar struct {
 	id      uint64
-	mu      sync.Mutex // guards value, wts, rts, hist
+	mu      sync.Mutex // guards value, wts, rts
 	value   stm.Value
 	wts     uint64 // serialization point of the last writer
 	rts     uint64 // max serialization point of committed readers
 	readers readerRegistry
-
-	hist []stm.VersionRecord // guarded by mu
+	hist    *stm.VersionLog // non-nil only when history recording is enabled
 }
 
 // NewVar implements stm.TM.
 func (tm *TM) NewVar(initial stm.Value) stm.Var {
-	return &avar{
-		id:    tm.varID.Add(1),
-		value: initial,
+	v := &avar{id: tm.varID.Add(1), value: initial}
+	if tm.history.Load() {
+		v.hist = new(stm.VersionLog)
 	}
+	return v
 }
 
 // txn is an AVSTM transaction. Descriptors are pooled (see Recycle); reuse
@@ -218,7 +214,7 @@ func (tx *txn) raiseLB(w uint64) bool {
 // aborts early if its interval emptied.
 func (tx *txn) Read(v stm.Var) stm.Value {
 	tv := v.(*avar)
-	prof := tx.tm.prof.Load()
+	prof := tx.tm.stats.Profiler()
 	var t0 int64
 	if prof != nil {
 		t0 = prof.Now()
@@ -290,7 +286,7 @@ func (tm *TM) Abort(txi stm.Tx) {
 // which is harmless because any serial order among them is equivalent.
 func (tm *TM) Commit(txi stm.Tx) bool {
 	tx := txi.(*txn)
-	prof := tm.prof.Load()
+	prof := tm.stats.Profiler()
 	var t0 int64
 	if prof != nil {
 		t0 = prof.Now()
@@ -382,9 +378,7 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 		v.mu.Lock()
 		v.value = ents[i].Val
 		v.wts = p
-		if tm.history.Load() {
-			v.hist = append(v.hist, stm.VersionRecord{Value: v.value, Serial: p})
-		}
+		v.hist.Append(stm.VersionRecord{Value: v.value, Serial: p})
 		v.mu.Unlock()
 		v.readers.clampAll(tx, p)
 	}
@@ -415,17 +409,11 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 	return true
 }
 
-// EnableHistory implements stm.HistoryRecording.
+// EnableHistory implements stm.HistoryRecording. It must be called before any
+// variable is created.
 func (tm *TM) EnableHistory() { tm.history.Store(true) }
 
 // History implements stm.HistoryRecording. Serial points can repeat across
 // different variables but are strictly increasing per variable (each writer
 // serializes strictly after the previous one).
-func (tm *TM) History(v stm.Var) []stm.VersionRecord {
-	tv := v.(*avar)
-	tv.mu.Lock()
-	defer tv.mu.Unlock()
-	out := make([]stm.VersionRecord, len(tv.hist))
-	copy(out, tv.hist)
-	return out
-}
+func (tm *TM) History(v stm.Var) []stm.VersionRecord { return v.(*avar).hist.Records() }

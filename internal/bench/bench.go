@@ -118,11 +118,7 @@ func RunMicroProfiled(engine string, m Micro, threads int, d time.Duration, seed
 		return Result{}, err
 	}
 	prof := &stm.Profiler{}
-	if p, ok := inner.(stm.Profilable); ok {
-		p.SetProfiler(prof)
-	} else {
-		return Result{}, fmt.Errorf("bench: engine %s is not profilable", engine)
-	}
+	inner.Stats().SetProfiler(prof)
 	tm := WithYield(inner, yieldEvery)
 	op, err := m.Prepare(tm, threads)
 	if err != nil {

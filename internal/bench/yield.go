@@ -21,26 +21,22 @@ func WithYield(tm stm.TM, every int) stm.TM {
 	if every <= 0 {
 		return tm
 	}
-	y := &yieldTM{inner: tm, every: every}
-	y.rec, _ = tm.(stm.TxRecycler)
+	y := &yieldTM{TM: tm, every: every}
 	y.pool.New = func() any { return &yieldTx{} }
 	return y
 }
 
+// yieldTM embeds the inner engine and overrides only the transaction
+// lifecycle, so every other method forwards by construction.
 type yieldTM struct {
-	inner stm.TM
-	rec   stm.TxRecycler // inner's recycler; nil when unsupported
+	stm.TM
 	every int
 	pool  sync.Pool // of *yieldTx wrappers
 }
 
-func (y *yieldTM) Name() string { return y.inner.Name() }
-
-func (y *yieldTM) NewVar(initial stm.Value) stm.Var { return y.inner.NewVar(initial) }
-
 func (y *yieldTM) Begin(readOnly bool) stm.Tx {
 	t := y.pool.Get().(*yieldTx)
-	t.inner, t.every, t.n = y.inner.Begin(readOnly), y.every, 0
+	t.Tx, t.every, t.n = y.TM.Begin(readOnly), y.every, 0
 	return t
 }
 
@@ -51,44 +47,36 @@ func (y *yieldTM) Recycle(tx stm.Tx) {
 	if !ok {
 		return
 	}
-	inner := t.inner
-	t.inner = nil
+	inner := t.Tx
+	t.Tx = nil
 	y.pool.Put(t)
-	if y.rec != nil {
-		y.rec.Recycle(inner)
-	}
+	y.TM.Recycle(inner)
 }
 
-func (y *yieldTM) Commit(tx stm.Tx) bool { return y.inner.Commit(tx.(*yieldTx).inner) }
+func (y *yieldTM) Commit(tx stm.Tx) bool { return y.TM.Commit(tx.(*yieldTx).Tx) }
 
-func (y *yieldTM) Abort(tx stm.Tx) { y.inner.Abort(tx.(*yieldTx).inner) }
-
-func (y *yieldTM) Stats() *stm.Stats { return y.inner.Stats() }
-
-// SetProfiler implements stm.Profilable when the inner engine does.
-func (y *yieldTM) SetProfiler(p *stm.Profiler) {
-	if prof, ok := y.inner.(stm.Profilable); ok {
-		prof.SetProfiler(p)
-	}
-}
+func (y *yieldTM) Abort(tx stm.Tx) { y.TM.Abort(tx.(*yieldTx).Tx) }
 
 // EnableHistory implements stm.HistoryRecording when the inner engine does.
+// It must be called before any variable is created.
 func (y *yieldTM) EnableHistory() {
-	if h, ok := y.inner.(stm.HistoryRecording); ok {
+	if h, ok := y.TM.(stm.HistoryRecording); ok {
 		h.EnableHistory()
 	}
 }
 
 // History implements stm.HistoryRecording when the inner engine does.
 func (y *yieldTM) History(v stm.Var) []stm.VersionRecord {
-	if h, ok := y.inner.(stm.HistoryRecording); ok {
+	if h, ok := y.TM.(stm.HistoryRecording); ok {
 		return h.History(v)
 	}
 	return nil
 }
 
+// yieldTx embeds the inner transaction, so ReadOnly and LastAbortReason
+// forward; only the barriers yield.
 type yieldTx struct {
-	inner stm.Tx
+	stm.Tx
 	every int
 	n     int
 }
@@ -103,22 +91,10 @@ func (t *yieldTx) maybeYield() {
 
 func (t *yieldTx) Read(v stm.Var) stm.Value {
 	t.maybeYield()
-	return t.inner.Read(v)
+	return t.Tx.Read(v)
 }
 
 func (t *yieldTx) Write(v stm.Var, val stm.Value) {
 	t.maybeYield()
-	t.inner.Write(v, val)
-}
-
-func (t *yieldTx) ReadOnly() bool { return t.inner.ReadOnly() }
-
-// LastAbortReason implements stm.AbortReasoner when the inner transaction
-// does, so the yield wrapper does not hide commit-failure reasons from the
-// retry loop.
-func (t *yieldTx) LastAbortReason() stm.AbortReason {
-	if ar, ok := t.inner.(stm.AbortReasoner); ok {
-		return ar.LastAbortReason()
-	}
-	return stm.ReasonNone
+	t.Tx.Write(v, val)
 }

@@ -72,11 +72,12 @@ type Injected struct {
 	Stalls      atomic.Uint64 // commit stalls
 }
 
-// TM wraps an inner engine with fault injection.
+// TM wraps an inner engine with fault injection. It embeds the inner engine,
+// which is reachable as the TM field, and overrides only the transaction
+// lifecycle and Name, so every other method forwards by construction.
 type TM struct {
-	inner stm.TM
-	rec   stm.TxRecycler // inner's recycler; nil when unsupported
-	opts  Options
+	stm.TM
+	opts Options
 
 	attempts atomic.Uint64 // per-attempt stream derivation
 	barriers atomic.Uint64 // AbortEvery counter
@@ -90,45 +91,29 @@ func New(inner stm.TM, opts Options) *TM {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	t := &TM{inner: inner, opts: opts}
-	t.rec, _ = inner.(stm.TxRecycler)
+	t := &TM{TM: inner, opts: opts}
 	t.pool.New = func() any { return &chaosTx{rng: xrand.New(1)} }
 	return t
 }
-
-// Inner returns the wrapped engine.
-func (t *TM) Inner() stm.TM { return t.inner }
 
 // Injected returns the live fault counters.
 func (t *TM) Injected() *Injected { return &t.inj }
 
 // Name implements stm.TM.
-func (t *TM) Name() string { return t.inner.Name() + "+chaos" }
-
-// NewVar implements stm.TM.
-func (t *TM) NewVar(initial stm.Value) stm.Var { return t.inner.NewVar(initial) }
-
-// Stats implements stm.TM.
-func (t *TM) Stats() *stm.Stats { return t.inner.Stats() }
-
-// SetProfiler implements stm.Profilable when the inner engine does.
-func (t *TM) SetProfiler(p *stm.Profiler) {
-	if prof, ok := t.inner.(stm.Profilable); ok {
-		prof.SetProfiler(p)
-	}
-}
+func (t *TM) Name() string { return t.TM.Name() + "+chaos" }
 
 // EnableHistory implements stm.HistoryRecording when the inner engine does,
-// so chaos-wrapped engines run under the dsg serializability oracle.
+// so chaos-wrapped engines run under the dsg serializability oracle. It must
+// be called before any variable is created.
 func (t *TM) EnableHistory() {
-	if h, ok := t.inner.(stm.HistoryRecording); ok {
+	if h, ok := t.TM.(stm.HistoryRecording); ok {
 		h.EnableHistory()
 	}
 }
 
 // History implements stm.HistoryRecording when the inner engine does.
 func (t *TM) History(v stm.Var) []stm.VersionRecord {
-	if h, ok := t.inner.(stm.HistoryRecording); ok {
+	if h, ok := t.TM.(stm.HistoryRecording); ok {
 		return h.History(v)
 	}
 	return nil
@@ -138,7 +123,7 @@ func (t *TM) History(v stm.Var) []stm.VersionRecord {
 // stream derived from (seed, attempt index).
 func (t *TM) Begin(readOnly bool) stm.Tx {
 	ct := t.pool.Get().(*chaosTx)
-	ct.inner, ct.tm = t.inner.Begin(readOnly), t
+	ct.Tx, ct.tm = t.TM.Begin(readOnly), t
 	ct.injected = stm.ReasonNone
 	ct.rng.Reseed(xrand.Mix(t.opts.Seed + t.attempts.Add(1)*0x9E3779B97F4A7C15))
 	return ct
@@ -152,12 +137,10 @@ func (t *TM) Recycle(tx stm.Tx) {
 	if !ok {
 		return
 	}
-	inner := ct.inner
-	ct.inner = nil
+	inner := ct.Tx
+	ct.Tx = nil
 	t.pool.Put(ct)
-	if t.rec != nil {
-		t.rec.Recycle(inner)
-	}
+	t.TM.Recycle(inner)
 }
 
 // Commit implements stm.TM, injecting stalls and forced failures around the
@@ -165,8 +148,8 @@ func (t *TM) Recycle(tx stm.Tx) {
 func (t *TM) Commit(tx stm.Tx) bool {
 	ct := tx.(*chaosTx)
 	o := &t.opts
-	if ct.inner.ReadOnly() {
-		return t.inner.Commit(ct.inner)
+	if ct.ReadOnly() {
+		return t.TM.Commit(ct.Tx)
 	}
 	if o.StallProb > 0 && ct.rng.Bool(o.StallProb) {
 		t.inj.Stalls.Add(1)
@@ -177,23 +160,23 @@ func (t *TM) Commit(tx stm.Tx) bool {
 		fail = true
 	}
 	if fail {
-		t.inner.Abort(ct.inner)
+		t.TM.Abort(ct.Tx)
 		ct.injected = stm.ReasonChaos
 		t.inj.CommitFails.Add(1)
 		return false
 	}
-	return t.inner.Commit(ct.inner)
+	return t.TM.Commit(ct.Tx)
 }
 
 // Abort implements stm.TM.
 func (t *TM) Abort(tx stm.Tx) {
-	t.inner.Abort(tx.(*chaosTx).inner)
+	t.TM.Abort(tx.(*chaosTx).Tx)
 }
 
-// chaosTx forwards barriers to the inner transaction, injecting delays and
-// spurious aborts on the way.
+// chaosTx embeds the inner transaction and forwards barriers to it, injecting
+// delays and spurious aborts on the way.
 type chaosTx struct {
-	inner    stm.Tx
+	stm.Tx
 	tm       *TM
 	rng      *xrand.Rand
 	injected stm.AbortReason // ReasonChaos when chaos failed the commit
@@ -219,15 +202,13 @@ func (ct *chaosTx) barrier() {
 
 func (ct *chaosTx) Read(v stm.Var) stm.Value {
 	ct.barrier()
-	return ct.inner.Read(v)
+	return ct.Tx.Read(v)
 }
 
 func (ct *chaosTx) Write(v stm.Var, val stm.Value) {
 	ct.barrier()
-	ct.inner.Write(v, val)
+	ct.Tx.Write(v, val)
 }
-
-func (ct *chaosTx) ReadOnly() bool { return ct.inner.ReadOnly() }
 
 // LastAbortReason implements stm.AbortReasoner: an injected commit failure
 // reports ReasonChaos; otherwise the inner engine's reason is forwarded.
@@ -235,10 +216,7 @@ func (ct *chaosTx) LastAbortReason() stm.AbortReason {
 	if ct.injected != stm.ReasonNone {
 		return ct.injected
 	}
-	if ar, ok := ct.inner.(stm.AbortReasoner); ok {
-		return ar.LastAbortReason()
-	}
-	return stm.ReasonNone
+	return ct.Tx.LastAbortReason()
 }
 
 // pause sleeps for d, or yields the processor when d is zero.

@@ -1,25 +1,6 @@
 package core
 
-import (
-	"slices"
-	"sync"
-
-	"repro/internal/stm"
-)
-
-// historyLog records committed versions of one variable for the DSG
-// serializability oracle (internal/dsg). Appends happen under the variable's
-// commit lock; the mutex additionally orders them against post-run readers.
-type historyLog struct {
-	mu      sync.Mutex
-	records []stm.VersionRecord
-}
-
-func (h *historyLog) append(r stm.VersionRecord) {
-	h.mu.Lock()
-	h.records = append(h.records, r)
-	h.mu.Unlock()
-}
+import "repro/internal/stm"
 
 // EnableHistory implements stm.HistoryRecording. It must be called before any
 // variable is created.
@@ -28,29 +9,4 @@ func (tm *TM) EnableHistory() { tm.history.Store(true) }
 // History implements stm.HistoryRecording: committed versions of v in TWM's
 // serialization order O — ascending twOrder, ties (time-warp clashes) broken
 // in inverse natural order (§4 of the paper).
-func (tm *TM) History(v stm.Var) []stm.VersionRecord {
-	tv := v.(*twvar)
-	if tv.hist == nil {
-		return nil
-	}
-	tv.hist.mu.Lock()
-	out := make([]stm.VersionRecord, len(tv.hist.records))
-	copy(out, tv.hist.records)
-	tv.hist.mu.Unlock()
-	slices.SortFunc(out, func(a, b stm.VersionRecord) int {
-		if a.Serial != b.Serial {
-			if a.Serial < b.Serial {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.Tie > b.Tie:
-			return -1
-		case a.Tie < b.Tie:
-			return 1
-		}
-		return 0
-	})
-	return out
-}
+func (tm *TM) History(v stm.Var) []stm.VersionRecord { return v.(*twvar).hist.Records() }

@@ -87,10 +87,10 @@ func New(opts Options) *TM {
 		panic("core: GroupCommit requires the default time-warp mode")
 	}
 	tm := &TM{notw: opts.DisableTimeWarp, opaque: opts.Opacity}
-	tm.Init(opts.Options, tm.sweep)
+	tm.Init(opts.Options, &tm.stats, tm.sweep)
 	tm.txns.New = func() any {
 		tx := &txn{tm: tm}
-		tm.InitDesc(&tx.Desc, tx, tm.stats.Shard())
+		tm.InitDesc(&tx.Desc, tx)
 		return tx
 	}
 	return tm
@@ -164,7 +164,7 @@ type twvar struct {
 	// another transaction's traversal of this variable loads.
 	stamp *atomic.Uint64
 
-	hist *historyLog // non-nil only when history recording is enabled
+	hist *stm.VersionLog // non-nil only when history recording is enabled
 	id   uint64
 }
 
@@ -200,7 +200,7 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	v.root.value = initial
 	v.latest.Store(&v.root)
 	if tm.history.Load() {
-		v.hist = &historyLog{}
+		v.hist = new(stm.VersionLog)
 	}
 	tm.varsMu.Lock()
 	v.id = uint64(len(tm.vars)) + 1
@@ -291,7 +291,7 @@ func (tm *TM) Recycle(txi stm.Tx) {
 // Read implements stm.Tx (paper's READ plus SEMIVISIBLEREAD).
 func (tx *txn) Read(v stm.Var) stm.Value {
 	tv := v.(*twvar)
-	prof := tx.tm.Prof.Load()
+	prof := tx.tm.stats.Profiler()
 	var t0 int64
 	if prof != nil {
 		t0 = prof.Now()
@@ -580,9 +580,7 @@ func (tm *TM) createNewVersion(tx *txn, v *twvar, val stm.Value) {
 	}
 	if tx.twOrder == older.twOrder {
 		// A clash: no transaction will ever read this value (see above).
-		if v.hist != nil {
-			v.hist.append(stm.VersionRecord{Value: val, Serial: tx.twOrder, Tie: tx.natOrder, Elided: true})
-		}
+		v.hist.Append(stm.VersionRecord{Value: val, Serial: tx.twOrder, Tie: tx.natOrder, Elided: true})
 		return
 	}
 	ver := &version{value: val, natOrder: tx.natOrder, twOrder: tx.twOrder}
@@ -592,7 +590,5 @@ func (tm *TM) createNewVersion(tx *txn, v *twvar, val stm.Value) {
 	} else {
 		newer.next.Store(ver)
 	}
-	if v.hist != nil {
-		v.hist.append(stm.VersionRecord{Value: val, Serial: tx.twOrder, Tie: tx.natOrder})
-	}
+	v.hist.Append(stm.VersionRecord{Value: val, Serial: tx.twOrder, Tie: tx.natOrder})
 }

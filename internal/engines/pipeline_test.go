@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/chaos"
 	"repro/internal/engines"
 	"repro/internal/histories"
 	"repro/internal/stm"
@@ -120,6 +122,40 @@ func TestReadOnlyElisionHistories(t *testing.T) {
 	}
 }
 
+// TestProfilerEveryEngine attaches the Fig. 4(c) profiler through the
+// outermost Stats() of every engine, bare and under each wrapper: the
+// profiler rides Stats, which every engine and wrapper forwards, so update
+// transactions run through the wrapper must reach it.
+func TestProfilerEveryEngine(t *testing.T) {
+	wraps := []struct {
+		name string
+		wrap func(stm.TM) stm.TM
+	}{
+		{"bare", func(tm stm.TM) stm.TM { return tm }},
+		{"yield", func(tm stm.TM) stm.TM { return bench.WithYield(tm, 2) }},
+		{"chaos", func(tm stm.TM) stm.TM { return chaos.New(tm, chaos.Options{}) }},
+	}
+	for _, name := range engines.Names() {
+		for _, w := range wraps {
+			tm := w.wrap(engines.MustNew(name))
+			var prof stm.Profiler
+			tm.Stats().SetProfiler(&prof)
+			x := tm.NewVar(0)
+			for i := 0; i < 4; i++ {
+				if err := stm.Atomically(tm, false, func(tx stm.Tx) error {
+					tx.Write(x, tx.Read(x).(int)+1)
+					return nil
+				}); err != nil {
+					t.Fatalf("%s/%s: %v", name, w.name, err)
+				}
+			}
+			if b := prof.Snapshot(); b.Txs == 0 || b.ReadUS <= 0 {
+				t.Errorf("%s/%s: profiler saw %+v after 4 update commits", name, w.name, b)
+			}
+		}
+	}
+}
+
 // TestProfilerAttributionAgrees runs one conflict-free schedule — three
 // update commits, one of them doomed before it locks, and a read-only one —
 // through both multi-version engines on every pipeline configuration. The
@@ -141,7 +177,7 @@ func TestProfilerAttributionAgrees(t *testing.T) {
 	} {
 		tm := mk()
 		var prof stm.Profiler
-		tm.(stm.Profilable).SetProfiler(&prof)
+		tm.Stats().SetProfiler(&prof)
 		x, y := tm.NewVar(0), tm.NewVar(0)
 
 		// Doomed before locking on both engines: it read x and y, then a

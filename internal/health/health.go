@@ -98,27 +98,14 @@ type Target struct {
 	WAL WALProber
 }
 
-// Capability interfaces TargetOf probes for. The multi-version engines
-// (internal/core, internal/jvstm) implement all three.
-type (
-	clocked     interface{ Clock() uint64 }
-	activeSeter interface{ ActiveSet() *mvutil.ActiveSet }
-	logged      interface{ CommitLogger() stm.CommitLogger }
-)
-
-// TargetOf derives a Target from an engine, probing the optional capabilities
-// (clock, active set, commit logger) with interface assertions so any
-// stm.TM can be watched at whatever fidelity it supports.
+// TargetOf derives a Target from an engine. A multi-version engine
+// (mvutil.Of) also yields its clock, its active set and, when its commit
+// logger is a WALProber, the log; any other stm.TM is watched on its counters.
 func TargetOf(tm stm.TM) Target {
 	t := Target{Name: tm.Name(), Stats: tm.Stats()}
-	if c, ok := tm.(clocked); ok {
-		t.Clock = c.Clock
-	}
-	if a, ok := tm.(activeSeter); ok {
-		t.Active = a.ActiveSet()
-	}
-	if l, ok := tm.(logged); ok {
-		if p, ok := l.CommitLogger().(WALProber); ok {
+	if c := mvutil.Of(tm); c != nil {
+		t.Clock, t.Active = c.Clock, c.Active
+		if p, ok := c.Opts.Logger.(WALProber); ok {
 			t.WAL = p
 		}
 	}

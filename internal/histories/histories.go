@@ -52,8 +52,8 @@ type Outcome struct {
 	// normally; the replay aborts the transaction and skips its remaining
 	// steps.
 	Early string
-	// OK is Commit's verdict; Reason is why it failed, when the descriptor
-	// remembers (stm.AbortReasoner).
+	// OK is Commit's verdict; Reason is why it failed, as the descriptor
+	// remembers it (Tx.LastAbortReason).
 	OK     bool
 	Reason stm.AbortReason
 	// Nat and TW are the natural and time-warp commit orders of a committed
@@ -132,8 +132,8 @@ func Replay(tm stm.TM, h History) []Outcome {
 			o.Stamped = stamps != nil && stamps.ReadStamp(vars[s.Var]) != stamp
 		case OpCommit:
 			o.OK = tm.Commit(tx)
-			if ar, ok := tx.(stm.AbortReasoner); ok && !o.OK {
-				o.Reason = ar.LastAbortReason()
+			if !o.OK {
+				o.Reason = tx.LastAbortReason()
 			}
 			if o.OK && orders != nil {
 				o.Nat, o.TW = orders.CommitOrders(tx)

@@ -13,7 +13,6 @@
 package jvstm
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,10 +44,10 @@ type TM struct {
 // New returns a JVSTM instance.
 func New(opts Options) *TM {
 	tm := &TM{}
-	tm.Init(opts, tm.sweep)
+	tm.Init(opts, &tm.stats, tm.sweep)
 	tm.txns.New = func() any {
 		tx := &txn{tm: tm}
-		tm.InitDesc(&tx.Desc, tx, tm.stats.Shard())
+		tm.InitDesc(&tx.Desc, tx)
 		return tx
 	}
 	return tm
@@ -77,9 +76,7 @@ type jvar struct {
 	id    uint64
 	owner mvutil.Lock // commit lock
 	head  atomic.Pointer[jversion]
-
-	histMu sync.Mutex
-	hist   []stm.VersionRecord
+	hist  *stm.VersionLog // non-nil only when history recording is enabled
 }
 
 // VarID implements stm.IDedVar (commit-lock ordering).
@@ -89,6 +86,9 @@ func (v *jvar) VarID() uint64 { return v.id }
 func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	v := &jvar{}
 	v.head.Store(&jversion{value: initial})
+	if tm.history.Load() {
+		v.hist = new(stm.VersionLog)
+	}
 	tm.varsMu.Lock()
 	v.id = uint64(len(tm.vars)) + 1
 	tm.vars = append(tm.vars, v)
@@ -148,7 +148,7 @@ func (tm *TM) Recycle(txi stm.Tx) {
 // closes that window; readers hold no locks, so the wait always terminates.
 func (tx *txn) Read(v stm.Var) stm.Value {
 	tv := v.(*jvar)
-	prof := tx.tm.Prof.Load()
+	prof := tx.tm.stats.Profiler()
 	var t0 int64
 	if prof != nil {
 		t0 = prof.Now()
@@ -256,18 +256,13 @@ func (tx *txn) Validate() stm.AbortReason {
 
 // Install implements mvutil.Member: push the new versions at the heads.
 func (tx *txn) Install() {
-	tm := tx.tm
 	ents := tx.writeSet.Entries()
 	for i := range ents {
 		v, val := ents[i].Key, ents[i].Val
 		nv := &jversion{value: val, ver: tx.Draw}
 		nv.next.Store(v.head.Load())
 		v.head.Store(nv)
-		if tm.history.Load() {
-			v.histMu.Lock()
-			v.hist = append(v.hist, stm.VersionRecord{Value: val, Serial: tx.Draw})
-			v.histMu.Unlock()
-		}
+		v.hist.Append(stm.VersionRecord{Value: val, Serial: tx.Draw})
 	}
 }
 
@@ -312,24 +307,10 @@ func (tm *TM) VersionCount(v stm.Var) int {
 	return n
 }
 
-// EnableHistory implements stm.HistoryRecording.
+// EnableHistory implements stm.HistoryRecording. It must be called before any
+// variable is created.
 func (tm *TM) EnableHistory() { tm.history.Store(true) }
 
-// History implements stm.HistoryRecording.
-func (tm *TM) History(v stm.Var) []stm.VersionRecord {
-	tv := v.(*jvar)
-	tv.histMu.Lock()
-	defer tv.histMu.Unlock()
-	out := make([]stm.VersionRecord, len(tv.hist))
-	copy(out, tv.hist)
-	slices.SortFunc(out, func(a, b stm.VersionRecord) int {
-		switch {
-		case a.Serial < b.Serial:
-			return -1
-		case a.Serial > b.Serial:
-			return 1
-		}
-		return 0
-	})
-	return out
-}
+// History implements stm.HistoryRecording: versions in commit (serialization)
+// order.
+func (tm *TM) History(v stm.Var) []stm.VersionRecord { return v.(*jvar).hist.Records() }

@@ -204,18 +204,18 @@ func TestGCBoundBelowPredecessor(t *testing.T) {
 	tm.GC() // bound = the clock: only the newest version stays
 	bump()
 	var slot mvutil.Slot
-	tm.ActiveSet().Register(&slot, 1, false) // a first sample published late
+	tm.Active.Register(&slot, 1, false) // a first sample published late
 	if freed := tm.GC(); freed != 0 {
 		t.Errorf("the pass at the lower bound freed %d, want 0", freed)
 	}
 	if n := tm.VersionCount(x); n != 2 {
 		t.Errorf("%d versions after the pass at the lower bound, want 2", n)
 	}
-	tm.ActiveSet().Register(&slot, tm.Clock(), false) // the republished snapshot
+	tm.Active.Register(&slot, tm.Clock(), false) // the republished snapshot
 	if freed := tm.GC(); freed != 1 {
 		t.Errorf("the pass at the republished bound freed %d, want 1", freed)
 	}
-	tm.ActiveSet().Unregister(&slot)
+	tm.Active.Unregister(&slot)
 	ro := tm.Begin(true)
 	if got := ro.Read(x); got != 4 {
 		t.Errorf("read %v, want 4", got)

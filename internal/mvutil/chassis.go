@@ -50,11 +50,14 @@ type Chassis struct {
 	// Clk defines the commit order: one logical clock on its own cache line.
 	Clk    Clock
 	Active *ActiveSet
-	Prof   atomic.Pointer[stm.Profiler]
 	// SnapshotStall, when non-nil, runs inside Snapshot between the first clock
 	// sample and its publication: the fault point of the tests that park a
 	// beginning transaction there while commits and collector passes go by.
 	SnapshotStall func()
+
+	// stats is the engine's counters; the pipeline reads the phase profiler
+	// from it and deals descriptors their shards.
+	stats *stm.Stats
 
 	gcCount atomic.Uint64
 	gcMu    sync.Mutex
@@ -79,8 +82,8 @@ type Chassis struct {
 }
 
 // Init applies the option defaults, starts the clock and wires the engine's
-// chain sweep. It must run before the engine is shared.
-func (c *Chassis) Init(opts Options, sweep func(bound uint64) int) {
+// counters and chain sweep. It must run before the engine is shared.
+func (c *Chassis) Init(opts Options, stats *stm.Stats, sweep func(bound uint64) int) {
 	if opts.GCEveryNCommits == 0 {
 		opts.GCEveryNCommits = defaultGCEvery
 	}
@@ -88,6 +91,7 @@ func (c *Chassis) Init(opts Options, sweep func(bound uint64) int) {
 		opts.LockSpinBudget = defaultSpinLimit
 	}
 	c.Opts = opts
+	c.stats = stats
 	c.sweep = sweep
 	if opts.GroupCommit {
 		c.combiner = NewCombiner(opts.GroupMaxBatch, opts.GroupHooks)
@@ -102,18 +106,21 @@ func (c *Chassis) Init(opts Options, sweep func(bound uint64) int) {
 	c.Active = new(ActiveSet)
 }
 
-// SetProfiler implements stm.Profilable.
-func (c *Chassis) SetProfiler(p *stm.Profiler) { c.Prof.Store(p) }
+// Of returns the chassis of a multi-version engine (internal/core,
+// internal/jvstm), which both get through embedding, and nil for any other
+// stm.TM, wrappers included. It is the one query for the multi-version
+// machinery: clock, active set, logger.
+func Of(tm stm.TM) *Chassis {
+	if e, ok := tm.(interface{ chassis() *Chassis }); ok {
+		return e.chassis()
+	}
+	return nil
+}
+
+func (c *Chassis) chassis() *Chassis { return c }
 
 // Clock returns the logical clock (the health watchdog's progress measure).
 func (c *Chassis) Clock() uint64 { return c.Clk.Load() }
-
-// ActiveSet exposes the active-transaction registry (health watchdog).
-func (c *Chassis) ActiveSet() *ActiveSet { return c.Active }
-
-// CommitLogger exposes the configured durability seam; nil when memory-only
-// (the health watchdog probes it for the WAL-stall judge).
-func (c *Chassis) CommitLogger() stm.CommitLogger { return c.Opts.Logger }
 
 // SeedClock advances the clock to at least v. Recovery calls it, after
 // replaying a write-ahead log whose highest serialization key is v and before

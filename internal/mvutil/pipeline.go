@@ -78,9 +78,10 @@ type Desc struct {
 	logWrites []stm.LoggedWrite
 }
 
-// InitDesc wires a freshly allocated descriptor to its engine-side half.
-func (c *Chassis) InitDesc(d *Desc, m Member, stats *stm.StatShard) {
-	d.m, d.Stats = m, stats
+// InitDesc wires a freshly allocated descriptor to its engine-side half and
+// deals it a counter shard.
+func (c *Chassis) InitDesc(d *Desc, m Member) {
+	d.m, d.Stats = m, c.stats.Shard()
 	d.solo[0] = d
 	d.stripe = int(c.stripeSeq.Add(1))
 }
@@ -205,7 +206,7 @@ func (c *Chassis) lead(reqs []*CommitReq) {
 // except those it returns: members whose write sets overlap an earlier
 // member's, spilled to the next round.
 func (c *Chassis) round(ms []*Desc, sc *scratch) (spill []*Desc) {
-	prof := c.Prof.Load()
+	prof := c.stats.Profiler()
 	var t0 int64
 	if prof != nil {
 		t0 = prof.Now()

@@ -131,8 +131,8 @@ func newRig(opts Options, withLogger bool) *rig {
 		opts.Logger = r.logger
 	}
 	opts.GCEveryNCommits = -1
-	r.c.Init(opts, func(uint64) int { return 0 })
-	r.c.SetProfiler(&r.prof)
+	r.c.Init(opts, &r.stats, func(uint64) int { return 0 })
+	r.stats.SetProfiler(&r.prof)
 	return r
 }
 
@@ -148,7 +148,7 @@ func (r *rig) member(name string, nvars int) *fakeMember {
 
 func (r *rig) memberOn(name string, vars []*fakeVar) *fakeMember {
 	f := &fakeMember{name: name, ev: r.ev, vars: vars}
-	r.c.InitDesc(&f.Desc, f, r.stats.Shard())
+	r.c.InitDesc(&f.Desc, f)
 	r.members = append(r.members, f)
 	if r.logger != nil {
 		r.logger.members = r.members

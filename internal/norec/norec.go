@@ -24,7 +24,6 @@ type TM struct {
 	// even otherwise. seq/2 is the "version" of the whole memory.
 	seq   atomic.Uint64
 	stats stm.Stats
-	prof  atomic.Pointer[stm.Profiler]
 
 	// txns pools transaction descriptors across attempts; see Recycle.
 	txns sync.Pool
@@ -46,22 +45,21 @@ func (tm *TM) Name() string { return "norec" }
 // Stats implements stm.TM.
 func (tm *TM) Stats() *stm.Stats { return &tm.stats }
 
-// SetProfiler implements stm.Profilable.
-func (tm *TM) SetProfiler(p *stm.Profiler) { tm.prof.Store(p) }
-
 // nvar carries no per-variable metadata beyond the value cell — the defining
 // property of NOrec ("no ownership records").
 type nvar struct {
-	id  uint64
-	val atomic.Pointer[stm.Value]
-
-	hist []stm.VersionRecord // guarded by the global write lock
+	id   uint64
+	val  atomic.Pointer[stm.Value]
+	hist *stm.VersionLog // non-nil only when history recording is enabled
 }
 
 // NewVar implements stm.TM.
 func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	v := &nvar{id: tm.varID.Add(1)}
 	v.val.Store(&initial)
+	if tm.history.Load() {
+		v.hist = new(stm.VersionLog)
+	}
 	return v
 }
 
@@ -134,7 +132,7 @@ func (tm *TM) waitEven() uint64 {
 // whole read set whenever the global clock moved.
 func (tx *txn) Read(v stm.Var) stm.Value {
 	tv := v.(*nvar)
-	prof := tx.tm.prof.Load()
+	prof := tx.tm.stats.Profiler()
 	var t0 int64
 	if prof != nil {
 		t0 = prof.Now()
@@ -211,7 +209,7 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 		tx.stats.RecordCommit(tx.readOnly)
 		return true
 	}
-	prof := tm.prof.Load()
+	prof := tm.stats.Profiler()
 	var t0 int64
 	if prof != nil {
 		t0 = prof.Now()
@@ -236,9 +234,7 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 	for i := range ents {
 		v, val := ents[i].Key, ents[i].Val
 		v.val.Store(&val)
-		if tm.history.Load() {
-			v.hist = append(v.hist, stm.VersionRecord{Value: val, Serial: tx.snapshot + 2})
-		}
+		v.hist.Append(stm.VersionRecord{Value: val, Serial: tx.snapshot + 2})
 	}
 	tm.seq.Store(tx.snapshot + 2)
 	if prof != nil {
@@ -277,16 +273,10 @@ func (tx *txn) commitRevalidate(prof *stm.Profiler) bool {
 	}
 }
 
-// EnableHistory implements stm.HistoryRecording.
+// EnableHistory implements stm.HistoryRecording. It must be called before any
+// variable is created.
 func (tm *TM) EnableHistory() { tm.history.Store(true) }
 
-// History implements stm.HistoryRecording. Appends happen while holding the
-// global write lock, so the slice is already in serialization order.
-func (tm *TM) History(v stm.Var) []stm.VersionRecord {
-	tv := v.(*nvar)
-	s := tm.waitEven() // quiesce writers
-	_ = s
-	out := make([]stm.VersionRecord, len(tv.hist))
-	copy(out, tv.hist)
-	return out
-}
+// History implements stm.HistoryRecording: versions in commit (serialization)
+// order.
+func (tm *TM) History(v stm.Var) []stm.VersionRecord { return v.(*nvar).hist.Records() }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/engines"
+	"repro/internal/mvutil"
 	"repro/internal/stm"
 	"repro/internal/wal"
 )
@@ -30,13 +31,6 @@ type accountMeta struct {
 	ID      string `json:"id"`
 	Balance int64  `json:"balance"`
 }
-
-// clocked and clockSeeded are the engine capabilities recovery needs beyond
-// stm.TM: reading the commit clock (checkpoint serial) and fast-forwarding it
-// past everything the log replayed (so post-recovery commits serialize after
-// pre-crash ones).
-type clocked interface{ Clock() uint64 }
-type clockSeeded interface{ SeedClock(v uint64) }
 
 // openDurable recovers the WAL directory and builds the engine with the log
 // attached. Meta records already recovered must not be re-appended on the next
@@ -75,8 +69,8 @@ func (s *Server) recover(rec *wal.Recovered) error {
 	if err := s.ledger.replay(rec); err != nil {
 		return err
 	}
-	if sc, ok := s.tm.(clockSeeded); ok {
-		sc.SeedClock(rec.Serial)
+	if c := mvutil.Of(s.tm); c != nil {
+		c.SeedClock(rec.Serial)
 	}
 	if len(rec.Metas) > 0 || rec.Records > 0 {
 		s.log.Info("wal recovery complete",
@@ -201,8 +195,8 @@ func (s *Server) Checkpoint() error {
 		return fmt.Errorf("server: checkpoint rotate: %w", err)
 	}
 
-	c, ok := s.tm.(clocked)
-	if !ok {
+	c := mvutil.Of(s.tm)
+	if c == nil {
 		return fmt.Errorf("server: engine %T has no commit clock; cannot checkpoint", s.tm)
 	}
 	snap := &wal.Snapshot{

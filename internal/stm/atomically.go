@@ -101,14 +101,14 @@ func Retry(reason AbortReason) {
 	panic(retrySignal{reason: reason})
 }
 
-// TxRecycler is implemented by engines that pool transaction descriptors.
-// Atomically calls Recycle exactly once per attempt, after the attempt has
-// fully finished (committed, failed validation, aborted on a retry signal, or
-// returned a user error) and the Tx can never be observed again. Recycle
-// resets the descriptor — including the backing arrays of its read and write
-// sets — and returns it to the engine's pool, so the next Begin (often the
-// immediate retry of the same transaction) reuses the memory instead of
-// re-allocating it.
+// TxRecycler is the descriptor-pooling half of TM, which embeds it; an
+// engine that does not pool makes Recycle a no-op. Atomically calls Recycle
+// exactly once per attempt, after the attempt has fully finished (committed,
+// failed validation, aborted on a retry signal, or returned a user error) and
+// the Tx can never be observed again. Recycle resets the descriptor —
+// including the backing arrays of its read and write sets — and returns it to
+// the engine's pool, so the next Begin (often the immediate retry of the same
+// transaction) reuses the memory instead of re-allocating it.
 //
 // Contract for fn bodies run under Atomically against a pooling engine: the
 // Tx must not be retained or used after the body returns. Code that needs to
@@ -118,13 +118,13 @@ type TxRecycler interface {
 	Recycle(tx Tx)
 }
 
-// AbortReasoner is implemented by transaction descriptors that remember why
-// the engine last aborted them. Read-path aborts carry their reason in the
+// AbortReasoner is the half of Tx that remembers why the engine last aborted
+// the transaction; Tx embeds it. Read-path aborts carry their reason in the
 // retry signal, but a Commit that returns false has no other channel: the
 // engine records the reason on the descriptor before returning, and the retry
 // loop reads it back (before recycling) so a *CancelledError can say why the
-// last attempt failed. Engines that do not implement it are assumed to fail
-// commits only on write/write conflicts.
+// last attempt failed. ReasonNone after a failed Commit reads as
+// ReasonWriteConflict.
 type AbortReasoner interface {
 	LastAbortReason() AbortReason
 }
@@ -166,7 +166,6 @@ func run(ctx context.Context, tm TM, readOnly bool, gate *AdmissionGate, fn func
 		}
 		defer gate.Release()
 	}
-	rec, _ := tm.(TxRecycler)
 	var bo Backoff
 	last := ReasonNone // why the previous attempt aborted
 	for attempt := 1; ; attempt++ {
@@ -176,10 +175,8 @@ func run(ctx context.Context, tm TM, readOnly bool, gate *AdmissionGate, fn func
 			}
 		}
 		tx := tm.Begin(readOnly)
-		err, reason, retry := runOnce(tm, rec, tx, fn)
-		if rec != nil {
-			rec.Recycle(tx)
-		}
+		err, reason, retry := runOnce(tm, tx, fn)
+		tm.Recycle(tx)
 		if !retry {
 			return err
 		}
@@ -191,9 +188,9 @@ func run(ctx context.Context, tm TM, readOnly bool, gate *AdmissionGate, fn func
 // runOnce executes one attempt of fn, mapping retry-signal panics to a retry
 // request and committing on success. On retry it reports why the attempt
 // aborted: read-path aborts carry the reason in the retry signal; commit
-// failures are read back from the descriptor via AbortReasoner (defaulting to
-// ReasonWriteConflict for engines that do not implement it).
-func runOnce(tm TM, rec TxRecycler, tx Tx, fn func(Tx) error) (err error, reason AbortReason, retry bool) {
+// failures are read back from the descriptor (LastAbortReason, defaulting to
+// ReasonWriteConflict when it reports ReasonNone).
+func runOnce(tm TM, tx Tx, fn func(Tx) error) (err error, reason AbortReason, retry bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			tm.Abort(tx)
@@ -206,9 +203,7 @@ func runOnce(tm TM, rec TxRecycler, tx Tx, fn func(Tx) error) (err error, reason
 			// observable again — must return to the pool here or it is lost
 			// for the life of the process (one body panic per pooled
 			// descriptor would drain the pool entirely).
-			if rec != nil {
-				rec.Recycle(tx)
-			}
+			tm.Recycle(tx)
 			panic(r)
 		}
 	}()
@@ -220,10 +215,8 @@ func runOnce(tm TM, rec TxRecycler, tx Tx, fn func(Tx) error) (err error, reason
 		return nil, ReasonNone, false
 	}
 	reason = ReasonWriteConflict
-	if ar, ok := tx.(AbortReasoner); ok {
-		if r := ar.LastAbortReason(); r != ReasonNone {
-			reason = r
-		}
+	if r := tx.LastAbortReason(); r != ReasonNone {
+		reason = r
 	}
 	return nil, reason, true
 }

@@ -52,7 +52,7 @@ func TestAtomicallyCtxStopsRetrying(t *testing.T) {
 	if time.Since(start) > 5*time.Second {
 		t.Fatalf("cancellation took too long")
 	}
-	// fakeTM has no AbortReasoner, so its failed commits read as write
+	// fakeTx reports no abort reason, so its failed commits read as write
 	// conflicts; the error carries the last one.
 	var ce *CancelledError
 	if !errors.As(err, &ce) || ce.Attempts < 1 || ce.Reason != ReasonWriteConflict {

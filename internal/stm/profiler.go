@@ -9,9 +9,9 @@ import (
 // behind Fig. 4(c) of the paper: time in read barriers, read-set validation,
 // write-set validation, and the remainder of the commit procedure.
 //
-// Engines receive a Profiler via the Profilable interface; a nil profiler
-// means the phase timers are skipped entirely, so regular benchmark runs pay
-// no instrumentation cost.
+// Engines read the Profiler attached to their Stats (Stats.SetProfiler); a nil
+// profiler means the phase timers are skipped entirely, so regular benchmark
+// runs pay no instrumentation cost.
 type Profiler struct {
 	readNS        atomic.Int64
 	readSetValNS  atomic.Int64

@@ -19,11 +19,25 @@ import "sync/atomic"
 // leading pad keeps shard 0's counters out of the 128-byte unit of the field
 // before it (the engines read theirs on every barrier), and each shard's
 // trailing pad does the same for the next shard and for the field after.
+//
+// Stats also carries the engine's Fig. 4(c) phase profiler: Stats is the one
+// accessor every engine and every wrapper forwards, so a profiler attached
+// through the outermost Stats() reaches the engine underneath.
 type Stats struct {
 	_      [128]byte
 	shards [statShards]StatShard
 	next   atomic.Uint32 // round-robin shard assignment (cold path only)
+	// prof is loaded by every barrier; it lies past every shard's 128-byte
+	// units, so no counter store invalidates its line.
+	prof atomic.Pointer[Profiler]
 }
+
+// SetProfiler attaches p as the engine's phase profiler. nil detaches it (the
+// default), and the engines then skip the phase timers entirely.
+func (s *Stats) SetProfiler(p *Profiler) { s.prof.Store(p) }
+
+// Profiler returns the attached phase profiler, or nil.
+func (s *Stats) Profiler() *Profiler { return s.prof.Load() }
 
 // statShards is the stripe count. Sixteen shards suffice to separate the
 // commit-rate of any realistic core count in this repository's benchmarks;

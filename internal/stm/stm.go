@@ -18,6 +18,12 @@
 // randomized exponential backoff under contention.
 package stm
 
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
+
 // Value is the type of the contents of a transactional variable. Engines store
 // and return values opaquely; data structures layered on top perform the type
 // assertions (or use the typed TVar wrapper).
@@ -42,6 +48,7 @@ type Tx interface {
 	// ReadOnly reports whether the transaction was started as read-only.
 	// Read-only transactions must not call Write.
 	ReadOnly() bool
+	AbortReasoner
 }
 
 // TM is a transactional memory engine.
@@ -64,14 +71,10 @@ type TM interface {
 	// Abort abandons tx, releasing any engine resources (locks, visible-read
 	// registrations). It is called on user aborts and after retry signals.
 	Abort(tx Tx)
-	// Stats returns the engine's live counters.
+	// Stats returns the engine's live counters, and carries the Fig. 4(c)
+	// phase profiler (Stats.SetProfiler).
 	Stats() *Stats
-}
-
-// Profilable is implemented by engines that support the per-phase time
-// breakdown of Fig. 4(c). Passing nil disables profiling (the default).
-type Profilable interface {
-	SetProfiler(p *Profiler)
+	TxRecycler
 }
 
 // VersionRecord describes one committed version of a variable, for the DSG
@@ -93,10 +96,50 @@ type VersionRecord struct {
 
 // HistoryRecording is implemented by engines that can record per-variable
 // version histories for the serializability oracle. Recording is off by
-// default; EnableHistory must be called before any transaction runs.
+// default. EnableHistory must be called before any variable is created: a
+// variable records only if recording was on when NewVar made it.
 type HistoryRecording interface {
 	EnableHistory()
 	// History returns the committed versions of v (excluding the initial
 	// value) in serialization order, oldest first.
 	History(v Var) []VersionRecord
+}
+
+// VersionLog is one variable's record of committed versions, behind every
+// engine's HistoryRecording. An engine gives each variable one at NewVar
+// while recording is on and appends on every install; a nil log records
+// nothing, so the commit path appends unconditionally.
+type VersionLog struct {
+	mu      sync.Mutex
+	records []VersionRecord
+}
+
+// Append records r. It is safe for concurrent use and a no-op on a nil log.
+func (l *VersionLog) Append(r VersionRecord) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.records = append(l.records, r)
+	l.mu.Unlock()
+}
+
+// Records returns a copy of the recorded versions in serialization order:
+// ascending Serial, ties in descending Tie (TWM's time-warp clashes
+// serialize in inverse natural order), equal keys in append order. A nil log
+// returns nil.
+func (l *VersionLog) Records() []VersionRecord {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	out := slices.Clone(l.records)
+	l.mu.Unlock()
+	slices.SortStableFunc(out, func(a, b VersionRecord) int {
+		if c := cmp.Compare(a.Serial, b.Serial); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.Tie, a.Tie)
+	})
+	return out
 }

@@ -2,6 +2,8 @@ package stm
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -50,6 +52,7 @@ func (f *fakeTM) Commit(tx Tx) bool {
 }
 func (f *fakeTM) Abort(Tx)      { f.aborts++ }
 func (f *fakeTM) Stats() *Stats { return &f.stats }
+func (f *fakeTM) Recycle(Tx)    {}
 
 func (t *fakeTx) Read(v Var) Value {
 	fv := v.(*fakeVar)
@@ -58,8 +61,9 @@ func (t *fakeTx) Read(v Var) Value {
 	}
 	return fv.val
 }
-func (t *fakeTx) Write(v Var, val Value) { t.writes[v.(*fakeVar)] = val }
-func (t *fakeTx) ReadOnly() bool         { return t.readOnly }
+func (t *fakeTx) Write(v Var, val Value)       { t.writes[v.(*fakeVar)] = val }
+func (t *fakeTx) ReadOnly() bool               { return t.readOnly }
+func (t *fakeTx) LastAbortReason() AbortReason { return ReasonNone }
 
 func TestAtomicallyRetriesFailedCommits(t *testing.T) {
 	tm := &fakeTM{failCommits: 3}
@@ -163,7 +167,8 @@ func TestAbortRateEmpty(t *testing.T) {
 // TestStatShardPadded pins the hand-counted tail pad of StatShard: a stripe
 // must fill whole 128-byte units and leave at least 128 bytes after its
 // counters, or two stripes share a line when Stats sits off a 128-byte
-// boundary; and shard 0 must start 128 bytes into Stats.
+// boundary; shard 0 must start 128 bytes into Stats; and the profiler pointer
+// every barrier loads must lie past the last shard.
 func TestStatShardPadded(t *testing.T) {
 	shard := unsafe.Sizeof(StatShard{})
 	if shard%128 != 0 {
@@ -178,6 +183,62 @@ func TestStatShardPadded(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(Stats{}.shards); got != statShards*shard {
 		t.Fatalf("sizeof(Stats.shards) = %d, want %d", got, statShards*shard)
+	}
+	if off, end := unsafe.Offsetof(Stats{}.prof), unsafe.Offsetof(Stats{}.shards)+unsafe.Sizeof(Stats{}.shards); off < end {
+		t.Fatalf("Stats.prof at offset %d, inside the shards (which end at %d)", off, end)
+	}
+}
+
+// TestVersionLog pins the one history order every engine reports: ascending
+// Serial, ties in descending Tie, equal keys in append order; a nil log
+// records nothing; and concurrent appenders lose no record.
+func TestVersionLog(t *testing.T) {
+	var l VersionLog
+	for _, r := range []VersionRecord{
+		{Value: "c", Serial: 2, Tie: 5},
+		{Value: "a", Serial: 1},
+		{Value: "d", Serial: 2, Tie: 7},
+		{Value: "e", Serial: 2, Tie: 5},
+		{Value: "b", Serial: 1},
+	} {
+		l.Append(r)
+	}
+	var got string
+	for _, r := range l.Records() {
+		got += r.Value.(string)
+	}
+	if got != "abdce" {
+		t.Fatalf("order %q, want %q", got, "abdce")
+	}
+
+	var none *VersionLog
+	none.Append(VersionRecord{Serial: 1})
+	if rs := none.Records(); rs != nil {
+		t.Fatalf("nil log recorded %v", rs)
+	}
+
+	const appenders, each = 8, 200
+	var shared VersionLog
+	var wg sync.WaitGroup
+	for w := 0; w < appenders; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				shared.Append(VersionRecord{Value: fmt.Sprint(w, i), Serial: uint64(i)})
+				_ = shared.Records()
+			}
+		}(w)
+	}
+	wg.Wait()
+	rs := shared.Records()
+	if len(rs) != appenders*each {
+		t.Fatalf("%d records after %d appends", len(rs), appenders*each)
+	}
+	for i := 1; i < len(rs); i++ {
+		if rs[i].Serial < rs[i-1].Serial {
+			t.Fatalf("record %d: Serial %d after %d", i, rs[i].Serial, rs[i-1].Serial)
+		}
 	}
 }
 

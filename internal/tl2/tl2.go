@@ -15,7 +15,6 @@ package tl2
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,7 +34,6 @@ type TM struct {
 	opts  Options
 	clock atomic.Uint64
 	stats stm.Stats
-	prof  atomic.Pointer[stm.Profiler]
 
 	// txns pools transaction descriptors across attempts; see Recycle.
 	txns sync.Pool
@@ -61,9 +59,6 @@ func (tm *TM) Name() string { return "tl2" }
 // Stats implements stm.TM.
 func (tm *TM) Stats() *stm.Stats { return &tm.stats }
 
-// SetProfiler implements stm.Profilable.
-func (tm *TM) SetProfiler(p *stm.Profiler) { tm.prof.Store(p) }
-
 // tlvar packs the versioned lock (version<<1 | lockbit) and the value. The
 // value pointer is only replaced while the lock bit is held, and readers
 // sandwich the value load between two meta loads.
@@ -71,9 +66,7 @@ type tlvar struct {
 	id   uint64
 	meta atomic.Uint64
 	val  atomic.Pointer[stm.Value]
-
-	histMu sync.Mutex
-	hist   []stm.VersionRecord
+	hist *stm.VersionLog // non-nil only when history recording is enabled
 }
 
 // VarID implements stm.IDedVar (commit-lock ordering).
@@ -88,6 +81,9 @@ func metaLocked(m uint64) bool    { return m&lockBit != 0 }
 func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	v := &tlvar{id: tm.varID.Add(1)}
 	v.val.Store(&initial)
+	if tm.history.Load() {
+		v.hist = new(stm.VersionLog)
+	}
 	return v
 }
 
@@ -150,7 +146,7 @@ func (tm *TM) Recycle(txi stm.Tx) {
 // Read implements stm.Tx: the TL2 read barrier with the pre/post sandwich.
 func (tx *txn) Read(v stm.Var) stm.Value {
 	tv := v.(*tlvar)
-	prof := tx.tm.prof.Load()
+	prof := tx.tm.stats.Profiler()
 	var t0 int64
 	if prof != nil {
 		t0 = prof.Now()
@@ -241,7 +237,7 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 		tx.stats.RecordCommit(tx.readOnly)
 		return true
 	}
-	prof := tm.prof.Load()
+	prof := tm.stats.Profiler()
 	var t0 int64
 	if prof != nil {
 		t0 = prof.Now()
@@ -315,11 +311,7 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 	for i := range ents {
 		v, val := ents[i].Key, ents[i].Val
 		v.val.Store(&val)
-		if tm.history.Load() {
-			v.histMu.Lock()
-			v.hist = append(v.hist, stm.VersionRecord{Value: val, Serial: wv})
-			v.histMu.Unlock()
-		}
+		v.hist.Append(stm.VersionRecord{Value: val, Serial: wv})
 		v.meta.Store(wv << 1) // publish new version and release the lock
 	}
 	tx.locked = tx.locked[:0]
@@ -354,25 +346,10 @@ func (tx *txn) holds(v *tlvar) bool {
 	return false
 }
 
-// EnableHistory implements stm.HistoryRecording.
+// EnableHistory implements stm.HistoryRecording. It must be called before any
+// variable is created.
 func (tm *TM) EnableHistory() { tm.history.Store(true) }
 
 // History implements stm.HistoryRecording: versions in commit (serialization)
 // order.
-func (tm *TM) History(v stm.Var) []stm.VersionRecord {
-	tv := v.(*tlvar)
-	tv.histMu.Lock()
-	defer tv.histMu.Unlock()
-	out := make([]stm.VersionRecord, len(tv.hist))
-	copy(out, tv.hist)
-	slices.SortFunc(out, func(a, b stm.VersionRecord) int {
-		switch {
-		case a.Serial < b.Serial:
-			return -1
-		case a.Serial > b.Serial:
-			return 1
-		}
-		return 0
-	})
-	return out
-}
+func (tm *TM) History(v stm.Var) []stm.VersionRecord { return v.(*tlvar).hist.Records() }
