@@ -14,25 +14,17 @@
 //	overhead   Fig. 4(c): per-phase overhead breakdown
 //	stamp      Fig. 5 panel for one application (-app)
 //	summary    Fig. 5(a)-(h) + Fig. 5(i) + Table 2 (all applications)
-//	groupcommit  commit pipelining: write-heavy Zipf counters A/B of each
-//	           serial engine vs its flat-combining group-commit variant,
-//	           recorded in BENCH_groupcommit.json
-//	durability fsync-policy latency ladder of the write-ahead log (off /
-//	           interval / per-batch / per-commit) on the WAL-capable
-//	           engines, recorded in BENCH_durability.json
-//	all        everything above (except the sweeps with their own axes)
+//	all        everything above
 //
 // Flags select engines, thread counts, per-cell duration for the
 // microbenchmarks, and input scale. The defaults are container-sized; pass
 // -scale paper for the paper's input sizes (skiplist only; STAMP apps use
-// their default presets). The last two experiments write their JSON artifact
-// only when -json names a path.
+// their default presets). -csv appends every cell to a machine-readable file.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -59,7 +51,6 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 1, "base RNG seed")
 	yieldEvery := fs.Int("yield-every", 1, "inject a scheduler yield after every N-th transactional barrier to simulate multi-core overlap on few cores (0 disables)")
 	csvPath := fs.String("csv", "", "also append machine-readable results to this CSV file")
-	jsonPath := fs.String("json", "", "write the experiment's JSON artifact to this path (groupcommit, durability)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -126,52 +117,6 @@ func run(args []string) error {
 		return emit("fig5-"+*app, res, err)
 	case "summary":
 		return summary(cfg, stampScale, emit)
-	case "groupcommit":
-		gc := bench.DefaultGroupCommit()
-		if *scale == "small" {
-			gc = bench.GroupCommitConfig{Counters: 256, WritesPerTx: 4, ZipfS: 1.1, Seed: *seed}
-		}
-		// The A/B sweep has its own default axes: the serial/grouped engine
-		// pairs and the goroutine counts of the EXPERIMENTS.md table.
-		if *engineList == strings.Join(engines.PaperSet(), ",") {
-			cfg.Engines = bench.GroupCommitEngines()
-		}
-		if *threadList == "1,4,8,16,32,64" {
-			cfg.Threads = bench.GroupCommitThreads()
-		}
-		res, err := bench.GroupCommitFigure(out, cfg, gc)
-		if err != nil {
-			return err
-		}
-		art := bench.NewGroupCommitArtifact(cfg, gc, res)
-		if err := writeArtifact(*jsonPath, art.WriteJSON, len(art.Cells)); err != nil {
-			return err
-		}
-		return emit("groupcommit", res, nil)
-	case "durability":
-		dc := bench.DefaultDurability()
-		if *scale == "small" {
-			dc.Accounts = 128
-		}
-		dc.Seed = *seed
-		// The ladder has its own axes: the WAL-capable engine pair and one
-		// goroutine count (the policy, not the thread sweep, is the x-axis).
-		durEngines := engineNames
-		if *engineList == strings.Join(engines.PaperSet(), ",") {
-			durEngines = bench.DurabilityEngines()
-		}
-		durThreads := bench.DurabilityThreads()
-		if *threadList != "1,4,8,16,32,64" && len(threads) > 0 {
-			durThreads = threads[len(threads)-1]
-		}
-		art, err := bench.DurabilityFigure(out, durEngines, bench.DurabilityPolicies(), durThreads, *duration, dc)
-		if err != nil {
-			return err
-		}
-		if err := writeArtifact(*jsonPath, art.WriteJSON, len(art.Cells)); err != nil {
-			return err
-		}
-		return emit("durability", nil, nil)
 	case "all":
 		if res, err := bench.Fig3SkipList(out, cfg, sl); emit("fig3-skiplist", res, err) != nil {
 			return err
@@ -189,27 +134,6 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
-}
-
-// writeArtifact writes a JSON artifact via the provided encoder; an empty
-// path writes nothing.
-func writeArtifact(path string, write func(io.Writer) error, cells int) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d cells)\n", path, cells)
-	return nil
 }
 
 // emitFunc forwards a figure's results to the optional CSV sink.

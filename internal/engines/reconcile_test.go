@@ -1,6 +1,7 @@
 package engines_test
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -77,6 +78,10 @@ func TestStatsReconcileWithRetryLoop(t *testing.T) {
 			}
 			if byReason != snap.Aborts {
 				t.Errorf("per-reason total %d != engine aborts %d (%v)", byReason, snap.Aborts, snap.ByReason)
+			}
+			// Exactly the group-commit engines batch their update commits.
+			if grouped := slices.Contains(engines.GroupCommitSet(), name); grouped != (snap.GroupBatches > 0) {
+				t.Errorf("group-commit engine %v, but %d batches recorded", grouped, snap.GroupBatches)
 			}
 			t.Logf("%s: %d executions, %d aborts, by reason %v", name, execs, snap.Aborts, snap.ByReason)
 		})

@@ -11,8 +11,7 @@
 // The workload is the ledger API's mixed traffic: updates (transfers between
 // Zipf-skewed accounts) and read-only balance lookups, in a configurable
 // ratio. Results report p50/p99/p999/max latency per class plus outcome
-// counts — commits, domain conflicts, 429 sheds, 499/504 cancels — the
-// acceptance signals ISSUE 8 names.
+// counts — commits, domain conflicts, 429 sheds, 499/504 cancels.
 package loadgen
 
 import (
@@ -32,32 +31,30 @@ import (
 // Config parameterizes one load run against one server.
 type Config struct {
 	// Rate is the offered load in arrivals/second (open loop). Default 500.
-	Rate float64 `json:"rate"`
+	Rate float64
 	// Duration is how long arrivals are generated. Default 5s.
-	Duration time.Duration `json:"-"`
-	// DurationMS mirrors Duration in the JSON artifact.
-	DurationMS int64 `json:"duration_ms"`
+	Duration time.Duration
 	// Accounts is the key space; the server must have at least this many
 	// pre-created accounts named "0".."N-1". Default 1024.
-	Accounts int `json:"accounts"`
+	Accounts int
 	// ZipfS is the account-selection skew (0 uniform; 1.1 ≈ web traffic).
-	ZipfS float64 `json:"zipf_s"`
+	ZipfS float64
 	// UpdatePct is the fraction of arrivals that are transfers (the rest are
 	// read-only balance lookups). Default 0.5.
-	UpdatePct float64 `json:"update_pct"`
+	UpdatePct float64
 	// Amount is the per-transfer amount (default 1; small keeps insufficient-
 	// funds conflicts rare so the abort machinery, not the domain, is on
 	// trial).
-	Amount int64 `json:"amount"`
+	Amount int64
 	// Seed makes the arrival schedule and key draws replayable.
-	Seed uint64 `json:"seed"`
+	Seed uint64
 	// Timeout bounds each HTTP request client-side (default 5s — above the
 	// server's own transaction deadline, so server-side statuses win).
-	Timeout time.Duration `json:"-"`
+	Timeout time.Duration
 	// MaxInFlight caps concurrently outstanding requests (default 4096). An
 	// arrival past the cap is counted as Dropped rather than blocking the
 	// schedule — the generator itself must never close the loop.
-	MaxInFlight int `json:"max_in_flight"`
+	MaxInFlight int
 }
 
 func (c *Config) fill() {
@@ -67,7 +64,6 @@ func (c *Config) fill() {
 	if c.Duration <= 0 {
 		c.Duration = 5 * time.Second
 	}
-	c.DurationMS = c.Duration.Milliseconds()
 	if c.Accounts <= 0 {
 		c.Accounts = 1024
 	}
@@ -90,42 +86,29 @@ func (c *Config) fill() {
 
 // OpStats aggregates one traffic class (updates, read-only, or all).
 type OpStats struct {
-	Sent      uint64 `json:"sent"`
-	OK        uint64 `json:"ok"`        // 2xx: committed
-	Conflicts uint64 `json:"conflicts"` // 4xx domain refusals (insufficient funds, ...)
-	Shed      uint64 `json:"shed"`      // 429: admission gate refused
-	Cancelled uint64 `json:"cancelled"` // 499/504: cancelled or timed out
-	Errors    uint64 `json:"errors"`    // transport failures and 5xx
-	Dropped   uint64 `json:"dropped"`   // arrivals past MaxInFlight, never sent
+	Sent      uint64
+	OK        uint64 // 2xx: committed
+	Conflicts uint64 // 4xx domain refusals (insufficient funds, ...)
+	Shed      uint64 // 429: admission gate refused
+	Cancelled uint64 // 499/504: cancelled or timed out
+	Errors    uint64 // transport failures and 5xx
+	Dropped   uint64 // arrivals past MaxInFlight, never sent
 
-	P50ms  float64 `json:"p50_ms"`
-	P99ms  float64 `json:"p99_ms"`
-	P999ms float64 `json:"p999_ms"`
-	MaxMs  float64 `json:"max_ms"`
-	MeanMs float64 `json:"mean_ms"`
+	P50ms  float64
+	P99ms  float64
+	P999ms float64
+	MaxMs  float64
+	MeanMs float64
 }
 
-// Result is one engine's (or one server's) load run.
+// Result is one load run against one server.
 type Result struct {
-	Engine       string  `json:"engine"`
-	OfferedRate  float64 `json:"offered_rate"`
-	AchievedRate float64 `json:"achieved_rate"` // sent / wall time
+	OfferedRate  float64
+	AchievedRate float64 // sent / wall time
 
-	Update   OpStats `json:"update"`
-	ReadOnly OpStats `json:"read_only"`
-	All      OpStats `json:"all"`
-
-	// Engine-side counters sampled across the run (zero when the harness has
-	// no in-process engine handle, e.g. driving an external URL).
-	EngineStarts  uint64 `json:"engine_starts,omitempty"`
-	EngineCommits uint64 `json:"engine_commits,omitempty"`
-	EngineAborts  uint64 `json:"engine_aborts,omitempty"`
-	// Server-side outcome counters (same caveat).
-	ServerSheds   uint64 `json:"server_sheds,omitempty"`
-	ServerCancels uint64 `json:"server_cancels,omitempty"`
-	// LeakedGoroutines is the post-drain goroutine excess over the pre-start
-	// baseline (in-process harness only; 0 is the healthy value).
-	LeakedGoroutines int `json:"leaked_goroutines"`
+	Update   OpStats
+	ReadOnly OpStats
+	All      OpStats
 }
 
 // sample is one completed request's measurement.
@@ -224,7 +207,7 @@ func Run(ctx context.Context, baseURL string, cfg Config) (Result, error) {
 	wg.Wait()
 	wall := time.Since(start)
 
-	res := Result{Engine: "external", OfferedRate: cfg.Rate}
+	res := Result{OfferedRate: cfg.Rate}
 	res.Update = summarize(col.samples, true)
 	res.ReadOnly = summarize(col.samples, false)
 	res.All = merge(col.samples)

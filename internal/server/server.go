@@ -4,7 +4,8 @@
 // control (stm.AdmissionGate), request-scoped cancellation (context → retry
 // loop), panic containment around the transaction body, the health watchdog —
 // into an actual system serving traffic, and the end-to-end
-// harness the latency experiments (cmd/twm-load, BENCH_server.json) measure.
+// harness the latency experiments (cmd/twm-load, benchmark's srv-* workloads)
+// measure.
 //
 // Request → transaction mapping:
 //

@@ -38,10 +38,11 @@ func TestLoggedEngineDSG(t *testing.T) {
 	}
 }
 
-// TestEngineRecoveryMatchesLiveState is the end-to-end zero-loss check at
-// fsync-per-commit: drive concurrent transfers over a logged engine, close the
-// log cleanly, recover, and require the recovered value of every variable to
-// equal the live in-memory state — byte for byte, not just conserved.
+// TestEngineRecoveryMatchesLiveState is the end-to-end zero-loss check under
+// every fsync policy: drive concurrent transfers over a logged engine, close
+// the log cleanly, recover, and require the recovered value of every variable
+// to equal the live in-memory state — byte for byte, not just conserved.
+// Subtests are named engine-policy; per-commit keeps the bare engine name.
 func TestEngineRecoveryMatchesLiveState(t *testing.T) {
 	const (
 		nVars    = 16
@@ -49,14 +50,26 @@ func TestEngineRecoveryMatchesLiveState(t *testing.T) {
 		workers  = 4
 		transfer = 200
 	)
+	type recoveryCase struct {
+		name   string
+		engine string
+		policy wal.Policy
+	}
+	var cases []recoveryCase
 	for _, name := range engines.DurableSet() {
-		t.Run(name, func(t *testing.T) {
+		cases = append(cases,
+			recoveryCase{name, name, wal.SyncPerCommit},
+			recoveryCase{name + "-" + wal.SyncPerBatch.String(), name, wal.SyncPerBatch},
+			recoveryCase{name + "-" + wal.SyncInterval.String(), name, wal.SyncInterval})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			w, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncPerCommit})
+			w, err := wal.Open(wal.Options{Dir: dir, Policy: c.policy})
 			if err != nil {
 				t.Fatal(err)
 			}
-			tm := engines.MustNew(name, engines.WithLogger(w))
+			tm := engines.MustNew(c.engine, engines.WithLogger(w))
 
 			vars := make([]*stm.TVar[int64], nVars)
 			ids := make([]uint64, nVars)
@@ -64,7 +77,7 @@ func TestEngineRecoveryMatchesLiveState(t *testing.T) {
 				vars[i] = stm.NewTVar(tm, initial)
 				iv, ok := vars[i].Raw().(interface{ VarID() uint64 })
 				if !ok {
-					t.Fatalf("engine %s variables carry no id", name)
+					t.Fatalf("engine %s variables carry no id", c.engine)
 				}
 				ids[i] = iv.VarID()
 			}
