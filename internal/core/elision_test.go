@@ -120,18 +120,6 @@ func TestQuietOnlyWithoutOlderUpdater(t *testing.T) {
 	}
 }
 
-// TestOpacityNeverElides: the opacity extension keeps the paper's barrier.
-func TestOpacityNeverElides(t *testing.T) {
-	tm := New(Options{Opacity: true})
-	x := tm.NewVar(0)
-	ro := tm.Begin(true)
-	ro.Read(x)
-	tm.Commit(ro)
-	if ro.(*txn).quiet || tm.ReadStamp(x) == 0 || tm.Stats().Snapshot().QuietROCommits != 0 {
-		t.Fatalf("twm-opaque elided a read stamp")
-	}
-}
-
 // TestQuietShareSkipRead runs the skip-read shape — two workers, 90 % Contains
 // on a skip list — and requires that nearly all read-only transactions ran
 // quiet: the elision must be the common path exactly where it pays. A worker

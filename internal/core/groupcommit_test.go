@@ -47,7 +47,6 @@ func TestGroupCommitSerializabilityDSGWithGC(t *testing.T) {
 
 func TestGroupCommitRejectsIncompatibleModes(t *testing.T) {
 	for _, opts := range []core.Options{
-		{Options: mvutil.Options{GroupCommit: true}, Opacity: true},
 		{Options: mvutil.Options{GroupCommit: true}, DisableTimeWarp: true},
 	} {
 		func() {

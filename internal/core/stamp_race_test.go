@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/mvutil"
 	"repro/internal/stm"
 )
 
@@ -113,68 +112,5 @@ func TestStampRaiseObserveRace(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestPreDoomedCommitLeavesClockAlone verifies the clock-pressure relief: a
-// commit that preDoomed rejects — here the Fig. 2(b) triad pivot — must not
-// bump the shared clock (doomed commits "pass" on their increment).
-func TestPreDoomedCommitLeavesClockAlone(t *testing.T) {
-	tm := newTM()
-	x := tm.NewVar(0)
-	y := tm.NewVar(0)
-
-	b := tm.Begin(false)
-	b.Read(y)
-	b.Write(x, 99)
-
-	a := tm.Begin(false)
-	a.Read(y)
-	a.Write(y, 1)
-	if !tm.Commit(a) {
-		t.Fatal("a commit failed")
-	}
-
-	c := tm.Begin(true)
-	_ = c.Read(x)
-	if !tm.Commit(c) {
-		t.Fatal("read-only c must commit")
-	}
-
-	before := tm.Clock()
-	if tm.Commit(b) {
-		t.Fatal("pivot B must abort")
-	}
-	if after := tm.Clock(); after != before {
-		t.Fatalf("doomed commit bumped the clock: %d -> %d", before, after)
-	}
-	if snap := tm.Stats().Snapshot(); snap.ByReason["triad"] != 1 {
-		t.Fatalf("abort reasons = %v, want one triad", snap.ByReason)
-	}
-}
-
-// TestPreDoomedClassicValidation checks the DisableTimeWarp ablation's
-// pre-draw doom: a stale read set aborts before the clock is touched.
-func TestPreDoomedClassicValidation(t *testing.T) {
-	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1}, DisableTimeWarp: true})
-	x := tm.NewVar(0)
-	y := tm.NewVar(0)
-
-	b := tm.Begin(false)
-	b.Read(x)
-	b.Write(y, 1)
-
-	a := tm.Begin(false)
-	a.Write(x, 2)
-	if !tm.Commit(a) {
-		t.Fatal("a commit failed")
-	}
-
-	before := tm.Clock()
-	if tm.Commit(b) {
-		t.Fatal("classic validation must abort b")
-	}
-	if after := tm.Clock(); after != before {
-		t.Fatalf("doomed commit bumped the clock: %d -> %d", before, after)
 	}
 }

@@ -32,24 +32,16 @@ import (
 )
 
 // Options tunes a TWM instance: the settings shared with the other
-// multi-version engine (mvutil.Options) plus TWM's own two switches. The
-// zero value is the paper's algorithm with sensible defaults.
+// multi-version engine (mvutil.Options) plus TWM's own switch. The zero value
+// is the paper's algorithm with sensible defaults.
 type Options struct {
 	mvutil.Options
 	// DisableTimeWarp turns off Rules 1-2: any anti-dependency discovered at
 	// commit aborts the transaction (the classic validation rule). The engine
 	// then degenerates to a JVSTM-style multi-version STM; this is the
 	// ablation that isolates the benefit of time-warp commits. Mutually
-	// exclusive with Opacity and GroupCommit.
+	// exclusive with GroupCommit.
 	DisableTimeWarp bool
-	// Opacity enables the extension sketched in §4.2 of the paper:
-	// update transactions read with the read-only visibility rule (newest
-	// version with twOrder <= start, time-warped versions included) and
-	// perform semi-visible reads during execution, homogenizing the
-	// serialization order perceived by all transactions. Commit-time
-	// anti-dependency detection then keys on twOrder instead of natOrder.
-	// See opacity.go. Mutually exclusive with GroupCommit.
-	Opacity bool
 }
 
 // TM is a Time-Warp Multi-version transactional memory instance.
@@ -57,9 +49,9 @@ type TM struct {
 	// Chassis is the machinery shared with internal/jvstm: commit clock,
 	// active set, GC schedule, logger and the commit pipeline.
 	mvutil.Chassis
-	// The TWM-only switches; the shared options live in Chassis.Opts.
-	notw, opaque bool
-	stats        stm.Stats
+	// The TWM-only switch; the shared options live in Chassis.Opts.
+	notw  bool
+	stats stm.Stats
 
 	// txns pools transaction descriptors (with their read/write-set backing
 	// arrays and active-set slot) across attempts; see Recycle.
@@ -77,16 +69,13 @@ type TM struct {
 
 // New returns a TWM instance with the given options.
 func New(opts Options) *TM {
-	if opts.Opacity && opts.DisableTimeWarp {
-		panic("core: Opacity and DisableTimeWarp are mutually exclusive")
-	}
-	if opts.GroupCommit && (opts.Opacity || opts.DisableTimeWarp) {
+	if opts.GroupCommit && opts.DisableTimeWarp {
 		// A batch member validates at its turn against state its
 		// predecessors left under locks they still hold; only the default
 		// rule is argued for that schedule (DESIGN.md §7).
 		panic("core: GroupCommit requires the default time-warp mode")
 	}
-	tm := &TM{notw: opts.DisableTimeWarp, opaque: opts.Opacity}
+	tm := &TM{notw: opts.DisableTimeWarp}
 	tm.Init(opts.Options, &tm.stats, tm.sweep)
 	tm.txns.New = func() any {
 		tx := &txn{tm: tm}
@@ -101,8 +90,6 @@ func (tm *TM) Name() string {
 	switch {
 	case tm.notw:
 		return "twm-notw"
-	case tm.opaque:
-		return "twm-opaque"
 	case tm.Opts.GroupCommit:
 		return "twm-gc"
 	}
@@ -259,15 +246,13 @@ func (tx *txn) ReadOnly() bool { return tx.readOnly }
 // exist to make an update transaction that would time-warp into its snapshot
 // see itself as a triad's pivot, and only one that began below the snapshot
 // can warp into it — with none in flight that has yet to look at the stamps
-// (Validate), the reads need no stamp (DESIGN.md §12.5). The opacity
-// extension keeps the paper's barrier: its argument (opacity.go) is stated
-// for stamped reads and is not redone.
+// (Validate), the reads need no stamp (DESIGN.md §12.5).
 func (tm *TM) Begin(readOnly bool) stm.Tx {
 	tx := tm.txns.Get().(*txn)
 	tx.readOnly = readOnly
 	tx.Stats.RecordStart()
 	tx.start = tm.Snapshot(&tx.Desc, !readOnly)
-	tx.quiet = readOnly && !tm.opaque && tm.Quiet(tx.start)
+	tx.quiet = readOnly && tm.Quiet(tx.start)
 	return tx
 }
 
@@ -297,12 +282,9 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 		t0 = prof.Now()
 	}
 	var out stm.Value
-	switch {
-	case tx.readOnly:
+	if tx.readOnly {
 		out = tx.readRO(tv)
-	case tx.tm.opaque:
-		out = tx.readOpaque(tv)
-	default:
+	} else {
 		out = tx.readUpdate(tv)
 	}
 	if prof != nil {
@@ -386,12 +368,11 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 
 	if tx.readOnly || tx.writeSet.Len() == 0 {
 		// Read-only transactions never validate and never abort. An update
-		// transaction that wrote nothing also commits unvalidated: in the
-		// default mode its visibility rule early-aborts on any concurrently
-		// time-warped version, so its snapshot is the committed state at
-		// S(tx); in opacity mode its reads already follow the read-only
-		// rule. Writing nothing, it cannot be the target of an
-		// anti-dependency, so no triad can pivot on it.
+		// transaction that wrote nothing also commits unvalidated: its
+		// visibility rule early-aborts on any concurrently time-warped
+		// version, so its snapshot is the committed state at S(tx). Writing
+		// nothing, it cannot be the target of an anti-dependency, so no triad
+		// can pivot on it.
 		tx.Stats.RecordCommit(tx.readOnly)
 		if tx.quiet {
 			tx.Stats.RecordQuietRO()
@@ -412,59 +393,6 @@ func (tx *txn) Writes(dst []mvutil.WriteRef) []mvutil.WriteRef {
 		dst = append(dst, mvutil.WriteRef{Lock: &v.owner, LoggedWrite: stm.LoggedWrite{VarID: v.id, Value: ents[i].Val}})
 	}
 	return dst
-}
-
-// PreDoomed implements mvutil.Member: cheap, monotone doom conditions checked
-// before the commit takes any lock or draws its natural order, looking only
-// at read-set heads and write-set stamps. Every signal used here can only
-// intensify between this check and Validate — read stamps only rise, version
-// heads only get newer, and any version existing now carries a natural order
-// below any order this transaction could still draw — so a doom verdict is
-// always genuine, never speculative:
-//
-//   - Classic validation (the DisableTimeWarp ablation): a head newer than
-//     the snapshot is exactly the failure the scan would hit first.
-//   - A time-warped head newer than the snapshot is a Rule 2 abort: GC
-//     never frees a version newer than a live snapshot, so the scan meets
-//     it.
-//   - An un-warped head newer than the snapshot makes this transaction an
-//     anti-dependency source; combined with a raised stamp on any write-set
-//     variable (the target condition Validate would find) the triad rule
-//     applies.
-//
-// Validate still runs on the surviving path — it performs the commit-time
-// semi-visible raises and walks complete chains; this check only lets doomed
-// commits fail without touching the clock. Opacity mode keys its scan on
-// twOrder and skips the check.
-func (tx *txn) PreDoomed() stm.AbortReason {
-	tm := tx.tm
-	if tm.opaque {
-		return stm.ReasonNone
-	}
-	source := false
-	for _, v := range tx.readSet {
-		ver := v.latest.Load()
-		if ver.natOrder <= tx.start {
-			continue
-		}
-		if ver.timeWarped() {
-			return stm.ReasonTimeWarpSkip
-		}
-		if tm.notw {
-			return stm.ReasonReadConflict
-		}
-		source = true
-	}
-	if !source {
-		return stm.ReasonNone
-	}
-	ents := tx.writeSet.Entries()
-	for i := range ents {
-		if ents[i].Key.stamp.Load() > tx.start {
-			return stm.ReasonTriad // source ∧ target
-		}
-	}
-	return stm.ReasonNone
 }
 
 // Validate implements mvutil.Member: TWM's predicate over the multi-version
@@ -508,12 +436,6 @@ func (tx *txn) Validate() stm.AbortReason {
 			return stm.ReasonLockTimeout
 		}
 		ver := v.latest.Load()
-		if tm.opaque {
-			if r := tx.scanOpaque(ver); r != stm.ReasonNone {
-				return r
-			}
-			continue
-		}
 		for ver.natOrder > tx.start {
 			switch {
 			case tm.notw:

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/engines"
 	"repro/internal/health"
+	"repro/internal/mvutil"
 	"repro/internal/stm"
 )
 
@@ -21,15 +22,14 @@ import (
 // allocates nothing at all. A regression here means a hot-path allocation
 // crept back in — tighten the code, not the budget.
 var allocBudgets = map[string]struct{ readOnly, update float64 }{
-	"twm":        {0, 8},
-	"twm-notw":   {0, 8},
-	"twm-opaque": {0, 8},
-	"twm-gc":     {0, 8},
-	"jvstm":      {0, 8},
-	"jvstm-gc":   {0, 8},
-	"tl2":        {0, 8},
-	"norec":      {0, 8},
-	"avstm":      {0, 0},
+	"twm":      {0, 8},
+	"twm-notw": {0, 8},
+	"twm-gc":   {0, 8},
+	"jvstm":    {0, 8},
+	"jvstm-gc": {0, 8},
+	"tl2":      {0, 8},
+	"norec":    {0, 8},
+	"avstm":    {0, 0},
 }
 
 // TestAllocsReadOnly verifies the read path allocates nothing once the
@@ -150,8 +150,11 @@ func TestAllocsWatchdogSample(t *testing.T) {
 		t.Skip("allocation budgets do not hold under the race detector")
 	}
 	var targets []health.Target
-	for _, name := range engines.MultiVersionSet() {
+	for _, name := range engines.Names() {
 		tm := engines.MustNew(name)
+		if mvutil.Of(tm) == nil {
+			continue
+		}
 		v := tm.NewVar(0)
 		_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
 			tx.Write(v, 1)

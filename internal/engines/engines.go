@@ -22,15 +22,14 @@ import (
 // rejects every option for them). Order of PaperSet matches the paper's
 // figures (JVSTM, TL2, NOrec, AVSTM, TWM).
 var factories = map[string]func(o mvutil.Options) stm.TM{
-	"twm":        func(o mvutil.Options) stm.TM { return core.New(core.Options{Options: o}) },
-	"twm-notw":   func(o mvutil.Options) stm.TM { return core.New(core.Options{Options: o, DisableTimeWarp: true}) },
-	"twm-opaque": func(o mvutil.Options) stm.TM { return core.New(core.Options{Options: o, Opacity: true}) },
-	"twm-gc":     func(o mvutil.Options) stm.TM { o.GroupCommit = true; return core.New(core.Options{Options: o}) },
-	"jvstm":      func(o mvutil.Options) stm.TM { return jvstm.New(o) },
-	"jvstm-gc":   func(o mvutil.Options) stm.TM { o.GroupCommit = true; return jvstm.New(o) },
-	"tl2":        func(mvutil.Options) stm.TM { return tl2.New(tl2.Options{}) },
-	"norec":      func(mvutil.Options) stm.TM { return norec.New() },
-	"avstm":      func(mvutil.Options) stm.TM { return avstm.New() },
+	"twm":      func(o mvutil.Options) stm.TM { return core.New(core.Options{Options: o}) },
+	"twm-notw": func(o mvutil.Options) stm.TM { return core.New(core.Options{Options: o, DisableTimeWarp: true}) },
+	"twm-gc":   func(o mvutil.Options) stm.TM { o.GroupCommit = true; return core.New(core.Options{Options: o}) },
+	"jvstm":    func(o mvutil.Options) stm.TM { return jvstm.New(o) },
+	"jvstm-gc": func(o mvutil.Options) stm.TM { o.GroupCommit = true; return jvstm.New(o) },
+	"tl2":      func(mvutil.Options) stm.TM { return tl2.New(tl2.Options{}) },
+	"norec":    func(mvutil.Options) stm.TM { return norec.New() },
+	"avstm":    func(mvutil.Options) stm.TM { return avstm.New() },
 }
 
 // PaperSet is the engine lineup of the paper's figures, in their legend order.
@@ -44,12 +43,6 @@ func Names() []string {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// MultiVersionSet lists the engines that maintain version chains, in
-// PaperSet order.
-func MultiVersionSet() []string {
-	return []string{"jvstm", "jvstm-gc", "twm", "twm-notw", "twm-opaque", "twm-gc"}
 }
 
 // GroupCommitSet lists the engines with a flat-combining group-commit stage

@@ -50,6 +50,12 @@ func TestPaperHistoriesDifferential(t *testing.T) {
 			"RO read x = 7", "RO commit: ok nat=0 tw=0",
 			"UP read x: early abort (timewarp-skip)",
 		},
+		"Fig. 2(d) at commit": {
+			"B read y = 0", "A commit: ok nat=2 tw=2",
+			"UP read x = 0",
+			"B commit: ok nat=3 tw=2",
+			"UP commit: aborted (timewarp-skip)",
+		},
 	}
 	for _, h := range histories.Paper() {
 		t.Run(h.Name, func(t *testing.T) {

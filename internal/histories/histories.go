@@ -262,5 +262,22 @@ func Paper() []History {
 			read("UP", "x"),
 		},
 		Note: "TWM: the read-only snapshot includes the time-warped version; the update transaction early-aborts (Rule 2)",
+	}, {
+		// Fig. 2(d) with the read before the warp: UP reads x while B is
+		// still in flight, so the read barrier has nothing to skip. B then
+		// time-warps below UP's snapshot, and UP — which also writes — finds
+		// the time-warped version when its commit validates the read set.
+		Name:  "Fig. 2(d) at commit",
+		Title: "an update transaction reads x before B time-warps its write to x",
+		Vars:  []string{"x", "y", "z"},
+		Init:  zeros(3),
+		Steps: []Step{
+			begin("B"), read("B", "y"), write("B", "x", 7),
+			begin("A"), write("A", "y", 1), commit("A"),
+			begin("UP"), read("UP", "x"), write("UP", "z", 1),
+			commit("B"),
+			commit("UP"),
+		},
+		Note: "TWM: the update transaction aborts at commit (Rule 2): it missed a time-warp committed version",
 	}}
 }

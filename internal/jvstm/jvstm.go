@@ -212,20 +212,6 @@ func (tx *txn) Writes(dst []mvutil.WriteRef) []mvutil.WriteRef {
 	return dst
 }
 
-// PreDoomed implements mvutil.Member: a commit whose read set is already
-// stale is certain to fail Validate — a head version number never decreases —
-// so it fails before any lock is taken and before the clock is ticked, which
-// also makes Validate's wv == snap+1 shortcut fire far more often. The check
-// takes no lock waits: a head mid-publication is left to Validate.
-func (tx *txn) PreDoomed() stm.AbortReason {
-	for _, v := range tx.readSet {
-		if v.head.Load().ver > tx.start {
-			return stm.ReasonReadConflict
-		}
-	}
-	return stm.ReasonNone
-}
-
 // Validate implements mvutil.Member: JVSTM's predicate over the multi-version
 // conflict order is the classic rule — abort if any read variable has a
 // version newer than the snapshot. A committer holding a lock on a read

@@ -113,35 +113,6 @@ func TestClassicValidationAbortsStaleRead(t *testing.T) {
 	}
 }
 
-func TestDoomedCommitPassesOnClock(t *testing.T) {
-	// Clock-pressure relief: a commit whose read set is already stale is
-	// rejected by the pre-lock doom check, before the clock is bumped —
-	// failed commits must not age concurrent snapshots.
-	tm := jvstm.New(jvstm.Options{})
-	x := tm.NewVar(0)
-	y := tm.NewVar(0)
-
-	t1 := tm.Begin(false)
-	if got := t1.Read(x); got != 0 {
-		t.Fatalf("read = %v", got)
-	}
-	t1.Write(y, 1)
-
-	t2 := tm.Begin(false)
-	t2.Write(x, 1)
-	if !tm.Commit(t2) {
-		t.Fatalf("t2 commit failed")
-	}
-
-	before := tm.Clock()
-	if tm.Commit(t1) {
-		t.Fatalf("t1 must abort on its stale read set")
-	}
-	if after := tm.Clock(); after != before {
-		t.Fatalf("doomed commit bumped the clock: %d -> %d", before, after)
-	}
-}
-
 // TestSnapshotPublishedBeforeSample is internal/core's test of the same name
 // on this engine: a read-only transaction parked between its first clock
 // sample and its registration, while commits and a collector pass go by, must

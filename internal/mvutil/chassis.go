@@ -8,8 +8,8 @@ import (
 )
 
 // Options are the settings the multi-version engines share (internal/core
-// embeds them next to its three TWM-only switches; internal/jvstm uses them
-// as is). The zero value selects every default.
+// embeds them next to its one TWM-only switch; internal/jvstm uses them as
+// is). The zero value selects every default.
 type Options struct {
 	// GCEveryNCommits triggers a version garbage-collection pass each time
 	// this many update transactions have committed. 0 selects the default;

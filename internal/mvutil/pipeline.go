@@ -19,16 +19,12 @@ import (
 // stated once, at the stage they belong to (round), and in DESIGN.md §7.
 
 // Member is what an engine's transaction descriptor plugs into the pipeline:
-// the three steps of the commit protocol that differ between engines, plus
-// the projection of its typed write set. Each is called O(1) times per
+// the two steps of the commit protocol that differ between engines (validate,
+// install), plus the projection of its typed write set. Each is called O(1) times per
 // commit; the per-entry loops inside them are the engine's concrete code.
 type Member interface {
 	// Writes appends the write set in ascending variable-id order.
 	Writes(dst []WriteRef) []WriteRef
-	// PreDoomed reports a monotone, certainly-fatal condition visible before
-	// any lock is taken or clock ticked (stm.ReasonNone when there is none).
-	// It must never reject a commit Validate would accept.
-	PreDoomed() stm.AbortReason
 	// Validate decides the commit at the member's turn, with every write
 	// lock held and Desc.Draw assigned: it performs the engine's commit-time
 	// reads of shared state (raises, scans), sets Desc.Serial and returns
@@ -221,14 +217,11 @@ func (c *Chassis) round(ms []*Desc, sc *scratch) (spill []*Desc) {
 		return nil
 	}
 
-	// Pass on abort, then claim. A member that is already provably doomed
-	// fails here, before taking any lock and — crucially — before ticking the
-	// shared clock: failed commits that tick the clock push every concurrent
-	// snapshot further behind the present, manufacturing more stale reads
-	// and more failed commits (GV5-style relief, DESIGN.md §12.3). Survivors
-	// join the round iff their write set is disjoint from every earlier
-	// member's claims; the rest spill, which keeps lock-everything-then-
-	// install-in-order free of deadlock and intra-round write aliasing.
+	// Claim. A member joins the round iff its write set is disjoint from
+	// every earlier member's claims; the rest spill, which keeps
+	// lock-everything-then-install-in-order free of deadlock and intra-round
+	// write aliasing. Claiming decides no member's fate: that is Validate's
+	// alone, under the write locks, as in the paper's COMMIT.
 	admitted, spill := sc.admitted[:0], ms[:0]
 	if len(ms) > 1 {
 		if sc.claimed == nil {
@@ -237,10 +230,6 @@ func (c *Chassis) round(ms []*Desc, sc *scratch) (spill []*Desc) {
 		clear(sc.claimed)
 	}
 	for _, d := range ms {
-		if r := d.m.PreDoomed(); r != stm.ReasonNone {
-			c.resolve(d, r, prof)
-			continue
-		}
 		d.writes = d.m.Writes(d.writes[:0])
 		if len(ms) > 1 && !claim(d.writes, sc.claimed) {
 			d.Stats.RecordBatchSpills(1)

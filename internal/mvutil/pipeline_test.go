@@ -40,7 +40,6 @@ type fakeMember struct {
 	name      string
 	ev        *events
 	vars      []*fakeVar // ascending id
-	preDoom   stm.AbortReason
 	verdict   stm.AbortReason
 	installed int
 }
@@ -60,11 +59,6 @@ func (f *fakeMember) Writes(dst []WriteRef) []WriteRef {
 		dst = append(dst, WriteRef{Lock: &v.lock, LoggedWrite: stm.LoggedWrite{VarID: v.id, Value: f.name}})
 	}
 	return dst
-}
-
-func (f *fakeMember) PreDoomed() stm.AbortReason {
-	f.ev.add("pre:%s", f.name)
-	return f.preDoom
 }
 
 func (f *fakeMember) Validate() stm.AbortReason {
@@ -217,14 +211,14 @@ func TestPipelineStageOrder(t *testing.T) {
 		r := newRig(opts, true)
 		a := r.member("a", 2)
 		want := []string{
-			"pre:a", "writes:a",
+			"writes:a",
 			"validate:a locked=true", "install:a locked=true",
 			"append:[2] locked=true", "durable locked=false",
 		}
 		if batched {
 			b, c := r.member("b", 1), r.member("c", 3)
 			want = []string{
-				"pre:a", "writes:a", "pre:b", "writes:b", "pre:c", "writes:c",
+				"writes:a", "writes:b", "writes:c",
 				"validate:a locked=true", "install:a locked=true",
 				"validate:b locked=true", "install:b locked=true",
 				"validate:c locked=true", "install:c locked=true",
@@ -261,27 +255,6 @@ func TestPipelineLatchedLogger(t *testing.T) {
 		}
 		if len(r.ev.log) != 0 || r.c.Clock() != 1 {
 			t.Errorf("latched logger: round still ran stages %q (clock %d)", r.ev.log, r.c.Clock())
-		}
-		r.check(t)
-	})
-}
-
-func TestPipelinePassOnAbort(t *testing.T) {
-	modes(t, func(t *testing.T, opts Options, batched bool) {
-		r := newRig(opts, false)
-		a := r.member("a", 1)
-		a.preDoom = stm.ReasonTriad
-		ms := []*fakeMember{a}
-		if batched {
-			ms = append(ms, r.member("b", 1))
-		}
-		r.run(ms...)
-		r.wantOutcome(t, a, stm.ReasonTriad)
-		if got, want := r.c.Clock(), uint64(len(ms)); got != want {
-			t.Errorf("clock = %d, want %d: a doomed member must not tick it", got, want)
-		}
-		for _, m := range ms[1:] {
-			r.wantOutcome(t, m, stm.ReasonNone)
 		}
 		r.check(t)
 	})
