@@ -19,7 +19,7 @@
 //	-log      log level: debug|info|warn|error   (TWM_SERVER_LOG, info)
 //	-debug    enable the /debugz fault drills    (TWM_SERVER_DEBUG, false)
 //	-wal      WAL directory; empty = volatile    (TWM_SERVER_WAL, "")
-//	-fsync    per-commit|per-batch|interval      (TWM_SERVER_FSYNC, per-commit)
+//	-fsync    per-commit|interval                (TWM_SERVER_FSYNC, per-commit)
 //	-snapshot-every periodic checkpoint interval (TWM_SERVER_SNAPSHOT_EVERY, 1m)
 //
 // With -wal the server is durable: boot replays the directory's snapshot and
@@ -71,7 +71,7 @@ func run(args []string) error {
 	logLevel := fs.String("log", envStr("LOG", "info"), "log level: debug|info|warn|error")
 	debug := fs.Bool("debug", envBool("DEBUG", false), "enable the /debugz fault-drill endpoints")
 	walDir := fs.String("wal", envStr("WAL", ""), "write-ahead-log directory (empty = volatile server)")
-	fsync := fs.String("fsync", envStr("FSYNC", ""), "fsync policy: per-commit|per-batch|interval (default per-commit)")
+	fsync := fs.String("fsync", envStr("FSYNC", ""), "fsync policy: per-commit|interval (default per-commit)")
 	snapEvery := fs.Duration("snapshot-every", envDur("SNAPSHOT_EVERY", time.Minute), "periodic checkpoint interval (<0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err

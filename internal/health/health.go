@@ -49,8 +49,8 @@ const (
 	// writer has latched an error (every further commit aborts with
 	// stm.ReasonDurability), or appended records are pending durability and
 	// the synced watermark made no progress across the window (an fsync that
-	// never returns; committers under per-commit or per-batch policies are
-	// blocked inside Durable).
+	// never returns; committers under the per-commit policy are blocked inside
+	// Durable).
 	CondWALStall
 	numConditions
 )

@@ -83,13 +83,14 @@ type Config struct {
 
 	// WALDir, when set, makes the server durable: boot replays the directory's
 	// snapshot and log (wal.Recover), the engine is built with the log attached
-	// (engines.NewDurable — Engine must name a WAL-capable engine, and TM must
-	// be nil), and every committed write set is appended before it is
-	// acknowledged. See DESIGN.md §16.
+	// (engines.New with engines.WithLogger — Engine must name a WAL-capable
+	// engine, and TM must be nil), and every committed write set is appended
+	// before it is acknowledged. See DESIGN.md §16.
 	WALDir string
-	// FsyncPolicy selects the durability/latency trade ("per-commit",
-	// "per-batch" or "interval"; default per-commit). Zero-loss guarantees hold
-	// only at per-commit.
+	// FsyncPolicy selects the durability/latency trade ("per-commit" or
+	// "interval"; default per-commit). per-commit acknowledges a commit only
+	// after an fsync covers its record, so a crash loses none; interval
+	// acknowledges at once and a crash loses at most the last interval.
 	FsyncPolicy string
 	// SnapshotEvery is the periodic checkpoint interval (default 1m; <0
 	// disables periodic checkpoints — Close still writes a final one).

@@ -1,8 +1,12 @@
 package wal_test
 
 import (
+	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dsg"
 	"repro/internal/engines"
@@ -59,7 +63,6 @@ func TestEngineRecoveryMatchesLiveState(t *testing.T) {
 	for _, name := range engines.DurableSet() {
 		cases = append(cases,
 			recoveryCase{name, name, wal.SyncPerCommit},
-			recoveryCase{name + "-" + wal.SyncPerBatch.String(), name, wal.SyncPerBatch},
 			recoveryCase{name + "-" + wal.SyncInterval.String(), name, wal.SyncInterval})
 	}
 	for _, c := range cases {
@@ -144,6 +147,68 @@ func TestEngineRecoveryMatchesLiveState(t *testing.T) {
 			if total != nVars*initial {
 				t.Errorf("money not conserved: %d, want %d", total, nVars*initial)
 			}
+		})
+	}
+}
+
+// BenchmarkDurableWait measures the per-commit fsync wait on the disk under
+// the test's TempDir: committers goroutines run b.N two-variable transfers in
+// all over 1 024 variables of a twm engine with a wal logger attached. It
+// reports the records one fsync covered on average (appended records over
+// fsyncs, counted by an AfterSync hook) and the p99 transfer latency.
+func BenchmarkDurableWait(b *testing.B) {
+	const nVars = 1024
+	for _, committers := range []int{1, 8, 16, 64} {
+		b.Run(fmt.Sprintf("committers=%d", committers), func(b *testing.B) {
+			after, fsyncs := countSyncs()
+			w, err := wal.Open(wal.Options{Dir: b.TempDir(), Hooks: wal.Hooks{AfterSync: after}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			tm := engines.MustNew("twm", engines.WithLogger(w))
+			vars := make([]*stm.TVar[int64], nVars)
+			for i := range vars {
+				vars[i] = stm.NewTVar(tm, int64(1000))
+			}
+			lat := make([][]time.Duration, committers)
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for c := 0; c < committers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					rng := xrand.New(xrand.Mix(uint64(c) + 1))
+					for next.Add(1) <= int64(b.N) {
+						from, to := rng.Intn(nVars), rng.Intn(nVars-1)
+						if to >= from {
+							to++
+						}
+						start := time.Now()
+						err := stm.Atomically(tm, false, func(tx stm.Tx) error {
+							vars[from].Set(tx, vars[from].Get(tx)-1)
+							vars[to].Set(tx, vars[to].Get(tx)+1)
+							return nil
+						})
+						lat[c] = append(lat[c], time.Since(start))
+						if err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			b.StopTimer()
+			appended, _, _, _ := w.WALCounters()
+			var all []time.Duration
+			for _, l := range lat {
+				all = append(all, l...)
+			}
+			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+			b.ReportMetric(float64(appended)/float64(fsyncs.Load()), "records/fsync")
+			b.ReportMetric(float64(all[len(all)*99/100].Microseconds()), "p99-us")
 		})
 	}
 }

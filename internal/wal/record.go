@@ -159,27 +159,32 @@ func encodeCommitBody(b []byte, recs []stm.CommitRecord) ([]byte, error) {
 	return b, nil
 }
 
-// decodeCommitBody parses a commit-record body past the type byte.
+// decodeCommitBody parses a commit-record body past the type byte. The
+// counts come from disk, so each is checked against what the remaining bytes
+// can hold (a transaction takes at least 20, a write at least 9) before it
+// sizes an allocation.
 func decodeCommitBody(b []byte) ([]stm.CommitRecord, error) {
 	if len(b) < 4 {
 		return nil, errCorrupt
 	}
 	ntx := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
+	if ntx > len(b)/20 {
+		return nil, errCorrupt
+	}
 	recs := make([]stm.CommitRecord, 0, ntx)
 	for i := 0; i < ntx; i++ {
-		if len(b) < 16 {
+		if len(b) < 20 {
 			return nil, errCorrupt
 		}
 		var r stm.CommitRecord
 		r.Serial = binary.LittleEndian.Uint64(b)
 		r.Tie = binary.LittleEndian.Uint64(b[8:])
-		b = b[16:]
-		if len(b) < 4 {
+		nw := int(binary.LittleEndian.Uint32(b[16:]))
+		b = b[20:]
+		if nw > len(b)/9 {
 			return nil, errCorrupt
 		}
-		nw := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
 		r.Writes = make([]stm.LoggedWrite, 0, nw)
 		for j := 0; j < nw; j++ {
 			if len(b) < 8 {

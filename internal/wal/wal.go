@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -29,16 +30,11 @@ type Policy uint8
 
 const (
 	// SyncPerCommit fsyncs before any commit acknowledges: Durable blocks
-	// until an fsync covering its LSN has completed. Concurrent waiters are
-	// group-combined — one fsync serves every record appended before it
-	// started — so the cost is one disk flush per combining window, not per
-	// transaction. Zero acknowledged commits are lost on a crash.
+	// until a completed fsync covers its LSN. Concurrent waiters share one
+	// fsync: each joins the fsync in flight or leads the next one, which
+	// covers every record appended before it captured the append count (see
+	// syncTo). Zero acknowledged commits are lost on a crash.
 	SyncPerCommit Policy = iota
-	// SyncPerBatch is classic group commit: Durable blocks, but the fsync
-	// fires only once BatchAppends records are pending or BatchWait has
-	// elapsed since the first pending append. Acknowledged commits are still
-	// never lost; the latency floor is the batch horizon.
-	SyncPerBatch
 	// SyncInterval trades the tail of durability for latency: Durable returns
 	// immediately and a background ticker fsyncs every Interval. A crash
 	// loses at most the last interval of acknowledged commits.
@@ -47,10 +43,7 @@ const (
 
 // String returns the config spelling of the policy.
 func (p Policy) String() string {
-	switch p {
-	case SyncPerBatch:
-		return "per-batch"
-	case SyncInterval:
+	if p == SyncInterval {
 		return "interval"
 	}
 	return "per-commit"
@@ -61,12 +54,10 @@ func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "per-commit", "":
 		return SyncPerCommit, nil
-	case "per-batch":
-		return SyncPerBatch, nil
 	case "interval":
 		return SyncInterval, nil
 	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (per-commit | per-batch | interval)", s)
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (per-commit | interval)", s)
 }
 
 // Hooks are fault-injection points around the writer's file operations; the
@@ -91,8 +82,6 @@ type Options struct {
 	Dir          string
 	Policy       Policy
 	SegmentBytes int64         // rotate past this many bytes (default 8 MiB)
-	BatchAppends int           // per-batch: fsync at this many pending appends (default 32)
-	BatchWait    time.Duration // per-batch: max wait before syncing pending appends (default 2ms)
 	Interval     time.Duration // interval policy period (default 50ms)
 	MetaStart    uint64        // first meta sequence number (recovered meta count)
 	Hooks        Hooks
@@ -101,12 +90,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.SegmentBytes == 0 {
 		o.SegmentBytes = 8 << 20
-	}
-	if o.BatchAppends == 0 {
-		o.BatchAppends = 32
-	}
-	if o.BatchWait == 0 {
-		o.BatchWait = 2 * time.Millisecond
 	}
 	if o.Interval == 0 {
 		o.Interval = 50 * time.Millisecond
@@ -137,12 +120,9 @@ type Writer struct {
 	appended atomic.Uint64 // records accepted (the LSN source)
 	synced   atomic.Uint64 // records covered by a completed fsync
 
-	syncMu sync.Mutex // serializes fsyncs (group-combining point)
+	syncMu   sync.Mutex    // guards inflight
+	inflight chan struct{} // closed by its leader when the fsync in flight ends; nil when none
 
-	waitMu   sync.Mutex // per-batch waiter parking
-	waitCond *sync.Cond
-
-	kick   chan struct{} // per-batch: first-pending signal to the syncer
 	quit   chan struct{}
 	done   chan struct{}
 	closed atomic.Bool
@@ -170,20 +150,15 @@ func Open(opts Options) (*Writer, error) {
 	w := &Writer{
 		opts:    opts,
 		metaSeq: opts.MetaStart,
-		kick:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	w.waitCond = sync.NewCond(&w.waitMu)
 	if err := w.openSegment(next); err != nil {
 		return nil, err
 	}
-	switch opts.Policy {
-	case SyncPerBatch:
-		go w.batchSyncer()
-	case SyncInterval:
+	if opts.Policy == SyncInterval {
 		go w.intervalSyncer()
-	default:
+	} else {
 		close(w.done)
 	}
 	return w, nil
@@ -215,12 +190,11 @@ func (w *Writer) latch(err error) error {
 		w.failed = err
 		w.failedP.Store(&err)
 	}
-	w.broadcast()
 	return w.failed
 }
 
 // Err returns the latched failure, if any. It takes no lock, so the health
-// watchdog and parked Durable waiters can poll it freely.
+// watchdog and Durable waiters can poll it freely.
 func (w *Writer) Err() error {
 	if p := w.failedP.Load(); p != nil {
 		return *p
@@ -260,18 +234,8 @@ func (w *Writer) AppendMeta(payload []byte) error {
 
 func (w *Writer) appendBody(body []byte) (stm.LSN, error) {
 	w.mu.Lock()
-	lsn, err := w.appendLocked(body)
-	w.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if w.opts.Policy == SyncPerBatch {
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
-	}
-	return lsn, nil
+	defer w.mu.Unlock()
+	return w.appendLocked(body)
 }
 
 // appendLocked frames and writes one record; caller holds mu.
@@ -308,127 +272,97 @@ func (w *Writer) appendLocked(body []byte) (stm.LSN, error) {
 // Durable implements stm.CommitLogger: it blocks until the record at lsn is
 // durable under the configured policy.
 func (w *Writer) Durable(lsn stm.LSN) error {
-	if w.synced.Load() >= uint64(lsn) {
+	if w.opts.Policy == SyncInterval {
 		return nil
 	}
-	switch w.opts.Policy {
-	case SyncInterval:
-		return nil
-	case SyncPerBatch:
-		w.waitMu.Lock()
-		defer w.waitMu.Unlock()
-		for w.synced.Load() < uint64(lsn) {
-			if err := w.Err(); err != nil {
-				return err
-			}
-			if w.closed.Load() {
-				return ErrClosed
-			}
-			w.waitCond.Wait()
-		}
-		return nil
-	default:
-		return w.syncTo(uint64(lsn))
-	}
+	return w.syncTo(uint64(lsn))
 }
 
-// syncTo fsyncs until the watermark covers lsn. The syncMu double-check is
-// the group-combining: a waiter whose LSN was covered by a concurrent fsync
-// returns without touching the disk.
+// syncTo returns once a completed fsync covers lsn, or with the latched
+// failure. A waiter joins the fsync in flight — it waits for the channel its
+// leader closes when that fsync ends, then re-checks the watermark — or leads
+// the next one. Every waiter appended before it got here, and a leader's fsync
+// covers every record appended before syncOnce captures the append count, so
+// nothing is acknowledged before it is durable.
 func (w *Writer) syncTo(lsn uint64) error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	if w.synced.Load() >= lsn {
-		return nil
+	for {
+		w.syncMu.Lock()
+		// The watermark is re-read under syncMu: a leader advances it before
+		// clearing inflight, so a waiter never leads a redundant fsync.
+		if w.synced.Load() >= lsn {
+			w.syncMu.Unlock()
+			return nil
+		}
+		if err := w.Err(); err != nil {
+			w.syncMu.Unlock()
+			return err
+		}
+		if ch := w.inflight; ch != nil {
+			w.syncMu.Unlock()
+			<-ch
+			continue
+		}
+		ch := make(chan struct{})
+		w.inflight = ch
+		w.syncMu.Unlock()
+		// One yield before the capture lets committers about to append ride
+		// this fsync instead of waiting out the next one.
+		runtime.Gosched()
+		err := w.syncOnce()
+		w.syncMu.Lock()
+		w.inflight = nil
+		w.syncMu.Unlock()
+		close(ch)
+		return err
 	}
-	return w.syncLocked()
 }
 
-// Sync forces an fsync of everything appended so far.
+// Sync fsyncs everything appended so far. A latched writer returns its
+// failure even with nothing pending.
 func (w *Writer) Sync() error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	return w.syncLocked()
+	if err := w.Err(); err != nil {
+		return err
+	}
+	return w.syncTo(w.appended.Load())
 }
 
-// syncLocked performs one fsync covering every record appended before it
-// started; caller holds syncMu. Rotation keeps the invariant that every
-// segment but the current one is already synced, so syncing the current file
-// is enough to advance the watermark to the captured append count.
-func (w *Writer) syncLocked() error {
+// syncOnce performs one fsync covering every record appended before it
+// started; only syncTo's leader calls it. Rotation keeps the invariant that
+// every segment but the current one is already synced, so syncing the current
+// file is enough to advance the watermark to the captured append count.
+func (w *Writer) syncOnce() error {
 	w.mu.Lock()
-	if w.failed != nil {
-		err := w.failed
-		w.mu.Unlock()
-		return err
-	}
-	f := w.f
-	cur := w.appended.Load()
-	if err := callHook(w.opts.Hooks.BeforeSync); err != nil {
-		err = w.latch(err)
-		w.mu.Unlock()
-		return err
+	f, cur, err := w.f, w.appended.Load(), w.failed
+	if err == nil {
+		if err = callHook(w.opts.Hooks.BeforeSync); err != nil {
+			err = w.latch(err)
+		}
 	}
 	w.mu.Unlock()
-	if err := f.Sync(); err != nil {
-		w.mu.Lock()
-		err = w.latch(err)
-		w.mu.Unlock()
+	if err != nil {
 		return err
 	}
+	err = f.Sync()
 	w.mu.Lock()
-	if err := callHook(w.opts.Hooks.AfterSync); err != nil {
+	if err == nil {
+		err = callHook(w.opts.Hooks.AfterSync)
+	}
+	if err != nil {
 		err = w.latch(err)
-		w.mu.Unlock()
-		return err
 	}
 	w.mu.Unlock()
-	w.advance(cur)
-	return nil
+	if err == nil {
+		w.advance(cur)
+	}
+	return err
 }
 
-// advance raises the synced watermark to cur (monotone) and wakes waiters.
+// advance raises the synced watermark to cur (monotone).
 func (w *Writer) advance(cur uint64) {
 	for {
 		old := w.synced.Load()
 		if cur <= old || w.synced.CompareAndSwap(old, cur) {
-			break
-		}
-	}
-	w.broadcast()
-}
-
-func (w *Writer) broadcast() {
-	w.waitMu.Lock()
-	w.waitCond.Broadcast()
-	w.waitMu.Unlock()
-}
-
-// batchSyncer drives the per-batch policy: after the first pending append it
-// waits for the batch to fill or the wait horizon to pass, then syncs once
-// for everyone.
-func (w *Writer) batchSyncer() {
-	defer close(w.done)
-	for {
-		select {
-		case <-w.quit:
 			return
-		case <-w.kick:
-		}
-		t := time.NewTimer(w.opts.BatchWait)
-	fill:
-		for w.pending() < uint64(w.opts.BatchAppends) {
-			select {
-			case <-w.kick:
-			case <-t.C:
-				break fill
-			case <-w.quit:
-				break fill
-			}
-		}
-		t.Stop()
-		if w.pending() > 0 {
-			w.Sync() //nolint:errcheck // latched; waiters observe Err
 		}
 	}
 }
@@ -533,7 +467,7 @@ func (w *Writer) Prune(seq uint64) error {
 	return syncDir(w.opts.Dir)
 }
 
-// Close stops the syncer, fsyncs everything appended, and closes the
+// Close stops the interval syncer, fsyncs everything appended, and closes the
 // segment. Records appended but never synced before a crash-style shutdown
 // are exactly what recovery's torn-tail handling is for; Close itself is the
 // graceful path and leaves nothing pending.
@@ -544,11 +478,7 @@ func (w *Writer) Close() error {
 	}
 	close(w.quit)
 	<-w.done
-	w.broadcast()
-	var first error
-	if err := w.Sync(); err != nil && !errors.Is(err, ErrClosed) {
-		first = err
-	}
+	first := w.Sync()
 	w.mu.Lock()
 	if err := w.f.Close(); err != nil && first == nil {
 		first = err

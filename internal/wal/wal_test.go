@@ -1,10 +1,14 @@
 package wal_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/stm"
 	"repro/internal/wal"
@@ -328,28 +332,188 @@ func TestRotateSnapshotPrune(t *testing.T) {
 	}
 }
 
-// TestPolicies exercises the per-batch and interval syncers end to end: the
-// Durable wait (or fire-and-forget) must return without error and the records
-// must recover.
+// TestPolicies exercises the interval syncer end to end: Durable returns at
+// once without error and the records recover.
 func TestPolicies(t *testing.T) {
-	for _, p := range []wal.Policy{wal.SyncPerBatch, wal.SyncInterval} {
-		t.Run(p.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			w := openT(t, dir, p)
-			for i := uint64(1); i <= 20; i++ {
-				appendT(t, w, i, i, lw(1, int64(i)))
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			rec, err := wal.Recover(dir)
+	t.Run(wal.SyncInterval.String(), func(t *testing.T) {
+		dir := t.TempDir()
+		w := openT(t, dir, wal.SyncInterval)
+		for i := uint64(1); i <= 20; i++ {
+			appendT(t, w, i, i, lw(1, int64(i)))
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := wal.Recover(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Records != 20 || rec.Value(1, nil) != int64(20) {
+			t.Fatalf("records=%d values=%v", rec.Records, rec.Values)
+		}
+	})
+}
+
+// TestParsePolicy: the two policies round-trip through their spellings, the
+// empty string means per-commit, and the deleted per-batch spelling is an
+// unknown policy, not an alias.
+func TestParsePolicy(t *testing.T) {
+	for _, p := range []wal.Policy{wal.SyncPerCommit, wal.SyncInterval} {
+		if got, err := wal.ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	if got, err := wal.ParsePolicy(""); err != nil || got != wal.SyncPerCommit {
+		t.Errorf(`ParsePolicy("") = %v, %v; want per-commit`, got, err)
+	}
+	if _, err := wal.ParsePolicy("per-batch"); err == nil {
+		t.Error(`ParsePolicy("per-batch") accepted a deleted policy`)
+	}
+}
+
+// countSyncs returns an AfterSync hook and the count of fsyncs it has seen.
+func countSyncs() (func() error, *atomic.Int32) {
+	n := new(atomic.Int32)
+	return func() error { n.Add(1); return nil }, n
+}
+
+// durableTogether has k goroutines append one record each and, once all k
+// have appended, call wait with their LSN together. It returns each call's
+// error, failing the test if any call is still blocked after 10 s.
+func durableTogether(t *testing.T, w *wal.Writer, k int, wait func(i int, lsn stm.LSN) error) []error {
+	t.Helper()
+	errs := make([]error, k)
+	var appended, done sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < k; i++ {
+		appended.Add(1)
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			lsn, err := w.Append([]stm.CommitRecord{{Serial: uint64(i + 1), Tie: uint64(i + 1), Writes: []stm.LoggedWrite{lw(uint64(i), int64(i))}}})
+			appended.Done()
 			if err != nil {
-				t.Fatal(err)
+				errs[i] = err
+				return
 			}
-			if rec.Records != 20 || rec.Value(1, nil) != int64(20) {
-				t.Fatalf("records=%d values=%v", rec.Records, rec.Values)
-			}
-		})
+			<-start
+			errs[i] = wait(i, lsn)
+		}(i)
+	}
+	appended.Wait()
+	close(start)
+	finished := make(chan struct{})
+	go func() { done.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a Durable or Sync caller is still blocked after 10s")
+	}
+	return errs
+}
+
+// TestDurableWaitersShareOneFsync: records appended before any waiter arrives
+// are all covered by the first fsync, so k concurrent Durable calls cost
+// exactly one — every other waiter joins it or finds the watermark past it —
+// and Durable on a covered record later costs none.
+func TestDurableWaitersShareOneFsync(t *testing.T) {
+	const k = 16
+	after, fsyncs := countSyncs()
+	w, err := wal.Open(wal.Options{Dir: t.TempDir(), Hooks: wal.Hooks{AfterSync: after}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i, err := range durableTogether(t, w, k, func(_ int, lsn stm.LSN) error { return w.Durable(lsn) }) {
+		if err != nil {
+			t.Errorf("Durable of waiter %d: %v", i, err)
+		}
+	}
+	for lsn := stm.LSN(1); lsn <= k; lsn++ {
+		if err := w.Durable(lsn); err != nil {
+			t.Errorf("Durable(%d) after the fsync: %v", lsn, err)
+		}
+	}
+	if n := fsyncs.Load(); n != 1 {
+		t.Fatalf("%d waiters ran %d fsyncs, want 1", k, n)
+	}
+}
+
+// TestDurableWaitersSeeSyncFailure: when the fsync fails, its leader latches
+// the writer and every joined waiter — Durable or Sync — reports the failure;
+// none is acknowledged and none is left blocked.
+func TestDurableWaitersSeeSyncFailure(t *testing.T) {
+	const k = 16
+	boom := errors.New("injected fsync failure")
+	w, err := wal.Open(wal.Options{Dir: t.TempDir(), Hooks: wal.Hooks{BeforeSync: func() error { return boom }}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	errs := durableTogether(t, w, k, func(i int, lsn stm.LSN) error {
+		if i%2 == 0 {
+			return w.Durable(lsn)
+		}
+		return w.Sync()
+	})
+	for i, err := range errs {
+		if !errors.Is(err, boom) {
+			t.Errorf("waiter %d: got %v, want the injected failure", i, err)
+		}
+	}
+}
+
+// TestSyncReportsLatchAndCloseSyncs: Sync on a latched writer returns the
+// latched failure even with nothing pending, and Close on a healthy writer
+// fsyncs the records appended without a Durable wait.
+func TestSyncReportsLatchAndCloseSyncs(t *testing.T) {
+	boom := errors.New("injected append failure")
+	fail := false
+	w, err := wal.Open(wal.Options{Dir: t.TempDir(), Hooks: wal.Hooks{BeforeAppend: func() error {
+		if fail {
+			return boom
+		}
+		return nil
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendT(t, w, 1, 1, lw(1, int64(1)))
+	fail = true
+	if _, err := w.Append([]stm.CommitRecord{{Serial: 2, Tie: 2}}); !errors.Is(err, boom) {
+		t.Fatalf("Append: got %v, want the injected failure", err)
+	}
+	if _, _, pending, _ := w.WALCounters(); pending != 0 {
+		t.Fatalf("%d records pending, want 0", pending)
+	}
+	if err := w.Sync(); !errors.Is(err, boom) {
+		t.Fatalf("Sync on a latched writer: got %v, want the injected failure", err)
+	}
+	w.Close()
+
+	dir := t.TempDir()
+	after, fsyncs := countSyncs()
+	w, err = wal.Open(wal.Options{Dir: dir, Hooks: wal.Hooks{AfterSync: after}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 3; i++ {
+		if _, err := w.Append([]stm.CommitRecord{{Serial: i, Tie: i, Writes: []stm.LoggedWrite{lw(1, int64(i))}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, synced, _, _ := w.WALCounters(); synced != 3 || fsyncs.Load() != 1 {
+		t.Fatalf("Close left synced=%d after %d fsyncs, want 3 after 1", synced, fsyncs.Load())
+	}
+	rec, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Records != 3 || rec.Value(1, nil) != int64(3) {
+		t.Fatalf("recovered records=%d values=%v, want 3 records", rec.Records, rec.Values)
 	}
 }
 
