@@ -23,9 +23,9 @@
 // corner cases): this engine has the lowest abort rates of the baselines,
 // matching Table 2 of the paper.
 //
-// Reads are fully visible (per-variable reader registries), and every commit
+// Reads are fully visible (per-variable reader lists), and every commit
 // runs under one global mutex, inside which a writer walks the reader
-// registry of each written variable. Both costs — visible reads and a commit
+// list of each written variable. Both costs — visible reads and a commit
 // procedure that touches the metadata of every concurrent reader and
 // serializes committers — reproduce the overhead profile §5.2 of the TWM
 // paper measures for AVSTM (most expensive commits at high thread counts).
@@ -78,9 +78,6 @@ type TM struct {
 
 	// txns pools transaction descriptors across attempts; see Recycle.
 	txns sync.Pool
-	// regSeq deals out sticky home shards for the striped reader registries,
-	// one per descriptor lifetime (see registry.go).
-	regSeq atomic.Uint32
 
 	varID   atomic.Uint64
 	history atomic.Bool
@@ -89,13 +86,7 @@ type TM struct {
 // New returns an AVSTM instance.
 func New() *TM {
 	tm := &TM{}
-	tm.txns.New = func() any {
-		return &txn{
-			tm:       tm,
-			stats:    tm.stats.Shard(),
-			regShard: int(tm.regSeq.Add(1)) & (regShards - 1),
-		}
-	}
+	tm.txns.New = func() any { return &txn{tm: tm, stats: tm.stats.Shard()} }
 	return tm
 }
 
@@ -106,14 +97,14 @@ func (tm *TM) Name() string { return "avstm" }
 func (tm *TM) Stats() *stm.Stats { return &tm.stats }
 
 // avar is the transactional variable: a single version plus timestamps and
-// the striped visible-reader registry (registry.go).
+// the visible-reader list (registry.go).
 type avar struct {
 	id      uint64
-	mu      sync.Mutex // guards value, wts, rts
+	mu      sync.Mutex // guards value, wts, rts, readers
 	value   stm.Value
-	wts     uint64 // serialization point of the last writer
-	rts     uint64 // max serialization point of committed readers
-	readers readerRegistry
+	wts     uint64          // serialization point of the last writer
+	rts     uint64          // max serialization point of committed readers
+	readers *readerNode     // registered active readers
 	hist    *stm.VersionLog // non-nil only when history recording is enabled
 }
 
@@ -129,7 +120,7 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 // txn is an AVSTM transaction. Descriptors are pooled (see Recycle); reuse
 // is safe against stale clamps because deregister acquires every joined
 // variable's mutex, ordering it after any in-flight clampUB from a committer
-// that found this transaction in a reader registry.
+// that found this transaction in a reader list.
 type txn struct {
 	tm       *TM
 	stats    *stm.StatShard // striped counters; assigned once per descriptor
@@ -140,10 +131,7 @@ type txn struct {
 	ub   uint64     // exclusive upper bound; noUpperBound = +inf
 	done bool       // finalized: clamps are no-ops
 
-	// regShard is the sticky home shard this descriptor registers reads in
-	// (see registry.go); free is its pooled node list.
-	regShard int
-	free     *readerNode
+	free *readerNode // pooled reader-list nodes (registry.go)
 
 	readSet  []*readerNode // one registration per read variable
 	writeSet stm.WriteSet[*avar]
@@ -163,7 +151,7 @@ func (tm *TM) Begin(readOnly bool) stm.Tx {
 	tx := tm.txns.Get().(*txn)
 	tx.readOnly = readOnly
 	// No lock needed: the descriptor is not registered in any reader
-	// registry, so nothing can clamp it yet (pool New leaves ub zero).
+	// list, so nothing can clamp it yet (pool New leaves ub zero).
 	tx.lb, tx.ub, tx.done = 0, noUpperBound, false
 	tx.stats.RecordStart()
 	return tx
@@ -210,7 +198,7 @@ func (tx *txn) raiseLB(w uint64) bool {
 }
 
 // Read implements stm.Tx: a visible read. The reader registers itself in the
-// variable's registry, raises its lower bound to the writer's point and
+// variable's reader list, raises its lower bound to the writer's point and
 // aborts early if its interval emptied.
 func (tx *txn) Read(v stm.Var) stm.Value {
 	tv := v.(*avar)
@@ -227,15 +215,15 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 			return val
 		}
 	}
-	// Register BEFORE reading value/wts: the ordering the striped registry's
-	// soundness argument depends on (see registry.go).
-	if n := tv.readers.register(tx, tv); n != nil {
-		tx.readSet = append(tx.readSet, n)
-	}
+	// Register and load in one critical section (see registry.go).
 	tv.mu.Lock()
+	n := tv.register(tx)
 	val := tv.value
 	wts := tv.wts
 	tv.mu.Unlock()
+	if n != nil {
+		tx.readSet = append(tx.readSet, n)
+	}
 	ok := tx.raiseLB(wts)
 	if prof != nil {
 		prof.AddRead(prof.Now() - t0)
@@ -256,11 +244,30 @@ func (tx *txn) Write(v stm.Var, val stm.Value) {
 	tx.writeSet.Put(v.(*avar), val)
 }
 
-// deregister removes the transaction from every reader registry it joined,
+// deregister removes the transaction from every reader list it joined,
 // returning the nodes to the descriptor's pool.
 func (tx *txn) deregister() {
 	for _, n := range tx.readSet {
-		n.v.readers.unlink(n)
+		v := n.v
+		v.mu.Lock()
+		v.unlink(n)
+		v.mu.Unlock()
+		tx.freeNode(n)
+	}
+	tx.readSet = tx.readSet[:0]
+}
+
+// commitReads records p as a committed read of every variable tx read (rts)
+// and leaves their reader lists.
+func (tx *txn) commitReads(p uint64) {
+	for _, n := range tx.readSet {
+		v := n.v
+		v.mu.Lock()
+		if p > v.rts {
+			v.rts = p
+		}
+		v.unlink(n)
+		v.mu.Unlock()
 		tx.freeNode(n)
 	}
 	tx.readSet = tx.readSet[:0]
@@ -303,17 +310,7 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 		tx.done = true
 		tx.mu.Unlock()
 		if ok {
-			for _, n := range tx.readSet {
-				v := n.v
-				v.mu.Lock()
-				if p > v.rts {
-					v.rts = p
-				}
-				v.mu.Unlock()
-				v.readers.unlink(n)
-				tx.freeNode(n)
-			}
-			tx.readSet = tx.readSet[:0]
+			tx.commitReads(p)
 		}
 		tm.commitMu.Unlock()
 		if !ok {
@@ -367,20 +364,17 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 		return false
 	}
 
-	// Publish, then clamp every still-active reader of the variables we
-	// overwrite (they must serialize before p). Publication must precede the
-	// clamp walk: a reader registers before reading value/wts, so one that
-	// the walk misses provably read the published value (and raised its lb to
-	// p), while any reader of the old value is still registered when the walk
-	// reaches its shard — see registry.go for the full argument.
+	// Publish, and clamp every still-active reader of the variables we
+	// overwrite (they read the old value, so they must serialize before p),
+	// in one critical section per variable (see registry.go).
 	for i := range ents {
 		v := ents[i].Key
 		v.mu.Lock()
 		v.value = ents[i].Val
 		v.wts = p
 		v.hist.Append(stm.VersionRecord{Value: v.value, Serial: p})
+		v.clampReaders(tx, p)
 		v.mu.Unlock()
-		v.readers.clampAll(tx, p)
 	}
 	if prof != nil {
 		now := prof.Now()
@@ -389,17 +383,7 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 	}
 
 	// Record our point as a committed read of everything we read.
-	for _, n := range tx.readSet {
-		v := n.v
-		v.mu.Lock()
-		if p > v.rts {
-			v.rts = p
-		}
-		v.mu.Unlock()
-		v.readers.unlink(n)
-		tx.freeNode(n)
-	}
-	tx.readSet = tx.readSet[:0]
+	tx.commitReads(p)
 
 	tm.commitMu.Unlock()
 	if prof != nil {

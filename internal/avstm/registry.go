@@ -1,46 +1,23 @@
 package avstm
 
-import "sync"
-
-// Striped visible-reader registry (DESIGN.md §12).
+// Visible-reader registry.
 //
 // AVSTM's reads are fully visible: every read registers the transaction in
-// the variable's reader registry so a committing writer can clamp the
-// intervals of the readers it overtakes. The original map-per-variable
-// registry made that registration the read path's scalability ceiling: every
-// reader of a hot variable serialized on one mutex and mutated one shared
-// map. The registry is now striped — a fixed array of small intrusive
-// doubly-linked lists, each with its own lock. A reader registers only in
-// its sticky home shard (assigned once per descriptor, like the stats stripe
-// and TWM's stamp shard), so readers that landed on different shards never
-// contend; a committing writer walks all shards, which is the right place to
-// pay — commits are the rare, already-serialized side (the global commit
-// mutex) of this engine.
+// the variable's reader list so a committing writer can clamp the intervals
+// of the readers it overtakes. The list is intrusive and doubly linked, and
+// it is guarded by the variable's own mutex, the one that already guards
+// value, wts and rts. A read registers and loads value and wts in one
+// critical section; a writer publishes value and wts and clamps the listed
+// readers in one. So either the reader's section comes first (it read the
+// old value, is still listed, and is clamped below the writer's point) or
+// the writer's does (the reader sees the new value and wts and serializes
+// after it). No committed reader of the old value can serialize after the
+// writer.
 //
-// Registration stays allocation-free: list nodes are pooled on the owning
-// descriptor (a node is pushed back on the descriptor's freelist as soon as
-// it is unlinked), so the steady state recycles nodes the way descriptors
+// Registration is allocation-free: list nodes are pooled on the owning
+// descriptor (a node goes back on the descriptor's freelist as soon as it is
+// unlinked), so the steady state recycles nodes the way descriptors
 // themselves are recycled.
-//
-// Ordering argument (replacing the single-mutex atomicity of the map
-// design): a reader registers in its shard BEFORE reading value/wts under
-// v.mu; a committing writer publishes value/wts under v.mu BEFORE walking
-// the shards to clamp. If the reader's registration precedes the walk, the
-// reader is clamped below the writer's point p (correct whether it read the
-// old value, or the new one — then its lb is already ≥ p and it aborts on an
-// empty interval, a safe outcome). If the walk precedes the registration,
-// then lock ordering forces the reader's v.mu read after the publication, so
-// it observes the new value and wts = p and serializes after p. Either way
-// no committed reader of the old value can serialize after p. rts stays
-// under v.mu, and all commit-side finalization remains under the global
-// commit mutex, so the committed-reader edges (through rts) are unchanged.
-
-// regShards is the stripe count of each variable's registry. Shards are
-// deliberately unpadded: 8 stripes of {mutex, head} cost 128 bytes per
-// variable, and splitting the lock already removes the serialization that
-// mattered; per-variable padding (1 KiB each) would be too heavy for the
-// many cold variables an application allocates.
-const regShards = 8
 
 // readerNode is one (transaction, variable) registration: an intrusive
 // doubly-linked list element owned and pooled by its transaction descriptor.
@@ -51,90 +28,50 @@ type readerNode struct {
 	next *readerNode // doubles as the freelist link while pooled
 }
 
-type regShard struct {
-	mu   sync.Mutex
-	head *readerNode
-}
-
-// readerRegistry is the striped visible-reader set embedded in each avar.
-type readerRegistry struct {
-	shards [regShards]regShard
-}
-
-// register links tx into its home shard and returns the node, or nil when tx
-// is already registered for this variable (the home shard is walked under
-// its lock — duplicates can only live in the reader's own shard, and the
-// shard holds only the readers that share it, so the walk is short).
-func (r *readerRegistry) register(tx *txn, v *avar) *readerNode {
-	sh := &r.shards[tx.regShard]
-	sh.mu.Lock()
-	for n := sh.head; n != nil; n = n.next {
+// register links tx into v's reader list and returns the node, or nil when
+// tx is already registered for v. Caller holds v.mu.
+func (v *avar) register(tx *txn) *readerNode {
+	for n := v.readers; n != nil; n = n.next {
 		if n.tx == tx {
-			sh.mu.Unlock()
 			return nil
 		}
 	}
 	n := tx.newNode(v)
-	n.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = n
+	n.next = v.readers
+	if v.readers != nil {
+		v.readers.prev = n
 	}
-	sh.head = n
-	sh.mu.Unlock()
+	v.readers = n
 	return n
 }
 
-// unlink removes a registered node from its shard. The shard is recomputed
-// from the owning descriptor's sticky home shard, which never changes over
-// the node's lifetime. The node is NOT returned to the freelist here —
-// callers do that once they are done with n.v.
-func (r *readerRegistry) unlink(n *readerNode) {
-	sh := &r.shards[n.tx.regShard]
-	sh.mu.Lock()
+// unlink removes a registered node from v's reader list. Caller holds v.mu.
+// The node is NOT returned to the freelist here: callers do that once they
+// are done with n.v.
+func (v *avar) unlink(n *readerNode) {
 	if n.prev != nil {
 		n.prev.next = n.next
 	} else {
-		sh.head = n.next
+		v.readers = n.next
 	}
 	if n.next != nil {
 		n.next.prev = n.prev
 	}
-	sh.mu.Unlock()
 }
 
-// clampAll clamps every registered reader except the committer itself to
-// serialize below p. Lock order is shard.mu → txn.mu (clampUB); no path
-// acquires a shard lock while holding a descriptor lock, so the order is
-// acyclic.
-func (r *readerRegistry) clampAll(except *txn, p uint64) {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for n := sh.head; n != nil; n = n.next {
-			if n.tx != except {
-				n.tx.clampUB(p)
-			}
+// clampReaders clamps every registered reader except the committer itself to
+// serialize below p. Caller holds v.mu. Lock order is avar.mu → txn.mu
+// (clampUB); no path takes a variable's mutex while holding a descriptor's.
+func (v *avar) clampReaders(except *txn, p uint64) {
+	for n := v.readers; n != nil; n = n.next {
+		if n.tx != except {
+			n.tx.clampUB(p)
 		}
-		sh.mu.Unlock()
 	}
-}
-
-// size counts registered readers across all shards (tests only).
-func (r *readerRegistry) size() int {
-	total := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for n := sh.head; n != nil; n = n.next {
-			total++
-		}
-		sh.mu.Unlock()
-	}
-	return total
 }
 
 // newNode pops a node from the descriptor's freelist, or allocates the
-// pool's seed node. Nodes cycle between a variable's registry and their
+// pool's seed node. Nodes cycle between a variable's reader list and their
 // descriptor's freelist, so steady-state registration allocates nothing.
 func (tx *txn) newNode(v *avar) *readerNode {
 	n := tx.free

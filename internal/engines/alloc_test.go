@@ -169,12 +169,11 @@ func TestAllocsWatchdogSample(t *testing.T) {
 	}
 }
 
-// TestAllocsAVSTMRegistry pins the striped reader registry's allocation
-// profile (DESIGN.md §12): creating a variable allocates exactly the variable
-// itself (the registry is an embedded array, where the map-based registry
-// paid an extra map header per variable), and the visible-read path — node
-// registration, duplicate-read dedup, clamp-side unlink — recycles pooled
-// nodes instead of churning registry storage.
+// TestAllocsAVSTMRegistry pins the visible-reader list's allocation profile:
+// creating a variable allocates exactly the variable itself (the list head is
+// a field of it), and the visible-read path — node registration,
+// duplicate-read dedup, commit-side unlink — recycles pooled nodes instead of
+// churning registry storage.
 func TestAllocsAVSTMRegistry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
@@ -191,7 +190,7 @@ func TestAllocsAVSTMRegistry(t *testing.T) {
 	hotReads := func() {
 		// Measures the update path's visible-read accounting; readOnly=false is the point.
 		_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
-			for range 3 { // re-reads exercise the home-shard dedup walk
+			for range 3 { // re-reads exercise the dedup walk
 				for _, v := range vars {
 					_ = tx.Read(v)
 				}

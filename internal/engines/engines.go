@@ -27,7 +27,7 @@ var factories = map[string]func(o mvutil.Options) stm.TM{
 	"twm-gc":   func(o mvutil.Options) stm.TM { o.GroupCommit = true; return core.New(core.Options{Options: o}) },
 	"jvstm":    func(o mvutil.Options) stm.TM { return jvstm.New(o) },
 	"jvstm-gc": func(o mvutil.Options) stm.TM { o.GroupCommit = true; return jvstm.New(o) },
-	"tl2":      func(mvutil.Options) stm.TM { return tl2.New(tl2.Options{}) },
+	"tl2":      func(mvutil.Options) stm.TM { return tl2.New() },
 	"norec":    func(mvutil.Options) stm.TM { return norec.New() },
 	"avstm":    func(mvutil.Options) stm.TM { return avstm.New() },
 }

@@ -67,9 +67,11 @@ type Chassis struct {
 	sweep func(bound uint64) (freed int)
 
 	// logErr probes the logger's latched failure (nil when the logger has
-	// none to report); logFailed latches an Append this engine saw fail.
-	logErr    func() error
-	logFailed atomic.Bool
+	// none to report); logFailed latches an Append this engine saw fail;
+	// boundedLoss is the logger's BoundedLoss (stm.CommitLogger).
+	logErr      func() error
+	logFailed   atomic.Bool
+	boundedLoss bool
 
 	// combiner is the flat-combining stage; nil unless Opts.GroupCommit.
 	// batch is the leader's round scratch, guarded by the combiner's leader
@@ -98,6 +100,9 @@ func (c *Chassis) Init(opts Options, stats *stm.Stats, sweep func(bound uint64) 
 	}
 	if e, ok := opts.Logger.(interface{ Err() error }); ok {
 		c.logErr = e.Err
+	}
+	if b, ok := opts.Logger.(interface{ BoundedLoss() bool }); ok {
+		c.boundedLoss = b.BoundedLoss()
 	}
 	// The clock starts at 1 so a zero read stamp can never satisfy a "stamp >
 	// snapshot" check (initial versions carry order 0 and are visible to

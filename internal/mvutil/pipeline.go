@@ -56,6 +56,7 @@ type Desc struct {
 	Draw       uint64
 	Serial     uint64
 	lastReason stm.AbortReason // why the last commit failed
+	durErr     error           // the logger's error behind ReasonOutcomeUnknown
 
 	m      Member
 	writes []WriteRef
@@ -87,6 +88,7 @@ func (c *Chassis) InitDesc(d *Desc, m Member) {
 func (d *Desc) Reset() {
 	d.Draw, d.Serial = 0, 0
 	d.lastReason = stm.ReasonNone
+	d.durErr = nil
 	d.writes = stm.ResetVarSlice(d.writes)
 	d.logWrites = stm.ResetVarSlice(d.logWrites)
 }
@@ -96,6 +98,11 @@ func (d *Desc) Reset() {
 // report it in a *stm.CancelledError (read-path aborts carry their reason in
 // the retry signal instead).
 func (d *Desc) LastAbortReason() stm.AbortReason { return d.lastReason }
+
+// DurabilityErr is the logger's error behind a commit that failed with
+// stm.ReasonOutcomeUnknown; the retry loop wraps it in a
+// *stm.OutcomeUnknownError.
+func (d *Desc) DurabilityErr() error { return d.durErr }
 
 // Lock is a variable's commit lock: nil means unlocked, otherwise the owning
 // descriptor (or the garbage collector's sentinel).
@@ -323,9 +330,7 @@ func (c *Chassis) round(ms []*Desc, sc *scratch) (spill []*Desc) {
 	// append order respects the reads-from order, and a crash can only lose a
 	// dependency-closed suffix. One record per round, survivors in draw order.
 	// An Append that fails leaves the round installed in memory but unlogged;
-	// it latches logFailed so no later round is ever logged after the hole,
-	// and callers that promise zero loss gate their acks on the logger's Err
-	// (internal/server).
+	// it latches logFailed so no later round is ever logged after the hole.
 	var lsn stm.LSN
 	var err error
 	if len(recs) > 0 {
@@ -339,15 +344,25 @@ func (c *Chassis) round(ms []*Desc, sc *scratch) (spill []*Desc) {
 	if prof != nil {
 		prof.AddCommit(prof.Now() - t0)
 	}
-	if len(recs) > 0 && err == nil {
-		// One durability wait covers the round; members acknowledge only
-		// after it. A failure here cannot demote the commits (the versions
-		// are visible — reporting failure would invite a double-apply); the
-		// latched logger fails the next round at the door.
-		logger.Durable(lsn) //nolint:errcheck
+	if len(recs) > 0 {
+		if err == nil {
+			// One durability wait covers the round; members acknowledge
+			// only after it.
+			err = logger.Durable(lsn)
+		} else if c.boundedLoss {
+			err = nil // acknowledged like any commit within the policy's loss bound
+		}
+	}
+	// A logging failure cannot demote the commits — the versions are
+	// visible, and reporting an ordinary abort would invite a double-apply —
+	// nor acknowledge them: their outcome is unknown.
+	outcome := stm.ReasonNone
+	if err != nil {
+		outcome = stm.ReasonOutcomeUnknown
 	}
 	for _, d := range done {
-		c.resolve(d, stm.ReasonNone, prof)
+		d.durErr = err
+		c.resolve(d, outcome, prof)
 	}
 	c.gcTick(len(done))
 	return spill

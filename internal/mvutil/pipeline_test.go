@@ -317,16 +317,21 @@ func TestPipelineValidateAbort(t *testing.T) {
 func TestPipelineAppendError(t *testing.T) {
 	modes(t, func(t *testing.T, opts Options, batched bool) {
 		r := newRig(opts, true)
-		r.logger.appendErr = errors.New("short write")
+		shortWrite := errors.New("short write")
+		r.logger.appendErr = shortWrite
 		ms := []*fakeMember{r.member("a", 1)}
 		if batched {
 			ms = append(ms, r.member("b", 2))
 		}
 		r.run(ms...)
 		// The round was installed before the append: it stands in memory,
-		// unlogged, is never waited durable, and nothing is logged after it.
+		// unlogged, is never waited durable, is not acknowledged (its outcome
+		// is unknown), and nothing is logged after it.
 		for _, m := range ms {
-			r.wantOutcome(t, m, stm.ReasonNone)
+			r.wantOutcome(t, m, stm.ReasonOutcomeUnknown)
+			if !errors.Is(m.DurabilityErr(), shortWrite) {
+				t.Errorf("%s: DurabilityErr = %v, want the append's error", m.name, m.DurabilityErr())
+			}
 			if m.installed != 1 {
 				t.Errorf("%s: installed %d times", m.name, m.installed)
 			}

@@ -147,7 +147,10 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 	}
 	val := *tv.val.Load()
 	for tx.tm.seq.Load() != tx.snapshot {
-		tx.revalidate(prof)
+		if !tx.validate() {
+			tx.stats.RecordAbort(stm.ReasonReadConflict)
+			stm.Retry(stm.ReasonReadConflict)
+		}
 		val = *tv.val.Load()
 	}
 	tx.readSet = append(tx.readSet, readEntry{v: tv, val: val})
@@ -157,10 +160,12 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 	return val
 }
 
-// revalidate re-reads every read-set entry and compares values; on success
-// the snapshot advances to the current (even) clock, otherwise the
-// transaction aborts. This is the NOrec value-based validation loop.
-func (tx *txn) revalidate(prof *stm.Profiler) {
+// validate is NOrec's value-based validation: it re-reads every read-set
+// entry against a consistent (even) clock sample and compares values. On
+// success the snapshot advances to that sample; false means a value changed
+// and the transaction must abort.
+func (tx *txn) validate() bool {
+	prof := tx.tm.stats.Profiler()
 	var t0 int64
 	if prof != nil {
 		t0 = prof.Now()
@@ -180,12 +185,10 @@ func (tx *txn) revalidate(prof *stm.Profiler) {
 		if prof != nil {
 			prof.AddReadSetVal(prof.Now() - t0)
 		}
-		if !ok {
-			tx.tm.stats.RecordAbort(stm.ReasonReadConflict)
-			stm.Retry(stm.ReasonReadConflict)
+		if ok {
+			tx.snapshot = s
 		}
-		tx.snapshot = s
-		return
+		return ok
 	}
 }
 
@@ -219,7 +222,7 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 	// Acquire the global sequence lock from our snapshot; every failure
 	// means the clock moved, requiring value-based revalidation first.
 	for !tm.seq.CompareAndSwap(tx.snapshot, tx.snapshot+1) {
-		if ok := tx.commitRevalidate(prof); !ok {
+		if !tx.validate() {
 			tx.stats.RecordAbort(stm.ReasonReadConflict)
 			tx.lastReason = stm.ReasonReadConflict
 			return false
@@ -242,35 +245,6 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 	}
 	tx.stats.RecordCommit(false)
 	return true
-}
-
-// commitRevalidate is revalidate without the panic path (Commit reports
-// failure by return value).
-func (tx *txn) commitRevalidate(prof *stm.Profiler) bool {
-	var t0 int64
-	if prof != nil {
-		t0 = prof.Now()
-	}
-	for {
-		s := tx.tm.waitEven()
-		ok := true
-		for _, e := range tx.readSet {
-			if *e.v.val.Load() != e.val {
-				ok = false
-				break
-			}
-		}
-		if tx.tm.seq.Load() != s {
-			continue
-		}
-		if prof != nil {
-			prof.AddReadSetVal(prof.Now() - t0)
-		}
-		if ok {
-			tx.snapshot = s
-		}
-		return ok
-	}
 }
 
 // EnableHistory implements stm.HistoryRecording. It must be called before any

@@ -32,6 +32,10 @@ type accountMeta struct {
 	Balance int64  `json:"balance"`
 }
 
+// walHooks are the fault points every durable server opens its log with;
+// only tests set them (export_test.go).
+var walHooks wal.Hooks
+
 // openDurable recovers the WAL directory and builds the engine with the log
 // attached. Meta records already recovered must not be re-appended on the next
 // checkpoint's rotation boundary, hence MetaStart.
@@ -48,6 +52,7 @@ func openDurable(cfg *Config) (stm.TM, *wal.Writer, *wal.Recovered, error) {
 		Dir:       cfg.WALDir,
 		Policy:    policy,
 		MetaStart: uint64(len(rec.Metas)),
+		Hooks:     walHooks,
 	})
 	if err != nil {
 		return nil, nil, nil, err
@@ -148,8 +153,7 @@ func asInt64(v stm.Value) (int64, error) {
 	return 0, fmt.Errorf("unexpected recovered value type %T", v)
 }
 
-// WAL exposes the log writer on a durable server (nil otherwise); tests and
-// zero-loss clients gate acknowledgements on its Err.
+// WAL exposes the log writer on a durable server (nil otherwise).
 func (s *Server) WAL() *wal.Writer { return s.wal }
 
 // Checkpoint writes a durable snapshot of the full ledger and prunes the log

@@ -3,13 +3,16 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/wal"
 )
 
 // durableConfig is the base durable-server config for restart tests: no
@@ -123,6 +126,49 @@ func TestDurableRestartZeroLoss(t *testing.T) {
 	}
 	if audit.Accounts != 5 || audit.TotalBalance != 4*1000+100+500+25+75 {
 		t.Errorf("audit after two restarts: %+v", audit)
+	}
+}
+
+// TestDurableFailedFsyncAnswers503: under per-commit, an update whose fsync
+// fails is installed in memory but not durable, so the server answers 503
+// "outcome-unknown" — never 200 — and every later update is refused too (the
+// log is latched).
+func TestDurableFailedFsyncAnswers503(t *testing.T) {
+	var fail atomic.Bool
+	defer server.SetWALHooks(wal.Hooks{BeforeSync: func() error {
+		if fail.Load() {
+			return errors.New("injected fsync failure")
+		}
+		return nil
+	}})()
+	cfg := durableConfig(t.TempDir())
+	cfg.RequestTimeout = 100 * time.Millisecond
+	s, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	mustPost(t, h, "/v1/deposit", `{"account":"0","amount":100}`)
+
+	fail.Store(true)
+	rr := post(h, "/v1/deposit", `{"account":"0","amount":100}`)
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+		t.Fatalf("decode %q: %v", rr.Body, err)
+	}
+	if rr.Code != http.StatusServiceUnavailable || body.Error != "outcome-unknown" {
+		t.Fatalf("deposit with a failed fsync: %d %s, want 503 outcome-unknown", rr.Code, rr.Body)
+	}
+	for _, req := range [][2]string{
+		{"/v1/deposit", `{"account":"1","amount":5}`},
+		{"/v1/transfer", `{"from":"1","to":"2","amount":5}`},
+	} {
+		if rr := post(h, req[0], req[1]); rr.Code == http.StatusOK {
+			t.Errorf("%s after the failed fsync answered 200", req[0])
+		}
 	}
 }
 

@@ -662,14 +662,16 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 // writeError maps a transaction's failure mode to its HTTP shape. This is the
 // single point where the stm error taxonomy becomes wire protocol:
 //
-//	*stm.OverloadError  → 429 + Retry-After (the gate shed the request)
-//	*stm.CancelledError → 499 (client went away) or 504 (server deadline)
-//	*panicError         → 500 (contained body panic; stack logged)
-//	domain errors       → 404 / 409 / 400 (user-level aborts, not retried)
+//	*stm.OverloadError       → 429 + Retry-After (the gate shed the request)
+//	*stm.CancelledError      → 499 (client went away) or 504 (server deadline)
+//	*stm.OutcomeUnknownError → 503 (applied in memory, durability failed)
+//	*panicError              → 500 (contained body panic; stack logged)
+//	domain errors            → 404 / 409 / 400 (user-level aborts, not retried)
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	var (
 		oe *stm.OverloadError
 		ce *stm.CancelledError
+		ue *stm.OutcomeUnknownError
 		pe *panicError
 	)
 	switch {
@@ -691,6 +693,11 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 		}
 		// The client is usually gone; the status is for the access log.
 		writeErrJSON(w, StatusClientClosedRequest, "cancelled", err)
+	case errors.As(err, &ue):
+		// Never a 200: the write is visible but its log record may be lost.
+		s.log.Error("commit outcome unknown",
+			"method", r.Method, "path", r.URL.Path, "err", ue.Err)
+		writeErrJSON(w, http.StatusServiceUnavailable, "outcome-unknown", err)
 	case errors.As(err, &pe):
 		s.metrics.Panics.Add(1)
 		s.log.Error("transaction body panic contained",

@@ -54,6 +54,12 @@ const (
 	// operator replaces the log (the health watchdog's WAL-stall condition
 	// surfaces the state).
 	ReasonDurability
+	// ReasonOutcomeUnknown: the commit installed its writes in memory, but
+	// its CommitLogger failed to append or make durable its record under a
+	// zero-loss policy, so whether it survives a crash is unknown. The
+	// writes are visible: the retry loop never re-runs the transaction and
+	// returns an *OutcomeUnknownError instead.
+	ReasonOutcomeUnknown
 
 	numAbortReasons
 )
@@ -83,6 +89,8 @@ func (r AbortReason) String() string {
 		return "overload"
 	case ReasonDurability:
 		return "durability"
+	case ReasonOutcomeUnknown:
+		return "outcome-unknown"
 	}
 	return "unknown"
 }
@@ -189,7 +197,9 @@ func run(ctx context.Context, tm TM, readOnly bool, gate *AdmissionGate, fn func
 // request and committing on success. On retry it reports why the attempt
 // aborted: read-path aborts carry the reason in the retry signal; commit
 // failures are read back from the descriptor (LastAbortReason, defaulting to
-// ReasonWriteConflict when it reports ReasonNone).
+// ReasonWriteConflict when it reports ReasonNone). A commit whose outcome is
+// unknown (ReasonOutcomeUnknown) is not retried: it ends the call with an
+// *OutcomeUnknownError.
 func runOnce(tm TM, tx Tx, fn func(Tx) error) (err error, reason AbortReason, retry bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -217,6 +227,9 @@ func runOnce(tm TM, tx Tx, fn func(Tx) error) (err error, reason AbortReason, re
 	reason = ReasonWriteConflict
 	if r := tx.LastAbortReason(); r != ReasonNone {
 		reason = r
+	}
+	if reason == ReasonOutcomeUnknown {
+		return outcomeUnknown(tx), reason, false
 	}
 	return nil, reason, true
 }

@@ -1,5 +1,7 @@
 package stm
 
+import "fmt"
+
 // LSN is a log sequence number: the count of records a CommitLogger has
 // accepted so far. LSNs are dense and monotone, so "everything at or below
 // lsn is durable" is a single watermark comparison.
@@ -48,14 +50,20 @@ type CommitRecord struct {
 //     invisible. An Append error therefore leaves the round standing in
 //     memory, unlogged; the engine latches and fails every later commit
 //     before installing anything (stm.ReasonDurability), so nothing is ever
-//     logged after the hole. Callers that promise zero loss gate their
-//     acknowledgements on the logger's own latched error.
+//     logged after the hole.
 //   - Durable is called after the versions are installed and unlocked, with
 //     the LSN Append returned. It blocks until that record is durable under
 //     the logger's fsync policy (per-commit: an fsync covering the LSN has
 //     completed; interval: returns immediately) — only then does the commit
 //     report success to its caller, so an acknowledged commit is exactly as
 //     durable as the policy promises.
+//
+// A round whose Append or Durable fails is never acknowledged: each member's
+// Commit returns false with ReasonOutcomeUnknown, and the retry loop returns
+// an *OutcomeUnknownError wrapping the logger's error. The one exception is
+// a logger whose policy already acknowledges before the fsync: when it
+// reports BoundedLoss() == true, a failed Append is acknowledged like any
+// other commit that a crash within the policy's bound may lose.
 //
 // Implementations must be safe for concurrent use; Append calls of commits
 // that share a variable are serialized (the caller holds write locks), but
@@ -65,4 +73,32 @@ type CommitRecord struct {
 type CommitLogger interface {
 	Append(recs []CommitRecord) (LSN, error)
 	Durable(lsn LSN) error
+}
+
+// OutcomeUnknownError is returned by the Atomically family when a commit
+// installed its writes in memory but its CommitLogger failed to log them or
+// make them durable: the writes are visible and may or may not survive a
+// crash. The transaction is not retried, since a re-run would apply it
+// twice. Unwrap yields the logger's error.
+type OutcomeUnknownError struct {
+	Err error
+}
+
+// Error implements error.
+func (e *OutcomeUnknownError) Error() string {
+	return fmt.Sprintf("stm: commit outcome unknown (installed in memory, durability failed): %v", e.Err)
+}
+
+// Unwrap exposes the logger's error to errors.Is/As.
+func (e *OutcomeUnknownError) Unwrap() error { return e.Err }
+
+// outcomeUnknown builds the error of a commit that failed with
+// ReasonOutcomeUnknown, taking the logger's error from the descriptor when
+// it carries one (the multi-version engines' mvutil.Desc does).
+func outcomeUnknown(tx Tx) error {
+	e := &OutcomeUnknownError{}
+	if d, ok := tx.(interface{ DurabilityErr() error }); ok {
+		e.Err = d.DurabilityErr()
+	}
+	return e
 }

@@ -63,10 +63,14 @@ type TM interface {
 	// (read-only transactions skip read-set maintenance and validation where
 	// the engine allows it).
 	Begin(readOnly bool) Tx
-	// Commit attempts to commit tx. It returns false if the transaction
-	// failed validation and must be re-executed; the engine has already
-	// cleaned up. On true the transaction's writes are durable and visible
-	// per the engine's visibility rules.
+	// Commit attempts to commit tx. On true the transaction's writes are
+	// visible per the engine's visibility rules and as durable as the
+	// engine's CommitLogger promises. On false the engine has already
+	// cleaned up and tx.LastAbortReason says why: for every reason but
+	// ReasonOutcomeUnknown nothing was installed and the transaction must
+	// be re-executed; ReasonOutcomeUnknown means the writes are installed
+	// and visible but their durability failed, and the transaction must not
+	// be re-executed (see CommitLogger).
 	Commit(tx Tx) bool
 	// Abort abandons tx, releasing any engine resources (locks, visible-read
 	// registrations). It is called on user aborts and after retry signals.

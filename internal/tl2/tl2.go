@@ -21,17 +21,11 @@ import (
 	"repro/internal/stm"
 )
 
-// Options tunes a TL2 instance. The zero value uses defaults.
-type Options struct {
-	// LockSpinBudget bounds spinning on a peer's write lock before aborting.
-	LockSpinBudget int
-}
-
-const defaultSpinLimit = 512
+// lockSpinBudget bounds spinning on a peer's write lock before aborting.
+const lockSpinBudget = 512
 
 // TM is a TL2 instance.
 type TM struct {
-	opts  Options
 	clock atomic.Uint64
 	stats stm.Stats
 
@@ -43,11 +37,8 @@ type TM struct {
 }
 
 // New returns a TL2 instance.
-func New(opts Options) *TM {
-	if opts.LockSpinBudget == 0 {
-		opts.LockSpinBudget = defaultSpinLimit
-	}
-	tm := &TM{opts: opts}
+func New() *TM {
+	tm := &TM{}
 	tm.clock.Store(1)
 	tm.txns.New = func() any { return &txn{tm: tm, stats: tm.stats.Shard()} }
 	return tm
@@ -179,7 +170,7 @@ func (tx *txn) Read(v stm.Var) stm.Value {
 				return val
 			}
 		}
-		if spins >= tx.tm.opts.LockSpinBudget {
+		if spins >= lockSpinBudget {
 			tx.stats.RecordAbort(stm.ReasonLockTimeout)
 			stm.Retry(stm.ReasonLockTimeout)
 		}
@@ -223,7 +214,7 @@ func (tx *txn) lockVar(tv *tlvar) bool {
 			}
 			continue
 		}
-		if spins >= tx.tm.opts.LockSpinBudget {
+		if spins >= lockSpinBudget {
 			return false
 		}
 		runtime.Gosched()
@@ -254,31 +245,7 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 		}
 	}
 
-	// Clock-pressure relief ("pass on abort", DESIGN.md §12): a read variable
-	// whose version already exceeds rv dooms the commit — versions only grow,
-	// so the authoritative validation below would reject it too. Abort before
-	// drawing the write version so doomed commits leave the shared clock
-	// untouched. Only the stale-version signal is used; a variable locked by
-	// a peer is not doom (the peer may yet abort) and is left to the
-	// authoritative pass. (A variable we hold ourselves passed the version
-	// check inside lockVar and cannot have changed since.)
-	for _, v := range tx.readSet {
-		if metaVersion(v.meta.Load()) > tx.rv {
-			return tx.failCommit(stm.ReasonReadConflict)
-		}
-	}
-
-	// Draw the write version GV4-style (Dice et al.'s improved global
-	// version-clock scheme): attempt one CAS increment, and on failure adopt
-	// the winner's value instead of retrying. Two committers sharing a write
-	// version are safe: if their footprints overlap, both hold their write
-	// locks across validation, so the reader of the pair sees the writer's
-	// lock (or its freshly published version) and aborts; if they are
-	// disjoint, no reader can distinguish their order. Under commit storms
-	// this turns N clock increments into one, which is exactly when the
-	// shared clock line is hottest.
-	wv, own := tm.drawWV()
-
+	wv := tm.clock.Add(1) // the write version
 	if prof != nil {
 		now := prof.Now()
 		prof.AddCommit(now - t0) // lock acquisition counts as commit work
@@ -287,11 +254,8 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 
 	// Classic read-set validation: every read variable must still be at a
 	// version <= rv and not locked by another transaction. The wv == rv+1
-	// shortcut (no concurrent committer) is from the original TL2 paper; it
-	// requires that the increment was our own — a passed-on (adopted) value
-	// equal to rv+1 proves a *peer* committed there, not that the window was
-	// quiet.
-	if !own || wv != tx.rv+1 {
+	// shortcut (no concurrent committer) is from the original TL2 paper.
+	if wv != tx.rv+1 {
 		for _, v := range tx.readSet {
 			m := v.meta.Load()
 			if metaVersion(m) > tx.rv || (metaLocked(m) && !tx.holds(v)) {
@@ -320,21 +284,6 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 	}
 	tx.stats.RecordCommit(false)
 	return true
-}
-
-// drawWV obtains the commit's write version. One CAS increment is attempted;
-// own reports whether it succeeded. On failure the clock has already moved
-// past the loaded value (it is monotone), so the freshly observed value is
-// adopted as wv instead of fighting for an increment of our own — GV4's
-// "pass on failure". The adopted value is always at least rv+1 (the clock
-// never goes backward from the value sampled at Begin) and exceeds every
-// version this transaction read or overwrites.
-func (tm *TM) drawWV() (wv uint64, own bool) {
-	old := tm.clock.Load()
-	if tm.clock.CompareAndSwap(old, old+1) {
-		return old + 1, true
-	}
-	return tm.clock.Load(), false
 }
 
 func (tx *txn) holds(v *tlvar) bool {

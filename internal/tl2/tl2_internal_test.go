@@ -19,7 +19,7 @@ func TestMetaEncodingProperty(t *testing.T) {
 }
 
 func TestLockReleaseOnAbort(t *testing.T) {
-	tm := New(Options{})
+	tm := New()
 	x := tm.NewVar(0)
 	y := tm.NewVar(0)
 
@@ -51,7 +51,7 @@ func TestLockReleaseOnAbort(t *testing.T) {
 func TestReadOnlyAbortsOnNewerVersion(t *testing.T) {
 	// TL2 read-only transactions skip commit validation but each read is
 	// individually checked against rv — a stale snapshot aborts mid-read.
-	tm := New(Options{})
+	tm := New()
 	x := tm.NewVar(0)
 	ro := tm.Begin(true)
 
@@ -76,7 +76,7 @@ func TestReadOnlyAbortsOnNewerVersion(t *testing.T) {
 }
 
 func TestWriteVersionMonotonicPerVar(t *testing.T) {
-	tm := New(Options{})
+	tm := New()
 	tm.EnableHistory()
 	x := tm.NewVar(0)
 	for i := 1; i <= 5; i++ {
@@ -97,51 +97,10 @@ func TestWriteVersionMonotonicPerVar(t *testing.T) {
 	}
 }
 
-func TestDoomedCommitPassesOnClock(t *testing.T) {
-	// Clock-pressure relief: a commit whose read set is already stale aborts
-	// before drawWV, leaving the shared clock untouched.
-	tm := New(Options{})
-	x := tm.NewVar(0)
-	y := tm.NewVar(0)
-
-	t1 := tm.Begin(false)
-	if got := t1.Read(x); got != 0 {
-		t.Fatalf("read = %v", got)
-	}
-	t1.Write(y, 1)
-
-	t2 := tm.Begin(false)
-	t2.Write(x, 2)
-	if !tm.Commit(t2) {
-		t.Fatalf("t2 commit failed")
-	}
-
-	before := tm.clock.Load()
-	if tm.Commit(t1) {
-		t.Fatalf("t1 must abort on its stale read set")
-	}
-	if after := tm.clock.Load(); after != before {
-		t.Fatalf("doomed commit bumped the clock: %d -> %d", before, after)
-	}
-}
-
-func TestDrawWVOwnIncrement(t *testing.T) {
-	// The uncontended drawWV path: the CAS wins, wv is a fresh increment and
-	// own is true — the only combination that may take the rv+1 validation
-	// shortcut. (The adopted path needs a racing committer and is exercised by
-	// the concurrent conformance battery.)
-	tm := New(Options{})
-	before := tm.clock.Load()
-	wv, own := tm.drawWV()
-	if !own || wv != before+1 {
-		t.Fatalf("drawWV = (%d, %v), want (%d, true)", wv, own, before+1)
-	}
-}
-
 func TestEarlyLockFailOnNewerVersion(t *testing.T) {
 	// lockVar refuses to lock a variable whose version already exceeds rv:
 	// the transaction is doomed, so it aborts before taking locks.
-	tm := New(Options{})
+	tm := New()
 	x := tm.NewVar(0)
 	t1 := tm.Begin(false)
 	t1.Write(x, 10)

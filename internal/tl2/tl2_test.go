@@ -9,7 +9,7 @@ import (
 	"repro/internal/tl2"
 )
 
-func factory() stm.TM { return tl2.New(tl2.Options{}) }
+func factory() stm.TM { return tl2.New() }
 
 func TestConformance(t *testing.T) {
 	stmtest.Run(t, factory, stmtest.Options{})

@@ -1,6 +1,7 @@
 package wal_test
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -210,5 +211,55 @@ func BenchmarkDurableWait(b *testing.B) {
 			b.ReportMetric(float64(appended)/float64(fsyncs.Load()), "records/fsync")
 			b.ReportMetric(float64(all[len(all)*99/100].Microseconds()), "p99-us")
 		})
+	}
+}
+
+// TestFailedLogOutcomeUnknown: under per-commit, a commit whose fsync or
+// append fails is installed in memory but never acknowledged — the retry
+// loop returns *stm.OutcomeUnknownError wrapping the log's error after
+// exactly one attempt. Under interval a commit is acknowledged before its
+// fsync anyway, so the same failures still return nil.
+func TestFailedLogOutcomeUnknown(t *testing.T) {
+	injected := errors.New("injected log failure")
+	fail := func() error { return injected }
+	for _, policy := range []wal.Policy{wal.SyncPerCommit, wal.SyncInterval} {
+		for _, hook := range []struct {
+			name  string
+			hooks wal.Hooks
+		}{
+			{"BeforeSync", wal.Hooks{BeforeSync: fail}},
+			{"AfterAppend", wal.Hooks{AfterAppend: fail}},
+		} {
+			for _, name := range engines.DurableSet() {
+				t.Run(policy.String()+"/"+hook.name+"/"+name, func(t *testing.T) {
+					w, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: policy, Hooks: hook.hooks})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer w.Close() //nolint:errcheck // reports the injected failure
+					tm := engines.MustNew(name, engines.WithLogger(w))
+					x := stm.NewTVar(tm, 0)
+					attempts := 0
+					err = stm.Atomically(tm, false, func(tx stm.Tx) error {
+						attempts++
+						x.Set(tx, x.Get(tx)+1)
+						return nil
+					})
+					if attempts != 1 {
+						t.Errorf("%d attempts, want 1", attempts)
+					}
+					if policy == wal.SyncInterval {
+						if err != nil {
+							t.Fatalf("interval: err = %v, want nil", err)
+						}
+						return
+					}
+					var ue *stm.OutcomeUnknownError
+					if !errors.As(err, &ue) || !errors.Is(err, injected) {
+						t.Fatalf("per-commit: err = %v, want *stm.OutcomeUnknownError wrapping the injected failure", err)
+					}
+				})
+			}
+		}
 	}
 }

@@ -105,6 +105,8 @@ var ErrClosed = errors.New("wal: writer closed")
 // writer stays failed — every later Append returns the latched error, so
 // engines abort new commits (stm.ReasonDurability) instead of acknowledging
 // writes that will never reach disk. Records already synced remain durable.
+// A commit caught by the failure itself (its Append or, under per-commit,
+// its Durable failed) ends with *stm.OutcomeUnknownError.
 type Writer struct {
 	opts Options
 
@@ -169,6 +171,12 @@ func (w *Writer) Dir() string { return w.opts.Dir }
 
 // Policy returns the configured fsync policy.
 func (w *Writer) Policy() Policy { return w.opts.Policy }
+
+// BoundedLoss reports whether the policy acknowledges commits before their
+// fsync (interval). Engines then acknowledge a commit whose Append failed as
+// well: a crash may lose it, as it may lose any commit of the last interval
+// (stm.CommitLogger).
+func (w *Writer) BoundedLoss() bool { return w.opts.Policy == SyncInterval }
 
 // openSegment opens segment seq for writing; caller holds mu or is Open.
 func (w *Writer) openSegment(seq uint64) error {
