@@ -19,28 +19,24 @@ import (
 // the conformance battery's ROAbortFree then holds read-only aborts at exactly
 // zero at the tightest cadence.
 
-func gcCadenceFactory(k int, group bool) func() stm.TM {
+func gcCadenceFactory(k int) func() stm.TM {
 	return func() stm.TM {
-		return core.New(core.Options{Options: mvutil.Options{GCEveryNCommits: k, GroupCommit: group}})
+		return core.New(core.Options{Options: mvutil.Options{GCEveryNCommits: k}})
 	}
 }
 
 func TestConformanceClockShards(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			stmtest.Run(t, gcCadenceFactory(k, false), stmtest.Options{RONeverAborts: true})
+			stmtest.Run(t, gcCadenceFactory(k), stmtest.Options{RONeverAborts: true})
 		})
 	}
-}
-
-func TestConformanceClockShardsGroupCommit(t *testing.T) {
-	stmtest.Run(t, gcCadenceFactory(4, true), stmtest.Options{RONeverAborts: true})
 }
 
 func TestSerializabilityDSGClockShards(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			dsg.CheckRandom(t, gcCadenceFactory(k, false)(), dsg.RunOptions{Seed: uint64(k)})
+			dsg.CheckRandom(t, gcCadenceFactory(k)(), dsg.RunOptions{Seed: uint64(k)})
 		})
 	}
 }
@@ -48,27 +44,18 @@ func TestSerializabilityDSGClockShards(t *testing.T) {
 func TestSerializabilityDSGClockShardsHighContention(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			dsg.CheckRandom(t, gcCadenceFactory(k, false)(),
+			dsg.CheckRandom(t, gcCadenceFactory(k)(),
 				dsg.RunOptions{Vars: 3, Goroutines: 8, TxPerG: 120, Seed: uint64(100 + k)})
 		})
 	}
 }
 
 func TestSerializabilityDSGClockShardsReadHeavy(t *testing.T) {
-	dsg.CheckRandom(t, gcCadenceFactory(4, false)(),
+	dsg.CheckRandom(t, gcCadenceFactory(4)(),
 		dsg.RunOptions{Vars: 6, Goroutines: 6, TxPerG: 150, ReadOnlyP: 0.6, Seed: 17})
 }
 
 func TestSerializabilityDSGClockShardsAblation(t *testing.T) {
 	dsg.CheckRandom(t, core.New(core.Options{Options: mvutil.Options{GCEveryNCommits: 4}, DisableTimeWarp: true}),
 		dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 120, Seed: 23})
-}
-
-func TestSerializabilityDSGClockShardsGroupCommit(t *testing.T) {
-	for _, k := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			dsg.CheckRandom(t, gcCadenceFactory(k, true)(),
-				dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 120, Seed: uint64(200 + k)})
-		})
-	}
 }

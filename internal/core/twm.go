@@ -39,8 +39,7 @@ type Options struct {
 	// DisableTimeWarp turns off Rules 1-2: any anti-dependency discovered at
 	// commit aborts the transaction (the classic validation rule). The engine
 	// then degenerates to a JVSTM-style multi-version STM; this is the
-	// ablation that isolates the benefit of time-warp commits. Mutually
-	// exclusive with GroupCommit.
+	// ablation that isolates the benefit of time-warp commits.
 	DisableTimeWarp bool
 }
 
@@ -69,12 +68,6 @@ type TM struct {
 
 // New returns a TWM instance with the given options.
 func New(opts Options) *TM {
-	if opts.GroupCommit && opts.DisableTimeWarp {
-		// A batch member validates at its turn against state its
-		// predecessors left under locks they still hold; only the default
-		// rule is argued for that schedule (DESIGN.md §7).
-		panic("core: GroupCommit requires the default time-warp mode")
-	}
 	tm := &TM{notw: opts.DisableTimeWarp}
 	tm.Init(opts.Options, &tm.stats, tm.sweep)
 	tm.txns.New = func() any {
@@ -87,11 +80,8 @@ func New(opts Options) *TM {
 
 // Name implements stm.TM.
 func (tm *TM) Name() string {
-	switch {
-	case tm.notw:
+	if tm.notw {
 		return "twm-notw"
-	case tm.Opts.GroupCommit:
-		return "twm-gc"
 	}
 	return "twm"
 }
@@ -216,7 +206,7 @@ func (tx *txn) semiVisibleRead(v *twvar, ts uint64) {
 // (see Recycle); every slice below keeps its backing array across reuse.
 type txn struct {
 	// Desc is the header shared with internal/jvstm: counters, active-set
-	// slot and the commit pipeline's per-member state. It is also the identity that owns commit locks.
+	// slot and the commit pipeline's per-commit state. It is also the identity that owns commit locks.
 	mvutil.Desc
 	tm       *TM
 	readOnly bool
@@ -397,7 +387,7 @@ func (tx *txn) Writes(dst []mvutil.WriteRef) []mvutil.WriteRef {
 
 // Validate implements mvutil.Member: TWM's predicate over the multi-version
 // conflict order — HANDLEWRITE's stamp check, HANDLEREAD and Rules 1-2 — run
-// at the member's turn with every write lock held and N(tx) drawn.
+// with every write lock held and N(tx) drawn.
 func (tx *txn) Validate() stm.AbortReason {
 	tm := tx.tm
 	tx.natOrder = tx.Draw
@@ -406,10 +396,7 @@ func (tx *txn) Validate() stm.AbortReason {
 	// with stamps taken before the stamper's clock increment; ours are taken
 	// after it, so the strict inequality is the same condition: a reader
 	// stamped at or below our start serializes at or below it, while any
-	// time-warp destination of ours exceeds start.) The check runs here
-	// rather than while locking so that, in a batch, earlier members'
-	// commit-time raises are visible to it — or a member could miss its
-	// target role in a triad and warp into a cycle.
+	// time-warp destination of ours exceeds start.)
 	ents := tx.writeSet.Entries()
 	for i := range ents {
 		if ents[i].Key.stamp.Load() > tx.start {

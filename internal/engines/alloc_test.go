@@ -24,9 +24,7 @@ import (
 var allocBudgets = map[string]struct{ readOnly, update float64 }{
 	"twm":      {0, 8},
 	"twm-notw": {0, 8},
-	"twm-gc":   {0, 8},
 	"jvstm":    {0, 8},
-	"jvstm-gc": {0, 8},
 	"tl2":      {0, 8},
 	"norec":    {0, 8},
 	"avstm":    {0, 0},

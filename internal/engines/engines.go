@@ -24,9 +24,7 @@ import (
 var factories = map[string]func(o mvutil.Options) stm.TM{
 	"twm":      func(o mvutil.Options) stm.TM { return core.New(core.Options{Options: o}) },
 	"twm-notw": func(o mvutil.Options) stm.TM { return core.New(core.Options{Options: o, DisableTimeWarp: true}) },
-	"twm-gc":   func(o mvutil.Options) stm.TM { o.GroupCommit = true; return core.New(core.Options{Options: o}) },
 	"jvstm":    func(o mvutil.Options) stm.TM { return jvstm.New(o) },
-	"jvstm-gc": func(o mvutil.Options) stm.TM { o.GroupCommit = true; return jvstm.New(o) },
 	"tl2":      func(mvutil.Options) stm.TM { return tl2.New() },
 	"norec":    func(mvutil.Options) stm.TM { return norec.New() },
 	"avstm":    func(mvutil.Options) stm.TM { return avstm.New() },
@@ -45,13 +43,9 @@ func Names() []string {
 	return out
 }
 
-// GroupCommitSet lists the engines with a flat-combining group-commit stage
-// (DESIGN.md §13), paired with their serial-commit counterparts for A/B runs.
-func GroupCommitSet() []string { return []string{"twm-gc", "jvstm-gc"} }
-
 // DurableSet lists the engines that accept a commit logger (DESIGN.md §16):
-// the multi-versioned engines, serial and group-commit alike.
-func DurableSet() []string { return []string{"jvstm", "jvstm-gc", "twm", "twm-gc"} }
+// the multi-versioned engines.
+func DurableSet() []string { return []string{"jvstm", "twm"} }
 
 // Option configures one capability of the engine under construction; New
 // rejects it for an engine outside the capability's set.

@@ -11,8 +11,8 @@ import (
 func TestRegistryComplete(t *testing.T) {
 	names := engines.Names()
 	want := map[string]bool{
-		"twm": true, "twm-notw": true, "twm-gc": true,
-		"jvstm": true, "jvstm-gc": true, "tl2": true, "norec": true, "avstm": true,
+		"twm": true, "twm-notw": true,
+		"jvstm": true, "tl2": true, "norec": true, "avstm": true,
 	}
 	if len(names) != len(want) {
 		t.Fatalf("registry = %v", names)

@@ -45,23 +45,21 @@ func TestSerializabilityMostlyReadOnly(t *testing.T) {
 	if testing.Short() {
 		rounds = 4
 	}
-	for _, name := range []string{"twm", "twm-gc"} {
-		t.Run(name, func(t *testing.T) {
-			var ro, quiet uint64
-			for round := 0; round < rounds && !t.Failed(); round++ {
-				inner := engines.MustNew(name)
-				dsg.CheckRandom(t, bench.WithYield(inner, 1), dsg.RunOptions{
-					Vars: 6, Goroutines: 8, TxPerG: 80, ReadOnlyP: 0.7,
-					Seed: uint64(round*257 + 31),
-				})
-				sn := inner.Stats().Snapshot()
-				ro, quiet = ro+sn.ROCommits, quiet+sn.QuietROCommits
-			}
-			if quiet == 0 || quiet == ro {
-				t.Errorf("only one read barrier ran: %d of %d read-only commits quiet", quiet, ro)
-			}
-		})
-	}
+	t.Run("twm", func(t *testing.T) {
+		var ro, quiet uint64
+		for round := 0; round < rounds && !t.Failed(); round++ {
+			inner := engines.MustNew("twm")
+			dsg.CheckRandom(t, bench.WithYield(inner, 1), dsg.RunOptions{
+				Vars: 6, Goroutines: 8, TxPerG: 80, ReadOnlyP: 0.7,
+				Seed: uint64(round*257 + 31),
+			})
+			sn := inner.Stats().Snapshot()
+			ro, quiet = ro+sn.ROCommits, quiet+sn.QuietROCommits
+		}
+		if quiet == 0 || quiet == ro {
+			t.Errorf("only one read barrier ran: %d of %d read-only commits quiet", quiet, ro)
+		}
+	})
 }
 
 // TestVacationTrueParallelism stresses the application-level invariant that

@@ -6,8 +6,11 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/engines"
 	"repro/internal/histories"
+	"repro/internal/jvstm"
+	"repro/internal/mvutil"
 	"repro/internal/stm"
 )
 
@@ -21,11 +24,12 @@ func transcript(tm stm.TM, h histories.History) []string {
 }
 
 // TestPaperHistoriesDifferential replays the paper's Fig. 1 / Fig. 2
-// histories step by step through every configuration of the one commit
-// pipeline and requires identical transcripts — commit/abort verdicts, abort
-// reasons, read values and (nat, tw) commit orders: serial and group commit
-// (a batch of one). TWM's transcripts are pinned, so the comparison cannot
-// pass by every variant being wrong the same way.
+// histories step by step on both multi-version engines, as built and with a
+// collector pass after every commit, and requires identical transcripts —
+// commit/abort verdicts, abort reasons, read values and (nat, tw) commit
+// orders: a pass may free only what no live snapshot can read. TWM's
+// transcripts are pinned, so the comparison cannot pass by every variant
+// being wrong the same way.
 func TestPaperHistoriesDifferential(t *testing.T) {
 	twmWant := map[string][]string{
 		"Fig. 1": {
@@ -64,10 +68,10 @@ func TestPaperHistoriesDifferential(t *testing.T) {
 				variants []func() stm.TM
 			}{
 				{"twm", []func() stm.TM{
-					func() stm.TM { return engines.MustNew("twm-gc") },
+					func() stm.TM { return core.New(core.Options{Options: mvutil.Options{GCEveryNCommits: 1}}) },
 				}},
 				{"jvstm", []func() stm.TM{
-					func() stm.TM { return engines.MustNew("jvstm-gc") },
+					func() stm.TM { return jvstm.New(jvstm.Options{GCEveryNCommits: 1}) },
 				}},
 			} {
 				want := transcript(engines.MustNew(fam.base), h)
@@ -86,8 +90,7 @@ func TestPaperHistoriesDifferential(t *testing.T) {
 }
 
 // TestReadOnlyElisionHistories replays the two read-only histories of the
-// stamp-elision rule on the serial and the group-commit pipeline and pins
-// what makes them differ: with an older update transaction in flight the
+// stamp-elision rule and pins what makes them differ: with an older update transaction in flight the
 // read-only transaction stamps and the pivot aborts; without one it leaves
 // the stamps alone, the pivot time-warps, and what it read is the state before
 // both writers.
@@ -106,24 +109,22 @@ func TestReadOnlyElisionHistories(t *testing.T) {
 	}
 	for _, h := range histories.ReadOnlyElision() {
 		quiet := h.Name == "read-only before the pivot"
-		for _, name := range []string{"twm", "twm-gc"} {
-			tm := engines.MustNew(name)
-			var got []string
-			for _, o := range histories.Replay(tm, h) {
-				got = append(got, o.String())
-				if o.Tx != "C" || o.Op != histories.OpRead {
-					continue
-				}
-				if o.Stamped == quiet {
-					t.Errorf("%s on %s: C's read of %s stamped=%v", h.Name, name, o.Var, o.Stamped)
-				}
+		tm := engines.MustNew("twm")
+		var got []string
+		for _, o := range histories.Replay(tm, h) {
+			got = append(got, o.String())
+			if o.Tx != "C" || o.Op != histories.OpRead {
+				continue
 			}
-			if !reflect.DeepEqual(got, want[h.Name]) {
-				t.Errorf("%s on %s:\n got %q\nwant %q", h.Name, name, got, want[h.Name])
+			if o.Stamped == quiet {
+				t.Errorf("%s: C's read of %s stamped=%v", h.Name, o.Var, o.Stamped)
 			}
-			if sn := tm.Stats().Snapshot(); sn.ROCommits != 1 || (sn.QuietROCommits == 1) != quiet {
-				t.Errorf("%s on %s: %d read-only commits, %d quiet", h.Name, name, sn.ROCommits, sn.QuietROCommits)
-			}
+		}
+		if !reflect.DeepEqual(got, want[h.Name]) {
+			t.Errorf("%s:\n got %q\nwant %q", h.Name, got, want[h.Name])
+		}
+		if sn := tm.Stats().Snapshot(); sn.ROCommits != 1 || (sn.QuietROCommits == 1) != quiet {
+			t.Errorf("%s: %d read-only commits, %d quiet", h.Name, sn.ROCommits, sn.QuietROCommits)
 		}
 	}
 }
@@ -164,9 +165,8 @@ func TestProfilerEveryEngine(t *testing.T) {
 
 // TestProfilerAttributionAgrees runs one conflict-free schedule — three
 // update commits, one of them doomed before it locks, and a read-only one —
-// through both multi-version engines on every pipeline configuration. The
-// pipeline stamps the Fig. 4(c) phases at its stage boundaries, so every
-// configuration must count the same events: one AddTx per update commit that
+// through both multi-version engines. The pipeline stamps the Fig. 4(c)
+// phases at its step boundaries, so both engines must count the same events: one AddTx per update commit that
 // entered the pipeline (the doomed one included, the read-only one not) and
 // time charged to the same set of phases.
 func TestProfilerAttributionAgrees(t *testing.T) {
@@ -178,8 +178,6 @@ func TestProfilerAttributionAgrees(t *testing.T) {
 	for _, mk := range []func() stm.TM{
 		func() stm.TM { return engines.MustNew("twm") },
 		func() stm.TM { return engines.MustNew("jvstm") },
-		func() stm.TM { return engines.MustNew("twm-gc") },
-		func() stm.TM { return engines.MustNew("jvstm-gc") },
 	} {
 		tm := mk()
 		var prof stm.Profiler

@@ -36,14 +36,12 @@ const (
 	// a stuck (or leaked) transaction turns into unbounded version memory.
 	CondStuck
 	// CondClockStall: attempts are starting but nothing finishes — no
-	// commits, no aborts and no commit-clock motion across a window with
-	// starts. Distinct from livelock (which churns); a stall means
-	// transactions are wedged mid-flight (e.g. spinning on a lock nobody
-	// releases). The clock term matters under group commit: one batched
-	// advance covers N commits that the leader records one member at a time,
-	// so a window can land after the tick but before the member counters —
-	// moving ticks prove the commit stage is alive even when the counters
-	// have not caught up yet.
+	// commits and no aborts across a window with starts. Distinct from
+	// livelock (which churns); a stall means transactions are wedged
+	// mid-flight (e.g. spinning on a lock nobody releases, or parked in a
+	// durability wait that never returns). A moving commit clock does not
+	// excuse it: a commit draws its tick and records its outcome on one
+	// goroutine, so a tick without an outcome is a commit still in flight.
 	CondClockStall
 	// CondWALStall: the engine's write-ahead log is failing or wedged — the
 	// writer has latched an error (every further commit aborts with
@@ -186,9 +184,9 @@ type condState struct {
 type targetState struct {
 	starts, commits, aborts uint64 // counter values at the previous sample
 	clock                   uint64 // commit-clock value at the previous sample
-	// commitsPerTick is the last window's commits per clock tick — ≈1 on the
-	// serial commit path, the mean batch size under group commit. Carried
-	// across tickless windows (idle ticks say nothing new).
+	// commitsPerTick is the last window's commits per clock tick — 1 when
+	// every drawn tick committed, below 1 when validation failures waste
+	// ticks. Carried across tickless windows (idle ticks say nothing new).
 	commitsPerTick float64
 	walSynced      uint64 // WAL synced watermark at the previous sample
 	conds          [numConditions]condState
@@ -307,12 +305,8 @@ func (w *Watchdog) Step() {
 			dAborts >= w.cfg.MinAborts && dCommits == 0,
 			"aborts", dAborts, "commits", dCommits)
 
-		// A clockless target (no Clock capability) is judged on the counters
-		// alone, as before; a clocked one must additionally show a motionless
-		// clock, so a mid-install batched advance never reads as a stall.
 		w.judge(t, st, CondClockStall,
-			dStarts >= w.cfg.MinStarts && dCommits == 0 && dAborts == 0 &&
-				(t.Clock == nil || dClock == 0),
+			dStarts >= w.cfg.MinStarts && dCommits == 0 && dAborts == 0,
 			"starts", dStarts, "clock-ticks", dClock)
 
 		if t.Clock != nil && t.Active != nil {
@@ -395,7 +389,8 @@ type TargetSnapshot struct {
 	Clock    uint64 `json:"clock,omitempty"`
 	MinStart uint64 `json:"minStart,omitempty"`
 	// CommitsPerTick is the last sampled window's commits per clock tick:
-	// ≈1 on a serial commit path, the mean batch size under group commit.
+	// 1 when every drawn tick committed, below 1 when validation failures
+	// waste ticks.
 	CommitsPerTick float64 `json:"commitsPerTick,omitempty"`
 	// WALPending/WALSynced/WALErr mirror the WAL prober when one is attached:
 	// records appended but not yet durable, the durable watermark, and the

@@ -2,6 +2,8 @@ package health
 
 import (
 	"encoding/json"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -127,50 +129,66 @@ func TestWatchdogClockStall(t *testing.T) {
 	}
 }
 
-// TestWatchdogClockStallBatchedAdvance: a clocked target whose commit clock
-// keeps moving is never a stall, even across windows that see starts but no
-// finished transactions — exactly the window a group-commit leader produces
-// between a batch's single clock advance and the member commits being
-// recorded. A genuinely frozen clock still raises.
-func TestWatchdogClockStallBatchedAdvance(t *testing.T) {
-	var stats stm.Stats
-	var clock atomic.Uint64
-	clock.Store(1)
-	w := New(Config{RaiseAfter: 2}, Target{Name: "t", Stats: &stats, Clock: clock.Load})
-
-	// Batched commit stage alive: attempts start, counters lag, clock ticks.
-	for i := 0; i < 4; i++ {
-		stats.RecordStart()
-		clock.Add(1)
+// TestWatchdogClockStallDrawnInDurable: a commit draws its clock tick before
+// it waits in Durable, so committers parked there move the clock while
+// nothing finishes. That is a stall — the moving clock is no evidence of
+// progress — and it clears once the durability waits return and the commits
+// land.
+func TestWatchdogClockStallDrawnInDurable(t *testing.T) {
+	logger := &parkedLogger{release: make(chan struct{})}
+	tm := core.New(core.Options{Options: mvutil.Options{Logger: logger}})
+	w := New(Config{RaiseAfter: 2}, TargetOf(tm))
+	clock0 := tm.Clock()
+	var wg sync.WaitGroup
+	for i := int32(1); i <= 2; i++ {
+		v := tm.NewVar(0)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := stm.Atomically(tm, false, func(tx stm.Tx) error {
+				tx.Write(v, 1)
+				return nil
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
+		for logger.parked.Load() < i {
+			runtime.Gosched() // until this committer has drawn and waits in Durable
+		}
 		w.Step()
 	}
-	if w.Active("t", CondClockStall) {
-		t.Fatal("stall raised while the commit clock was advancing")
+	if moved := tm.Clock() - clock0; moved != 2 {
+		t.Fatalf("clock moved %d, want the two parked commits' ticks", moved)
 	}
-
-	// Genuine wedge: starts with a motionless clock and nothing finishing.
-	for i := 0; i < 2; i++ {
-		stats.RecordStart()
-		w.Step()
+	if !w.Active(tm.Name(), CondClockStall) {
+		t.Fatal("stall not raised while every drawn commit waited in Durable")
 	}
-	if !w.Active("t", CondClockStall) {
-		t.Fatal("genuine stall not raised on a clocked target")
-	}
-
-	// A batch lands: one tick, several commits; two good windows clear it.
-	clock.Add(1)
-	for i := 0; i < 3; i++ {
-		stats.RecordCommit(false)
-	}
+	close(logger.release)
+	wg.Wait()
 	w.Step()
 	w.Step()
-	if w.Active("t", CondClockStall) {
-		t.Fatal("stall not cleared after a batched advance landed")
+	if w.Active(tm.Name(), CondClockStall) {
+		t.Fatal("stall not cleared after the parked commits landed")
 	}
 }
 
+// parkedLogger is a commit logger whose durability wait blocks until release
+// is closed; parked counts the commits waiting in it.
+type parkedLogger struct {
+	parked  atomic.Int32
+	release chan struct{}
+}
+
+func (l *parkedLogger) Append([]stm.CommitRecord) (stm.LSN, error) { return 1, nil }
+
+func (l *parkedLogger) Durable(stm.LSN) error {
+	l.parked.Add(1)
+	<-l.release
+	return nil
+}
+
 // TestWatchdogCommitsPerTick: the snapshot surfaces the last window's commits
-// per clock tick — the watchdog-visible mean batch size.
+// per clock tick — below 1 by the ticks that validation failures wasted.
 func TestWatchdogCommitsPerTick(t *testing.T) {
 	var stats stm.Stats
 	var clock atomic.Uint64
@@ -179,19 +197,23 @@ func TestWatchdogCommitsPerTick(t *testing.T) {
 
 	for i := 0; i < 8; i++ {
 		stats.RecordStart()
-		stats.RecordCommit(false)
+		if i < 6 {
+			stats.RecordCommit(false)
+		} else {
+			stats.RecordAbort(stm.ReasonReadConflict)
+		}
 	}
-	clock.Add(2) // two batches carried eight commits
+	clock.Add(8) // every attempt drew; two failed validation
 	w.Step()
 	snap := w.Snapshot()
-	if got := snap.Targets[0].CommitsPerTick; got != 4 {
-		t.Fatalf("commits per tick = %v, want 4", got)
+	if got := snap.Targets[0].CommitsPerTick; got != 0.75 {
+		t.Fatalf("commits per tick = %v, want 0.75", got)
 	}
 
 	// A tickless window carries the previous figure rather than resetting it.
 	w.Step()
-	if got := w.Snapshot().Targets[0].CommitsPerTick; got != 4 {
-		t.Fatalf("commits per tick after idle window = %v, want 4", got)
+	if got := w.Snapshot().Targets[0].CommitsPerTick; got != 0.75 {
+		t.Fatalf("commits per tick after idle window = %v, want 0.75", got)
 	}
 }
 

@@ -18,16 +18,16 @@ import (
 // the conformance battery's ROAbortFree then holds read-only aborts at exactly
 // zero at the tightest cadence.
 
-func gcCadenceFactory(k int, group bool) func() stm.TM {
+func gcCadenceFactory(k int) func() stm.TM {
 	return func() stm.TM {
-		return jvstm.New(jvstm.Options{GCEveryNCommits: k, GroupCommit: group})
+		return jvstm.New(jvstm.Options{GCEveryNCommits: k})
 	}
 }
 
 func TestConformanceClockShards(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			stmtest.Run(t, gcCadenceFactory(k, false), stmtest.Options{RONeverAborts: true})
+			stmtest.Run(t, gcCadenceFactory(k), stmtest.Options{RONeverAborts: true})
 		})
 	}
 }
@@ -35,7 +35,7 @@ func TestConformanceClockShards(t *testing.T) {
 func TestSerializabilityDSGClockShards(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			dsg.CheckRandom(t, gcCadenceFactory(k, false)(), dsg.RunOptions{Seed: uint64(30 + k)})
+			dsg.CheckRandom(t, gcCadenceFactory(k)(), dsg.RunOptions{Seed: uint64(30 + k)})
 		})
 	}
 }
@@ -43,21 +43,8 @@ func TestSerializabilityDSGClockShards(t *testing.T) {
 func TestSerializabilityDSGClockShardsHighContention(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			dsg.CheckRandom(t, gcCadenceFactory(k, false)(),
+			dsg.CheckRandom(t, gcCadenceFactory(k)(),
 				dsg.RunOptions{Vars: 3, Goroutines: 8, TxPerG: 120, Seed: uint64(300 + k)})
 		})
 	}
-}
-
-func TestSerializabilityDSGClockShardsGroupCommit(t *testing.T) {
-	for _, k := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			dsg.CheckRandom(t, gcCadenceFactory(k, true)(),
-				dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 120, Seed: uint64(400 + k)})
-		})
-	}
-}
-
-func TestConformanceClockShardsGroupCommit(t *testing.T) {
-	stmtest.Run(t, gcCadenceFactory(4, true), stmtest.Options{RONeverAborts: true})
 }

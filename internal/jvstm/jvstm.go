@@ -21,9 +21,9 @@ import (
 )
 
 // Options tunes a JVSTM instance: exactly the settings shared by the
-// multi-version engines. The zero value uses defaults; with GroupCommit the
-// engine's name becomes "jvstm-gc". JVSTM never time-warps, so its commit
-// records carry Tie == Serial (== the write version).
+// multi-version engines. The zero value uses defaults. JVSTM never
+// time-warps, so its commit records carry Tie == Serial (== the write
+// version).
 type Options = mvutil.Options
 
 // TM is a JVSTM instance.
@@ -54,12 +54,7 @@ func New(opts Options) *TM {
 }
 
 // Name implements stm.TM.
-func (tm *TM) Name() string {
-	if tm.Opts.GroupCommit {
-		return "jvstm-gc"
-	}
-	return "jvstm"
-}
+func (tm *TM) Name() string { return "jvstm" }
 
 // Stats implements stm.TM.
 func (tm *TM) Stats() *stm.Stats { return &tm.stats }
@@ -100,7 +95,7 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 // slices keep their backing arrays across reuse.
 type txn struct {
 	// Desc is the header shared with internal/core: counters, active-set
-	// slot and the commit pipeline's per-member state. It is also the identity that owns commit locks.
+	// slot and the commit pipeline's per-commit state. It is also the identity that owns commit locks.
 	mvutil.Desc
 	tm       *TM
 	readOnly bool
@@ -222,7 +217,7 @@ func (tx *txn) Writes(dst []mvutil.WriteRef) []mvutil.WriteRef {
 // the snapshot — its publications are inside it, and the read barrier already
 // waited those out — or above wv, in which case it serializes after us and
 // cannot have produced a version our reads missed. Nothing remains to
-// validate. In a batch it can only fire for the round's first member.
+// validate.
 func (tx *txn) Validate() stm.AbortReason {
 	tx.Serial = tx.Draw
 	if tx.Draw == tx.start+1 {

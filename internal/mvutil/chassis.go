@@ -18,15 +18,6 @@ type Options struct {
 	// LockSpinBudget bounds the spin iterations a transaction waits on a
 	// peer's commit lock before self-aborting. 0 selects the default.
 	LockSpinBudget int
-	// GroupCommit routes every update commit through the flat-combining
-	// stage (Combiner): one leader runs the commit pipeline over a whole
-	// batch of published committers under one clock advance.
-	GroupCommit bool
-	// GroupMaxBatch caps the members per combiner batch; 0 selects
-	// DefaultMaxBatch. Only consulted when GroupCommit is set.
-	GroupMaxBatch int
-	// GroupHooks injects the combiner's fault points (internal/chaos).
-	GroupHooks *BatchHooks
 	// Logger, when non-nil, makes every update commit durable through the
 	// stm.CommitLogger seam (DESIGN.md §16). It must be set before the engine
 	// serves transactions.
@@ -72,15 +63,6 @@ type Chassis struct {
 	logErr      func() error
 	logFailed   atomic.Bool
 	boundedLoss bool
-
-	// combiner is the flat-combining stage; nil unless Opts.GroupCommit.
-	// batch is the leader's round scratch, guarded by the combiner's leader
-	// lock (lead only ever runs under it). stripeSeq deals out sticky
-	// publication stripes, one per descriptor lifetime.
-	combiner  *Combiner
-	batch     scratch
-	pend      []*Desc
-	stripeSeq atomic.Uint32
 }
 
 // Init applies the option defaults, starts the clock and wires the engine's
@@ -95,9 +77,6 @@ func (c *Chassis) Init(opts Options, stats *stm.Stats, sweep func(bound uint64) 
 	c.Opts = opts
 	c.stats = stats
 	c.sweep = sweep
-	if opts.GroupCommit {
-		c.combiner = NewCombiner(opts.GroupMaxBatch, opts.GroupHooks)
-	}
 	if e, ok := opts.Logger.(interface{ Err() error }); ok {
 		c.logErr = e.Err
 	}
@@ -191,28 +170,14 @@ func (c *Chassis) GC() int {
 	return c.sweep(c.Active.MinStart(c.Clk.Load()))
 }
 
-// gcTick advances the commit counter by k and runs a collection pass if the
-// count crossed a multiple of Opts.GCEveryNCommits anywhere inside the jump.
-func (c *Chassis) gcTick(k int) {
+// gcTick counts one installed commit and runs a collection pass every
+// Opts.GCEveryNCommits of them.
+func (c *Chassis) gcTick() {
 	every := c.Opts.GCEveryNCommits
-	if every < 0 || k == 0 {
+	if every < 0 {
 		return
 	}
-	if c.gcCount.Add(uint64(k))%uint64(every) < uint64(k) {
+	if c.gcCount.Add(1)%uint64(every) == 0 {
 		c.GC()
 	}
-}
-
-// admit is the pipeline's first stage: it decides, before any commit lock is
-// taken or clock ticked, whether a round may install at all.
-//
-// Durability fail-fast: a logger that latched a failure (its own, or an
-// Append this engine saw fail) can never accept another record, so the round
-// fails at the door instead of installing versions whose record is known to
-// be unwritable — and nothing is ever logged after a hole.
-func (c *Chassis) admit() stm.AbortReason {
-	if c.logFailed.Load() || (c.logErr != nil && c.logErr() != nil) {
-		return stm.ReasonDurability
-	}
-	return stm.ReasonNone
 }

@@ -15,8 +15,8 @@ type Clock struct {
 // Load returns the clock.
 func (c *Clock) Load() uint64 { return c.v.Load() }
 
-// Add advances the clock by delta and returns the new value: one fetch-add
-// draws a whole round's orders.
+// Add advances the clock by delta and returns the new value: a commit draws
+// its order with Add(1).
 func (c *Clock) Add(delta uint64) uint64 { return c.v.Add(delta) }
 
 // Raise CAS-maxes the clock to at least v (recovery fast-forward).

@@ -11,7 +11,7 @@ import (
 	"repro/internal/stm"
 )
 
-// The pipeline is tested against a fake member: the round's stage order, its
+// The pipeline is tested against a fake member: the commit's step order, its
 // exactly-once resolution and its lock hygiene are properties of the shared
 // code, independent of either engine's validation rule.
 
@@ -150,33 +150,13 @@ func (r *rig) memberOn(name string, vars []*fakeVar) *fakeMember {
 	return f
 }
 
-// run commits ms as one drained batch (k>1: the leader's loop) or, for a
-// single member on a serial chassis, through CommitUpdate.
-func (r *rig) run(ms ...*fakeMember) {
-	if r.c.combiner == nil {
-		for _, m := range ms {
-			r.c.CommitUpdate(&m.Desc)
-		}
-		return
-	}
-	reqs := make([]*CommitReq, len(ms))
-	for i, m := range ms {
-		m.req.Reset(&m.Desc)
-		reqs[i] = &m.req
-	}
-	r.c.lead(reqs)
-}
-
 // check asserts the universal postconditions: every member resolved exactly
-// once, no lock left held, no member left marked in-batch.
+// once and no lock left held.
 func (r *rig) check(t *testing.T) {
 	t.Helper()
 	for _, m := range r.members {
-		if r.c.combiner != nil && !m.req.Done() {
-			t.Errorf("%s: never resolved", m.name)
-		}
-		if m.held != 0 || m.inBatch {
-			t.Errorf("%s: held=%d inBatch=%v after the round", m.name, m.held, m.inBatch)
+		if m.held != 0 {
+			t.Errorf("%s: held=%d after its commit", m.name, m.held)
 		}
 		for _, v := range m.vars {
 			if o := v.lock.Load(); o != nil {
@@ -193,188 +173,117 @@ func (r *rig) check(t *testing.T) {
 	}
 }
 
-func (r *rig) wantOutcome(t *testing.T, m *fakeMember, reason stm.AbortReason) {
+// commit runs m through the pipeline and checks the outcome it reports.
+func (r *rig) commit(t *testing.T, m *fakeMember, reason stm.AbortReason) {
 	t.Helper()
-	if ok := reason == stm.ReasonNone; m.req.OK != ok || m.LastAbortReason() != reason {
-		t.Errorf("%s: ok=%v reason=%v, want ok=%v reason=%v", m.name, m.req.OK, m.LastAbortReason(), ok, reason)
+	if ok := r.c.CommitUpdate(&m.Desc); ok != (reason == stm.ReasonNone) || m.LastAbortReason() != reason {
+		t.Errorf("%s: ok=%v reason=%v, want ok=%v reason=%v", m.name, ok, m.LastAbortReason(), reason == stm.ReasonNone, reason)
 	}
-}
-
-// modes runs a scenario as a serial round of one and as a leader round.
-func modes(t *testing.T, f func(t *testing.T, opts Options, batched bool)) {
-	t.Run("k=1", func(t *testing.T) { f(t, Options{}, false) })
-	t.Run("k>1", func(t *testing.T) { f(t, Options{GroupCommit: true}, true) })
 }
 
 func TestPipelineStageOrder(t *testing.T) {
-	modes(t, func(t *testing.T, opts Options, batched bool) {
-		r := newRig(opts, true)
-		a := r.member("a", 2)
-		want := []string{
-			"writes:a",
-			"validate:a locked=true", "install:a locked=true",
-			"append:[2] locked=true", "durable locked=false",
-		}
-		if batched {
-			b, c := r.member("b", 1), r.member("c", 3)
-			want = []string{
-				"writes:a", "writes:b", "writes:c",
-				"validate:a locked=true", "install:a locked=true",
-				"validate:b locked=true", "install:b locked=true",
-				"validate:c locked=true", "install:c locked=true",
-				"append:[2 3 4] locked=true", "durable locked=false",
-			}
-			r.run(a, b, c)
-		} else {
-			r.run(a)
-		}
-		if !reflect.DeepEqual(r.ev.log, want) {
-			t.Errorf("stage order:\n got %q\nwant %q", r.ev.log, want)
-		}
-		for _, m := range r.members {
-			r.wantOutcome(t, m, stm.ReasonNone)
-		}
-		if got, want := r.c.Clock(), uint64(1+len(r.members)); got != want {
-			t.Errorf("clock = %d, want one tick per member (%d)", got, want)
-		}
-		r.check(t)
-	})
-}
-
-func TestPipelineLatchedLogger(t *testing.T) {
-	modes(t, func(t *testing.T, opts Options, batched bool) {
-		r := newRig(opts, true)
-		r.logger.latched = errors.New("disk gone")
-		ms := []*fakeMember{r.member("a", 1)}
-		if batched {
-			ms = append(ms, r.member("b", 1))
-		}
-		r.run(ms...)
-		for _, m := range ms {
-			r.wantOutcome(t, m, stm.ReasonDurability)
-		}
-		if len(r.ev.log) != 0 || r.c.Clock() != 1 {
-			t.Errorf("latched logger: round still ran stages %q (clock %d)", r.ev.log, r.c.Clock())
-		}
-		r.check(t)
-	})
-}
-
-func TestPipelineLockTimeout(t *testing.T) {
-	modes(t, func(t *testing.T, opts Options, batched bool) {
-		opts.LockSpinBudget = 4
-		r := newRig(opts, false)
-		a := r.member("a", 3)
-		var squatter Desc
-		a.vars[1].lock.owner.Store(&squatter) // a takes vars[0], then times out
-		ms := []*fakeMember{a}
-		if batched {
-			ms = append(ms, r.member("b", 1))
-		}
-		r.run(ms...)
-		r.wantOutcome(t, a, stm.ReasonLockTimeout)
-		if a.installed != 0 || a.vars[0].lock.Load() != nil {
-			t.Errorf("timed-out member installed %d / kept its partial locks", a.installed)
-		}
-		for _, m := range ms[1:] {
-			r.wantOutcome(t, m, stm.ReasonNone)
-		}
-		a.vars[1].lock.owner.Store(nil)
-		r.check(t)
-	})
-}
-
-func TestPipelineValidateAbort(t *testing.T) {
-	modes(t, func(t *testing.T, opts Options, batched bool) {
-		r := newRig(opts, true)
-		a := r.member("a", 2)
-		a.verdict = stm.ReasonReadConflict
-		ms := []*fakeMember{a}
-		if batched {
-			ms = append(ms, r.member("b", 1))
-		}
-		r.run(ms...)
-		r.wantOutcome(t, a, stm.ReasonReadConflict)
-		if a.installed != 0 {
-			t.Errorf("aborted member installed")
-		}
-		appends := 0
-		for _, e := range r.ev.log {
-			if strings.HasPrefix(e, "append") {
-				appends++
-				if e != "append:[3] locked=true" {
-					t.Errorf("batch record = %q, want only the survivor (draw 3)", e)
-				}
-			}
-		}
-		if want := len(ms) - 1; appends != want {
-			t.Errorf("%d appends, want %d", appends, want)
-		}
-		r.check(t)
-	})
-}
-
-func TestPipelineAppendError(t *testing.T) {
-	modes(t, func(t *testing.T, opts Options, batched bool) {
-		r := newRig(opts, true)
-		shortWrite := errors.New("short write")
-		r.logger.appendErr = shortWrite
-		ms := []*fakeMember{r.member("a", 1)}
-		if batched {
-			ms = append(ms, r.member("b", 2))
-		}
-		r.run(ms...)
-		// The round was installed before the append: it stands in memory,
-		// unlogged, is never waited durable, is not acknowledged (its outcome
-		// is unknown), and nothing is logged after it.
-		for _, m := range ms {
-			r.wantOutcome(t, m, stm.ReasonOutcomeUnknown)
-			if !errors.Is(m.DurabilityErr(), shortWrite) {
-				t.Errorf("%s: DurabilityErr = %v, want the append's error", m.name, m.DurabilityErr())
-			}
-			if m.installed != 1 {
-				t.Errorf("%s: installed %d times", m.name, m.installed)
-			}
-		}
-		for _, e := range r.ev.log {
-			if e == "durable locked=false" {
-				t.Errorf("failed append was waited durable")
-			}
-		}
-		r.logger.appendErr = nil
-		late := r.member("late", 1)
-		r.run(late)
-		r.wantOutcome(t, late, stm.ReasonDurability)
-		if late.installed != 0 {
-			t.Errorf("a round after a failed append installed")
-		}
-		r.check(t)
-	})
-}
-
-// TestPipelineSpill: overlapping write sets never share a round.
-func TestPipelineSpill(t *testing.T) {
-	r := newRig(Options{GroupCommit: true}, false)
+	r := newRig(Options{}, true)
 	a := r.member("a", 2)
-	b := r.memberOn("b", a.vars[1:]) // overlaps a
-	c := r.member("c", 1)
-	r.run(a, b, c)
-	for _, m := range r.members {
-		r.wantOutcome(t, m, stm.ReasonNone)
+	r.commit(t, a, stm.ReasonNone)
+	want := []string{
+		"writes:a",
+		"validate:a locked=true", "install:a locked=true",
+		"append:[2] locked=true", "durable locked=false",
 	}
-	if a.Draw != 2 || c.Draw != 3 || b.Draw != 4 {
-		t.Errorf("draws a=%d c=%d b=%d, want 2 3 4 (b spilled to the second round)", a.Draw, c.Draw, b.Draw)
+	if !reflect.DeepEqual(r.ev.log, want) {
+		t.Errorf("stage order:\n got %q\nwant %q", r.ev.log, want)
 	}
-	snap := r.stats.Snapshot()
-	if snap.BatchSpills != 1 || snap.GroupBatches != 2 || snap.ClockAdvances != 2 {
-		t.Errorf("spills=%d batches=%d advances=%d, want 1 2 2", snap.BatchSpills, snap.GroupBatches, snap.ClockAdvances)
+	if got := r.c.Clock(); got != 2 {
+		t.Errorf("clock = %d, want one tick (2)", got)
 	}
 	r.check(t)
 }
 
-// TestPipelineConcurrentSerialRounds runs many rounds of one at once on a
-// serial chassis: they share no scratch (run under -race), contend only on
-// the variables' locks, and every member resolves with its locks released.
+func TestPipelineLatchedLogger(t *testing.T) {
+	r := newRig(Options{}, true)
+	disk := errors.New("disk gone")
+	r.logger.latched = disk
+	a := r.member("a", 1)
+	r.commit(t, a, stm.ReasonDurability)
+	if !errors.Is(a.DurabilityErr(), disk) {
+		t.Errorf("DurabilityErr = %v, want the logger's latched error", a.DurabilityErr())
+	}
+	if len(r.ev.log) != 0 || r.c.Clock() != 1 {
+		t.Errorf("latched logger: the commit still ran stages %q (clock %d)", r.ev.log, r.c.Clock())
+	}
+	r.check(t)
+}
+
+func TestPipelineLockTimeout(t *testing.T) {
+	r := newRig(Options{LockSpinBudget: 4}, false)
+	a := r.member("a", 3)
+	var squatter Desc
+	a.vars[1].lock.owner.Store(&squatter) // a takes vars[0], then times out
+	r.commit(t, a, stm.ReasonLockTimeout)
+	if a.installed != 0 || a.vars[0].lock.Load() != nil {
+		t.Errorf("timed-out member installed %d / kept its partial locks", a.installed)
+	}
+	if r.c.Clock() != 1 {
+		t.Errorf("a lock timeout drew a tick (clock %d)", r.c.Clock())
+	}
+	a.vars[1].lock.owner.Store(nil)
+	r.check(t)
+}
+
+func TestPipelineValidateAbort(t *testing.T) {
+	r := newRig(Options{}, true)
+	a := r.member("a", 2)
+	a.verdict = stm.ReasonReadConflict
+	r.commit(t, a, stm.ReasonReadConflict)
+	if a.installed != 0 {
+		t.Errorf("aborted member installed")
+	}
+	for _, e := range r.ev.log {
+		if strings.HasPrefix(e, "append") {
+			t.Errorf("aborted commit was logged: %q", e)
+		}
+	}
+	if r.c.Clock() != 2 {
+		t.Errorf("clock = %d, want the wasted tick (2)", r.c.Clock())
+	}
+	r.check(t)
+}
+
+func TestPipelineAppendError(t *testing.T) {
+	r := newRig(Options{}, true)
+	shortWrite := errors.New("short write")
+	r.logger.appendErr = shortWrite
+	a := r.member("a", 1)
+	r.commit(t, a, stm.ReasonOutcomeUnknown)
+	// The commit was installed before the append: it stands in memory,
+	// unlogged, is never waited durable, is not acknowledged (its outcome is
+	// unknown), and nothing is logged after it.
+	if !errors.Is(a.DurabilityErr(), shortWrite) {
+		t.Errorf("DurabilityErr = %v, want the append's error", a.DurabilityErr())
+	}
+	if a.installed != 1 {
+		t.Errorf("installed %d times", a.installed)
+	}
+	for _, e := range r.ev.log {
+		if e == "durable locked=false" {
+			t.Errorf("failed append was waited durable")
+		}
+	}
+	r.logger.appendErr = nil
+	late := r.member("late", 1)
+	r.commit(t, late, stm.ReasonDurability)
+	if late.installed != 0 {
+		t.Errorf("a commit after a failed append installed")
+	}
+	if late.DurabilityErr() == nil {
+		t.Errorf("refusal after a failed append carries no error")
+	}
+	r.check(t)
+}
+
+// TestPipelineConcurrentSerialRounds runs many commits at once: they share no
+// scratch (run under -race), contend only on the variables' locks, and every
+// member resolves with its locks released.
 func TestPipelineConcurrentSerialRounds(t *testing.T) {
 	const goroutines, rounds = 8, 200
 	r := newRig(Options{}, false)

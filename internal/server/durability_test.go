@@ -6,12 +6,14 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/server"
+	"repro/internal/stm"
 	"repro/internal/wal"
 )
 
@@ -131,8 +133,9 @@ func TestDurableRestartZeroLoss(t *testing.T) {
 
 // TestDurableFailedFsyncAnswers503: under per-commit, an update whose fsync
 // fails is installed in memory but not durable, so the server answers 503
-// "outcome-unknown" — never 200 — and every later update is refused too (the
-// log is latched).
+// "outcome-unknown" — never 200. The log is latched from then on, so every
+// later update is refused at the door: 503 "log-failed" after exactly one
+// attempt, well inside the request timeout.
 func TestDurableFailedFsyncAnswers503(t *testing.T) {
 	var fail atomic.Bool
 	defer server.SetWALHooks(wal.Hooks{BeforeSync: func() error {
@@ -141,8 +144,9 @@ func TestDurableFailedFsyncAnswers503(t *testing.T) {
 		}
 		return nil
 	}})()
+	const timeout = 5 * time.Second
 	cfg := durableConfig(t.TempDir())
-	cfg.RequestTimeout = 100 * time.Millisecond
+	cfg.RequestTimeout = timeout
 	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -152,22 +156,36 @@ func TestDurableFailedFsyncAnswers503(t *testing.T) {
 	mustPost(t, h, "/v1/deposit", `{"account":"0","amount":100}`)
 
 	fail.Store(true)
+	kind := func(rr *httptest.ResponseRecorder) string {
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+			t.Fatalf("decode %q: %v", rr.Body, err)
+		}
+		return body.Error
+	}
 	rr := post(h, "/v1/deposit", `{"account":"0","amount":100}`)
-	var body struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
-		t.Fatalf("decode %q: %v", rr.Body, err)
-	}
-	if rr.Code != http.StatusServiceUnavailable || body.Error != "outcome-unknown" {
+	if rr.Code != http.StatusServiceUnavailable || kind(rr) != "outcome-unknown" {
 		t.Fatalf("deposit with a failed fsync: %d %s, want 503 outcome-unknown", rr.Code, rr.Body)
+	}
+	refusals := func() uint64 {
+		return s.TM().Stats().Snapshot().ByReason[stm.ReasonDurability.String()]
 	}
 	for _, req := range [][2]string{
 		{"/v1/deposit", `{"account":"1","amount":5}`},
 		{"/v1/transfer", `{"from":"1","to":"2","amount":5}`},
 	} {
-		if rr := post(h, req[0], req[1]); rr.Code == http.StatusOK {
-			t.Errorf("%s after the failed fsync answered 200", req[0])
+		before, start := refusals(), time.Now()
+		rr := post(h, req[0], req[1])
+		if elapsed := time.Since(start); elapsed > timeout/5 {
+			t.Errorf("%s after the failed fsync took %v, want a fast failure", req[0], elapsed)
+		}
+		if rr.Code != http.StatusServiceUnavailable || kind(rr) != "log-failed" {
+			t.Errorf("%s after the failed fsync: %d %s, want 503 log-failed", req[0], rr.Code, rr.Body)
+		}
+		if n := refusals() - before; n != 1 {
+			t.Errorf("%s after the failed fsync ran %d refused attempts, want exactly 1", req[0], n)
 		}
 	}
 }

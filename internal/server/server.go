@@ -672,6 +672,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 		oe *stm.OverloadError
 		ce *stm.CancelledError
 		ue *stm.OutcomeUnknownError
+		le *stm.LogFailedError
 		pe *panicError
 	)
 	switch {
@@ -698,6 +699,12 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 		s.log.Error("commit outcome unknown",
 			"method", r.Method, "path", r.URL.Path, "err", ue.Err)
 		writeErrJSON(w, http.StatusServiceUnavailable, "outcome-unknown", err)
+	case errors.As(err, &le):
+		// Nothing was written, and nothing will be until the log is
+		// replaced: the update failed at the door, after one attempt.
+		s.log.Error("commit log failed",
+			"method", r.Method, "path", r.URL.Path, "err", le.Err)
+		writeErrJSON(w, http.StatusServiceUnavailable, "log-failed", err)
 	case errors.As(err, &pe):
 		s.metrics.Panics.Add(1)
 		s.log.Error("transaction body panic contained",

@@ -50,9 +50,9 @@ const (
 	// ReasonDurability: the engine's CommitLogger has latched a failure, so
 	// the commit failed at the door, before installing any version — an
 	// acknowledged commit must never be less durable than the fsync policy
-	// promises. The latch is permanent, so these aborts persist until the
-	// operator replaces the log (the health watchdog's WAL-stall condition
-	// surfaces the state).
+	// promises. The latch is permanent, so the retry loop does not retry: it
+	// returns a *LogFailedError at once (the health watchdog's WAL-stall
+	// condition surfaces the state until the operator replaces the log).
 	ReasonDurability
 	// ReasonOutcomeUnknown: the commit installed its writes in memory, but
 	// its CommitLogger failed to append or make durable its record under a
@@ -197,9 +197,10 @@ func run(ctx context.Context, tm TM, readOnly bool, gate *AdmissionGate, fn func
 // request and committing on success. On retry it reports why the attempt
 // aborted: read-path aborts carry the reason in the retry signal; commit
 // failures are read back from the descriptor (LastAbortReason, defaulting to
-// ReasonWriteConflict when it reports ReasonNone). A commit whose outcome is
-// unknown (ReasonOutcomeUnknown) is not retried: it ends the call with an
-// *OutcomeUnknownError.
+// ReasonWriteConflict when it reports ReasonNone). Two commit failures are
+// not retried: one whose outcome is unknown (ReasonOutcomeUnknown) ends the
+// call with an *OutcomeUnknownError, and one refused by a latched log
+// (ReasonDurability) — which no retry can get past — with a *LogFailedError.
 func runOnce(tm TM, tx Tx, fn func(Tx) error) (err error, reason AbortReason, retry bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -228,8 +229,11 @@ func runOnce(tm TM, tx Tx, fn func(Tx) error) (err error, reason AbortReason, re
 	if r := tx.LastAbortReason(); r != ReasonNone {
 		reason = r
 	}
-	if reason == ReasonOutcomeUnknown {
-		return outcomeUnknown(tx), reason, false
+	switch reason {
+	case ReasonOutcomeUnknown:
+		return &OutcomeUnknownError{Err: durabilityErr(tx)}, reason, false
+	case ReasonDurability:
+		return &LogFailedError{Err: durabilityErr(tx)}, reason, false
 	}
 	return nil, reason, true
 }

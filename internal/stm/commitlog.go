@@ -37,20 +37,18 @@ type CommitRecord struct {
 // CommitLogger is the durability seam on an engine's commit path. Engines
 // that are handed a logger call it in two phases around version install:
 //
-//   - Append is called with the committing transactions' write locks still
+//   - Append is called with the committing transaction's write locks still
 //     held, after validation has succeeded but BEFORE any new version becomes
-//     visible to other transactions. The slice holds the write sets committing
-//     under one clock advance — one element on the serial path, the whole
-//     batch (in natural-commit order) from a group-commit leader. Because no
-//     write is visible before its record is appended, append order respects
-//     the reads-from order of the history: a crash can only lose a
-//     dependency-closed suffix, so any recovered prefix is serializable.
-//     The round's versions are already installed (later members of a batch
-//     validate against earlier members' versions) but still locked, hence
-//     invisible. An Append error therefore leaves the round standing in
-//     memory, unlogged; the engine latches and fails every later commit
-//     before installing anything (stm.ReasonDurability), so nothing is ever
-//     logged after the hole.
+//     visible to other transactions. The engines pass one record; the WAL
+//     encodes any number as one log entry. Because no write is visible
+//     before its record is appended, append order respects the reads-from
+//     order of the history: a crash can only lose a dependency-closed
+//     suffix, so any recovered prefix is serializable. The commit's versions
+//     are already installed but still locked, hence invisible. An Append
+//     error therefore leaves the commit standing in memory, unlogged; the
+//     engine latches and fails every later commit before installing
+//     anything (stm.ReasonDurability, a *LogFailedError from the retry
+//     loop), so nothing is ever logged after the hole.
 //   - Durable is called after the versions are installed and unlocked, with
 //     the LSN Append returned. It blocks until that record is durable under
 //     the logger's fsync policy (per-commit: an fsync covering the LSN has
@@ -58,8 +56,8 @@ type CommitRecord struct {
 //     report success to its caller, so an acknowledged commit is exactly as
 //     durable as the policy promises.
 //
-// A round whose Append or Durable fails is never acknowledged: each member's
-// Commit returns false with ReasonOutcomeUnknown, and the retry loop returns
+// A commit whose Append or Durable fails is never acknowledged: its Commit
+// returns false with ReasonOutcomeUnknown, and the retry loop returns
 // an *OutcomeUnknownError wrapping the logger's error. The one exception is
 // a logger whose policy already acknowledges before the fsync: when it
 // reports BoundedLoss() == true, a failed Append is acknowledged like any
@@ -92,13 +90,29 @@ func (e *OutcomeUnknownError) Error() string {
 // Unwrap exposes the logger's error to errors.Is/As.
 func (e *OutcomeUnknownError) Unwrap() error { return e.Err }
 
-// outcomeUnknown builds the error of a commit that failed with
-// ReasonOutcomeUnknown, taking the logger's error from the descriptor when
-// it carries one (the multi-version engines' mvutil.Desc does).
-func outcomeUnknown(tx Tx) error {
-	e := &OutcomeUnknownError{}
+// LogFailedError is returned by the Atomically family when the engine's
+// CommitLogger has latched a failure, so the commit was refused before
+// installing anything (ReasonDurability). Unlike an *OutcomeUnknownError the
+// failure is definite: nothing was written. The latch is permanent, so the
+// transaction is not retried. Unwrap yields the logger's latched error.
+type LogFailedError struct {
+	Err error
+}
+
+// Error implements error.
+func (e *LogFailedError) Error() string {
+	return fmt.Sprintf("stm: commit refused, the commit log has failed: %v", e.Err)
+}
+
+// Unwrap exposes the logger's error to errors.Is/As.
+func (e *LogFailedError) Unwrap() error { return e.Err }
+
+// durabilityErr is the logger's error behind a commit that failed with
+// ReasonOutcomeUnknown or ReasonDurability, taken from the descriptor when it
+// carries one (the multi-version engines' mvutil.Desc does).
+func durabilityErr(tx Tx) error {
 	if d, ok := tx.(interface{ DurabilityErr() error }); ok {
-		e.Err = d.DurabilityErr()
+		return d.DurabilityErr()
 	}
-	return e
+	return nil
 }

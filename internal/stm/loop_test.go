@@ -9,7 +9,7 @@ import (
 // The retry loop's specification as one table: scripted attempt outcomes in,
 // observed effects out. Every row runs with no gate, with a free gate and with
 // a saturated gate, so each exit of run (doCommit, user error, cancellation,
-// overload, foreign panic) is checked for the two things it must never drop:
+// latched log, overload, foreign panic) is checked for the two things it must never drop:
 // the descriptor's recycle and the gate slot's release.
 
 type outcome uint8
@@ -27,7 +27,10 @@ type step struct {
 	reason  AbortReason
 }
 
-var errScripted = errors.New("scripted user error")
+var (
+	errScripted    = errors.New("scripted user error")
+	errLogScripted = errors.New("scripted latched log")
+)
 
 const panicScripted = "scripted body panic"
 
@@ -104,6 +107,14 @@ func (t *scriptTx) Write(Var, Value)             {}
 func (t *scriptTx) ReadOnly() bool               { return false }
 func (t *scriptTx) LastAbortReason() AbortReason { return t.last }
 
+// DurabilityErr is the latched log's error behind a ReasonDurability refusal.
+func (t *scriptTx) DurabilityErr() error {
+	if t.last == ReasonDurability {
+		return errLogScripted
+	}
+	return nil
+}
+
 // scriptedBody is the transaction body of every row: it acts out the
 // attempt's step.
 func scriptedBody(tx Tx) error {
@@ -133,6 +144,7 @@ const (
 	wantNil result = iota
 	wantUserErr
 	wantCancelled
+	wantLogFailed
 	wantPanic
 )
 
@@ -160,6 +172,8 @@ func TestRunLoop(t *testing.T) {
 			want: wantNil, begins: 3},
 		{name: "retry signals retry", script: []step{{doRetry, ReasonUser}, {doRetry, ReasonTimeWarpSkip}, {doCommit, 0}}, ctx: liveCtx,
 			want: wantNil, begins: 3, aborts: 2},
+		{name: "Durability is not retried", script: []step{{doCommitFalse, ReasonDurability}}, ctx: liveCtx,
+			want: wantLogFailed, begins: 1},
 		{name: "user error is verbatim and final", script: []step{{doCommitFalse, ReasonLockTimeout}, {doUserError, 0}},
 			want: wantUserErr, begins: 2, aborts: 1},
 		{name: "body panic propagates", script: []step{{doPanic, 0}}, ctx: liveCtx,
@@ -238,6 +252,11 @@ func TestRunLoop(t *testing.T) {
 						t.Errorf("err = %v, want *CancelledError wrapping context.Canceled", err)
 					} else if ce.Attempts != attempts || ce.Reason != reason {
 						t.Errorf("CancelledError{Attempts: %d, Reason: %v}, want {%d, %v}", ce.Attempts, ce.Reason, attempts, reason)
+					}
+				case want == wantLogFailed:
+					var lf *LogFailedError
+					if !errors.As(err, &lf) || !errors.Is(err, errLogScripted) {
+						t.Errorf("err = %v, want *LogFailedError wrapping the latched log's error", err)
 					}
 				case want == wantPanic:
 					if panicked != panicScripted {

@@ -61,22 +61,6 @@ type StatShard struct {
 	// retry means another reader raced the same stamp word.
 	stampRetries atomic.Uint64
 
-	// Group-commit counters (DESIGN.md §13): batches counts installed
-	// combiner batches, batchTxs the update commits they carried, batchSpills
-	// the members deferred to a later round because their write set overlapped
-	// an earlier member's, handoffs the commits performed by another
-	// goroutine's leader session, and clockAdvances the shared-clock
-	// increments the batched path issued (one per installed batch — the
-	// "single global-clock advance" the group-commit stage exists for).
-	// batchHist is a coarse batch-size histogram indexed by size bit-length
-	// (1, 2, 3-4, 5-8, ..., 65+).
-	batches       atomic.Uint64
-	batchTxs      atomic.Uint64
-	batchSpills   atomic.Uint64
-	handoffs      atomic.Uint64
-	clockAdvances atomic.Uint64
-	batchHist     [batchHistBuckets]atomic.Uint64
-
 	// Stamp-elision counters (DESIGN.md §12.5): quietRO counts the read-only
 	// commits that ran without stamping (roCommits minus it ran the stamping
 	// barrier), reRoots the sole surviving versions the collector moved back
@@ -84,13 +68,9 @@ type StatShard struct {
 	quietRO atomic.Uint64
 	reRoots atomic.Uint64
 
-	// 12 is the number of scalar counters above; TestStatShardPadded checks it.
-	_ [128 + (128-(12+batchHistBuckets+int(numAbortReasons))*8%128)%128]byte
+	// 7 is the number of scalar counters above; TestStatShardPadded checks it.
+	_ [128 + (128-(7+int(numAbortReasons))*8%128)%128]byte
 }
-
-// batchHistBuckets is the batch-size histogram width: bucket i covers sizes
-// (2^(i-1), 2^i], so 1, 2, 3-4, 5-8, 9-16, 17-32, 33-64, 65+.
-const batchHistBuckets = 8
 
 // Shard hands out a stripe for a long-lived recorder (one pooled transaction
 // descriptor). The round-robin assignment costs one atomic add, paid once per
@@ -128,45 +108,6 @@ func (s *StatShard) RecordStampRetries(n uint64) {
 		s.stampRetries.Add(n)
 	}
 }
-
-// RecordBatch notes one installed group-commit batch of the given size: the
-// batch counter, the carried-commit counter and the size histogram advance
-// together, so GroupBatchTxs/GroupBatches is the exact mean batch size.
-func (s *StatShard) RecordBatch(size int) {
-	s.batches.Add(1)
-	s.batchTxs.Add(uint64(size))
-	s.batchHist[batchHistBucket(size)].Add(1)
-}
-
-// batchHistBucket maps a batch size to its histogram bucket (bit length,
-// clamped): 1→0, 2→1, 3-4→2, 5-8→3, ..., 65+→7.
-func batchHistBucket(size int) int {
-	b := 0
-	for n := size - 1; n > 0; n >>= 1 {
-		b++
-	}
-	if b >= batchHistBuckets {
-		b = batchHistBuckets - 1
-	}
-	return b
-}
-
-// RecordBatchSpills notes n committers deferred to a later combiner round
-// because their write sets overlapped an earlier member's.
-func (s *StatShard) RecordBatchSpills(n int) {
-	if n > 0 {
-		s.batchSpills.Add(uint64(n))
-	}
-}
-
-// RecordHandoff notes one commit performed on the committer's behalf by
-// another goroutine's leader session (the flat-combining handoff).
-func (s *StatShard) RecordHandoff() { s.handoffs.Add(1) }
-
-// RecordClockAdvance notes one shared-clock increment issued by the batched
-// commit path. The one-tick-per-batch invariant (DESIGN.md §13) is asserted
-// by tests as ClockAdvances == GroupBatches.
-func (s *StatShard) RecordClockAdvance() { s.clockAdvances.Add(1) }
 
 // RecordStart notes one transaction attempt (shard 0; use Shard() on hot
 // paths).
@@ -211,19 +152,13 @@ type Snapshot struct {
 	// StampCASRetries counts failed CAS attempts while raising semi-visible
 	// read stamps; zero on engines without semi-visible reads.
 	StampCASRetries uint64
-	// Group-commit counters; all zero on engines without a combiner stage.
-	// GroupBatches counts installed batches, GroupBatchTxs the update commits
-	// they carried, BatchSpills the members deferred to a later round on a
-	// write-write overlap, CombinerHandoffs the commits performed by another
-	// goroutine's leader session, and ClockAdvances the shared-clock
-	// increments the batched path issued (one per batch). BatchSizeHist is
-	// the batch-size histogram (buckets 1, 2, 3-4, 5-8, ..., 65+).
+	// GroupBatches, GroupBatchTxs, BatchSpills and CombinerHandoffs are
+	// always zero: group commit is deleted (DESIGN.md §13), and the members
+	// stay only because the benchmark module still reads them.
 	GroupBatches     uint64
 	GroupBatchTxs    uint64
 	BatchSpills      uint64
 	CombinerHandoffs uint64
-	ClockAdvances    uint64
-	BatchSizeHist    [8]uint64
 	// Stamp elision (TWM only): QuietROCommits of the ROCommits ran without
 	// stamping their reads — the rest ran the stamping barrier — and
 	// ReRootedVersions counts sole surviving versions the collector copied
@@ -241,8 +176,8 @@ func (sn Snapshot) QuietROShare() float64 {
 	return float64(sn.QuietROCommits) / float64(sn.ROCommits)
 }
 
-// MeanBatchSize returns the average installed-batch size, or 0 when the
-// engine never batched.
+// MeanBatchSize returns GroupBatchTxs/GroupBatches, or 0 when GroupBatches
+// is zero — which it always is (see GroupBatches).
 func (sn Snapshot) MeanBatchSize() float64 {
 	if sn.GroupBatches == 0 {
 		return 0
@@ -261,16 +196,8 @@ func (s *Stats) Snapshot() Snapshot {
 		snap.ROCommits += sh.roCommits.Load()
 		snap.Aborts += sh.aborts.Load()
 		snap.StampCASRetries += sh.stampRetries.Load()
-		snap.GroupBatches += sh.batches.Load()
-		snap.GroupBatchTxs += sh.batchTxs.Load()
-		snap.BatchSpills += sh.batchSpills.Load()
-		snap.CombinerHandoffs += sh.handoffs.Load()
-		snap.ClockAdvances += sh.clockAdvances.Load()
 		snap.QuietROCommits += sh.quietRO.Load()
 		snap.ReRootedVersions += sh.reRoots.Load()
-		for b := range sh.batchHist {
-			snap.BatchSizeHist[b] += sh.batchHist[b].Load()
-		}
 		for r := range sh.byReason {
 			byReason[r] += sh.byReason[r].Load()
 		}
@@ -292,16 +219,8 @@ func (s *Stats) Reset() {
 		sh.roCommits.Store(0)
 		sh.aborts.Store(0)
 		sh.stampRetries.Store(0)
-		sh.batches.Store(0)
-		sh.batchTxs.Store(0)
-		sh.batchSpills.Store(0)
-		sh.handoffs.Store(0)
-		sh.clockAdvances.Store(0)
 		sh.quietRO.Store(0)
 		sh.reRoots.Store(0)
-		for b := range sh.batchHist {
-			sh.batchHist[b].Store(0)
-		}
 		for r := range sh.byReason {
 			sh.byReason[r].Store(0)
 		}
