@@ -1,48 +1,59 @@
 package chaos_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/dsg"
-	"repro/internal/jvstm"
-	"repro/internal/mvutil"
-	"repro/internal/stm"
+	"repro/internal/engines"
+	"repro/internal/wal"
+	"repro/internal/xrand"
 )
 
-// TestGroupCommitChaosSoak drives the group-commit engines through the dsg
-// serializability oracle with faults injected at both layers: the stm.TM
-// chaos wrapper above (spurious aborts, delays, forced commit failures) and
-// the combiner hooks below (stalled leaders, split batches). A sleeping
-// leader is also the most effective batch generator — followers pile up
-// behind it — so the soak exercises genuinely multi-member batches even on a
-// single core. Replayable via TWM_CHAOS_SEED.
+// TestGroupCommitChaosSoak drives every WAL-capable engine through the dsg
+// serializability oracle with a per-commit log attached and faults injected
+// at both layers: the stm.TM chaos wrapper above (spurious aborts, delays,
+// forced commit failures) and the log below, whose fsyncs stall at random. A
+// stalled fsync is the most effective batch generator for the log's group
+// commit — committers pile up behind it and the next fsync covers them all —
+// so the soak exercises genuinely shared fsyncs even on a single core. The
+// log must close cleanly and recover afterwards. Replayable via
+// TWM_CHAOS_SEED.
 func TestGroupCommitChaosSoak(t *testing.T) {
 	opts := dsg.RunOptions{Goroutines: 6, TxPerG: 120}
 	if testing.Short() {
 		opts = dsg.RunOptions{Goroutines: 4, TxPerG: 40}
 	}
-	engines := map[string]func(hooks *chaos.GroupInjector) stm.TM{
-		"twm-gc": func(g *chaos.GroupInjector) stm.TM {
-			return core.New(core.Options{Options: mvutil.Options{GroupCommit: true, GroupHooks: g.Hooks()}})
-		},
-		"jvstm-gc": func(g *chaos.GroupInjector) stm.TM {
-			return jvstm.New(jvstm.Options{GroupCommit: true, GroupHooks: g.Hooks()})
-		},
-	}
-	for name, mk := range engines {
+	for _, name := range engines.DurableSet() {
 		t.Run(name, func(t *testing.T) {
 			seed := chaosSeed(t, 0xBA7C4)
-			ginj := chaos.NewGroupInjector(chaos.GroupOptions{
-				Seed:            seed,
-				LeaderStallProb: 0.3,
-				LeaderStall:     200 * time.Microsecond,
-				BatchSplitProb:  0.5,
-			})
-			inner := mk(ginj)
-			tm := chaos.New(inner, chaos.Options{
+			var (
+				mu            sync.Mutex
+				rng           = xrand.New(xrand.Mix(seed))
+				syncs, stalls int
+			)
+			dir := t.TempDir()
+			w, err := wal.Open(wal.Options{Dir: dir, Hooks: wal.Hooks{
+				BeforeSync: func() error {
+					mu.Lock()
+					syncs++
+					stall := rng.Bool(0.3)
+					if stall {
+						stalls++
+					}
+					mu.Unlock()
+					if stall {
+						time.Sleep(200 * time.Microsecond)
+					}
+					return nil
+				},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tm := chaos.New(engines.MustNew(name, engines.WithLogger(w)), chaos.Options{
 				Seed:           seed,
 				AbortProb:      0.05,
 				DelayProb:      0.15,
@@ -51,18 +62,25 @@ func TestGroupCommitChaosSoak(t *testing.T) {
 			})
 			dsg.CheckRandom(t, tm, opts)
 
-			snap := inner.Stats().Snapshot()
-			gi := ginj.Injected()
-			t.Logf("batches %d (mean size %.2f), spills %d, handoffs %d; injected %d leader stalls, %d batch splits",
-				snap.GroupBatches, snap.MeanBatchSize(), snap.BatchSpills, snap.CombinerHandoffs,
-				gi.Stalls.Load(), gi.Splits.Load())
-			if gi.Stalls.Load() == 0 {
-				t.Errorf("soak injected no leader stalls; the schedule was not adversarial")
+			appended, _, _, err := w.WALCounters()
+			if err != nil {
+				t.Fatalf("log latched during the soak: %v", err)
 			}
-			// The one-tick-per-batch invariant must hold under fault injection
-			// too — stalls and splits may reshape batches, never the advance.
-			if snap.ClockAdvances != snap.GroupBatches {
-				t.Errorf("clock advances = %d, batches = %d", snap.ClockAdvances, snap.GroupBatches)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			t.Logf("%d records, %d fsyncs, %d injected fsync stalls", appended, syncs, stalls)
+			if stalls == 0 {
+				t.Errorf("soak injected no fsync stalls; the schedule was not adversarial")
+			}
+			mu.Unlock()
+			rec, err := wal.Recover(dir)
+			if err != nil {
+				t.Fatalf("Recover after the soak: %v", err)
+			}
+			if uint64(rec.Records) != appended {
+				t.Fatalf("recovered %d records, the log appended %d", rec.Records, appended)
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/mvutil"
 	"repro/internal/stm"
 	"repro/internal/stm/stmtest"
+	"repro/internal/wal"
 )
 
 // The conformance and serializability batteries with version GC every K
@@ -58,4 +59,22 @@ func TestSerializabilityDSGClockShardsReadHeavy(t *testing.T) {
 func TestSerializabilityDSGClockShardsAblation(t *testing.T) {
 	dsg.CheckRandom(t, core.New(core.Options{Options: mvutil.Options{GCEveryNCommits: 4}, DisableTimeWarp: true}),
 		dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 120, Seed: 23})
+}
+
+// The GroupCommit variants run the cadences with a live write-ahead log
+// attached, whose per-commit fsyncs concurrent committers share
+// (groupcommit_test.go).
+
+func TestConformanceClockShardsGroupCommit(t *testing.T) {
+	stmtest.Run(t, loggedFactory(t, wal.SyncPerCommit, mvutil.Options{GCEveryNCommits: 4}),
+		stmtest.Options{RONeverAborts: true})
+}
+
+func TestSerializabilityDSGClockShardsGroupCommit(t *testing.T) {
+	for _, k := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			checkLoggedDSG(t, wal.SyncPerCommit, mvutil.Options{GCEveryNCommits: k},
+				dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 120, Seed: uint64(200 + k)})
+		})
+	}
 }

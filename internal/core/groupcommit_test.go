@@ -3,74 +3,121 @@ package core_test
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dsg"
 	"repro/internal/mvutil"
 	"repro/internal/stm"
 	"repro/internal/stm/stmtest"
+	"repro/internal/wal"
 )
 
-func gcFactory() stm.TM { return core.New(core.Options{Options: mvutil.Options{GroupCommit: true}}) }
+// The batteries below keep the test names of the deleted flat-combining
+// commit stage (DESIGN.md §13). The group commit that remains is the
+// write-ahead log's: under the per-commit policy concurrent committers share
+// one fsync (wal.SyncPerCommit), and under the interval policy one background
+// fsync covers every commit of its period. Each battery runs the engine with a
+// live wal.Writer attached, so the serial round's append, durability wait and
+// bounded-loss exception carry the whole conformance and DSG load.
 
-func TestGroupCommitConformance(t *testing.T) {
-	stmtest.Run(t, gcFactory, stmtest.Options{RONeverAborts: true})
+// openLog opens a write-ahead log in a fresh temporary directory of t and
+// closes it when t ends. It may be called from t's subtests (stmtest.Run calls
+// its factory there), so it panics rather than calling t.Fatal.
+func openLog(t *testing.T, policy wal.Policy) *wal.Writer {
+	dir := t.TempDir()
+	w, err := wal.Open(wal.Options{Dir: dir, Policy: policy, Interval: time.Millisecond})
+	if err != nil {
+		panic(err)
+	}
+	t.Cleanup(func() {
+		if err := w.Close(); err != nil {
+			t.Errorf("closing the log: %v", err)
+		}
+	})
+	return w
 }
 
-// A tiny batch cap forces the chunking path (every drain splits) through the
-// whole battery.
-func TestGroupCommitConformanceSmallBatches(t *testing.T) {
-	stmtest.Run(t, func() stm.TM {
-		return core.New(core.Options{Options: mvutil.Options{GroupCommit: true, GroupMaxBatch: 2}})
-	}, stmtest.Options{RONeverAborts: true})
-}
-
-func TestGroupCommitSerializabilityDSG(t *testing.T) {
-	dsg.CheckRandom(t, gcFactory(), dsg.RunOptions{})
-}
-
-func TestGroupCommitSerializabilityDSGHighContention(t *testing.T) {
-	// Few variables, many writers: heavy write-write overlap exercises the
-	// spill path, and intra-batch read-write overlap exercises batched warps.
-	dsg.CheckRandom(t, gcFactory(), dsg.RunOptions{Vars: 3, Goroutines: 8, TxPerG: 120, Seed: 42})
-}
-
-func TestGroupCommitSerializabilityDSGSmallBatches(t *testing.T) {
-	dsg.CheckRandom(t, core.New(core.Options{Options: mvutil.Options{GroupCommit: true, GroupMaxBatch: 2}}),
-		dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 100, Seed: 9})
-}
-
-func TestGroupCommitSerializabilityDSGWithGC(t *testing.T) {
-	dsg.CheckRandom(t, core.New(core.Options{Options: mvutil.Options{GroupCommit: true, GCEveryNCommits: 64}}),
-		dsg.RunOptions{Seed: 11})
-}
-
-func TestGroupCommitRejectsIncompatibleModes(t *testing.T) {
-	for _, opts := range []core.Options{
-		{Options: mvutil.Options{GroupCommit: true}, DisableTimeWarp: true},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%+v) must panic", opts)
-				}
-			}()
-			core.New(opts)
-		}()
+// loggedFactory returns engines configured by opts, each with its own log.
+func loggedFactory(t *testing.T, policy wal.Policy, opts mvutil.Options) func() stm.TM {
+	return func() stm.TM {
+		opts.Logger = openLog(t, policy)
+		return core.New(core.Options{Options: opts})
 	}
 }
 
-// TestGroupCommitOneTickPerBatch is the acceptance assertion for DESIGN.md
-// §13's headline invariant: the batched path advances the shared clock exactly
-// once per installed batch, no matter how many commits the batch carries.
+// checkLoggedDSG runs the serializability oracle over an engine logging to its
+// own log, then requires the log to close and recover with records in it.
+func checkLoggedDSG(t *testing.T, policy wal.Policy, opts mvutil.Options, run dsg.RunOptions) {
+	dir := t.TempDir()
+	w, err := wal.Open(wal.Options{Dir: dir, Policy: policy, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Logger = w
+	dsg.CheckRandom(t, core.New(core.Options{Options: opts}), run)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatalf("Recover after the DSG run: %v", err)
+	}
+	if rec.Records == 0 {
+		t.Fatal("no commit records logged during the DSG run")
+	}
+}
+
+func TestGroupCommitConformance(t *testing.T) {
+	stmtest.Run(t, loggedFactory(t, wal.SyncPerCommit, mvutil.Options{}), stmtest.Options{RONeverAborts: true})
+}
+
+// The interval policy's 1 ms period keeps each fsync batch small, and its
+// durability wait returns at once: the bounded-loss path through the battery.
+func TestGroupCommitConformanceSmallBatches(t *testing.T) {
+	stmtest.Run(t, loggedFactory(t, wal.SyncInterval, mvutil.Options{}), stmtest.Options{RONeverAborts: true})
+}
+
+func TestGroupCommitSerializabilityDSG(t *testing.T) {
+	checkLoggedDSG(t, wal.SyncPerCommit, mvutil.Options{}, dsg.RunOptions{})
+}
+
+func TestGroupCommitSerializabilityDSGHighContention(t *testing.T) {
+	// Few variables, many writers: most commits wait on a fsync another
+	// committer leads, while their write sets collide at the locks.
+	checkLoggedDSG(t, wal.SyncPerCommit, mvutil.Options{}, dsg.RunOptions{Vars: 3, Goroutines: 8, TxPerG: 120, Seed: 42})
+}
+
+func TestGroupCommitSerializabilityDSGSmallBatches(t *testing.T) {
+	checkLoggedDSG(t, wal.SyncInterval, mvutil.Options{}, dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 100, Seed: 9})
+}
+
+func TestGroupCommitSerializabilityDSGWithGC(t *testing.T) {
+	checkLoggedDSG(t, wal.SyncPerCommit, mvutil.Options{GCEveryNCommits: 64}, dsg.RunOptions{Seed: 11})
+}
+
+// TestGroupCommitOneTickPerBatch: at the clock every commit is its own batch
+// of one, however many commits share a fsync. Concurrent durable increments
+// move the clock once per drawn commit (a validation failure wastes its
+// tick), log exactly one record per acknowledged commit, and every record is
+// synced before its commit returns.
 func TestGroupCommitOneTickPerBatch(t *testing.T) {
-	tm := core.New(core.Options{Options: mvutil.Options{GroupCommit: true}})
-	const goroutines, txPerG, vars = 8, 200, 64
+	w := openLog(t, wal.SyncPerCommit)
+	tm := core.New(core.Options{Options: mvutil.Options{Logger: w}})
+	oneTickPerCommit(t, tm, w)
+}
+
+// oneTickPerCommit drives concurrent increments through tm, which logs to w,
+// and checks the clock and log accounting of TestGroupCommitOneTickPerBatch.
+func oneTickPerCommit(t *testing.T, tm stm.TM, w *wal.Writer) {
+	t.Helper()
+	const goroutines, txPerG, vars = 8, 50, 16
 	tvs := make([]*stm.TVar[int], vars)
 	for i := range tvs {
 		tvs[i] = stm.NewTVar(tm, 0)
 	}
-	clock0 := tm.Clock()
+	clock := mvutil.Of(tm)
+	clock0 := clock.Clock()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -91,93 +138,77 @@ func TestGroupCommitOneTickPerBatch(t *testing.T) {
 	wg.Wait()
 
 	snap := tm.Stats().Snapshot()
-	if snap.ClockAdvances != snap.GroupBatches {
-		t.Fatalf("clock advances = %d, batches = %d: want exactly one advance per batch",
-			snap.ClockAdvances, snap.GroupBatches)
+	if snap.Commits != goroutines*txPerG {
+		t.Fatalf("commits = %d, want %d", snap.Commits, goroutines*txPerG)
 	}
-	if snap.GroupBatches == 0 || snap.GroupBatchTxs == 0 {
-		t.Fatalf("no batches recorded: %+v", snap)
+	if moved := clock.Clock() - clock0; moved < snap.Commits || moved > snap.Commits+snap.Aborts {
+		t.Fatalf("clock moved %d for %d commits and %d aborts: want one tick per drawn commit",
+			moved, snap.Commits, snap.Aborts)
 	}
-	// Every update commit went through the combiner. A batch carries the
-	// members that consumed its reserved ticks, so the carried count brackets
-	// the commit count (a member can still fail its scan at its turn and
-	// waste its tick) and the total clock motion equals the carried count
-	// exactly — the advance-amortization the stage exists for.
-	if snap.GroupBatchTxs < snap.Commits || snap.GroupBatchTxs > snap.Commits+snap.Aborts {
-		t.Fatalf("batch txs = %d, commits = %d, aborts = %d",
-			snap.GroupBatchTxs, snap.Commits, snap.Aborts)
-	}
-	if moved := tm.Clock() - clock0; moved != snap.GroupBatchTxs {
-		t.Fatalf("clock moved %d, batch txs = %d", moved, snap.GroupBatchTxs)
-	}
-	var histTotal uint64
-	for _, n := range snap.BatchSizeHist {
-		histTotal += n
-	}
-	if histTotal != snap.GroupBatches {
-		t.Fatalf("histogram total = %d, batches = %d", histTotal, snap.GroupBatches)
-	}
-	if mean := snap.MeanBatchSize(); mean < 1 {
-		t.Fatalf("mean batch size = %v", mean)
-	}
-}
-
-// TestGroupCommitSpillRound drives two committers with identical write sets
-// through one leader session: the overlap forces one member to spill to a
-// second round, and the increment must never be lost (the spilled RMW either
-// sequences after the first or aborts its stale attempt and retries — a
-// same-variable RMW race is a triad in TWM, batched or not).
-func TestGroupCommitSpillRound(t *testing.T) {
-	block := make(chan struct{})
-	release := sync.OnceFunc(func() { close(block) })
-	tm := core.New(core.Options{Options: mvutil.Options{GroupCommit: true, GroupHooks: &mvutil.BatchHooks{
-		// Stall the first leader until both committers have published, so the
-		// drain is guaranteed to see both overlapping write sets in one batch.
-		LeaderStall: func() { <-block },
-	}}})
-	x := stm.NewTVar(tm, 0)
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := stm.Atomically(tm, false, func(tx stm.Tx) error {
-				x.Set(tx, x.Get(tx)+1)
-				return nil
-			}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	// Both goroutines publish, then spin/sleep: one wins the leader lock and
-	// blocks in the stall until the other has published too. Unblock once the
-	// stats show two in-flight starts; a plain sleep-free release is enough
-	// because the stall only needs to cover publication, which RecordStart
-	// precedes. Simplest robust trigger: release when both attempts started.
-	go func() {
-		for {
-			if s, _, _, _ := statsTotals(tm); s >= 2 {
-				release()
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	release()
-	snap := tm.Stats().Snapshot()
-	if snap.Commits != 2 {
-		t.Fatalf("commits = %d, want 2 (aborts = %d)", snap.Commits, snap.Aborts)
-	}
-	if err := stm.Atomically(tm, true, func(tx stm.Tx) error {
-		if got := x.Get(tx); got != 2 {
-			t.Errorf("x = %d, want 2", got)
-		}
-		return nil
-	}); err != nil {
+	appended, synced, pending, err := w.WALCounters()
+	if err != nil {
 		t.Fatal(err)
 	}
+	if appended != snap.Commits {
+		t.Fatalf("log holds %d records for %d commits", appended, snap.Commits)
+	}
+	if synced < appended || pending != 0 {
+		t.Fatalf("synced %d of %d records (%d pending) after every commit returned", synced, appended, pending)
+	}
 }
 
-func statsTotals(tm stm.TM) (starts, commits, ro, aborts uint64) {
-	return tm.Stats().Totals()
+// TestGroupCommitSpillRound: commit records spill across log segments. A
+// segment limit below one record's size rotates the log on every append while
+// concurrent committers share fsyncs; the log must recover exactly the live
+// state, record for record.
+func TestGroupCommitSpillRound(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Open(wal.Options{Dir: dir, SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := core.New(core.Options{Options: mvutil.Options{Logger: w}})
+	const goroutines, txPerG = 4, 25
+	tvs := []*stm.TVar[int64]{stm.NewTVar(tm, int64(0)), stm.NewTVar(tm, int64(0))}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			v := tvs[g%len(tvs)]
+			for i := 0; i < txPerG; i++ {
+				if err := stm.Atomically(tm, false, func(tx stm.Tx) error {
+					v.Set(tx, v.Get(tx)+1)
+					return nil
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Records != goroutines*txPerG {
+		t.Fatalf("recovered %d records, want %d", rec.Records, goroutines*txPerG)
+	}
+	for _, v := range tvs {
+		id := v.Raw().(interface{ VarID() uint64 }).VarID()
+		var live int64
+		if err := stm.Atomically(tm, true, func(tx stm.Tx) error {
+			live = v.Get(tx)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Value(id, int64(0)); got != live {
+			t.Fatalf("var %d recovered %v, live %d", id, got, live)
+		}
+	}
 }

@@ -129,12 +129,12 @@ func TestWatchdogClockStall(t *testing.T) {
 	}
 }
 
-// TestWatchdogClockStallDrawnInDurable: a commit draws its clock tick before
-// it waits in Durable, so committers parked there move the clock while
-// nothing finishes. That is a stall — the moving clock is no evidence of
-// progress — and it clears once the durability waits return and the commits
-// land.
-func TestWatchdogClockStallDrawnInDurable(t *testing.T) {
+// TestWatchdogClockStallBatchedAdvance: a commit draws its clock tick before
+// it waits in Durable, so a batch of committers parked on the log advances
+// the clock while nothing finishes. That is a stall — the moving clock is no
+// evidence of progress — and it clears once the durability waits return and
+// the commits land.
+func TestWatchdogClockStallBatchedAdvance(t *testing.T) {
 	logger := &parkedLogger{release: make(chan struct{})}
 	tm := core.New(core.Options{Options: mvutil.Options{Logger: logger}})
 	w := New(Config{RaiseAfter: 2}, TargetOf(tm))

@@ -8,6 +8,7 @@ import (
 	"repro/internal/jvstm"
 	"repro/internal/stm"
 	"repro/internal/stm/stmtest"
+	"repro/internal/wal"
 )
 
 // The conformance and serializability batteries with version GC every K
@@ -47,4 +48,21 @@ func TestSerializabilityDSGClockShardsHighContention(t *testing.T) {
 				dsg.RunOptions{Vars: 3, Goroutines: 8, TxPerG: 120, Seed: uint64(300 + k)})
 		})
 	}
+}
+
+// The GroupCommit variants run the cadences with a live write-ahead log
+// attached (groupcommit_test.go).
+
+func TestSerializabilityDSGClockShardsGroupCommit(t *testing.T) {
+	for _, k := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			checkLoggedDSG(t, wal.SyncPerCommit, jvstm.Options{GCEveryNCommits: k},
+				dsg.RunOptions{Vars: 4, Goroutines: 8, TxPerG: 120, Seed: uint64(400 + k)})
+		})
+	}
+}
+
+func TestConformanceClockShardsGroupCommit(t *testing.T) {
+	stmtest.Run(t, loggedFactory(t, wal.SyncPerCommit, jvstm.Options{GCEveryNCommits: 4}),
+		stmtest.Options{RONeverAborts: true})
 }

@@ -181,104 +181,117 @@ func (r *rig) commit(t *testing.T, m *fakeMember, reason stm.AbortReason) {
 	}
 }
 
+// The stage tests below each run one case, named k=1 as when rounds could
+// carry k members: every round now commits exactly one.
+
 func TestPipelineStageOrder(t *testing.T) {
-	r := newRig(Options{}, true)
-	a := r.member("a", 2)
-	r.commit(t, a, stm.ReasonNone)
-	want := []string{
-		"writes:a",
-		"validate:a locked=true", "install:a locked=true",
-		"append:[2] locked=true", "durable locked=false",
-	}
-	if !reflect.DeepEqual(r.ev.log, want) {
-		t.Errorf("stage order:\n got %q\nwant %q", r.ev.log, want)
-	}
-	if got := r.c.Clock(); got != 2 {
-		t.Errorf("clock = %d, want one tick (2)", got)
-	}
-	r.check(t)
+	t.Run("k=1", func(t *testing.T) {
+		r := newRig(Options{}, true)
+		a := r.member("a", 2)
+		r.commit(t, a, stm.ReasonNone)
+		want := []string{
+			"writes:a",
+			"validate:a locked=true", "install:a locked=true",
+			"append:[2] locked=true", "durable locked=false",
+		}
+		if !reflect.DeepEqual(r.ev.log, want) {
+			t.Errorf("stage order:\n got %q\nwant %q", r.ev.log, want)
+		}
+		if got := r.c.Clock(); got != 2 {
+			t.Errorf("clock = %d, want one tick (2)", got)
+		}
+		r.check(t)
+	})
 }
 
 func TestPipelineLatchedLogger(t *testing.T) {
-	r := newRig(Options{}, true)
-	disk := errors.New("disk gone")
-	r.logger.latched = disk
-	a := r.member("a", 1)
-	r.commit(t, a, stm.ReasonDurability)
-	if !errors.Is(a.DurabilityErr(), disk) {
-		t.Errorf("DurabilityErr = %v, want the logger's latched error", a.DurabilityErr())
-	}
-	if len(r.ev.log) != 0 || r.c.Clock() != 1 {
-		t.Errorf("latched logger: the commit still ran stages %q (clock %d)", r.ev.log, r.c.Clock())
-	}
-	r.check(t)
+	t.Run("k=1", func(t *testing.T) {
+		r := newRig(Options{}, true)
+		disk := errors.New("disk gone")
+		r.logger.latched = disk
+		a := r.member("a", 1)
+		r.commit(t, a, stm.ReasonDurability)
+		if !errors.Is(a.DurabilityErr(), disk) {
+			t.Errorf("DurabilityErr = %v, want the logger's latched error", a.DurabilityErr())
+		}
+		if len(r.ev.log) != 0 || r.c.Clock() != 1 {
+			t.Errorf("latched logger: the commit still ran stages %q (clock %d)", r.ev.log, r.c.Clock())
+		}
+		r.check(t)
+	})
 }
 
 func TestPipelineLockTimeout(t *testing.T) {
-	r := newRig(Options{LockSpinBudget: 4}, false)
-	a := r.member("a", 3)
-	var squatter Desc
-	a.vars[1].lock.owner.Store(&squatter) // a takes vars[0], then times out
-	r.commit(t, a, stm.ReasonLockTimeout)
-	if a.installed != 0 || a.vars[0].lock.Load() != nil {
-		t.Errorf("timed-out member installed %d / kept its partial locks", a.installed)
-	}
-	if r.c.Clock() != 1 {
-		t.Errorf("a lock timeout drew a tick (clock %d)", r.c.Clock())
-	}
-	a.vars[1].lock.owner.Store(nil)
-	r.check(t)
+	t.Run("k=1", func(t *testing.T) {
+		r := newRig(Options{LockSpinBudget: 4}, false)
+		a := r.member("a", 3)
+		var squatter Desc
+		a.vars[1].lock.owner.Store(&squatter) // a takes vars[0], then times out
+		r.commit(t, a, stm.ReasonLockTimeout)
+		if a.installed != 0 || a.vars[0].lock.Load() != nil {
+			t.Errorf("timed-out member installed %d / kept its partial locks", a.installed)
+		}
+		if r.c.Clock() != 1 {
+			t.Errorf("a lock timeout drew a tick (clock %d)", r.c.Clock())
+		}
+		a.vars[1].lock.owner.Store(nil)
+		r.check(t)
+	})
 }
 
 func TestPipelineValidateAbort(t *testing.T) {
-	r := newRig(Options{}, true)
-	a := r.member("a", 2)
-	a.verdict = stm.ReasonReadConflict
-	r.commit(t, a, stm.ReasonReadConflict)
-	if a.installed != 0 {
-		t.Errorf("aborted member installed")
-	}
-	for _, e := range r.ev.log {
-		if strings.HasPrefix(e, "append") {
-			t.Errorf("aborted commit was logged: %q", e)
+	t.Run("k=1", func(t *testing.T) {
+		r := newRig(Options{}, true)
+		a := r.member("a", 2)
+		a.verdict = stm.ReasonReadConflict
+		r.commit(t, a, stm.ReasonReadConflict)
+		if a.installed != 0 {
+			t.Errorf("aborted member installed")
 		}
-	}
-	if r.c.Clock() != 2 {
-		t.Errorf("clock = %d, want the wasted tick (2)", r.c.Clock())
-	}
-	r.check(t)
+		for _, e := range r.ev.log {
+			if strings.HasPrefix(e, "append") {
+				t.Errorf("aborted commit was logged: %q", e)
+			}
+		}
+		if r.c.Clock() != 2 {
+			t.Errorf("clock = %d, want the wasted tick (2)", r.c.Clock())
+		}
+		r.check(t)
+	})
 }
 
 func TestPipelineAppendError(t *testing.T) {
-	r := newRig(Options{}, true)
-	shortWrite := errors.New("short write")
-	r.logger.appendErr = shortWrite
-	a := r.member("a", 1)
-	r.commit(t, a, stm.ReasonOutcomeUnknown)
-	// The commit was installed before the append: it stands in memory,
-	// unlogged, is never waited durable, is not acknowledged (its outcome is
-	// unknown), and nothing is logged after it.
-	if !errors.Is(a.DurabilityErr(), shortWrite) {
-		t.Errorf("DurabilityErr = %v, want the append's error", a.DurabilityErr())
-	}
-	if a.installed != 1 {
-		t.Errorf("installed %d times", a.installed)
-	}
-	for _, e := range r.ev.log {
-		if e == "durable locked=false" {
-			t.Errorf("failed append was waited durable")
+	t.Run("k=1", func(t *testing.T) {
+		r := newRig(Options{}, true)
+		shortWrite := errors.New("short write")
+		r.logger.appendErr = shortWrite
+		a := r.member("a", 1)
+		r.commit(t, a, stm.ReasonOutcomeUnknown)
+		// The commit was installed before the append: it stands in memory,
+		// unlogged, is never waited durable, is not acknowledged (its outcome is
+		// unknown), and nothing is logged after it.
+		if !errors.Is(a.DurabilityErr(), shortWrite) {
+			t.Errorf("DurabilityErr = %v, want the append's error", a.DurabilityErr())
 		}
-	}
-	r.logger.appendErr = nil
-	late := r.member("late", 1)
-	r.commit(t, late, stm.ReasonDurability)
-	if late.installed != 0 {
-		t.Errorf("a commit after a failed append installed")
-	}
-	if late.DurabilityErr() == nil {
-		t.Errorf("refusal after a failed append carries no error")
-	}
-	r.check(t)
+		if a.installed != 1 {
+			t.Errorf("installed %d times", a.installed)
+		}
+		for _, e := range r.ev.log {
+			if e == "durable locked=false" {
+				t.Errorf("failed append was waited durable")
+			}
+		}
+		r.logger.appendErr = nil
+		late := r.member("late", 1)
+		r.commit(t, late, stm.ReasonDurability)
+		if late.installed != 0 {
+			t.Errorf("a commit after a failed append installed")
+		}
+		if late.DurabilityErr() == nil {
+			t.Errorf("refusal after a failed append carries no error")
+		}
+		r.check(t)
+	})
 }
 
 // TestPipelineConcurrentSerialRounds runs many commits at once: they share no

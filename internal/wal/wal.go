@@ -352,6 +352,12 @@ func (w *Writer) syncOnce() error {
 	}
 	err = f.Sync()
 	w.mu.Lock()
+	if errors.Is(err, os.ErrClosed) && w.f != f && w.failed == nil {
+		// A rotation closed f while this fsync ran. It synced f before
+		// closing it and advanced the watermark past cur, so every captured
+		// record is durable: not a failure.
+		err = nil
+	}
 	if err == nil {
 		err = callHook(w.opts.Hooks.AfterSync)
 	}
