@@ -219,6 +219,16 @@ func (ct *chaosTx) LastAbortReason() stm.AbortReason {
 	return ct.Tx.LastAbortReason()
 }
 
+// DurabilityErr forwards the inner descriptor's logger error, so the retry
+// loop's *stm.LogFailedError and *stm.OutcomeUnknownError still wrap it when
+// a durable engine runs under chaos.
+func (ct *chaosTx) DurabilityErr() error {
+	if d, ok := ct.Tx.(interface{ DurabilityErr() error }); ok {
+		return d.DurabilityErr()
+	}
+	return nil
+}
+
 // pause sleeps for d, or yields the processor when d is zero.
 func pause(d time.Duration) {
 	if d > 0 {

@@ -192,6 +192,36 @@ func TestChaosForwardsEngineSurface(t *testing.T) {
 	}
 }
 
+// TestChaosForwardsDurabilityErr: a durable engine under chaos whose log has
+// latched still reports the logger's error through the retry loop's
+// *stm.LogFailedError — the wrapper forwards the descriptor's DurabilityErr.
+func TestChaosForwardsDurabilityErr(t *testing.T) {
+	inner, err := engines.New("twm", engines.WithLogger(latchedLogger{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := chaos.New(inner, chaos.Options{Seed: 1})
+	v := tm.NewVar(0)
+	err = stm.Atomically(tm, false, func(tx stm.Tx) error {
+		tx.Write(v, tx.Read(v).(int)+1)
+		return nil
+	})
+	var lf *stm.LogFailedError
+	if !errors.As(err, &lf) || !errors.Is(err, errLatched) {
+		t.Fatalf("err = %v, want *stm.LogFailedError wrapping the logger's error", err)
+	}
+}
+
+// latchedLogger is a commit logger that has latched a failure: every commit
+// is refused before anything is appended.
+type latchedLogger struct{}
+
+func (latchedLogger) Append([]stm.CommitRecord) (stm.LSN, error) { return 0, errLatched }
+func (latchedLogger) Durable(stm.LSN) error                      { return errLatched }
+func (latchedLogger) Err() error                                 { return errLatched }
+
+var errLatched = errors.New("log latched")
+
 func TestChaosAllocsReadOnly(t *testing.T) {
 	// The wrapper must preserve the inner engine's pooled, allocation-free
 	// read path: chaosTx wrappers are pooled and Recycle forwards, so a

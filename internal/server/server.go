@@ -26,7 +26,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -254,15 +253,10 @@ func (s *Server) Close() {
 	}
 }
 
-// Handler returns the full middleware-wrapped handler: recovery outermost
-// (a handler bug must answer 500, not kill the process), then request
-// logging, then the per-request transaction deadline, then routing.
+// Handler returns the full handler: the request frame (serve) around the
+// routes.
 func (s *Server) Handler() http.Handler {
-	var h http.Handler = s.mux
-	h = s.timeoutMiddleware(h)
-	h = s.loggingMiddleware(h)
-	h = s.recoveryMiddleware(h)
-	return h
+	return http.HandlerFunc(s.serve)
 }
 
 // Serve accepts on ln until ctx is cancelled, then shuts down gracefully:
@@ -477,7 +471,7 @@ func (s *Server) handleCreateAccount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.Commits.Add(1)
-	writeJSON(w, http.StatusCreated, BalanceView{ID: req.ID, Balance: req.Balance, Available: req.Balance})
+	writeBalance(w, http.StatusCreated, BalanceView{ID: req.ID, Balance: req.Balance, Available: req.Balance})
 }
 
 func (s *Server) handleGetAccount(w http.ResponseWriter, r *http.Request) {
@@ -496,7 +490,7 @@ func (s *Server) handleGetAccount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.Commits.Add(1)
-	writeJSON(w, http.StatusOK, view)
+	writeBalance(w, http.StatusOK, view)
 }
 
 // auditView is the full-ledger invariant snapshot: one read-only transaction
@@ -559,7 +553,7 @@ func (s *Server) handleTransfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.Commits.Add(1)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "committed"})
+	writeCommitted(w)
 }
 
 // handleMove builds the handler for the single-account operations (deposit,
@@ -583,7 +577,7 @@ func (s *Server) handleMove(op func(stm.Tx, *account, int64) error) http.Handler
 			return
 		}
 		s.metrics.Commits.Add(1)
-		writeJSON(w, http.StatusOK, map[string]string{"status": "committed"})
+		writeCommitted(w)
 	}
 }
 
@@ -726,32 +720,4 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 		s.log.Error("unclassified request error", "method", r.Method, "path", r.URL.Path, "err", err)
 		writeErrJSON(w, http.StatusInternalServerError, "internal", err)
 	}
-}
-
-// errBody is the uniform JSON error envelope.
-type errBody struct {
-	Error  string `json:"error"`
-	Detail string `json:"detail"`
-}
-
-func writeErrJSON(w http.ResponseWriter, status int, kind string, err error) {
-	writeJSON(w, status, errBody{Error: kind, Detail: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// decode parses the JSON request body, answering 400 itself on malformed
-// input. Bodies are tiny; 1MB bounds hostile ones.
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErrJSON(w, http.StatusBadRequest, "bad-json", err)
-		return false
-	}
-	return true
 }

@@ -230,6 +230,68 @@ func TestDeadline504(t *testing.T) {
 	}
 }
 
+// TestDeadlineWhileQueuedAtGate: the request deadline arms its timer when the
+// request starts waiting at the gate, so a request queued behind a held slot
+// answers 504 at its own deadline, not at the end of the gate's longer wait,
+// and leaves nothing behind (newTestServer checks goroutines).
+func TestDeadlineWhileQueuedAtGate(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	s := newTestServer(t, server.Config{Engine: "twm", Accounts: 2, InitialBalance: 100,
+		GateLimit: 1, GateWait: time.Second, RequestTimeout: timeout})
+	if err := s.Gate().Acquire(nil); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Gate().Release()
+	start := time.Now()
+	rr := post(s.Handler(), "/v1/transfer", `{"from":"0","to":"1","amount":1}`)
+	took := time.Since(start)
+	if rr.Code != http.StatusGatewayTimeout || !strings.Contains(rr.Body.String(), `"deadline"`) {
+		t.Fatalf("queued transfer: %d %s, want 504 deadline", rr.Code, rr.Body)
+	}
+	if took < timeout || took > 10*timeout {
+		t.Fatalf("queued transfer answered after %v, want about %v (the gate waits 1s)", took, timeout)
+	}
+	if n := s.Gate().Cancels(); n != 1 {
+		t.Fatalf("gate cancels = %d, want 1", n)
+	}
+}
+
+// TestDebugAccessLog: with Debug enabled on the logger, every request —
+// committed, refused, unrouted or panicking — writes one "request" line with
+// its method, path, status and duration.
+func TestDebugAccessLog(t *testing.T) {
+	var logged bytes.Buffer
+	s := newTestServer(t, server.Config{Engine: "twm", Accounts: 2, InitialBalance: 100, Debug: true,
+		Logger: slog.New(slog.NewTextHandler(&logged, &slog.HandlerOptions{Level: slog.LevelDebug}))})
+	h := s.Handler()
+	post(h, "/v1/transfer", `{"from":"0","to":"1","amount":1}`)
+	post(h, "/v1/transfer", `{"from":"0","to":"1","amount":1000}`)
+	get(h, "/v1/accounts/0")
+	get(h, "/v1/nothing")
+	post(h, "/debugz/panic", `{}`)
+	var lines []string
+	for _, l := range strings.Split(logged.String(), "\n") {
+		if strings.Contains(l, "msg=request ") {
+			lines = append(lines, l)
+		}
+	}
+	want := []string{
+		"method=POST path=/v1/transfer status=200 dur=",
+		"method=POST path=/v1/transfer status=409 dur=",
+		"method=GET path=/v1/accounts/0 status=200 dur=",
+		"method=GET path=/v1/nothing status=404 dur=",
+		"method=POST path=/debugz/panic status=500 dur=",
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("%d request lines, want %d:\n%s", len(lines), len(want), logged.String())
+	}
+	for i, w := range want {
+		if !strings.Contains(lines[i], w) {
+			t.Errorf("request line %d = %q, want it to contain %q", i, lines[i], w)
+		}
+	}
+}
+
 // TestCancelLogsAttemptsAndReason: a 504 says in the log how many attempts the
 // transaction burned and why the last one aborted, while the response body
 // stays the CancelledError's own text.
