@@ -12,7 +12,7 @@ import (
 )
 
 // bump commits v := v+1 (reading v first) and returns the commit's order.
-func bump(t *testing.T, tm *TM, v stm.Var) uint64 {
+func bump(t testing.TB, tm *TM, v stm.Var) uint64 {
 	t.Helper()
 	tx := tm.Begin(false)
 	tx.Write(v, tx.Read(v).(int)+1)

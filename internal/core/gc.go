@@ -13,10 +13,10 @@ package core
 
 import "repro/internal/stm"
 
-// sweep is the chain pass behind mvutil.Chassis; gcMu is held. It frees, per
-// variable, everything older than the newest version visible at bound.
-// Variables whose commit lock is busy are skipped (the next pass will get
-// them).
+// sweep is the chain pass behind mvutil.Chassis; gcMu is held. Per variable
+// in the dirty queue (mvutil.Dirty) it frees everything older than the
+// newest version visible at bound; a variable back to one version on its
+// root leaves the queue, and one it cannot finish stays for the next pass.
 //
 // Re-rooting: a bounded pass also moves a sole surviving heap version back
 // into the variable's embedded root, so a variable that was overwritten and
@@ -30,46 +30,37 @@ import "repro/internal/stm"
 // oldest registered start, or the clock when none is — exceeds that sample: every transaction registered now began after it, and one that is
 // not registered yet has not read anything (Chassis.Snapshot).
 func (tm *TM) sweep(bound uint64) (freed int) {
-	tm.varsMu.Lock()
-	vars := tm.vars // snapshot; vars are append-only
-	tm.varsMu.Unlock()
-
 	var rerooted uint64
-	for _, v := range vars {
-		if head := v.latest.Load(); head.next.Load() == nil {
-			// One version: nothing to free, so unless it is to be re-rooted
-			// leave the lock word — and the line every traversal of v loads —
-			// untouched. An install racing this check is the next pass's
-			// business.
-			if head == &v.root || !v.rootFree || bound <= tm.sweptAt {
-				continue
-			}
-			if v.owner.TryLockGC() {
-				if head = v.latest.Load(); head.next.Load() == nil {
-					v.root.value, v.root.natOrder, v.root.twOrder = head.value, head.natOrder, head.twOrder
-					v.latest.Store(&v.root)
-					v.rootFree = false
-					rerooted++
-				}
-				v.owner.UnlockGC()
-			}
-			continue
+	reroot := bound > tm.sweptAt
+	tm.dirty.Drain(func(v *twvar) bool {
+		// A variable with nothing to do costs two loads and keeps its lock
+		// word — the line every traversal of v loads — untouched. An
+		// install racing the loads keeps v queued, as it already is.
+		head := v.latest.Load()
+		ver := visibleAt(head, bound)
+		if ver.next.Load() == nil && (ver != head || head != &v.root && !(v.rootFree && reroot)) {
+			return true // nothing to free, and not yet one version on the root
 		}
 		if !v.owner.TryLockGC() {
-			continue
+			return true
 		}
-		ver := v.latest.Load()
-		for ver.natOrder > bound || ver.twOrder > bound {
-			next := ver.next.Load()
-			if next == nil {
-				// Bounds are not monotone across passes (Chassis.GC): an
-				// earlier pass at a higher bound already cut below the
-				// version visible at this one; ver is the oldest retained.
-				break
+		defer v.owner.UnlockGC()
+		head = v.latest.Load()
+		if head.next.Load() == nil {
+			if head != &v.root {
+				if !v.rootFree || !reroot {
+					return true
+				}
+				v.root.value, v.root.natOrder, v.root.twOrder = head.value, head.natOrder, head.twOrder
+				v.latest.Store(&v.root)
+				v.rootFree = false
+				rerooted++
 			}
-			ver = next
+			v.queued = false
+			return false
 		}
 		// ver is the newest version that must stay; everything older goes.
+		ver = visibleAt(head, bound)
 		for tail := ver.next.Load(); tail != nil; tail = tail.next.Load() {
 			freed++
 			if tail == &v.root {
@@ -77,11 +68,27 @@ func (tm *TM) sweep(bound uint64) (freed int) {
 			}
 		}
 		ver.next.Store(nil)
-		v.owner.UnlockGC()
-	}
+		return true
+	})
 	tm.sweptAt = tm.Clk.Load()
 	tm.stats.RecordReRoots(rerooted)
 	return freed
+}
+
+// visibleAt returns the newest version of the chain at head visible at bound,
+// or its oldest if none is: bounds are not monotone across passes
+// (Chassis.GC), so an earlier pass at a higher bound may already have cut
+// below the version visible at this one.
+func visibleAt(head *version, bound uint64) *version {
+	ver := head
+	for ver.natOrder > bound || ver.twOrder > bound {
+		next := ver.next.Load()
+		if next == nil {
+			break
+		}
+		ver = next
+	}
+	return ver
 }
 
 // VersionCount returns the number of live versions of v (including the

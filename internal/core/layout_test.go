@@ -15,7 +15,7 @@ import (
 // (DESIGN.md §12.4): everything a read barrier loads from the variable unless
 // it stamps — lock word, chain head and embedded version — sits in the
 // variable's first 64 bytes, next to the
-// collector's root mark; a stamping barrier loads the stamp pointer from the
+// collector's root and queue marks; a stamping barrier loads the stamp pointer from the
 // bytes after them. The variable is 88 bytes — still the 96-byte size class;
 // the 80-byte class would need hist out of the variable — and the read stamp
 // is a slot of a shared chunk, outside the variable's own allocation, adjacent
@@ -39,6 +39,7 @@ func TestVarLayout(t *testing.T) {
 		{"latest", unsafe.Offsetof(z.latest), unsafe.Sizeof(z.latest)},
 		{"root", unsafe.Offsetof(z.root), unsafe.Sizeof(z.root)},
 		{"rootFree", unsafe.Offsetof(z.rootFree), unsafe.Sizeof(z.rootFree)},
+		{"queued", unsafe.Offsetof(z.queued), unsafe.Sizeof(z.queued)},
 	} {
 		if end := f.off + f.len; end > 64 {
 			t.Errorf("%s ends at byte %d, want within the first 64", f.name, end)

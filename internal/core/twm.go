@@ -58,8 +58,8 @@ type TM struct {
 	// stampChunks holds partially dealt stamp chunks, one per P (newStamp).
 	stampChunks sync.Pool
 
-	varsMu  sync.Mutex
-	vars    []*twvar
+	// dirty is the collector's work list (sweep).
+	dirty   mvutil.Dirty[*twvar]
 	history atomic.Bool
 	// sweptAt is the clock as the last collector pass ended (sweep's re-root
 	// rule); guarded by the chassis's GC mutex.
@@ -135,6 +135,10 @@ type twvar struct {
 	// rootFree marks root as unlinked from the chain and so reusable once the
 	// transactions that may still stand on it are gone. Only sweep touches it.
 	rootFree bool
+	// queued marks v as in the TM's dirty queue: set by the install that
+	// gives v a second version, cleared by the pass that finds v back to one
+	// version on its root (mvutil.Dirty). Guarded by owner.
+	queued bool
 
 	// stamp is the semi-visible read stamp (Table 1's readStamp): a slot in
 	// one of the TM's stamp chunks, so raising it never invalidates the line
@@ -179,10 +183,7 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	if tm.history.Load() {
 		v.hist = new(stm.VersionLog)
 	}
-	tm.varsMu.Lock()
-	v.id = uint64(len(tm.vars)) + 1
-	tm.vars = append(tm.vars, v)
-	tm.varsMu.Unlock()
+	v.id = tm.NewVarID()
 	return v
 }
 
@@ -498,6 +499,10 @@ func (tm *TM) createNewVersion(tx *txn, v *twvar, val stm.Value) {
 		v.latest.Store(ver)
 	} else {
 		newer.next.Store(ver)
+	}
+	if !v.queued {
+		v.queued = true
+		tm.dirty.Add(v)
 	}
 	v.hist.Append(stm.VersionRecord{Value: val, Serial: tx.twOrder, Tie: tx.natOrder})
 }

@@ -1,6 +1,7 @@
 package engines_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/engines"
@@ -125,6 +126,47 @@ func TestRetainedVersionsBound(t *testing.T) {
 			gc.GC()
 			if got := retained(); got != vars {
 				t.Errorf("after the reader ended: %d versions retained, want %d", got, vars)
+			}
+		})
+	}
+}
+
+// TestVarIDsDenseUnderConcurrentNewVar: the multi-version engines number
+// their variables 1, 2, … in creation order, also when goroutines create them
+// at once — the ids a durable server predicts for recovered accounts, and the
+// order commit locks are taken in.
+func TestVarIDsDenseUnderConcurrentNewVar(t *testing.T) {
+	for _, name := range engines.DurableSet() {
+		t.Run(name, func(t *testing.T) {
+			const goroutines, each = 4, 2000
+			tm := engines.MustNew(name)
+			ids := make([][]uint64, goroutines)
+			var wg sync.WaitGroup
+			for g := range ids {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						id := tm.NewVar(i).(interface{ VarID() uint64 }).VarID()
+						if n := len(ids[g]); n > 0 && id <= ids[g][n-1] {
+							t.Errorf("goroutine %d: id %d after %d", g, id, ids[g][n-1])
+						}
+						ids[g] = append(ids[g], id)
+					}
+				}(g)
+			}
+			wg.Wait()
+			seen := make([]bool, goroutines*each+1)
+			for _, list := range ids {
+				for _, id := range list {
+					if id == 0 || id >= uint64(len(seen)) || seen[id] {
+						t.Fatalf("id %d out of 1..%d or dealt twice", id, len(seen)-1)
+					}
+					seen[id] = true
+				}
+			}
+			if id := tm.NewVar(0).(interface{ VarID() uint64 }).VarID(); id != goroutines*each+1 {
+				t.Fatalf("next id %d, want %d", id, goroutines*each+1)
 			}
 		})
 	}

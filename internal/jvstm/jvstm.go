@@ -36,8 +36,8 @@ type TM struct {
 	// txns pools transaction descriptors across attempts; see Recycle.
 	txns sync.Pool
 
-	varsMu  sync.Mutex
-	vars    []*jvar
+	// dirty is the collector's work list (sweep).
+	dirty   mvutil.Dirty[*jvar]
 	history atomic.Bool
 }
 
@@ -72,6 +72,10 @@ type jvar struct {
 	owner mvutil.Lock // commit lock
 	head  atomic.Pointer[jversion]
 	hist  *stm.VersionLog // non-nil only when history recording is enabled
+	// queued marks v as in the TM's dirty queue: set by the install that
+	// gives v a second version, cleared by the pass that finds it back to one
+	// (mvutil.Dirty). Guarded by owner.
+	queued bool
 }
 
 // VarID implements stm.IDedVar (commit-lock ordering).
@@ -84,10 +88,7 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 	if tm.history.Load() {
 		v.hist = new(stm.VersionLog)
 	}
-	tm.varsMu.Lock()
-	v.id = uint64(len(tm.vars)) + 1
-	tm.vars = append(tm.vars, v)
-	tm.varsMu.Unlock()
+	v.id = tm.NewVarID()
 	return v
 }
 
@@ -244,39 +245,56 @@ func (tx *txn) Install() {
 		nv.next.Store(v.head.Load())
 		v.head.Store(nv)
 		v.hist.Append(stm.VersionRecord{Value: val, Serial: tx.Draw})
+		if !v.queued {
+			v.queued = true
+			tx.tm.dirty.Add(v)
+		}
 	}
 }
 
-// sweep is the chain pass behind mvutil.Chassis, exactly as in internal/core
-// but with the single (natural) time line; gcMu is held. It frees, per
-// variable, everything older than the newest version visible at bound.
+// sweep is the chain pass behind mvutil.Chassis, as in internal/core but
+// with the single (natural) time line and no embedded root; gcMu is held. It
+// drains the dirty queue (mvutil.Dirty), freeing per queued variable
+// everything older than the newest version visible at bound; a variable back
+// to one version leaves the queue.
 func (tm *TM) sweep(bound uint64) (freed int) {
-	tm.varsMu.Lock()
-	vars := tm.vars // snapshot; vars are append-only
-	tm.varsMu.Unlock()
-
-	for _, v := range vars {
+	tm.dirty.Drain(func(v *jvar) bool {
+		// Nothing to free yet: leave the lock word alone.
+		head := v.head.Load()
+		if ver := visibleAt(head, bound); ver != head && ver.next.Load() == nil {
+			return true
+		}
 		if !v.owner.TryLockGC() {
-			continue // busy committer; the next pass will get it
+			return true // busy committer; the next pass will get it
 		}
-		ver := v.head.Load()
-		for ver.ver > bound {
-			next := ver.next.Load()
-			if next == nil {
-				// Bounds are not monotone across passes (Chassis.GC): an
-				// earlier pass at a higher bound already cut below the
-				// version visible at this one; ver is the oldest retained.
-				break
-			}
-			ver = next
-		}
+		defer v.owner.UnlockGC()
+		head = v.head.Load()
+		ver := visibleAt(head, bound)
 		for tail := ver.next.Load(); tail != nil; tail = tail.next.Load() {
 			freed++
 		}
 		ver.next.Store(nil)
-		v.owner.UnlockGC()
-	}
+		if ver == head {
+			v.queued = false
+			return false
+		}
+		return true
+	})
 	return freed
+}
+
+// visibleAt returns the newest version at head visible at bound, or the
+// oldest retained if an earlier pass cut higher (as in internal/core).
+func visibleAt(head *jversion, bound uint64) *jversion {
+	ver := head
+	for ver.ver > bound {
+		next := ver.next.Load()
+		if next == nil {
+			break
+		}
+		ver = next
+	}
+	return ver
 }
 
 // VersionCount returns the live version count of v (tests).

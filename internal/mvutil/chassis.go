@@ -25,7 +25,7 @@ type Options struct {
 }
 
 const (
-	defaultGCEvery   = 4096
+	defaultGCEvery   = 256
 	defaultSpinLimit = 2048
 )
 
@@ -52,10 +52,12 @@ type Chassis struct {
 
 	gcCount atomic.Uint64
 	gcMu    sync.Mutex
-	// sweep is the engine's chain pass: it frees, in every variable, the
-	// versions older than the newest one visible at bound, and returns how
-	// many. It skips variables whose commit lock is busy.
+	// sweep is the engine's chain pass: it drains the engine's Dirty queue,
+	// freeing in each variable the versions older than the newest one
+	// visible at bound, and returns how many.
 	sweep func(bound uint64) (freed int)
+	// varIDs deals variable ids (NewVarID).
+	varIDs atomic.Uint64
 
 	// logErr probes the logger's latched failure (nil when the logger has
 	// none to report); logFailed latches an Append this engine saw fail;
@@ -146,6 +148,11 @@ func (c *Chassis) Snapshot(d *Desc, update bool) uint64 {
 // on it; the scan must follow the snapshot sample (sample-before-scan).
 func (c *Chassis) Quiet(start uint64) bool { return !c.Active.OlderUpdate(start) }
 
+// NewVarID returns the next variable id. Ids are dense, unique and in
+// creation order: the first variable is 1. Commit locks are taken in id
+// order, and a durable server predicts the ids its accounts get on recovery.
+func (c *Chassis) NewVarID() uint64 { return c.varIDs.Add(1) }
+
 // GC trims version lists down to the oldest version any active or future
 // transaction can observe and returns the number of versions released. The
 // bound is the oldest registered start, or the clock when nothing is
@@ -171,7 +178,10 @@ func (c *Chassis) GC() int {
 }
 
 // gcTick counts one installed commit and runs a collection pass every
-// Opts.GCEveryNCommits of them.
+// Opts.GCEveryNCommits of them. A pass visits only what was written since
+// (Dirty), so it can run often enough to bring a variable that went cold
+// back to its embedded version within a few transaction lifetimes (DESIGN.md
+// §2).
 func (c *Chassis) gcTick() {
 	every := c.Opts.GCEveryNCommits
 	if every < 0 {
@@ -180,4 +190,48 @@ func (c *Chassis) gcTick() {
 	if c.gcCount.Add(1)%uint64(every) == 0 {
 		c.GC()
 	}
+}
+
+// Dirty is the collector's work list. An engine embeds one and keeps in each
+// variable a queued flag guarded by the variable's commit lock: the install
+// that finds the flag clear sets it and calls Add, and a pass's visit clears
+// it, under the lock, once the variable has one version (on its embedded
+// root, if it has one). So a variable is queued at most once, every variable
+// with a version to free is queued, and one nobody writes leaves the queue.
+// The two buffers are swapped, never reallocated in the steady state, and
+// cleared as they drain, so the queue pins no variable that has left it.
+type Dirty[V any] struct {
+	mu      sync.Mutex
+	pending []V // guarded by mu
+	spare   []V // empty; only Drain touches it
+}
+
+// Add enqueues v; the caller holds v's commit lock and has just set its flag.
+func (q *Dirty[V]) Add(v V) {
+	q.mu.Lock()
+	q.pending = append(q.pending, v)
+	q.mu.Unlock()
+}
+
+// Drain calls visit on every variable queued when it starts and requeues
+// those visit keeps; variables added meanwhile wait for the next pass.
+// Drains must not overlap (the chassis's GC mutex serializes passes).
+func (q *Dirty[V]) Drain(visit func(V) (keep bool)) {
+	q.mu.Lock()
+	work := q.pending
+	q.pending = q.spare
+	q.mu.Unlock()
+
+	kept := work[:0]
+	for _, v := range work {
+		if visit(v) {
+			kept = append(kept, v)
+		}
+	}
+	clear(work[len(kept):])
+	q.mu.Lock()
+	q.pending = append(q.pending, kept...)
+	q.mu.Unlock()
+	clear(kept)
+	q.spare = work[:0]
 }

@@ -80,13 +80,11 @@ func (g *AdmissionGate) Acquire(ctx context.Context) error {
 		return nil
 	default:
 	}
-	var done <-chan struct{}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			g.cancels.Add(1)
 			return &CancelledError{Err: err}
 		}
-		done = ctx.Done()
 	}
 	if g.maxWait <= 0 {
 		if h := testHookShedRecheck; h != nil {
@@ -107,6 +105,12 @@ func (g *AdmissionGate) Acquire(ctx context.Context) error {
 		}
 		g.overloads.Add(1)
 		return &OverloadError{Limit: cap(g.slots)}
+	}
+	// Only a wait needs the done channel: a context that arms its deadline
+	// lazily (the server's) would otherwise arm it for every shed refusal.
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
 	}
 	g.waiting.Add(1)
 	defer g.waiting.Add(-1)

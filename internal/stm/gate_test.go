@@ -226,3 +226,33 @@ func TestGateReadOnlyBypass(t *testing.T) {
 		t.Fatalf("got %d, want 7", got)
 	}
 }
+
+// doneCounter is a live context that counts its Done calls.
+type doneCounter struct {
+	context.Context
+	calls int
+}
+
+func (c *doneCounter) Done() <-chan struct{} {
+	c.calls++
+	return c.Context.Done()
+}
+
+// TestGateShedSkipsDone: a refusal without a wait never asks the context for
+// its done channel, so a context that arms its deadline on the first Done
+// (the server's) arms nothing for a shed request.
+func TestGateShedSkipsDone(t *testing.T) {
+	g := stm.NewAdmissionGate(1, 0)
+	if err := g.Acquire(nil); err != nil {
+		t.Fatal(err)
+	}
+	defer g.Release()
+	ctx := &doneCounter{Context: context.Background()}
+	var ov *stm.OverloadError
+	if err := g.Acquire(ctx); !errors.As(err, &ov) {
+		t.Fatalf("err = %v, want *OverloadError", err)
+	}
+	if ctx.calls != 0 {
+		t.Fatalf("shed refusal called Done %d times, want 0", ctx.calls)
+	}
+}
