@@ -32,24 +32,22 @@ func checkQueue(t *testing.T, tm *TM) {
 }
 
 // TestPassVisitsOnlyWrittenVars: with 10⁵ variables live, a pass after K
-// commits on K distinct variables visits at most 2K of them — the written
-// ones, not the live set — and the passes that follow leave in the queue no
-// variable back on its root.
+// commits on K distinct variables visits at most K of them — the written
+// ones, not the live set — and, with no reader bounding it, leaves every one
+// re-rooted and out of the queue.
 func TestPassVisitsOnlyWrittenVars(t *testing.T) {
 	const live, k = 100_000, 64
 	tm := newTM()
 	vars := coldVars(tm, live)
-	tick := tm.NewVar(0)
 	for i := 0; i < k; i++ {
 		bump(t, tm, vars[i*(live/k)])
 	}
-	for pass := 0; pass < 3; pass++ {
-		// A pass visits exactly what is queued when it starts.
-		if n := queued(tm); n > 2*k {
-			t.Fatalf("pass %d visits %d variables after %d commits, want <= %d", pass, n, k, 2*k)
-		}
-		tm.GC()
-		bump(t, tm, tick) // re-rooting waits for a pass bound above the last pass's end
+	// A pass visits exactly what is queued when it starts.
+	if n := queued(tm); n > k {
+		t.Fatalf("pass visits %d variables after %d commits, want <= %d", n, k, k)
+	}
+	if freed := tm.GC(); freed != k {
+		t.Fatalf("pass freed %d versions, want %d", freed, k)
 	}
 	checkQueue(t, tm)
 	for i := 0; i < k; i++ {
@@ -59,17 +57,17 @@ func TestPassVisitsOnlyWrittenVars(t *testing.T) {
 				v.id, v.queued, v.latest.Load() == &v.root, tm.VersionCount(v))
 		}
 	}
-	if n := queued(tm); n > 1 {
-		t.Fatalf("%d variables still queued, want at most the tick", n)
+	if n := queued(tm); n != 0 {
+		t.Fatalf("%d variables still queued after one pass, want 0", n)
 	}
 }
 
 // TestQueueKeepsWhatItCannotTrim: a variable whose extra versions an active
 // snapshot still needs, or whose lock is busy, stays queued until a pass can
-// finish it.
+// finish it — and the first pass that can, does.
 func TestQueueKeepsWhatItCannotTrim(t *testing.T) {
 	tm := newTM()
-	x, y, tick := tm.NewVar(0), tm.NewVar(0), tm.NewVar(0)
+	x, y := tm.NewVar(0), tm.NewVar(0)
 	xv, yv := x.(*twvar), y.(*twvar)
 	bump(t, tm, y)
 	if !yv.owner.TryLockGC() {
@@ -87,21 +85,19 @@ func TestQueueKeepsWhatItCannotTrim(t *testing.T) {
 		t.Fatalf("x with a reader on its root: %d versions, queued=%v", n, xv.queued)
 	}
 	tm.Commit(reader)
-	for i := 0; i < 2; i++ {
-		tm.GC()
-		bump(t, tm, tick)
-	}
+	tm.GC()
 	for _, tv := range []*twvar{xv, yv} {
-		if tv.queued || tv.latest.Load() != &tv.root {
-			t.Fatalf("var %d: queued=%v on root=%v after the reader left", tv.id, tv.queued, tv.latest.Load() == &tv.root)
+		if tv.queued || tv.latest.Load() != &tv.root || tm.VersionCount(tv) != 1 {
+			t.Fatalf("var %d one pass after the reader left: queued=%v on root=%v versions=%d",
+				tv.id, tv.queued, tv.latest.Load() == &tv.root, tm.VersionCount(tv))
 		}
 	}
 	checkQueue(t, tm)
 }
 
 // BenchmarkGCPass prices one collector pass with 10⁵ variables live and 64
-// written since the previous pass; the steady state also re-roots the 64 the
-// previous pass trimmed.
+// written since the previous pass, each of which the pass trims and re-roots
+// in one visit: visited/pass is 64.
 func BenchmarkGCPass(b *testing.B) {
 	const live, dirty = 100_000, 64
 	tm := newTM()

@@ -179,35 +179,37 @@ func stateOf(tm *TM, v stm.Var) chainState {
 	return chainState{head.value, head.natOrder, head.twOrder, tm.VersionCount(v)}
 }
 
-// TestReRootAfterEpoch follows one variable through overwrite, collection and
-// re-rooting: the pass that unlinks the embedded root only marks it, a later
-// pass with a bound above the clock at the end of that pass copies the sole
-// heap version back, and nothing observable changes.
-func TestReRootAfterEpoch(t *testing.T) {
+// onChain reports whether v's embedded root is reachable from latest.
+func onChain(v *twvar) bool {
+	for ver := v.latest.Load(); ver != nil; ver = ver.next.Load() {
+		if ver == &v.root {
+			return true
+		}
+	}
+	return false
+}
+
+// TestReRootInTrimmingPass follows one variable through overwrite, collection
+// and re-rooting: the pass that trims the chain to one heap version copies it
+// back into the embedded root in the same visit, and nothing observable
+// changes.
+func TestReRootInTrimmingPass(t *testing.T) {
 	tm := newTM()
-	x, tick := tm.NewVar(0), tm.NewVar(0)
+	x := tm.NewVar(0)
 	tx := x.(*twvar)
 	bump(t, tm, x)
 	bump(t, tm, x)
-	if tm.GC() != 2 || !tx.rootFree || tx.latest.Load() == &tx.root {
-		t.Fatalf("first pass: rootFree=%v, head is root=%v", tx.rootFree, tx.latest.Load() == &tx.root)
-	}
-	before := stateOf(tm, x)
+	want := stateOf(tm, x)
+	want.versions = 1
 
-	// No commit since the pass ended: its bound equals the sample, not above.
-	tm.GC()
-	if tx.latest.Load() == &tx.root {
-		t.Fatal("re-rooted with a bound not above the clock at the end of the unlinking pass")
+	if freed := tm.GC(); freed != 2 {
+		t.Fatalf("pass freed %d versions, want 2", freed)
 	}
-	bump(t, tm, tick)
-	if freed := tm.GC(); freed != 1 { // tick's root
-		t.Fatalf("re-rooting pass freed %d versions, want 1", freed)
+	if tx.latest.Load() != &tx.root || tx.queued {
+		t.Fatalf("after one pass: head is root=%v queued=%v, want re-rooted and out of the queue", tx.latest.Load() == &tx.root, tx.queued)
 	}
-	if tx.latest.Load() != &tx.root || tx.rootFree {
-		t.Fatal("sole heap version not moved back into the root")
-	}
-	if after := stateOf(tm, x); after != before {
-		t.Fatalf("re-rooting changed the chain: %+v -> %+v", before, after)
+	if got := stateOf(tm, x); got != want {
+		t.Fatalf("re-rooting changed the chain: got %+v, want %+v", got, want)
 	}
 	if n := tm.Stats().Snapshot().ReRootedVersions; n != 1 {
 		t.Fatalf("ReRootedVersions = %d, want 1", n)
@@ -218,17 +220,34 @@ func TestReRootAfterEpoch(t *testing.T) {
 	}
 	tm.Commit(ro)
 
-	// The cycle repeats: overwrite installs above the root, a pass unlinks it.
+	// The cycle repeats: overwrite installs above the root. A reader that
+	// needs the version below the head lets the pass trim under that version
+	// but not re-root; the pass after the reader leaves does.
 	bump(t, tm, x)
 	if tm.VersionCount(x) != 2 || tx.latest.Load().next.Load() != &tx.root {
 		t.Fatal("install after re-rooting did not link above the root")
 	}
+	mid := tm.Begin(true) // stands on 3
+	bump(t, tm, x)
+	if freed := tm.GC(); freed != 1 || tx.latest.Load() == &tx.root || tm.VersionCount(x) != 2 {
+		t.Fatalf("pass under a reader of the second version: freed %d, head is root=%v, versions=%d, want 1 freed and 2 kept off the root",
+			freed, tx.latest.Load() == &tx.root, tm.VersionCount(x))
+	}
+	if got := mid.Read(x); got != 3 {
+		t.Fatalf("reader of the second version read %v, want 3", got)
+	}
+	tm.Commit(mid)
+	tm.GC()
+	if tx.latest.Load() != &tx.root || tx.root.value != 4 || tm.VersionCount(x) != 1 {
+		t.Fatalf("pass after that reader left: head is root=%v root.value=%v versions=%d, want re-rooted with 4",
+			tx.latest.Load() == &tx.root, tx.root.value, tm.VersionCount(x))
+	}
 }
 
-// TestReRootWaitsForReaderOnOldRoot parks a reader that has the old root in
-// hand — it began before the root was unlinked — across two collector passes.
-// While it is registered the root's bytes must not be reused; once it is gone
-// they are.
+// TestReRootWaitsForReaderOnOldRoot parks a reader that needs the old root
+// across collector passes. While it is registered the root stays linked and
+// its bytes unwritten; the first pass after it is gone re-roots, and a reader
+// that began after the overwrites does not delay that pass.
 func TestReRootWaitsForReaderOnOldRoot(t *testing.T) {
 	tm := newTM()
 	x, tick := tm.NewVar(0), tm.NewVar(0)
@@ -238,7 +257,7 @@ func TestReRootWaitsForReaderOnOldRoot(t *testing.T) {
 	bump(t, tm, x)
 	bump(t, tm, x)
 	tm.GC() // bounded by the reader: the root stays linked
-	if tx.rootFree {
+	if !onChain(tx) {
 		t.Fatal("pass unlinked a root an active snapshot needs")
 	}
 	if got := reader.Read(x); got != 0 {
@@ -250,35 +269,28 @@ func TestReRootWaitsForReaderOnOldRoot(t *testing.T) {
 		tm.GC()
 		bump(t, tm, tick)
 	}
-	if tx.rootFree || tx.latest.Load() == &tx.root {
-		t.Fatal("root unlinked or reused while a reader that began before is registered")
+	if !onChain(tx) || tx.latest.Load() == &tx.root || tx.root.value != 0 {
+		t.Fatal("root unlinked or reused while a reader that needs it is registered")
 	}
 	if got := reader.Read(x); got != 0 {
 		t.Fatalf("parked reader re-read %v, want 0", got)
 	}
 	tm.Commit(reader)
 
-	tm.GC() // unlinks: marks
-	if !tx.rootFree || tx.root.value != 0 {
-		t.Fatalf("after the reader finished: rootFree=%v root.value=%v", tx.rootFree, tx.root.value)
+	// A reader that begins now stands on the newest version, not the root.
+	later := tm.Begin(true)
+	if got := later.Read(x); got != 2 {
+		t.Fatalf("later reader read %v, want 2", got)
 	}
-	// A reader that begins now can still not reach the root, but one that began
-	// before the unlinking pass ended could: park one at exactly that clock.
-	pinned := tm.Begin(true)
-	bump(t, tm, tick)
 	tm.GC()
-	if tx.latest.Load() == &tx.root {
-		t.Fatal("root reused while a transaction from before the unlinking pass ended is registered")
+	if tx.latest.Load() != &tx.root || tx.root.value != 2 || tm.VersionCount(x) != 1 {
+		t.Fatalf("pass after the reader finished: head is root=%v root.value=%v versions=%d, want re-rooted with 2",
+			tx.latest.Load() == &tx.root, tx.root.value, tm.VersionCount(x))
 	}
-	if got := pinned.Read(x); got != 2 {
-		t.Fatalf("pinned reader read %v, want 2", got)
+	if got := later.Read(x); got != 2 {
+		t.Fatalf("later reader re-read %v, want 2", got)
 	}
-	tm.Commit(pinned)
-	bump(t, tm, tick)
-	tm.GC()
-	if tx.latest.Load() != &tx.root || tx.root.value != 2 {
-		t.Fatal("root not reused once every older transaction finished")
-	}
+	tm.Commit(later)
 }
 
 // gateLogger parks every Append — which the pipeline calls after validation

@@ -15,62 +15,46 @@ import "repro/internal/stm"
 
 // sweep is the chain pass behind mvutil.Chassis; gcMu is held. Per variable
 // in the dirty queue (mvutil.Dirty) it frees everything older than the
-// newest version visible at bound; a variable back to one version on its
-// root leaves the queue, and one it cannot finish stays for the next pass.
+// newest version visible at bound; a variable back to one version leaves the
+// queue on its root, and one it cannot finish stays for the next pass.
 //
-// Re-rooting: a bounded pass also moves a sole surviving heap version back
-// into the variable's embedded root, so a variable that was overwritten and
-// has since gone cold costs its readers one line again. The root's bytes may
-// only be rewritten when no transaction can still be standing on the version
-// they used to hold. A transaction reaches a version by walking down from
-// latest, and the root left the chain in an earlier pass; so once every
-// transaction that began before that pass ended has finished, none can. The
-// pass that unlinks a root marks it (rootFree), every pass ends by sampling
-// the clock (sweptAt), and a later pass re-roots only when its bound — the
-// oldest registered start, or the clock when none is — exceeds that sample: every transaction registered now began after it, and one that is
-// not registered yet has not read anything (Chassis.Snapshot).
+// Re-rooting: the visit that trims a variable to one heap version V copies
+// it into the embedded root, so a variable that has gone cold costs its
+// readers one line again. The root is off the chain by then, and V is visible
+// at bound, which every live snapshot is at or above (DESIGN.md §2): every
+// walk stops at or above V, so none can still stand on the root.
 func (tm *TM) sweep(bound uint64) (freed int) {
 	var rerooted uint64
-	reroot := bound > tm.sweptAt
 	tm.dirty.Drain(func(v *twvar) bool {
 		// A variable with nothing to do costs two loads and keeps its lock
 		// word — the line every traversal of v loads — untouched. An
 		// install racing the loads keeps v queued, as it already is.
 		head := v.latest.Load()
-		ver := visibleAt(head, bound)
-		if ver.next.Load() == nil && (ver != head || head != &v.root && !(v.rootFree && reroot)) {
-			return true // nothing to free, and not yet one version on the root
+		if ver := visibleAt(head, bound); ver != head && ver.next.Load() == nil {
+			return true
 		}
 		if !v.owner.TryLockGC() {
 			return true
 		}
 		defer v.owner.UnlockGC()
 		head = v.latest.Load()
-		if head.next.Load() == nil {
-			if head != &v.root {
-				if !v.rootFree || !reroot {
-					return true
-				}
-				v.root.value, v.root.natOrder, v.root.twOrder = head.value, head.natOrder, head.twOrder
-				v.latest.Store(&v.root)
-				v.rootFree = false
-				rerooted++
-			}
-			v.queued = false
-			return false
-		}
 		// ver is the newest version that must stay; everything older goes.
-		ver = visibleAt(head, bound)
+		ver := visibleAt(head, bound)
 		for tail := ver.next.Load(); tail != nil; tail = tail.next.Load() {
 			freed++
-			if tail == &v.root {
-				v.rootFree = true
-			}
 		}
 		ver.next.Store(nil)
-		return true
+		if ver != head {
+			return true
+		}
+		if head != &v.root {
+			v.root.value, v.root.natOrder, v.root.twOrder = head.value, head.natOrder, head.twOrder
+			v.latest.Store(&v.root)
+			rerooted++
+		}
+		v.queued = false
+		return false
 	})
-	tm.sweptAt = tm.Clk.Load()
 	tm.stats.RecordReRoots(rerooted)
 	return freed
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/mvutil"
 	"repro/internal/stm"
@@ -131,11 +130,13 @@ func TestGCConcurrentPassesDoNotInterfere(t *testing.T) {
 
 // TestGCReRootChurnWithWalkers overwrites a working set group by group with a
 // collector pass every fourth commit, so that at each pass most groups have
-// gone cold — one heap version, root unlinked — and are due for re-rooting,
-// while read-only walkers traverse everything. A group is always written in
-// one transaction, so every walk must find each group uniform; under -race the
-// plain stores into a reused root must be ordered after every read of what it
-// held before (the epoch rule in sweep).
+// gone cold — one version visible at the bound — and are trimmed and
+// re-rooted in the same visit, while walkers traverse everything: read-only
+// ones (readRO's walk) and update ones that also write a private variable
+// (readUpdate's walk, then Validate's HANDLEREAD walk at commit). A group is
+// always written in one transaction, so every walk must find each group
+// uniform; under -race the plain stores into a reused root must be ordered
+// after every read of what it held before (the re-root argument in sweep).
 func TestGCReRootChurnWithWalkers(t *testing.T) {
 	const groups, perGroup = 16, 8
 	rounds := 4000
@@ -147,23 +148,31 @@ func TestGCReRootChurnWithWalkers(t *testing.T) {
 	for i := range vars {
 		vars[i] = tm.NewVar(0)
 	}
+	walk := func(tx stm.Tx) error {
+		for g := 0; g < groups; g++ {
+			first := tx.Read(vars[g*perGroup]).(int)
+			for i := 1; i < perGroup; i++ {
+				if got := tx.Read(vars[g*perGroup+i]).(int); got != first {
+					return fmt.Errorf("walker saw round %d and round %d within group %d", first, got, g)
+				}
+			}
+		}
+		return nil
+	}
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
+	for w := 0; w < 4; w++ {
+		readOnly := w < 3
+		own := tm.NewVar(0)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				err := stm.Atomically(tm, true, func(tx stm.Tx) error {
-					for g := 0; g < groups; g++ {
-						first := tx.Read(vars[g*perGroup]).(int)
-						for i := 1; i < perGroup; i++ {
-							if got := tx.Read(vars[g*perGroup+i]).(int); got != first {
-								return fmt.Errorf("walker saw round %d and round %d within group %d", first, got, g)
-							}
-						}
+			for n := 0; !stop.Load(); n++ {
+				err := stm.Atomically(tm, readOnly, func(tx stm.Tx) error {
+					if !readOnly {
+						tx.Write(own, n)
 					}
-					return nil
+					return walk(tx)
 				})
 				if err != nil {
 					t.Error(err)
@@ -172,12 +181,7 @@ func TestGCReRootChurnWithWalkers(t *testing.T) {
 			}
 		}()
 	}
-	// A pass re-roots only when no walk that began before the previous pass
-	// ended is still in flight; on a loaded machine that can take a while, so
-	// the churn goes on until it has happened (within reason).
-	rerooted := func() uint64 { return tm.Stats().Snapshot().ReRootedVersions }
-	deadline := time.Now().Add(20 * time.Second)
-	for r := 1; !stop.Load() && (r <= rounds || rerooted() == 0 && time.Now().Before(deadline)); r++ {
+	for r := 1; !stop.Load() && r <= rounds; r++ {
 		g := r % groups
 		_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
 			for _, v := range vars[g*perGroup : (g+1)*perGroup] {
@@ -192,5 +196,5 @@ func TestGCReRootChurnWithWalkers(t *testing.T) {
 	if sn.ReRootedVersions == 0 {
 		t.Error("no version was ever re-rooted: the churn did not exercise the path")
 	}
-	t.Logf("%d versions re-rooted, %d of %d walks quiet", sn.ReRootedVersions, sn.QuietROCommits, sn.ROCommits)
+	t.Logf("%d versions re-rooted, %d of %d read-only walks quiet, %d update commits", sn.ReRootedVersions, sn.QuietROCommits, sn.ROCommits, sn.Commits-sn.ROCommits)
 }

@@ -15,7 +15,7 @@ import (
 // (DESIGN.md §12.4): everything a read barrier loads from the variable unless
 // it stamps — lock word, chain head and embedded version — sits in the
 // variable's first 64 bytes, next to the
-// collector's root and queue marks; a stamping barrier loads the stamp pointer from the
+// collector's queue mark; a stamping barrier loads the stamp pointer from the
 // bytes after them. The variable is 88 bytes — still the 96-byte size class;
 // the 80-byte class would need hist out of the variable — and the read stamp
 // is a slot of a shared chunk, outside the variable's own allocation, adjacent
@@ -38,7 +38,6 @@ func TestVarLayout(t *testing.T) {
 		{"owner", unsafe.Offsetof(z.owner), unsafe.Sizeof(z.owner)},
 		{"latest", unsafe.Offsetof(z.latest), unsafe.Sizeof(z.latest)},
 		{"root", unsafe.Offsetof(z.root), unsafe.Sizeof(z.root)},
-		{"rootFree", unsafe.Offsetof(z.rootFree), unsafe.Sizeof(z.rootFree)},
 		{"queued", unsafe.Offsetof(z.queued), unsafe.Sizeof(z.queued)},
 	} {
 		if end := f.off + f.len; end > 64 {
@@ -156,16 +155,16 @@ func BenchmarkTraverseBesideStamper(b *testing.B) {
 // 64 K variables linked in shuffled order (each holds the next, so the loads
 // are dependent and no prefetcher helps), walked end to end by one read-only
 // transaction per iteration. The chain is walked in three states — rooted
-// (never overwritten: the version is inside the variable), collected (every
-// variable overwritten once and one collector pass run: the sole version is a
-// heap object, the state sweep's re-rooting exists to leave) and rerooted (one
-// more pass, past the epoch: back inside the variable) — each quiet and with
+// (never overwritten: the version is inside the variable), overwritten (every
+// variable overwritten once and no collector pass yet: the head is a heap
+// object, the state sweep's re-rooting exists to leave) and rerooted (one
+// pass: back inside the variable) — each quiet and with
 // an older update transaction parked in flight, which makes the walker stamp
 // every read; the clock ticks between walks, as it does under load, so every
 // stamp is behind it again. Reports ns/read.
 func BenchmarkReadOnlyWalk(b *testing.B) {
 	const n = 1 << 16
-	build := func(passes int) (*TM, stm.Var, stm.Var) {
+	build := func(writes bool, passes int) (*TM, stm.Var, stm.Var) {
 		tm := newTM()
 		vars := make([]stm.Var, n)
 		for i := range vars {
@@ -179,7 +178,7 @@ func BenchmarkReadOnlyWalk(b *testing.B) {
 			return nil
 		}
 		tick := tm.NewVar(0)
-		if passes == 0 {
+		if !writes {
 			for j := range walk {
 				vars[walk[j]].(*twvar).root.value = next(j) // not shared yet
 			}
@@ -201,15 +200,16 @@ func BenchmarkReadOnlyWalk(b *testing.B) {
 	}
 	for _, state := range []struct {
 		name   string
+		writes bool
 		passes int
-	}{{"rooted", 0}, {"collected", 1}, {"rerooted", 2}} {
+	}{{"rooted", false, 0}, {"overwritten", true, 0}, {"rerooted", true, 1}} {
 		for _, parked := range []bool{false, true} {
 			name := state.name + "/quiet"
 			if parked {
 				name = state.name + "/older-updater"
 			}
 			b.Run(name, func(b *testing.B) {
-				tm, head, tick := build(state.passes)
+				tm, head, tick := build(state.writes, state.passes)
 				if parked {
 					old := tm.Begin(false)
 					defer tm.Abort(old)

@@ -61,9 +61,6 @@ type TM struct {
 	// dirty is the collector's work list (sweep).
 	dirty   mvutil.Dirty[*twvar]
 	history atomic.Bool
-	// sweptAt is the clock as the last collector pass ended (sweep's re-root
-	// rule); guarded by the chassis's GC mutex.
-	sweptAt uint64
 }
 
 // New returns a TWM instance with the given options.
@@ -132,9 +129,6 @@ type twvar struct {
 	// that whichever sole surviving version the collector copies back (sweep)
 	// — so a read of a variable with one version follows no pointer out of it.
 	root version
-	// rootFree marks root as unlinked from the chain and so reusable once the
-	// transactions that may still stand on it are gone. Only sweep touches it.
-	rootFree bool
 	// queued marks v as in the TM's dirty queue: set by the install that
 	// gives v a second version, cleared by the pass that finds v back to one
 	// version on its root (mvutil.Dirty). Guarded by owner.
