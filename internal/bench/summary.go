@@ -206,19 +206,26 @@ func (s *Summary) ReasonHistogram(w io.Writer) {
 }
 
 // StampElision prints, per engine, how many read-only commits ran quiet (read
-// stamps elided, DESIGN.md §12.5) and how many versions the collector
-// re-rooted, aggregated over every cell. Only TWM records either, so the
-// table appears only when one of its engines contributed.
+// stamps elided, DESIGN.md §12.5), how many update commits skipped the
+// commit-time stamp pass, and how many versions the collector re-rooted,
+// aggregated over every cell. Only TWM records any of them, so the table
+// appears only when one of its engines contributed.
 func (s *Summary) StampElision(w io.Writer) {
-	ro := map[string]uint64{}
-	quiet := map[string]uint64{}
-	rerooted := map[string]uint64{}
+	type counts struct{ ro, quiet, upd, quietUpd, rerooted uint64 }
+	by := map[string]*counts{}
 	any := false
 	for _, c := range s.Cells {
-		ro[c.Engine] += c.Stats.ROCommits
-		quiet[c.Engine] += c.Stats.QuietROCommits
-		rerooted[c.Engine] += c.Stats.ReRootedVersions
-		if c.Stats.QuietROCommits > 0 || c.Stats.ReRootedVersions > 0 {
+		n := by[c.Engine]
+		if n == nil {
+			n = new(counts)
+			by[c.Engine] = n
+		}
+		n.ro += c.Stats.ROCommits
+		n.quiet += c.Stats.QuietROCommits
+		n.upd += c.Stats.Commits - c.Stats.ROCommits
+		n.quietUpd += c.Stats.QuietUpdateCommits
+		n.rerooted += c.Stats.ReRootedVersions
+		if c.Stats.QuietROCommits > 0 || c.Stats.QuietUpdateCommits > 0 || c.Stats.ReRootedVersions > 0 {
 			any = true
 		}
 	}
@@ -226,16 +233,20 @@ func (s *Summary) StampElision(w io.Writer) {
 		return
 	}
 	tbl := NewTable("Stamp elision (aggregated over cells)",
-		"engine", "ro-commits", "quiet", "quiet share", "re-rooted")
+		"engine", "ro-commits", "quiet", "quiet share", "upd-commits", "quiet upd", "quiet upd share", "re-rooted")
+	pct := func(part, whole uint64) string {
+		if whole == 0 {
+			return "-"
+		}
+		return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(whole))
+	}
 	for _, e := range s.engines() {
-		if quiet[e] == 0 && rerooted[e] == 0 {
+		n := by[e]
+		if n.quiet == 0 && n.quietUpd == 0 && n.rerooted == 0 {
 			continue
 		}
-		share := "-"
-		if ro[e] > 0 {
-			share = fmt.Sprintf("%.1f%%", 100*float64(quiet[e])/float64(ro[e]))
-		}
-		tbl.AddRow(e, fmt.Sprintf("%d", ro[e]), fmt.Sprintf("%d", quiet[e]), share, fmt.Sprintf("%d", rerooted[e]))
+		tbl.AddRow(e, fmt.Sprintf("%d", n.ro), fmt.Sprintf("%d", n.quiet), pct(n.quiet, n.ro),
+			fmt.Sprintf("%d", n.upd), fmt.Sprintf("%d", n.quietUpd), pct(n.quietUpd, n.upd), fmt.Sprintf("%d", n.rerooted))
 	}
 	tbl.Fprint(w)
 }

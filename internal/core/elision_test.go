@@ -399,3 +399,128 @@ func TestUpdateMarkCoversUntilStampCheck(t *testing.T) {
 	}
 	tm.Commit(d)
 }
+
+// TestCommitStampsOnlyForOlderUnsettledUpdate pins the commit-time elision
+// rule: an update commit raises its reads' stamps, to its natural order, only
+// while an update transaction that began below that order has yet to check
+// its targets' stamps. A parked read-only transaction does not count, nor
+// does an update transaction parked in the logger past its stamp check.
+func TestCommitStampsOnlyForOlderUnsettledUpdate(t *testing.T) {
+	log := &gateLogger{entered: make(chan struct{}), release: make(chan struct{})}
+	tm := New(Options{Options: mvutil.Options{GCEveryNCommits: -1, Logger: log}})
+	x, y, z := tm.NewVar(0), tm.NewVar(0), tm.NewVar(0)
+	commit := func(tx stm.Tx) {
+		t.Helper()
+		done := make(chan bool)
+		go func() { done <- tm.Commit(tx) }()
+		<-log.entered
+		log.release <- struct{}{}
+		if !<-done {
+			t.Fatal("uncontended commit aborted")
+		}
+	}
+	readXWriteY := func() stm.Tx {
+		tx := tm.Begin(false)
+		tx.Write(y, tx.Read(x).(int)+1)
+		return tx
+	}
+
+	ro := tm.Begin(true) // read-only registrations never count
+	commit(readXWriteY())
+	if s := tm.ReadStamp(x); s != 0 {
+		t.Errorf("commit with no update transaction in flight raised the stamp to %d", s)
+	}
+
+	old := tm.Begin(false) // in flight, unsettled, below every later draw
+	tx := readXWriteY()
+	commit(tx)
+	if nat, _ := tm.CommitOrders(tx); tm.ReadStamp(x) != nat {
+		t.Errorf("commit with an older unsettled update in flight left the stamp at %d, want its order %d", tm.ReadStamp(x), nat)
+	}
+	tm.Abort(old)
+
+	settled := make(chan bool)
+	go func() { // W parks in the logger, past its stamp check
+		w := tm.Begin(false)
+		w.Write(z, 1)
+		settled <- tm.Commit(w)
+	}()
+	<-log.entered
+	before := tm.ReadStamp(x)
+	tx = readXWriteY()
+	done := make(chan bool)
+	go func() { done <- tm.Commit(tx) }()
+	<-log.entered // validated; both commits are now parked in the logger
+	if s := tm.ReadStamp(x); s != before {
+		t.Errorf("commit raised the stamp %d -> %d for an update transaction past its stamp check", before, s)
+	}
+	log.release <- struct{}{}
+	log.release <- struct{}{}
+	if !<-done || !<-settled {
+		t.Fatal("uncontended commit aborted")
+	}
+	tm.Commit(ro)
+
+	if sn := tm.Stats().Snapshot(); sn.QuietUpdateCommits != 2 {
+		t.Errorf("%d quiet update commits, want 2", sn.QuietUpdateCommits)
+	}
+}
+
+// TestLoneCommitterElides: the one update transaction in flight commits
+// without stamping, and the commit is counted. Its own registration is below
+// its natural order, so a scan that ran before it settled would see it.
+func TestLoneCommitterElides(t *testing.T) {
+	tm := newTM()
+	x := tm.NewVar(0)
+	bump(t, tm, x)
+	if s := tm.ReadStamp(x); s != 0 {
+		t.Errorf("lone committer raised the stamp to %d", s)
+	}
+	if sn := tm.Stats().Snapshot(); sn.QuietUpdateCommits != 1 {
+		t.Errorf("%d quiet update commits, want 1", sn.QuietUpdateCommits)
+	}
+}
+
+// BenchmarkHandleRead prices HANDLEREAD: one update commit over 1 024 reads
+// and one write, quiet and with an older update transaction parked in
+// flight, which makes every commit raise all 1 024 stamps. The clock ticks
+// every commit, so every raise is a CAS. Reports ns/read (the whole
+// transaction, barriers included).
+func BenchmarkHandleRead(b *testing.B) {
+	const n = 1024
+	for _, parked := range []bool{false, true} {
+		name := "quiet"
+		if parked {
+			name = "older-updater"
+		}
+		b.Run(name, func(b *testing.B) {
+			tm := New(Options{})
+			vars := make([]stm.Var, n)
+			for i := range vars {
+				vars[i] = tm.NewVar(i)
+			}
+			w := tm.NewVar(0)
+			if parked {
+				old := tm.Begin(false)
+				defer tm.Abort(old)
+			}
+			tm.Stats().Reset()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
+					sum := 0
+					for _, v := range vars {
+						sum += tx.Read(v).(int)
+					}
+					tx.Write(w, sum)
+					return nil
+				})
+			}
+			b.StopTimer()
+			if sn := tm.Stats().Snapshot(); (sn.QuietUpdateCommits == 0) != parked {
+				b.Fatalf("%d of %d commits quiet, parked=%v", sn.QuietUpdateCommits, sn.Commits, parked)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/read")
+		})
+	}
+}

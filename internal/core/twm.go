@@ -404,16 +404,29 @@ func (tx *txn) Validate() stm.AbortReason {
 	// transaction that begins now needs no stamps on its account (Begin).
 	tm.Active.Settle(&tx.Slot)
 
-	// HANDLEREAD: make the reads visible, then detect anti-dependencies
-	// originating at tx (versions of read variables committed after start).
-	// The stamp is our own draw, not a fresh clock sample: under the strict
-	// target check that is the paper's pre-increment condition exactly, and
-	// it keeps the scan off the clock line. Every committer with a smaller
-	// order held its write locks when it drew, so the lock wait orders this
+	// HANDLEREAD, first pass: make the reads visible. The stamp is our own
+	// draw, not a fresh clock sample: under the strict target check that is
+	// the paper's pre-increment condition exactly, and it keeps the pass off
+	// the clock line. A stamp at N(tx) can only flag an update transaction
+	// that sampled below N(tx) and has yet to run its stamp check; with none
+	// registered now — our own registration settled above, the scan after
+	// our draw — every such transaction still to come samples at N(tx) or
+	// later, so the pass changes no decision and is skipped (DESIGN.md
+	// §12.5, the commit-time lemma).
+	quiet := len(tx.readSet) > 0 && !tm.Active.OlderUpdate(tx.natOrder)
+	if !quiet {
+		for _, v := range tx.readSet {
+			tx.semiVisibleRead(v, tx.natOrder)
+		}
+	}
+
+	// Second pass: detect anti-dependencies originating at tx (versions of
+	// read variables committed after start). Every variable was stamped, if
+	// at all, before it is checked. Every committer with a smaller order
+	// held its write locks when it drew, so the lock wait orders this
 	// traversal behind its installs.
 	budget := tm.Opts.LockSpinBudget
 	for _, v := range tx.readSet {
-		tx.semiVisibleRead(v, tx.natOrder)
 		if !v.owner.WaitUnlocked(&tx.Desc, budget) {
 			return stm.ReasonLockTimeout
 		}
@@ -455,6 +468,9 @@ func (tx *txn) Validate() stm.AbortReason {
 		tx.twOrder = tx.minAntiDep
 	}
 	tx.Serial = tx.twOrder
+	if quiet {
+		tx.Stats.RecordQuietUpdate()
+	}
 	return stm.ReasonNone
 }
 

@@ -129,6 +129,68 @@ func TestReadOnlyElisionHistories(t *testing.T) {
 	}
 }
 
+// TestCommitElisionHistories replays the two histories of the commit-time
+// stamp-elision rule on twm and pins their outcomes (golden: no reference
+// model of Algorithms 1-2 exists to derive them from). The update reader C
+// stamps at commit only while the older pivot B is in flight, and B then
+// aborts on the triad. When B begins after C's commit, C elides; replayed with
+// an update transaction parked from the start, C stamps instead and every
+// outcome is the same — the stamps C skipped could not have flagged B.
+func TestCommitElisionHistories(t *testing.T) {
+	want := map[string][]string{
+		"update reader while the pivot is in flight": {
+			"B read y = 0", "A commit: ok nat=2 tw=2",
+			"C read x = 0", "C read y = 1", "C commit: ok nat=3 tw=3",
+			"B commit: aborted (triad)",
+		},
+		"update reader before the pivot": {
+			"C read x = 0", "C read y = 0", "C commit: ok nat=2 tw=2",
+			"B read y = 0", "A commit: ok nat=3 tw=3",
+			"B commit: ok nat=4 tw=3",
+		},
+	}
+	replay := func(h histories.History) (transcript []string, cStamped bool, quiet uint64) {
+		tm := engines.MustNew("twm")
+		for _, o := range histories.Replay(tm, h) {
+			transcript = append(transcript, o.String())
+			if o.Tx == "C" && o.Op == histories.OpCommit {
+				cStamped = o.Stamped
+			}
+		}
+		return transcript, cStamped, tm.Stats().Snapshot().QuietUpdateCommits
+	}
+	for _, h := range histories.CommitElision() {
+		elides := h.Name == "update reader before the pivot"
+		got, stamped, quiet := replay(h)
+		if !reflect.DeepEqual(got, want[h.Name]) {
+			t.Errorf("%s:\n got %q\nwant %q", h.Name, got, want[h.Name])
+		}
+		if stamped == elides {
+			t.Errorf("%s: C's commit stamped=%v", h.Name, stamped)
+		}
+		// B's commit, when it validates, elides too: A is over, C settled.
+		wantQuiet := uint64(0)
+		if elides {
+			wantQuiet = 2
+		}
+		if quiet != wantQuiet {
+			t.Errorf("%s: %d quiet update commits, want %d", h.Name, quiet, wantQuiet)
+		}
+		if !elides {
+			continue
+		}
+		parked := h
+		parked.Steps = append([]histories.Step{{Tx: "P", Op: histories.OpBegin}}, h.Steps...)
+		got, stamped, _ = replay(parked)
+		if !stamped {
+			t.Errorf("%s with P parked: C's commit did not stamp", h.Name)
+		}
+		if !reflect.DeepEqual(got, want[h.Name]) {
+			t.Errorf("%s with P parked: the stamps changed an outcome:\n got %q\nwant %q", h.Name, got, want[h.Name])
+		}
+	}
+}
+
 // TestProfilerEveryEngine attaches the Fig. 4(c) profiler through the
 // outermost Stats() of every engine, bare and under each wrapper: the
 // profiler rides Stats, which every engine and wrapper forwards, so update

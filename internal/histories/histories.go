@@ -45,8 +45,8 @@ type Outcome struct {
 	Step
 	// Value is what a Read returned (nil when it early-aborted).
 	Value stm.Value
-	// Stamped reports that a Read raised the variable's semi-visible read
-	// stamp, on engines that expose it (ReadStamp).
+	// Stamped reports that a Read or a Commit raised a semi-visible read
+	// stamp, on engines that expose them (ReadStamp).
 	Stamped bool
 	// Early is the reason a Read early-aborted for, "" when it returned
 	// normally; the replay aborts the transaction and skips its remaining
@@ -89,6 +89,16 @@ func Replay(tm stm.TM, h History) []Outcome {
 		CommitOrders(stm.Tx) (nat, tw uint64)
 	})
 	stamps, _ := tm.(interface{ ReadStamp(stm.Var) uint64 })
+	// stampTotal sums the read stamps: they only rise, so a step raised one
+	// iff the total rose.
+	stampTotal := func() (sum uint64) {
+		if stamps != nil {
+			for _, v := range vars {
+				sum += stamps.ReadStamp(v)
+			}
+		}
+		return sum
+	}
 	txs := make(map[string]stm.Tx)
 	var out []Outcome
 	for _, s := range h.Steps {
@@ -100,19 +110,17 @@ func Replay(tm stm.TM, h History) []Outcome {
 		if !live {
 			continue // early-aborted
 		}
-		o := Outcome{Step: s}
-		switch s.Op {
-		case OpWrite:
+		if s.Op == OpWrite {
 			tx.Write(vars[s.Var], s.Val)
 			continue
+		}
+		o := Outcome{Step: s}
+		stamp := stampTotal()
+		switch s.Op {
 		case OpRead:
 			// Engines count an early abort under its reason at the abort
 			// site, before raising the (opaque) retry signal.
 			before := tm.Stats().Snapshot().ByReason
-			var stamp uint64
-			if stamps != nil {
-				stamp = stamps.ReadStamp(vars[s.Var])
-			}
 			func() {
 				defer func() {
 					if recover() == nil {
@@ -129,7 +137,6 @@ func Replay(tm stm.TM, h History) []Outcome {
 				}()
 				o.Value = tx.Read(vars[s.Var])
 			}()
-			o.Stamped = stamps != nil && stamps.ReadStamp(vars[s.Var]) != stamp
 		case OpCommit:
 			o.OK = tm.Commit(tx)
 			if !o.OK {
@@ -139,6 +146,7 @@ func Replay(tm stm.TM, h History) []Outcome {
 				o.Nat, o.TW = orders.CommitOrders(tx)
 			}
 		}
+		o.Stamped = stampTotal() != stamp
 		out = append(out, o)
 	}
 	return out
@@ -196,6 +204,46 @@ func ReadOnlyElision() []History {
 			commit("C"),
 		},
 		Note: "C is quiet: the stamp of x stays put, B time-warps before A, serial order C -> B -> A",
+	}}
+}
+
+// CommitElision returns the two cases of the commit-time stamp-elision rule
+// (DESIGN.md §12.5): an update transaction C that reads x raises x's stamp at
+// commit only when an update transaction that began below its natural order
+// has yet to check its targets' stamps.
+func CommitElision() []History {
+	return []History{{
+		// C begins after the pivot B began and after A committed, reads x
+		// (which B overwrites) and y (which A wrote), and commits while B is
+		// in flight: C's stamp on x is what makes B a target, and the cycle
+		// C -> B -> A -> C is closed only if B commits.
+		Name:  "update reader while the pivot is in flight",
+		Title: "triad: C (update) reads x and y and commits before the pivot B",
+		Vars:  []string{"x", "y", "z"},
+		Init:  zeros(3),
+		Steps: []Step{
+			begin("B"), read("B", "y"), write("B", "x", 1),
+			begin("A"), write("A", "y", 1), commit("A"),
+			begin("C"), read("C", "x"), read("C", "y"), write("C", "z", 1), commit("C"),
+			commit("B"),
+		},
+		Note: "C stamps at commit: B is older and unsettled, sees the stamp on x and aborts (triad)",
+	}, {
+		// C commits first, alone. Every update transaction to come begins at
+		// or above C's natural order, where C's stamp could flag none of
+		// them, so C raises no stamp and B warps before A as it would if C
+		// had stamped.
+		Name:  "update reader before the pivot",
+		Title: "the same transactions; B begins after C committed",
+		Vars:  []string{"x", "y", "z"},
+		Init:  zeros(3),
+		Steps: []Step{
+			begin("C"), read("C", "x"), read("C", "y"), write("C", "z", 1), commit("C"),
+			begin("B"), read("B", "y"), write("B", "x", 1),
+			begin("A"), write("A", "y", 1), commit("A"),
+			commit("B"),
+		},
+		Note: "C elides its stamps: no older update transaction is in flight; B time-warps before A, serial order C -> B -> A",
 	}}
 }
 

@@ -63,13 +63,15 @@ type StatShard struct {
 
 	// Stamp-elision counters (DESIGN.md §12.5): quietRO counts the read-only
 	// commits that ran without stamping (roCommits minus it ran the stamping
-	// barrier), reRoots the sole surviving versions the collector moved back
-	// into their variable.
-	quietRO atomic.Uint64
-	reRoots atomic.Uint64
+	// barrier), quietUpdate the update commits that read and skipped
+	// HANDLEREAD's stamp pass, reRoots the sole surviving versions the
+	// collector moved back into their variable.
+	quietRO     atomic.Uint64
+	quietUpdate atomic.Uint64
+	reRoots     atomic.Uint64
 
-	// 7 is the number of scalar counters above; TestStatShardPadded checks it.
-	_ [128 + (128-(7+int(numAbortReasons))*8%128)%128]byte
+	// 8 is the number of scalar counters above; TestStatShardPadded checks it.
+	_ [128 + (128-(8+int(numAbortReasons))*8%128)%128]byte
 }
 
 // Shard hands out a stripe for a long-lived recorder (one pooled transaction
@@ -100,6 +102,10 @@ func (s *StatShard) RecordAbort(reason AbortReason) {
 // RecordQuietRO notes that a read-only commit (recorded separately through
 // RecordCommit) ran with its read stamps elided.
 func (s *StatShard) RecordQuietRO() { s.quietRO.Add(1) }
+
+// RecordQuietUpdate notes that an update commit (recorded separately through
+// RecordCommit) read variables and raised none of their read stamps.
+func (s *StatShard) RecordQuietUpdate() { s.quietUpdate.Add(1) }
 
 // RecordStampRetries notes n failed CAS attempts while raising a semi-visible
 // read stamp. n == 0 is the common case and records nothing.
@@ -160,11 +166,15 @@ type Snapshot struct {
 	BatchSpills      uint64
 	CombinerHandoffs uint64
 	// Stamp elision (TWM only): QuietROCommits of the ROCommits ran without
-	// stamping their reads — the rest ran the stamping barrier — and
+	// stamping their reads — the rest ran the stamping barrier.
+	// QuietUpdateCommits counts the validated update commits that read
+	// variables and skipped the commit-time stamp pass (an update commit
+	// that wrote nothing commits without validating and is never counted).
 	// ReRootedVersions counts sole surviving versions the collector copied
 	// back into their variable.
-	QuietROCommits   uint64
-	ReRootedVersions uint64
+	QuietROCommits     uint64
+	QuietUpdateCommits uint64
+	ReRootedVersions   uint64
 }
 
 // QuietROShare returns the share of read-only commits that elided their read
@@ -197,6 +207,7 @@ func (s *Stats) Snapshot() Snapshot {
 		snap.Aborts += sh.aborts.Load()
 		snap.StampCASRetries += sh.stampRetries.Load()
 		snap.QuietROCommits += sh.quietRO.Load()
+		snap.QuietUpdateCommits += sh.quietUpdate.Load()
 		snap.ReRootedVersions += sh.reRoots.Load()
 		for r := range sh.byReason {
 			byReason[r] += sh.byReason[r].Load()
@@ -220,6 +231,7 @@ func (s *Stats) Reset() {
 		sh.aborts.Store(0)
 		sh.stampRetries.Store(0)
 		sh.quietRO.Store(0)
+		sh.quietUpdate.Store(0)
 		sh.reRoots.Store(0)
 		for r := range sh.byReason {
 			sh.byReason[r].Store(0)
