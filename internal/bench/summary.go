@@ -206,10 +206,11 @@ func (s *Summary) ReasonHistogram(w io.Writer) {
 }
 
 // StampElision prints, per engine, how many read-only commits ran quiet (read
-// stamps elided, DESIGN.md §12.5), how many update commits skipped the
-// commit-time stamp pass, and how many versions the collector re-rooted,
-// aggregated over every cell. Only TWM records any of them, so the table
-// appears only when one of its engines contributed.
+// stamps elided, DESIGN.md §12.5), how many validated update commits — those
+// that wrote something — skipped the commit-time stamp pass, and how many
+// versions the collector re-rooted, aggregated over every cell. Only TWM
+// records any of them, so the table appears only when one of its engines
+// contributed.
 func (s *Summary) StampElision(w io.Writer) {
 	type counts struct{ ro, quiet, upd, quietUpd, rerooted uint64 }
 	by := map[string]*counts{}
@@ -222,7 +223,7 @@ func (s *Summary) StampElision(w io.Writer) {
 		}
 		n.ro += c.Stats.ROCommits
 		n.quiet += c.Stats.QuietROCommits
-		n.upd += c.Stats.Commits - c.Stats.ROCommits
+		n.upd += c.Stats.Commits - c.Stats.ROCommits - c.Stats.EmptyUpdateCommits
 		n.quietUpd += c.Stats.QuietUpdateCommits
 		n.rerooted += c.Stats.ReRootedVersions
 		if c.Stats.QuietROCommits > 0 || c.Stats.QuietUpdateCommits > 0 || c.Stats.ReRootedVersions > 0 {
@@ -233,7 +234,7 @@ func (s *Summary) StampElision(w io.Writer) {
 		return
 	}
 	tbl := NewTable("Stamp elision (aggregated over cells)",
-		"engine", "ro-commits", "quiet", "quiet share", "upd-commits", "quiet upd", "quiet upd share", "re-rooted")
+		"engine", "ro-commits", "quiet", "quiet share", "validated upd", "quiet upd", "quiet upd share", "re-rooted")
 	pct := func(part, whole uint64) string {
 		if whole == 0 {
 			return "-"

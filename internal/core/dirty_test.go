@@ -21,11 +21,11 @@ func coldVars(tm *TM, n int) []stm.Var {
 func checkQueue(t *testing.T, tm *TM) {
 	t.Helper()
 	tm.dirty.Drain(func(v *twvar) bool {
-		if !v.queued {
-			t.Errorf("var %d queued without its flag", v.id)
+		if !v.meta.queued {
+			t.Errorf("var %d queued without its flag", v.meta.id)
 		}
 		if head := v.latest.Load(); head == &v.root && head.next.Load() == nil {
-			t.Errorf("var %d queued with one version on its root", v.id)
+			t.Errorf("var %d queued with one version on its root", v.meta.id)
 		}
 		return true
 	})
@@ -52,9 +52,9 @@ func TestPassVisitsOnlyWrittenVars(t *testing.T) {
 	checkQueue(t, tm)
 	for i := 0; i < k; i++ {
 		v := vars[i*(live/k)].(*twvar)
-		if v.queued || v.latest.Load() != &v.root || tm.VersionCount(v) != 1 {
+		if v.meta.queued || v.latest.Load() != &v.root || tm.VersionCount(v) != 1 {
 			t.Fatalf("written var %d: queued=%v on root=%v versions=%d, want re-rooted and out of the queue",
-				v.id, v.queued, v.latest.Load() == &v.root, tm.VersionCount(v))
+				v.meta.id, v.meta.queued, v.latest.Load() == &v.root, tm.VersionCount(v))
 		}
 	}
 	if n := queued(tm); n != 0 {
@@ -75,21 +75,21 @@ func TestQueueKeepsWhatItCannotTrim(t *testing.T) {
 	}
 	tm.GC() // y's root is free to trim, but its lock is busy
 	yv.owner.UnlockGC()
-	if n := tm.VersionCount(y); n != 2 || !yv.queued {
-		t.Fatalf("y after a pass that found it locked: %d versions, queued=%v", n, yv.queued)
+	if n := tm.VersionCount(y); n != 2 || !yv.meta.queued {
+		t.Fatalf("y after a pass that found it locked: %d versions, queued=%v", n, yv.meta.queued)
 	}
 	reader := tm.Begin(true)
 	bump(t, tm, x)
 	tm.GC() // the reader still needs x's root
-	if n := tm.VersionCount(x); n != 2 || !xv.queued {
-		t.Fatalf("x with a reader on its root: %d versions, queued=%v", n, xv.queued)
+	if n := tm.VersionCount(x); n != 2 || !xv.meta.queued {
+		t.Fatalf("x with a reader on its root: %d versions, queued=%v", n, xv.meta.queued)
 	}
 	tm.Commit(reader)
 	tm.GC()
 	for _, tv := range []*twvar{xv, yv} {
-		if tv.queued || tv.latest.Load() != &tv.root || tm.VersionCount(tv) != 1 {
+		if tv.meta.queued || tv.latest.Load() != &tv.root || tm.VersionCount(tv) != 1 {
 			t.Fatalf("var %d one pass after the reader left: queued=%v on root=%v versions=%d",
-				tv.id, tv.queued, tv.latest.Load() == &tv.root, tm.VersionCount(tv))
+				tv.meta.id, tv.meta.queued, tv.latest.Load() == &tv.root, tm.VersionCount(tv))
 		}
 	}
 	checkQueue(t, tm)

@@ -205,8 +205,8 @@ func TestReRootInTrimmingPass(t *testing.T) {
 	if freed := tm.GC(); freed != 2 {
 		t.Fatalf("pass freed %d versions, want 2", freed)
 	}
-	if tx.latest.Load() != &tx.root || tx.queued {
-		t.Fatalf("after one pass: head is root=%v queued=%v, want re-rooted and out of the queue", tx.latest.Load() == &tx.root, tx.queued)
+	if tx.latest.Load() != &tx.root || tx.meta.queued {
+		t.Fatalf("after one pass: head is root=%v queued=%v, want re-rooted and out of the queue", tx.latest.Load() == &tx.root, tx.meta.queued)
 	}
 	if got := stateOf(tm, x); got != want {
 		t.Fatalf("re-rooting changed the chain: got %+v, want %+v", got, want)
@@ -478,6 +478,28 @@ func TestLoneCommitterElides(t *testing.T) {
 	}
 	if sn := tm.Stats().Snapshot(); sn.QuietUpdateCommits != 1 {
 		t.Errorf("%d quiet update commits, want 1", sn.QuietUpdateCommits)
+	}
+}
+
+// TestEmptyUpdateCommitCounted: an update transaction that reads but writes
+// nothing commits without validating, so it is counted as an empty update
+// commit and never as a quiet one — QuietUpdateCommits' base is the update
+// commits less these.
+func TestEmptyUpdateCommitCounted(t *testing.T) {
+	tm := newTM()
+	x := tm.NewVar(0)
+	tx := tm.Begin(false)
+	_ = tx.Read(x)
+	if !tm.Commit(tx) {
+		t.Fatal("write-nothing update commit aborted")
+	}
+	bump(t, tm, x)
+	sn := tm.Stats().Snapshot()
+	if sn.EmptyUpdateCommits != 1 || sn.QuietUpdateCommits != 1 {
+		t.Errorf("empty=%d quiet=%d update commits, want 1 and 1 (the bump)", sn.EmptyUpdateCommits, sn.QuietUpdateCommits)
+	}
+	if validated := sn.Commits - sn.ROCommits - sn.EmptyUpdateCommits; validated != 1 {
+		t.Errorf("%d validated update commits, want 1", validated)
 	}
 }
 

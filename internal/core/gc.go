@@ -52,7 +52,7 @@ func (tm *TM) sweep(bound uint64) (freed int) {
 			v.latest.Store(&v.root)
 			rerooted++
 		}
-		v.queued = false
+		v.meta.queued = false
 		return false
 	})
 	tm.stats.RecordReRoots(rerooted)

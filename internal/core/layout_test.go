@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -12,18 +11,16 @@ import (
 )
 
 // TestVarLayout pins the coherence properties of the per-variable metadata
-// (DESIGN.md §12.4): everything a read barrier loads from the variable unless
-// it stamps — lock word, chain head and embedded version — sits in the
-// variable's first 64 bytes, next to the
-// collector's queue mark; a stamping barrier loads the stamp pointer from the
-// bytes after them. The variable is 88 bytes — still the 96-byte size class;
-// the 80-byte class would need hist out of the variable — and the read stamp
-// is a slot of a shared chunk, outside the variable's own allocation, adjacent
-// to the stamps of the variables created around it.
+// (DESIGN.md §12.4): the variable is exactly 64 bytes — the allocator's
+// 64-byte size class is line-aligned, so everything a read barrier loads
+// unless it stamps (lock word, chain head, embedded version) lies on one
+// line — and what no traversal loads (read stamp, id, history, queue mark)
+// is a slot of a shared meta chunk, outside the variable's own allocation and
+// adjacent to the slots of the variables created around it.
 func TestVarLayout(t *testing.T) {
 	var z twvar
-	if s := unsafe.Sizeof(z); s > 88 {
-		t.Errorf("sizeof(twvar) = %d, want <= 88", s)
+	if s := unsafe.Sizeof(z); s != 64 {
+		t.Errorf("sizeof(twvar) = %d, want 64 (one line-aligned size class)", s)
 	}
 	if off := unsafe.Offsetof(z.owner); off != 0 {
 		t.Errorf("owner at offset %d, want 0", off)
@@ -31,27 +28,17 @@ func TestVarLayout(t *testing.T) {
 	if off := unsafe.Offsetof(z.latest); off >= unsafe.Offsetof(z.root) {
 		t.Errorf("latest at offset %d, want before root (%d)", off, unsafe.Offsetof(z.root))
 	}
-	for _, f := range []struct {
-		name     string
-		off, len uintptr
-	}{
-		{"owner", unsafe.Offsetof(z.owner), unsafe.Sizeof(z.owner)},
-		{"latest", unsafe.Offsetof(z.latest), unsafe.Sizeof(z.latest)},
-		{"root", unsafe.Offsetof(z.root), unsafe.Sizeof(z.root)},
-		{"queued", unsafe.Offsetof(z.queued), unsafe.Sizeof(z.queued)},
-	} {
-		if end := f.off + f.len; end > 64 {
-			t.Errorf("%s ends at byte %d, want within the first 64", f.name, end)
-		}
+	if s := unsafe.Sizeof(varMeta{}); s != 32 {
+		t.Errorf("sizeof(varMeta) = %d, want 32 (two slots a line)", s)
 	}
-	if off := unsafe.Offsetof(z.stamp); off < 64 {
-		t.Errorf("stamp at offset %d: the stamping barrier's field belongs after the leading block", off)
+	if s := unsafe.Sizeof(metaChunk{}); s > 4096 || s+unsafe.Sizeof(varMeta{}) <= 4096 {
+		t.Errorf("sizeof(metaChunk) = %d, want the most slots one 4 KiB size-class object holds", s)
 	}
 
 	// One P, so every NewVar below draws from the same per-P chunk.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tm := newTM()
-	vars := make([]*twvar, 8)
+	vars := make([]*twvar, 64)
 	for i := range vars {
 		vars[i] = tm.NewVar(i).(*twvar)
 	}
@@ -60,33 +47,33 @@ func TestVarLayout(t *testing.T) {
 			t.Errorf("var %d: initial version is not the embedded root", i)
 		}
 		lo := uintptr(unsafe.Pointer(v))
-		if s := uintptr(unsafe.Pointer(v.stamp)); s >= lo && s < lo+unsafe.Sizeof(*v) {
+		if lo%64 != 0 {
+			t.Errorf("var %d at %#x: not 64-byte aligned", i, lo)
+		}
+		if s := uintptr(unsafe.Pointer(&v.meta.stamp)); s >= lo && s < lo+unsafe.Sizeof(*v) {
 			t.Errorf("var %d: stamp word %#x lies inside the variable [%#x,+%d)", i, s, lo, unsafe.Sizeof(*v))
 		}
 		if raceEnabled || i == 0 {
 			continue
 		}
-		if d := uintptr(unsafe.Pointer(v.stamp)) - uintptr(unsafe.Pointer(vars[i-1].stamp)); d != 8 {
-			t.Errorf("vars %d and %d: stamp slots %d bytes apart, want adjacent (8)", i-1, i, d)
+		if d := uintptr(unsafe.Pointer(v.meta)) - uintptr(unsafe.Pointer(vars[i-1].meta)); d != unsafe.Sizeof(varMeta{}) {
+			t.Errorf("vars %d and %d: meta slots %d bytes apart, want adjacent (%d)", i-1, i, d, unsafe.Sizeof(varMeta{}))
 		}
-	}
-	if chunk := unsafe.Sizeof(stampChunk{}); chunk != 4096 {
-		t.Errorf("sizeof(stampChunk) = %d, want one 4 KiB size-class object", chunk)
 	}
 }
 
-// TestStampChunkExhaustion deals more stamps than one chunk holds: slots must
-// stay distinct across the chunk boundary and a full chunk must not be dealt
-// from again.
-func TestStampChunkExhaustion(t *testing.T) {
+// TestMetaChunkExhaustion deals more meta slots than one chunk holds: slots
+// must stay distinct across the chunk boundary and a full chunk must not be
+// dealt from again.
+func TestMetaChunkExhaustion(t *testing.T) {
 	tm := newTM()
-	seen := make(map[*atomic.Uint64]bool)
-	for i := 0; i < 3*len(stampChunk{}.slots)+5; i++ {
-		s := tm.newStamp()
-		if seen[s] {
-			t.Fatalf("stamp slot %p dealt twice (deal %d)", s, i)
+	seen := make(map[*varMeta]bool)
+	for i := 0; i < 3*len(metaChunk{}.slots)+5; i++ {
+		m := tm.newMeta()
+		if seen[m] {
+			t.Fatalf("meta slot %p dealt twice (deal %d)", m, i)
 		}
-		seen[s] = true
+		seen[m] = true
 	}
 }
 

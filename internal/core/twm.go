@@ -55,8 +55,8 @@ type TM struct {
 	// txns pools transaction descriptors (with their read/write-set backing
 	// arrays and active-set slot) across attempts; see Recycle.
 	txns sync.Pool
-	// stampChunks holds partially dealt stamp chunks, one per P (newStamp).
-	stampChunks sync.Pool
+	// metaChunks holds partially dealt meta chunks, one per P (newMeta).
+	metaChunks sync.Pool
 
 	// dirty is the collector's work list (sweep).
 	dirty   mvutil.Dirty[*twvar]
@@ -101,7 +101,7 @@ func (tm *TM) Start(txi stm.Tx) uint64 { return txi.(*txn).start }
 
 // ReadStamp reports v's semi-visible read stamp as a committer would observe
 // it (tests and instrumentation: a read that left it unchanged did not stamp).
-func (tm *TM) ReadStamp(v stm.Var) uint64 { return v.(*twvar).stamp.Load() }
+func (tm *TM) ReadStamp(v stm.Var) uint64 { return v.(*twvar).meta.stamp.Load() }
 
 // version is one committed value of a variable. Versions form a singly linked
 // list from newest to oldest in descending twOrder; natOrder breaks no ties in
@@ -116,12 +116,12 @@ type version struct {
 // timeWarped reports whether the version was produced by a time-warp commit.
 func (v *version) timeWarped() bool { return v.natOrder != v.twOrder }
 
-// twvar is the concrete transactional variable (Table 1's Var struct). What a
-// read barrier loads unless it stamps — lock word, chain head and the
-// embedded version — leads the struct and is stored to only by a
-// committer installing a version or the collector re-rooting one; the
-// semi-visible read stamp lives off the variable, in a stamp chunk
-// (DESIGN.md §12.4).
+// twvar is the concrete transactional variable (Table 1's Var struct):
+// exactly 64 bytes, so the allocator's 64-byte size class puts every
+// variable on a line of its own. What a read barrier loads unless it stamps —
+// lock word, chain head and the embedded version — is stored to only by a
+// committer installing a version or the collector re-rooting one; the rest
+// of the variable's state lives off it, in a meta slot (DESIGN.md §12.4).
 type twvar struct {
 	owner  mvutil.Lock // commit lock
 	latest atomic.Pointer[version]
@@ -129,55 +129,58 @@ type twvar struct {
 	// that whichever sole surviving version the collector copies back (sweep)
 	// — so a read of a variable with one version follows no pointer out of it.
 	root version
-	// queued marks v as in the TM's dirty queue: set by the install that
-	// gives v a second version, cleared by the pass that finds v back to one
-	// version on its root (mvutil.Dirty). Guarded by owner.
-	queued bool
-
-	// stamp is the semi-visible read stamp (Table 1's readStamp): a slot in
-	// one of the TM's stamp chunks, so raising it never invalidates the line
-	// another transaction's traversal of this variable loads.
-	stamp *atomic.Uint64
-
-	hist *stm.VersionLog // non-nil only when history recording is enabled
-	id   uint64
+	meta *varMeta
 }
 
-// stampChunk is 4 KiB of read-stamp slots dealt out in order to the variables
-// one P creates: back-to-back creations by one goroutine get adjacent slots,
+// varMeta is the part of a variable no traversal loads: a slot of one of the
+// TM's meta chunks, so raising the read stamp never invalidates the line
+// another transaction's traversal of the variable loads.
+type varMeta struct {
+	// stamp is the semi-visible read stamp (Table 1's readStamp).
+	stamp atomic.Uint64
+	id    uint64
+	hist  *stm.VersionLog // non-nil only when history recording is enabled
+	// queued marks the variable as in the TM's dirty queue: set by the
+	// install that gives it a second version, cleared by the pass that finds
+	// it back to one version on its root (mvutil.Dirty). Guarded by owner.
+	queued bool
+}
+
+// metaChunk is 4 KiB of meta slots dealt out in order to the variables one P
+// creates: back-to-back creations by one goroutine get adjacent slots,
 // concurrent creators get different chunks and hence different lines.
-type stampChunk struct {
-	slots [511]atomic.Uint64
+type metaChunk struct {
+	slots [127]varMeta
 	next  int // slots dealt; touched only by the chunk's current holder
 }
 
-// newStamp deals the next free stamp slot of this P's chunk. A chunk the
-// pool drops (GC, race-mode sampling) merely strands its undealt slots; the
-// dealt ones keep it alive through their interior pointers.
-func (tm *TM) newStamp() *atomic.Uint64 {
-	c, _ := tm.stampChunks.Get().(*stampChunk)
+// newMeta deals the next free meta slot of this P's chunk. A chunk the pool
+// drops (GC, race-mode sampling) merely strands its undealt slots; the dealt
+// ones keep it alive through their interior pointers.
+func (tm *TM) newMeta() *varMeta {
+	c, _ := tm.metaChunks.Get().(*metaChunk)
 	if c == nil {
-		c = new(stampChunk)
+		c = new(metaChunk)
 	}
-	s := &c.slots[c.next]
+	m := &c.slots[c.next]
 	if c.next++; c.next < len(c.slots) {
-		tm.stampChunks.Put(c)
+		tm.metaChunks.Put(c)
 	}
-	return s
+	return m
 }
 
 // VarID implements stm.IDedVar (commit-lock ordering).
-func (v *twvar) VarID() uint64 { return v.id }
+func (v *twvar) VarID() uint64 { return v.meta.id }
 
 // NewVar implements stm.TM.
 func (tm *TM) NewVar(initial stm.Value) stm.Var {
-	v := &twvar{stamp: tm.newStamp()}
+	v := &twvar{meta: tm.newMeta()}
 	v.root.value = initial
 	v.latest.Store(&v.root)
 	if tm.history.Load() {
-		v.hist = new(stm.VersionLog)
+		v.meta.hist = new(stm.VersionLog)
 	}
-	v.id = tm.NewVarID()
+	v.meta.id = tm.NewVarID()
 	return v
 }
 
@@ -186,10 +189,11 @@ func (tm *TM) NewVar(initial stm.Value) stm.Var {
 // tracking individual reader identities. Failed CAS attempts are counted into
 // the stamp-contention stats.
 func (tx *txn) semiVisibleRead(v *twvar, ts uint64) {
+	stamp := &v.meta.stamp
 	var retries uint64
 	for {
-		last := v.stamp.Load()
-		if last >= ts || v.stamp.CompareAndSwap(last, ts) {
+		last := stamp.Load()
+		if last >= ts || stamp.CompareAndSwap(last, ts) {
 			tx.Stats.RecordStampRetries(retries)
 			return
 		}
@@ -359,8 +363,11 @@ func (tm *TM) Commit(txi stm.Tx) bool {
 		// nothing, it cannot be the target of an anti-dependency, so no triad
 		// can pivot on it.
 		tx.Stats.RecordCommit(tx.readOnly)
-		if tx.quiet {
+		switch {
+		case tx.quiet:
 			tx.Stats.RecordQuietRO()
+		case !tx.readOnly:
+			tx.Stats.RecordEmptyUpdate()
 		}
 		return true
 	}
@@ -375,7 +382,7 @@ func (tx *txn) Writes(dst []mvutil.WriteRef) []mvutil.WriteRef {
 	stm.SortEntriesByID(ents)
 	for i := range ents {
 		v := ents[i].Key
-		dst = append(dst, mvutil.WriteRef{Lock: &v.owner, LoggedWrite: stm.LoggedWrite{VarID: v.id, Value: ents[i].Val}})
+		dst = append(dst, mvutil.WriteRef{Lock: &v.owner, LoggedWrite: stm.LoggedWrite{VarID: v.meta.id, Value: ents[i].Val}})
 	}
 	return dst
 }
@@ -394,7 +401,7 @@ func (tx *txn) Validate() stm.AbortReason {
 	// time-warp destination of ours exceeds start.)
 	ents := tx.writeSet.Entries()
 	for i := range ents {
-		if ents[i].Key.stamp.Load() > tx.start {
+		if ents[i].Key.meta.stamp.Load() > tx.start {
 			tx.target = true
 			break
 		}
@@ -500,7 +507,7 @@ func (tm *TM) createNewVersion(tx *txn, v *twvar, val stm.Value) {
 	}
 	if tx.twOrder == older.twOrder {
 		// A clash: no transaction will ever read this value (see above).
-		v.hist.Append(stm.VersionRecord{Value: val, Serial: tx.twOrder, Tie: tx.natOrder, Elided: true})
+		v.meta.hist.Append(stm.VersionRecord{Value: val, Serial: tx.twOrder, Tie: tx.natOrder, Elided: true})
 		return
 	}
 	ver := &version{value: val, natOrder: tx.natOrder, twOrder: tx.twOrder}
@@ -510,9 +517,9 @@ func (tm *TM) createNewVersion(tx *txn, v *twvar, val stm.Value) {
 	} else {
 		newer.next.Store(ver)
 	}
-	if !v.queued {
-		v.queued = true
+	if !v.meta.queued {
+		v.meta.queued = true
 		tm.dirty.Add(v)
 	}
-	v.hist.Append(stm.VersionRecord{Value: val, Serial: tx.twOrder, Tie: tx.natOrder})
+	v.meta.hist.Append(stm.VersionRecord{Value: val, Serial: tx.twOrder, Tie: tx.natOrder})
 }

@@ -16,10 +16,14 @@ import (
 const MaxLevel = 20
 
 // node is a skip-list tower. Keys and heights are immutable; the forward
-// pointers are the transactional variables.
+// pointers are the transactional variables. A tower of height at most two —
+// three in four — keeps its links in low, inside the node: the node is then
+// 64 bytes, one line-aligned size class, so a traversal hop loads the key and
+// the link it follows from one line. Taller towers allocate next apart.
 type node struct {
 	key  int64
 	next []stm.Var // len == height; each holds *node
+	low  [2]stm.Var
 }
 
 // Set is a transactional skip-list set of int64 keys.
@@ -90,7 +94,12 @@ func (s *Set) Insert(tx stm.Tx, k int64) bool {
 		return false
 	}
 	h := levelOf(k)
-	n := &node{key: k, next: make([]stm.Var, h)}
+	n := &node{key: k}
+	if h <= len(n.low) {
+		n.next = n.low[:h]
+	} else {
+		n.next = make([]stm.Var, h)
+	}
 	for lvl := 0; lvl < h; lvl++ {
 		succ := deref(tx, preds[lvl].next[lvl])
 		n.next[lvl] = s.tm.NewVar(stm.Value(succ))

@@ -171,3 +171,31 @@ func TestLargeBuild(t *testing.T) {
 		return nil
 	})
 }
+
+// BenchmarkContains prices one read-only Contains on twm over a set of 64 K
+// keys — past L2, as in the paper's §5.1 read-dominated runs. Half the
+// probes hit. Reports ns/op, one transaction per op.
+func BenchmarkContains(b *testing.B) {
+	const n = 1 << 16
+	tm := engines.MustNew("twm")
+	s := skiplist.New(tm)
+	r := xrand.New(1)
+	for i := 0; i < n; i += 64 {
+		_ = stm.Atomically(tm, false, func(tx stm.Tx) error {
+			for j := i; j < i+64; j++ {
+				s.Insert(tx, int64(2*(j*40503%n))) // even keys, in scattered order
+			}
+			return nil
+		})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := int64(r.Intn(2 * n))
+		_ = stm.Atomically(tm, true, func(tx stm.Tx) error {
+			containsSink = s.Contains(tx, k)
+			return nil
+		})
+	}
+}
+
+var containsSink bool

@@ -203,10 +203,10 @@ func TestAllocsAVSTMRegistry(t *testing.T) {
 }
 
 // TestAllocsTWMNewVar pins variable creation at one allocation, amortised:
-// the twvar itself. The initial version is embedded in it and the read stamp
-// is a slot of a shared 511-slot chunk (DESIGN.md §12.4), so the former second
-// allocation (the root version node) is gone and the chunk and the registry
-// slice's growth vanish in the average.
+// the twvar itself. The initial version is embedded in it and the read stamp,
+// id, history and queue mark are a slot of a shared 127-slot meta chunk
+// (DESIGN.md §12.4), so the former second allocation (the root version node)
+// is gone and the chunk vanishes in the average.
 func TestAllocsTWMNewVar(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")

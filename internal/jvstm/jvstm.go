@@ -66,11 +66,14 @@ type jversion struct {
 	next  atomic.Pointer[jversion]
 }
 
-// jvar is the transactional variable (a VBox).
+// jvar is the transactional variable (a VBox). What every read loads — lock
+// word and chain head — leads it: the variable is in the 48-byte size class,
+// whose objects start 16-byte aligned, so those 16 bytes never straddle a
+// line (DESIGN.md §12.4).
 type jvar struct {
-	id    uint64
 	owner mvutil.Lock // commit lock
 	head  atomic.Pointer[jversion]
+	id    uint64
 	hist  *stm.VersionLog // non-nil only when history recording is enabled
 	// queued marks v as in the TM's dirty queue: set by the install that
 	// gives v a second version, cleared by the pass that finds it back to one

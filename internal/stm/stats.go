@@ -64,14 +64,17 @@ type StatShard struct {
 	// Stamp-elision counters (DESIGN.md §12.5): quietRO counts the read-only
 	// commits that ran without stamping (roCommits minus it ran the stamping
 	// barrier), quietUpdate the update commits that read and skipped
-	// HANDLEREAD's stamp pass, reRoots the sole surviving versions the
-	// collector moved back into their variable.
+	// HANDLEREAD's stamp pass, emptyUpdate the update commits that wrote
+	// nothing and so committed without validating (the base of quietUpdate
+	// is the update commits minus these), reRoots the sole surviving
+	// versions the collector moved back into their variable.
 	quietRO     atomic.Uint64
 	quietUpdate atomic.Uint64
+	emptyUpdate atomic.Uint64
 	reRoots     atomic.Uint64
 
-	// 8 is the number of scalar counters above; TestStatShardPadded checks it.
-	_ [128 + (128-(8+int(numAbortReasons))*8%128)%128]byte
+	// 9 is the number of scalar counters above; TestStatShardPadded checks it.
+	_ [128 + (128-(9+int(numAbortReasons))*8%128)%128]byte
 }
 
 // Shard hands out a stripe for a long-lived recorder (one pooled transaction
@@ -106,6 +109,10 @@ func (s *StatShard) RecordQuietRO() { s.quietRO.Add(1) }
 // RecordQuietUpdate notes that an update commit (recorded separately through
 // RecordCommit) read variables and raised none of their read stamps.
 func (s *StatShard) RecordQuietUpdate() { s.quietUpdate.Add(1) }
+
+// RecordEmptyUpdate notes that an update commit (recorded separately through
+// RecordCommit) wrote nothing and committed without validating.
+func (s *StatShard) RecordEmptyUpdate() { s.emptyUpdate.Add(1) }
 
 // RecordStampRetries notes n failed CAS attempts while raising a semi-visible
 // read stamp. n == 0 is the common case and records nothing.
@@ -168,12 +175,15 @@ type Snapshot struct {
 	// Stamp elision (TWM only): QuietROCommits of the ROCommits ran without
 	// stamping their reads — the rest ran the stamping barrier.
 	// QuietUpdateCommits counts the validated update commits that read
-	// variables and skipped the commit-time stamp pass (an update commit
-	// that wrote nothing commits without validating and is never counted).
+	// variables and skipped the commit-time stamp pass. EmptyUpdateCommits
+	// counts the update commits that wrote nothing: they commit without
+	// validating, so the validated update commits — QuietUpdateCommits'
+	// base — are Commits − ROCommits − EmptyUpdateCommits.
 	// ReRootedVersions counts sole surviving versions the collector copied
 	// back into their variable.
 	QuietROCommits     uint64
 	QuietUpdateCommits uint64
+	EmptyUpdateCommits uint64
 	ReRootedVersions   uint64
 }
 
@@ -208,6 +218,7 @@ func (s *Stats) Snapshot() Snapshot {
 		snap.StampCASRetries += sh.stampRetries.Load()
 		snap.QuietROCommits += sh.quietRO.Load()
 		snap.QuietUpdateCommits += sh.quietUpdate.Load()
+		snap.EmptyUpdateCommits += sh.emptyUpdate.Load()
 		snap.ReRootedVersions += sh.reRoots.Load()
 		for r := range sh.byReason {
 			byReason[r] += sh.byReason[r].Load()
@@ -232,6 +243,7 @@ func (s *Stats) Reset() {
 		sh.stampRetries.Store(0)
 		sh.quietRO.Store(0)
 		sh.quietUpdate.Store(0)
+		sh.emptyUpdate.Store(0)
 		sh.reRoots.Store(0)
 		for r := range sh.byReason {
 			sh.byReason[r].Store(0)
